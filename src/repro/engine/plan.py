@@ -45,7 +45,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import compress, repeat
+from operator import itemgetter
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from ..datalog.atom import Atom
@@ -149,7 +150,9 @@ class _StepKernel:
         same_checks: ``(position, earlier_position)`` within-atom
             repeated-variable equalities.
         bind_specs: ``(position, variable)`` first occurrences to bind.
-        constraint_checks: callables ``check(binding) -> bool``.
+        constraint_checks: callables ``check(binding, fact) -> bool``,
+            run on a matching candidate *before* its values are bound
+            (see :func:`_compile_constraint_check`).
     """
 
     __slots__ = ("predicate", "key_positions", "key_parts", "const_key",
@@ -163,8 +166,9 @@ class _StepKernel:
                  bound_checks: Tuple[Tuple[int, Variable], ...],
                  same_checks: Tuple[Tuple[int, int], ...],
                  bind_specs: Tuple[Tuple[int, Variable], ...],
-                 constraint_checks: Tuple[Callable[[Dict[Variable, object]],
-                                                   bool], ...]) -> None:
+                 constraint_checks: Tuple[Callable[[Dict[Variable, object],
+                                                    Fact], bool], ...]
+                 ) -> None:
         self.predicate = predicate
         self.key_positions = key_positions
         self.key_parts = key_parts
@@ -205,28 +209,87 @@ class _PlanKernel:
         self.emit_slots = emit_slots
 
 
-def _compile_constraint_check(
-        constraint: Constraint) -> Callable[[Dict[Variable, object]], bool]:
-    """Compile a constraint into ``check(binding) -> bool``.
+def _satisfied_boxed(constraint: Constraint, variables, values) -> bool:
+    """Ask a protocol-only constraint about raw ``values``: box them
+    into the :class:`Substitution` its ``satisfied`` expects."""
+    return constraint.satisfied(Substitution(
+        {variable: Constant(value)
+         for variable, value in zip(variables, values)}))
 
-    Constraints exposing ``satisfied_values`` (e.g.
-    :class:`~repro.parallel.constraints.HashConstraint`) are called on
-    the raw value binding; others fall back to the protocol's
+
+def _compile_constraint_check(
+        constraint: Constraint, bound_here: Dict[Variable, int],
+        ) -> Callable[[Dict[Variable, object], Fact], bool]:
+    """Compile a constraint into ``check(binding, fact) -> bool``.
+
+    The check runs on a candidate ``fact`` of the step the constraint
+    was pushed to, before the fact's values enter ``binding``: a
+    variable the step binds (``bound_here``: variable → position) is
+    read from the fact, any other from the earlier steps' ``binding``.
+    Rejected candidates therefore cost no binding-dict traffic at all.
+
+    Constraints exposing ``sequence`` and ``compile_values()`` (e.g.
+    :class:`~repro.parallel.constraints.HashConstraint`) are called
+    positionally on the raw values; others fall back to the protocol's
     :meth:`~repro.datalog.rule.Constraint.satisfied` on a boxed
     :class:`~repro.datalog.substitution.Substitution` snapshot.
     """
-    fast = getattr(constraint, "satisfied_values", None)
-    if fast is not None:
-        return fast
+    compile_values = getattr(constraint, "compile_values", None)
+    if compile_values is None:
+        variables = tuple(constraint.variables)
+        accept = None
+    else:
+        variables = tuple(constraint.sequence)
+        accept = compile_values()
+    here = [bound_here.get(variable) for variable in variables]
+    if None in here:
+        sources = tuple(zip(here, variables))
+
+        def read(binding, fact):
+            return [binding[variable] if position is None
+                    else fact[position]
+                    for position, variable in sources]
+    elif len(here) == 1:
+        (position,) = here
+        if accept is not None:
+            return lambda binding, fact: accept(fact[position])
+
+        def read(binding, fact):
+            return (fact[position],)
+    else:
+        getter = itemgetter(*here)
+
+        def read(binding, fact):
+            return getter(fact)
+
+    if accept is not None:
+        return lambda binding, fact: accept(*read(binding, fact))
+
+    return lambda binding, fact: _satisfied_boxed(
+        constraint, variables, read(binding, fact))
+
+
+def _constraint_mask(constraint: Constraint,
+                     cols: Dict[Variable, List[object]]) -> List[bool]:
+    """One verdict per row of the batch columns (vectorized kernel).
+
+    Constraints exposing ``satisfied_columns`` decide the whole batch
+    in one call; others are asked row by row through the protocol.
+    """
+    column_form = getattr(constraint, "satisfied_columns", None)
+    if column_form is not None:
+        return column_form([cols[variable]
+                            for variable in constraint.sequence])
     variables = tuple(constraint.variables)
+    return [_satisfied_boxed(constraint, variables, row)
+            for row in zip(*(cols[variable] for variable in variables))]
 
-    def check(binding: Dict[Variable, object], _constraint=constraint,
-              _variables=variables) -> bool:
-        snapshot = Substitution(
-            {v: Constant(binding[v]) for v in _variables})
-        return _constraint.satisfied(snapshot)
 
-    return check
+def _keep_rows(cols: Dict[Variable, List[object]], mask: List[bool],
+               ) -> Tuple[Dict[Variable, List[object]], int]:
+    """The batch columns restricted to the rows ``mask`` keeps."""
+    return ({variable: list(compress(column, mask))
+             for variable, column in cols.items()}, sum(mask))
 
 
 def _compile_kernel(plan: "RulePlan") -> _PlanKernel:
@@ -276,8 +339,10 @@ def _compile_kernel(plan: "RulePlan") -> _PlanKernel:
             bound_checks=tuple(bound_checks),
             same_checks=tuple(same_checks),
             bind_specs=tuple(bind_specs),
-            constraint_checks=tuple(_compile_constraint_check(c)
-                                    for c in step.constraints),
+            constraint_checks=tuple(
+                _compile_constraint_check(c, {variable: position for
+                                              position, variable in bind_specs})
+                for c in step.constraints),
         ))
     head_parts = tuple(
         (False, term.value) if isinstance(term, Constant) else (True, term)
@@ -469,18 +534,19 @@ class RulePlan:
                                 break
                     if not matches:
                         continue
-                for position, variable in bind_specs:
-                    binding[variable] = fact[position]
                 satisfied = True
                 for check in checks:
-                    if not check(binding):
+                    if not check(binding, fact):
                         satisfied = False
                         break
-                if satisfied:
-                    if counters is not None:
-                        counters.record_firing(label)
-                    yield tuple(binding[part] if is_var else part
-                                for is_var, part in head_parts)
+                if not satisfied:
+                    continue
+                for position, variable in bind_specs:
+                    binding[variable] = fact[position]
+                if counters is not None:
+                    counters.record_firing(label)
+                yield tuple(binding[part] if is_var else part
+                            for is_var, part in head_parts)
                 for _position, variable in bind_specs:
                     del binding[variable]
 
@@ -522,17 +588,17 @@ class RulePlan:
                         break
             if not matches:
                 continue
-            if kstep.bind_specs:
-                for position, variable in kstep.bind_specs:
-                    binding[variable] = fact[position]
-                bound_flags[level] = True
             satisfied = True
             for check in kstep.constraint_checks:
-                if not check(binding):
+                if not check(binding, fact):
                     satisfied = False
                     break
             if not satisfied:
                 continue
+            if kstep.bind_specs:
+                for position, variable in kstep.bind_specs:
+                    binding[variable] = fact[position]
+                bound_flags[level] = True
             if level == last_outer:
                 yield from drain_last()
                 continue
@@ -616,8 +682,7 @@ class RulePlan:
 
         bind_specs = kstep.bind_specs
         cols: Dict[Variable, List[object]] = {}
-        if (kstep.const_checks or kstep.bound_checks or kstep.same_checks
-                or kstep.constraint_checks):
+        if kstep.const_checks or kstep.bound_checks or kstep.same_checks:
             kept: List[Fact] = []
             for fact in rows:
                 matches = True
@@ -635,19 +700,8 @@ class RulePlan:
                         if fact[position] != fact[earlier]:
                             matches = False
                             break
-                if not matches:
-                    continue
-                if kstep.constraint_checks:
-                    row_binding = {variable: fact[position]
-                                   for position, variable in bind_specs}
-                    satisfied = True
-                    for check in kstep.constraint_checks:
-                        if not check(row_binding):
-                            satisfied = False
-                            break
-                    if not satisfied:
-                        continue
-                kept.append(fact)
+                if matches:
+                    kept.append(fact)
             for position, variable in bind_specs:
                 cols[variable] = [fact[position] for fact in kept]
             n = len(kept)
@@ -667,6 +721,11 @@ class RulePlan:
             for position, variable in bind_specs:
                 cols[variable] = [fact[position] for fact in facts]
             n = len(facts)
+        # Constraints pushed to this step decide the whole batch at
+        # once, column-wise (``compress`` builds fresh lists, so shared
+        # read-only relation columns are never written).
+        for constraint in self.steps[0].constraints:
+            cols, n = _keep_rows(cols, _constraint_mask(constraint, cols))
 
         # ---- steps 1..depth-1: group, probe once per key, expand ----
         for level in range(1, depth):
@@ -680,7 +739,6 @@ class RulePlan:
             same_checks = kstep.same_checks
             bound_checks = kstep.bound_checks
             bind_specs = kstep.bind_specs
-            checks = kstep.constraint_checks
             prefilter = const_checks or same_checks
 
             # Group the surviving rows by join key (first-occurrence
@@ -716,7 +774,7 @@ class RulePlan:
             old_pairs = [(cols[variable], out_cols[variable])
                          for variable in cols]
             new_cols: List[List[object]] = [[] for _ in bind_specs]
-            slow = bool(bound_checks or checks)
+            slow = bool(bound_checks)
             out_n = 0
 
             for group_key, rows_idx in groups.items():
@@ -784,33 +842,13 @@ class RulePlan:
                     out_n += m * r
                     continue
 
-                # Slow expansion: bound-variable equalities and/or
-                # constraints need each row's own values.
+                # Slow expansion: bound-variable equalities need each
+                # row's own values.
                 for i in rows_idx:
-                    if bound_checks:
-                        js = [j for j in range(m)
-                              if all(ccol[j] == cols[variable][i]
-                                     for (_position, variable), ccol
-                                     in zip(bound_checks, ccols))]
-                    else:
-                        js = list(range(m))
-                    if js and checks:
-                        base = {variable: column[i]
-                                for variable, column in cols.items()}
-                        surviving = []
-                        for j in js:
-                            row_binding = dict(base)
-                            for (_position, variable), bcol in zip(
-                                    bind_specs, bcols):
-                                row_binding[variable] = bcol[j]
-                            satisfied = True
-                            for check in checks:
-                                if not check(row_binding):
-                                    satisfied = False
-                                    break
-                            if satisfied:
-                                surviving.append(j)
-                        js = surviving
+                    js = [j for j in range(m)
+                          if all(ccol[j] == cols[variable][i]
+                                 for (_position, variable), ccol
+                                 in zip(bound_checks, ccols))]
                     if not js:
                         continue
                     count = len(js)
@@ -829,6 +867,10 @@ class RulePlan:
             for (position, variable), column in zip(bind_specs, new_cols):
                 cols[variable] = column
             n = out_n
+            # Constraints pushed to this step: one column-wise pass over
+            # the expanded batch, before it reaches the next step.
+            for constraint in self.steps[level].constraints:
+                cols, n = _keep_rows(cols, _constraint_mask(constraint, cols))
 
         # ---- head drain ---------------------------------------------
         if not n:

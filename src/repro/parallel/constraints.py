@@ -10,7 +10,7 @@ effective parallelism (Section 3).
 
 from __future__ import annotations
 
-from typing import Hashable, Mapping, Sequence, Tuple
+from typing import Callable, Hashable, List, Mapping, Sequence, Tuple
 
 from ..datalog.substitution import Substitution
 from ..datalog.term import Constant, Variable
@@ -77,6 +77,49 @@ class HashConstraint:
                 tuple(binding[v] for v in self.sequence)) == self.target)
         except RoutingError:
             return False
+
+    def compile_values(self) -> Callable[..., bool]:
+        """The constraint as ``accept(*values) -> bool``.
+
+        ``values`` are the bound values of :attr:`sequence`, in order,
+        passed positionally — the form the compiled join kernel calls
+        once per candidate row, with no ``{Variable: value}`` dict in
+        between.  Specialised on the sequence length: the
+        single-position case skips the value tuple altogether.
+        """
+        discriminator, target = self.discriminator, self.target
+        if len(self.sequence) == 1:
+            of_value = discriminator.of_value
+
+            def accept_one(value: object) -> bool:
+                try:
+                    return of_value(value) == target
+                except RoutingError:
+                    return False
+
+            return accept_one
+
+        def accept(*values: object) -> bool:
+            try:
+                return discriminator(values) == target
+            except RoutingError:
+                return False
+
+        return accept
+
+    def satisfied_columns(self,
+                          columns: Sequence[Sequence[object]]) -> List[bool]:
+        """Column form: one verdict per row of the row-aligned columns.
+
+        ``columns[k]`` holds the values of ``sequence[k]``; the
+        vectorized join kernel calls this once per step over the whole
+        batch instead of once per row.
+        """
+        target = self.target
+        if len(columns) == 1:
+            return [owner == target
+                    for owner in self.discriminator.map_column(columns[0])]
+        return list(map(self.compile_values(), *columns))
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, HashConstraint)

@@ -10,6 +10,25 @@ All discriminators here are deterministic and process-stable: they use
 :func:`stable_hash` (BLAKE2) rather than Python's per-process ``hash``,
 so the same tuple routes to the same processor in every worker process
 of the multiprocessing executor.
+
+Memoisation.  ``stable_hash`` renders and digests its argument on every
+call, while a run touches each distinct constant hundreds of times (the
+constraint of every candidate substitution, then the route of every
+emitted tuple).  Every discriminator whose cost is ``stable_hash``
+therefore keeps a per-instance memo, so each distinct constant is
+hashed once per process.  Three rules keep the memo invisible:
+
+* the hash is a function of ``repr``, so the memo never merges values
+  that compare equal but render differently (``1``, ``1.0``, ``True``):
+  it is keyed by exact type first and only for the types in
+  :data:`_MEMO_TYPES`, everything else is hashed directly.  A memo keyed
+  on the raw value alone would make the target depend on which of the
+  equal values a process touched first, and sender and receiver
+  processes touch them in different orders;
+* it never travels: pickling a discriminator drops it, so shipped
+  programs and checkpoints do not grow with how warm the sender was;
+* it is bounded: each table stops growing at
+  :data:`_MEMO_MAX_ENTRIES`, past which values are hashed directly.
 """
 
 from __future__ import annotations
@@ -37,6 +56,72 @@ __all__ = [
 
 ProcessorId = Hashable
 Values = Tuple[object, ...]
+
+# Exact types whose values are equal only when their ``repr`` is equal,
+# so a dict keyed on the value can stand in for the repr-based hash.
+# ``float`` is out (``0.0 == -0.0``), containers are out (``(1,) ==
+# (1.0,)``) and so are subclasses (the test is on the exact type).
+_MEMO_TYPES = frozenset({int, str, bool, bytes, type(None)})
+
+# Entries one memo table may hold.  Single-position tables are bounded
+# by the active domain anyway; multi-position ones (one entry per
+# distinct value *tuple*) are not.
+_MEMO_MAX_ENTRIES = 1 << 16
+
+
+class _Memo(dict):
+    """``key -> function(key)``, filled on first touch up to the cap.
+
+    ``memo[key]`` is a plain C-level dict read on a hit; ``__missing__``
+    computes (and, while there is room, stores) on a miss, so batch
+    callers can map a whole column through ``memo.__getitem__``.
+    """
+
+    __slots__ = ("_function",)
+
+    def __init__(self, function: Callable[[object], object]) -> None:
+        super().__init__()
+        self._function = function
+
+    def __missing__(self, key: object) -> object:
+        result = self._function(key)
+        if len(self) < _MEMO_MAX_ENTRIES:
+            self[key] = result
+        return result
+
+
+class _TypedMemo:
+    """Memo of a pure function of one argument, keyed by exact type.
+
+    One :class:`_Memo` per *kind* of argument that ``memoisable``
+    admits — by default the exact type of a constant, which must be in
+    :data:`_MEMO_TYPES`; arguments of any other kind go straight to the
+    function.
+    """
+
+    __slots__ = ("_function", "_memoisable", "_tables")
+
+    def __init__(self, function: Callable[[object], object],
+                 memoisable: Callable[[object], bool]
+                 = _MEMO_TYPES.__contains__) -> None:
+        self._function = function
+        self._memoisable = memoisable
+        self._tables: dict = {}
+
+    def table(self, kind: object) -> Optional[_Memo]:
+        """The memo for arguments of ``kind``; None if not memoised."""
+        table = self._tables.get(kind)
+        if table is None and self._memoisable(kind):
+            table = self._tables[kind] = _Memo(self._function)
+        return table
+
+    def __call__(self, value: object) -> object:
+        table = self._tables.get(type(value))   # hot path: one dict read
+        if table is None:
+            table = self.table(type(value))
+            if table is None:
+                return self._function(value)
+        return table[value]
 
 
 def stable_hash(value: object, salt: int = 0) -> int:
@@ -72,9 +157,29 @@ class Discriminator:
         if not processors:
             raise RoutingError("processor set must be non-empty")
         self.processors: Tuple[ProcessorId, ...] = tuple(processors)
+        self._memo = self._new_memo()
+
+    def _new_memo(self) -> object:
+        """A fresh, empty memo (see the module docstring); None if the
+        function is cheap enough not to need one.  Called at the end of
+        construction and again after unpickling."""
+        return None
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_memo", None)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._memo = self._new_memo()
 
     def __call__(self, values: Values) -> ProcessorId:
         raise NotImplementedError
+
+    def of_value(self, value: object) -> ProcessorId:
+        """``h((value,))``: the single-position case without the tuple."""
+        return self((value,))
 
     def map_column(self, column: Sequence[object]) -> "list":
         """Batch form of ``__call__`` over a single-position column.
@@ -103,7 +208,40 @@ class Discriminator:
         return type(self).__name__
 
 
-class HashDiscriminator(Discriminator):
+class _HashedDiscriminator(Discriminator):
+    """A discriminator that hashes the whole value tuple, memoised.
+
+    Subclasses define :meth:`_compute` (the unmemoised function, one
+    ``stable_hash`` per call); ``__call__`` and ``of_value`` read the
+    memo: a :class:`_TypedMemo` over raw constants for single-position
+    sequences and, for longer ones, one :class:`_Memo` over value
+    tuples per tuple of exact element types.
+    """
+
+    def _compute(self, values: Values) -> ProcessorId:
+        raise NotImplementedError
+
+    def _new_memo(self) -> object:
+        compute = self._compute
+        # Single-position: constants by exact type.  Longer sequences:
+        # value tuples by the tuple of their exact element types.
+        return (_TypedMemo(lambda value: compute((value,))),
+                _TypedMemo(compute, _MEMO_TYPES.issuperset))
+
+    def of_value(self, value: object) -> ProcessorId:
+        return self._memo[0](value)
+
+    def __call__(self, values: Values) -> ProcessorId:
+        if type(values) is not tuple:
+            return self._compute(values)
+        single, rows = self._memo
+        if len(values) == 1:
+            return single(values[0])
+        table = rows.table(tuple(map(type, values)))
+        return self._compute(values) if table is None else table[values]
+
+
+class HashDiscriminator(_HashedDiscriminator):
     """``h(values) = processors[stable_hash(values) mod N]``.
 
     The workhorse discriminator: a uniform hash partition of ground
@@ -114,18 +252,20 @@ class HashDiscriminator(Discriminator):
         super().__init__(processors)
         self.salt = salt
 
-    def __call__(self, values: Values) -> ProcessorId:
+    def _compute(self, values: Values) -> ProcessorId:
         return self.processors[stable_hash(values, self.salt)
                                % len(self.processors)]
 
     def map_column(self, column: Sequence[object]) -> "list":
-        # Hash dispatch never raises, so the whole column maps in one
-        # comprehension (no per-value try/except or method dispatch).
-        processors = self.processors
-        count = len(processors)
-        salt = self.salt
-        return [processors[stable_hash((value,), salt) % count]
-                for value in column]
+        # Hash dispatch never raises, so a column of one memoised type
+        # maps through that type's table in a single C-level pass
+        # (misses fall into ``_Memo.__missing__``).
+        kinds = set(map(type, column))
+        if len(kinds) == 1:
+            table = self._memo[0].table(kinds.pop())
+            if table is not None:
+                return list(map(table.__getitem__, column))
+        return list(map(self._memo[0], column))
 
     def describe(self) -> str:
         return f"hash mod {len(self.processors)} (salt={self.salt})"
@@ -139,20 +279,25 @@ class ModuloDiscriminator(Discriminator):
     zero-communication construction relies on.
     """
 
+    def _new_memo(self) -> object:
+        return _TypedMemo(stable_hash)  # for the non-integer values
+
     def __call__(self, values: Values) -> ProcessorId:
+        hashed = self._memo
         total = 0
         for value in values:
             if isinstance(value, int):
                 total += value
             else:
-                total += stable_hash(value)
+                total += hashed(value)
         return self.processors[total % len(self.processors)]
 
     def map_column(self, column: Sequence[object]) -> "list":
         processors = self.processors
         count = len(processors)
+        hashed = self._memo
         return [processors[(value if isinstance(value, int)
-                            else stable_hash(value)) % count]
+                            else hashed(value)) % count]
                 for value in column]
 
     def describe(self) -> str:
@@ -169,17 +314,20 @@ class TupleDiscriminator(Discriminator):
 
     def __init__(self, length: int, g: Callable[[object], int] = binary_g,
                  g_range: int = 2) -> None:
-        processors = _tuple_space(length, g_range)
-        super().__init__(processors)
         self.length = length
         self.g = g
         self.g_range = g_range
+        super().__init__(_tuple_space(length, g_range))
+
+    def _new_memo(self) -> object:
+        return _TypedMemo(self.g)
 
     def __call__(self, values: Values) -> ProcessorId:
         if len(values) != self.length:
             raise RoutingError(
                 f"expected {self.length} values, got {len(values)}")
-        return tuple(self.g(v) % self.g_range for v in values)
+        g, g_range = self._memo, self.g_range
+        return tuple(g(v) % g_range for v in values)
 
     def compose_g(self, g_values: Sequence[int]) -> ProcessorId:
         """Apply the discriminator to pre-computed ``g`` values.
@@ -230,11 +378,15 @@ class LinearDiscriminator(Discriminator):
             values = {v % self.modulus for v in values}
         return tuple(sorted(values))
 
+    def _new_memo(self) -> object:
+        return _TypedMemo(self.g)
+
     def __call__(self, values: Values) -> ProcessorId:
         if len(values) != len(self.coefficients):
             raise RoutingError(
                 f"expected {len(self.coefficients)} values, got {len(values)}")
-        total = sum(c * (self.g(v) % self.g_range)
+        g, g_range = self._memo, self.g_range
+        total = sum(c * (g(v) % g_range)
                     for c, v in zip(self.coefficients, values))
         if self.modulus is not None:
             total %= self.modulus
@@ -341,7 +493,7 @@ class UniformFamily(DiscriminatorFamily):
         return f"uniform {self.discriminator.describe()}"
 
 
-class _RetentionDiscriminator(Discriminator):
+class _RetentionDiscriminator(_HashedDiscriminator):
     """Keep a deterministic fraction of tuples local, route the rest."""
 
     def __init__(self, owner: ProcessorId, base: Discriminator,
@@ -352,7 +504,7 @@ class _RetentionDiscriminator(Discriminator):
         self.keep_fraction = keep_fraction
         self.salt = salt
 
-    def __call__(self, values: Values) -> ProcessorId:
+    def _compute(self, values: Values) -> ProcessorId:
         draw = (stable_hash(values, self.salt) % 10_000) / 10_000.0
         if draw < self.keep_fraction:
             return self.owner

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 from ..facts.packing import is_packed
@@ -98,13 +99,18 @@ def approx_batch_bytes(pairs) -> int:
     where each payload is either a list of fact tuples or a packed
     column payload (:func:`repro.facts.packing.pack_facts`); the model
     charges one message envelope, one group overhead per predicate and
-    the per-format payload cost.
+    the per-format payload cost.  A fact list whose values are all
+    plain ``int`` (one C-level type scan) is priced from its counts;
+    any other list goes through the per-fact model, to the same total.
     """
     total = MESSAGE_OVERHEAD_BYTES
     for predicate, payload in pairs:
         total += BATCH_OVERHEAD_BYTES + len(predicate)
         if is_packed(payload):
             total += approx_packed_bytes(payload)
+        elif set(map(type, chain.from_iterable(payload))) <= {int}:
+            total += (_TUPLE_OVERHEAD_BYTES * len(payload)
+                      + (8 + _VALUE_BYTES[int]) * sum(map(len, payload)))
         else:
             for fact in payload:
                 total += approx_fact_bytes(fact)

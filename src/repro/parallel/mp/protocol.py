@@ -43,7 +43,11 @@ Control plane (coordinator ↔ worker):
   additionally require all ``pending`` flags False (see below).
 * ``("stop",)`` — coordinator → worker, terminate and report.
 * ``("result", processor, outputs, stats)`` — worker → coordinator,
-  final output relations and cumulative counters.
+  final output relations and cumulative counters.  ``outputs`` maps
+  each derived predicate to the worker's ``t_out`` facts in the same
+  two payload forms as ``data`` (packed columns from
+  ``PACK_MIN_FACTS`` facts up, a plain list below), in no particular
+  order: the coordinator pools them into a set.
 * ``("error", processor, text)`` — worker → coordinator, crash report
   (only reachable when the worker's Python level survives to format a
   traceback — a ``SIGKILL`` produces no message at all, which is why
@@ -56,6 +60,8 @@ Recovery plane (coordinator → worker, see :mod:`.runner`):
 
 * ``("reset", epoch)`` — a worker died and was restarted; survivors
   enter recovery epoch ``epoch`` and zero their quiescence counters.
+  A ``data`` message stamped with a later epoch than the receiver's
+  own has the same effect (see "Epoch adoption" below).
 * ``("replay", target)`` — re-send every tuple still held in the
   per-target sent-log for ``target`` under the current epoch (the full
   history under ``recovery="restart"``; the post-truncation suffix
@@ -129,6 +135,29 @@ never balance again.  Bumping the epoch and zeroing every survivor's
 tuples from the old epoch that are still in flight are ingested but
 not counted (their send-side count was zeroed too), and every replayed
 or newly derived tuple is counted symmetrically in the new epoch.
+
+Epoch adoption.  "Counted symmetrically" needs the receiver to be in
+the sender's epoch when it dequeues, and the ``reset`` alone cannot
+guarantee that.  An inbox is a ``multiprocessing.Queue`` with several
+producers — the coordinator and every peer — and it is FIFO *per
+producer*, not across them: ``Queue.put`` only hands the message to
+the producer's feeder thread, so the coordinator's ``reset(e+1)``,
+put before it forks the replacement, can still reach a survivor's pipe
+*after* the replacement's first ``data(e+1)``.  A survivor that merely
+skipped the count for a foreign epoch would then ingest those facts,
+zero its counters on the late ``reset``, and leave the newcomer's
+``sent`` permanently ahead of the cluster's ``received`` — quiescence
+never detected.  So a worker that dequeues ``data`` with an epoch
+later than its own adopts that epoch first (zeroing ``sent`` and
+``received``, exactly what the in-flight ``reset`` would do) and then
+counts the message; the ``reset`` arrives as a no-op, because epochs
+only move forward.  Adopting early is safe for the same reason the
+reset itself is: everything the survivor counted in the old epoch is
+discarded either way, and whatever it sends from now on is stamped
+with the new epoch, which every receiver reaches by the same rule.
+Messages the coordinator sends to one worker (``reset``, ``replay``,
+``truncate``, ``probe``) share a producer and do stay in order, which
+is all the truncation and replay arguments above rely on.
 
 Stale-synchronous relaxation (``sync="ssp"``)
 ---------------------------------------------
@@ -241,7 +270,8 @@ class WorkerStats:
         sent_log_facts: total facts held in the deduplicated per-peer
             replay logs at exit (the bounded-memory satellite metric;
             under ``recovery="checkpoint"`` truncation keeps this from
-            growing with total derived facts).
+            growing with total derived facts, and under
+            ``recovery="fail"`` no log is kept, so it reads 0).
         checkpoints: checkpoint payloads shipped to the coordinator.
         checkpoint_bytes: approximate bytes of those payloads under the
             deterministic size model.

@@ -73,7 +73,7 @@ from ...errors import ConfigurationError, ExecutionError
 from ...facts.database import Database
 from ...engine.plan import join_kernel
 from ...facts.backend import fact_backend, make_relation
-from ...facts.packing import pack_facts
+from ...facts.packing import ensure_facts, pack_facts
 from ...facts.relation import Relation
 from ...obs.tracer import Tracer, ensure_tracer
 from ..faults import FaultPlan
@@ -93,7 +93,6 @@ from .protocol import (
     TRACE,
     TRUNCATE,
     WorkerStats,
-    typed_sort_key,
 )
 from .worker import worker_main
 
@@ -167,7 +166,7 @@ def _picklable_local(program: ParallelProgram, processor: ProcessorId,
     local = program.local_database(processor, database)
     picklable: Dict[str, Tuple[int, object]] = {}
     for rel in local:
-        facts = sorted(rel, key=typed_sort_key)
+        facts = list(rel)
         if backend == "columnar" and len(facts) >= 8:
             picklable[rel.name] = (rel.arity, pack_facts(facts))
         else:
@@ -328,7 +327,7 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
             args=(program.program_for(proc), locals_by_proc[proc],
                   inboxes[proc], inboxes, coordinator_queue, tracing,
                   injected, epoch, sync, staleness, backend, kernel,
-                  interval, restore),
+                  interval, restore, recovery != "fail"),
             daemon=True)
         process.start()
         processes[proc] = process
@@ -386,11 +385,12 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
         epoch += 1
         # Survivors first zero their quiescence counters at the new
         # epoch, then replay their sent-logs to every newcomer; inbox
-        # FIFO order guarantees each survivor processes its RESET
-        # before the probes of the next wave.  RESET goes out *before*
-        # the respawn (and its backoff sleep), shrinking the window in
-        # which a newcomer's first DATA could reach a survivor still
-        # counting in the old epoch.
+        # FIFO order (per producer: all of these come from this
+        # coordinator) guarantees each survivor processes its RESET
+        # before the probes of the next wave and before the REPLAY
+        # below.  It does not order the RESET against the newcomer's
+        # first DATA — a different producer — which is why a worker
+        # adopts a later epoch from DATA as well (see .protocol).
         survivors = [proc for proc in order if proc not in dead]
         for proc in survivors:
             inboxes[proc].put((RESET, epoch))
@@ -539,7 +539,7 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
 
         for proc in order:
             inboxes[proc].put((STOP,))
-        outputs: Dict[ProcessorId, Dict[str, List[tuple]]] = {}
+        outputs: Dict[ProcessorId, Dict[str, object]] = {}
         stats: Dict[ProcessorId, WorkerStats] = {}
         while len(outputs) < len(order):
             now = time.perf_counter()
@@ -631,7 +631,9 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
         arity = program.program_for(order[0]).arities[predicate]
         pooled = make_relation(predicate, arity)
         for proc in order:
-            facts = outputs[proc].get(predicate, [])
+            # Popped, so each worker's payload (and its unpacked rows)
+            # is released as soon as it is pooled.
+            facts = ensure_facts(outputs[proc].pop(predicate, ()))
             pooled.update(facts)
             metrics.pooled_tuples += len(facts)
         output.attach(pooled)

@@ -29,8 +29,9 @@ staleness bound — the inbox keeps draining, probes keep being acked
 served, so only rule evaluation is paced.  See :mod:`.protocol` for
 the soundness and termination argument.
 
-Fault tolerance.  Every worker keeps a *sent-log*: per peer and
-predicate, the set of facts it has routed there, in first-send order
+Fault tolerance.  Under a recovery policy that can replay
+(``"restart"``, ``"checkpoint"``) a worker keeps a *sent-log*: per peer
+and predicate, the set of facts it has routed there, in first-send order
 (an insertion-ordered dict doubling as the dedup set), each entry
 carrying the channel stamp of the last message that carried the fact
 (``None`` while the fact has not reached the wire).  When the
@@ -39,7 +40,11 @@ their logs to it; combined with the restarted worker re-deriving its
 own outputs from its base fragment (``recovery="restart"``) or
 resuming from its last checkpoint (``recovery="checkpoint"``),
 monotonicity plus duplicate-dropping makes the recovered run's answer
-identical to an undisturbed one (Theorem 1 under failure).
+identical to an undisturbed one (Theorem 1 under failure).  Under the
+default ``recovery="fail"`` a death ends the run, so nothing is ever
+replayed: the worker writes no log and no per-fact stamps
+(``sent_log_facts`` reads 0) and pays nothing for a recovery that
+cannot happen.
 
 Checkpointing (``recovery="checkpoint"``).  Every
 ``checkpoint_interval`` productive step bursts the worker snapshots its
@@ -72,7 +77,10 @@ also bounds the log: per peer it can never exceed this worker's own
 history did; the bound is reported as ``sent_log_facts`` in
 :class:`~.protocol.WorkerStats`.  ``reset`` messages carry the new
 recovery epoch; see :mod:`.protocol` for why quiescence counters must
-be zeroed at that cut.
+be zeroed at that cut.  A ``data`` message from a *later* epoch than
+the worker's own makes it adopt that epoch on the spot: the newcomer
+that sent it and the coordinator that is about to announce it are
+different producers, and an inbox is FIFO per producer only.
 
 Fault injection.  When a :class:`~repro.parallel.faults.WorkerFaults`
 slice is supplied, the worker disturbs its *own* sends (drop / delay /
@@ -100,6 +108,7 @@ from ...facts.database import Database
 from ...facts.packing import (
     PACK_MIN_FACTS,
     is_packed,
+    maybe_pack,
     pack_facts,
     packed_fact_count,
     unpack_facts,
@@ -131,7 +140,6 @@ from .protocol import (
     TRACE,
     TRUNCATE,
     WorkerStats,
-    typed_sort_key,
 )
 
 __all__ = ["worker_main"]
@@ -180,7 +188,8 @@ def worker_main(program: ProcessorProgram,
                 staleness: int = 2, backend: str = "tuple",
                 kernel: str = "compiled",
                 checkpoint_interval: Optional[int] = None,
-                restore: Optional[Dict[str, object]] = None) -> None:
+                restore: Optional[Dict[str, object]] = None,
+                replayable: bool = True) -> None:
     """Entry point of a worker process.
 
     Args:
@@ -220,6 +229,10 @@ def worker_main(program: ProcessorProgram,
             (:func:`~.checkpoint.encode_checkpoint`); when given, the
             worker resumes from the snapshot instead of firing its
             initialization rules.
+        replayable: whether the run's recovery policy can ever ask for
+            a replay (the coordinator passes ``recovery != "fail"``).
+            When False the worker keeps no sent-log and no per-fact
+            stamps.
     """
     set_fact_backend(backend)
     set_join_kernel(kernel)
@@ -334,13 +347,15 @@ def worker_main(program: ProcessorProgram,
             out_seq[target] = seq
             stamp = (incarnation, seq)
             peer_queues[target].put((DATA, me, wire_pairs, epoch, stamp))
-            # Record the carrying stamp on every logged fact: once the
-            # receiver's watermark passes it, the entry is truncatable.
-            log_by_pred = sent_log.setdefault(target, {})
-            for predicate, facts in pairs:
-                log = log_by_pred.setdefault(predicate, {})
-                for fact in facts:
-                    log[fact] = stamp
+            if replayable:
+                # Record the carrying stamp on every logged fact: once
+                # the receiver's watermark passes it, the entry is
+                # truncatable.
+                log_by_pred = sent_log.setdefault(target, {})
+                for predicate, facts in pairs:
+                    log = log_by_pred.setdefault(predicate, {})
+                    for fact in facts:
+                        log[fact] = stamp
             count = sum(len(facts) for _, facts in pairs)
             stats.sent_by_target[target] = (
                 stats.sent_by_target.get(target, 0) + count)
@@ -407,15 +422,16 @@ def worker_main(program: ProcessorProgram,
                         stats.self_delivered += len(bucket)
                         activity += len(bucket)
                         continue
-                    # Logged before any fault decision: a dropped send
-                    # must still be replayable.  setdefault-style insert
-                    # keeps an existing stamp if a restored log already
-                    # holds the fact.
-                    log = sent_log.setdefault(target, {}).setdefault(
-                        predicate, {})
-                    for fact in bucket:
-                        if fact not in log:
-                            log[fact] = None
+                    if replayable:
+                        # Logged before any fault decision: a dropped
+                        # send must still be replayable.  setdefault-style
+                        # insert keeps an existing stamp if a restored log
+                        # already holds the fact.
+                        log = sent_log.setdefault(target, {}).setdefault(
+                            predicate, {})
+                        for fact in bucket:
+                            if fact not in log:
+                                log[fact] = None
                     if channel_faults is not None:
                         target_tag = processor_tag(target)
                         deliver: List[tuple] = []
@@ -586,6 +602,15 @@ def worker_main(program: ProcessorProgram,
                 kind = message[0]
                 if kind == DATA:
                     _, sender, pairs, msg_epoch, stamp = message
+                    if msg_epoch > epoch:
+                        # A newcomer's DATA overtook the RESET that
+                        # announces its epoch (different producers, see
+                        # .protocol): adopt it now, exactly as that
+                        # RESET would, so these facts are counted on
+                        # both ends.  The RESET is then a no-op.
+                        epoch = msg_epoch
+                        epoch_sent = 0
+                        epoch_received = 0
                     count = 0
                     for predicate, payload in pairs:
                         # Packed batches stay in wire form: the runtime
@@ -710,10 +735,10 @@ def worker_main(program: ProcessorProgram,
         stats.sent_log_facts = sum(
             len(facts) for log in sent_log.values() for facts in log.values())
         flush_trace()
-        outputs = {
-            pred: sorted(runtime.output_relation(pred), key=typed_sort_key)
-            for pred in program.out_names
-        }
+        # A relation is a set and the coordinator pools into one: no
+        # order to establish, and the packed columns pickle far smaller.
+        outputs = {pred: maybe_pack(list(runtime.output_relation(pred)))
+                   for pred in program.out_names}
         coordinator_queue.put((RESULT, me, outputs, stats))
     except Exception:  # pragma: no cover - crash path
         coordinator_queue.put((ERROR, me, traceback.format_exc()))

@@ -166,7 +166,8 @@ class TestCornerCases:
 
     def test_hash_constraints_parallel_rewrite(self):
         # The rewritten programs carry HashConstraints, exercising the
-        # kernel's satisfied_values fast path; the simulated cluster
+        # kernels' compiled constraint forms (positional in the compiled
+        # kernel, column-wise in the vectorized); the simulated cluster
         # must agree with sequential evaluation under both paths.
         workload = make_workload("dag", 40, seed=7)
         parallel_program = example3_scheme(workload.program,
@@ -189,6 +190,44 @@ class TestCornerCases:
                     == generic.metrics.total_firings()), kernel
             assert (specialized.metrics.total_sent()
                     == generic.metrics.total_sent()), kernel
+
+    def test_constraints_spanning_steps_agree_across_kernels(self):
+        """Constraint values come partly from the candidate fact and
+        partly from earlier bindings: a protocol-only constraint (boxed
+        ``satisfied`` fallback) and a two-position HashConstraint."""
+        from repro.datalog import Atom, Rule
+        from repro.datalog.term import Constant
+        from repro.parallel import HashConstraint, HashDiscriminator
+
+        class _Less:
+            variables = (Variable("X"), Variable("Y"))
+
+            def satisfied(self, binding):
+                x, y = (binding.get(v) for v in self.variables)
+                assert isinstance(x, Constant) and isinstance(y, Constant)
+                return x.value < y.value
+
+        x, y, z = Variable("X"), Variable("Y"), Variable("Z")
+        database = Database.from_facts(
+            {"b": [(i, (i * 3) % 7) for i in range(12)],
+             "c": [(i % 7, (i * 5) % 11) for i in range(20)]})
+        for constraint in (_Less(),
+                           HashConstraint(HashDiscriminator((0, 1)),
+                                          [x, y], 1)):
+            rule = Rule(Atom("a", (x, y)),
+                        (Atom("b", (x, z)), Atom("c", (z, y))),
+                        (constraint,))
+            plan = compile_plan(rule, reorder=False)
+            assert len(plan.steps[1].constraints) == 1
+            outcomes = {}
+            for kernel in JOIN_KERNELS:
+                counters = EvalCounters()
+                facts = sorted(plan.execute(database, counters, kernel=kernel))
+                outcomes[kernel] = (facts, counters.total_firings(),
+                                    counters.probes)
+            assert outcomes["compiled"] == outcomes["generic"]
+            assert outcomes["vectorized"] == outcomes["generic"]
+            assert 0 < len(outcomes["generic"][0]) < 30
 
     def test_missing_relation_raises_same_error(self):
         from repro.errors import EvaluationError

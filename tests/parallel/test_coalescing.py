@@ -86,9 +86,11 @@ class TestMpCoalescing:
     def test_fault_free_sent_log_equals_sent(self, ancestor, tree_db):
         """Without faults each (predicate, fact) pair is put on a channel
         exactly once, so the deduplicated replay log holds exactly the
-        tuples sent — the bound of the satellite is tight here."""
+        tuples sent — the bound of the satellite is tight here.  The
+        log exists only under a policy that can replay."""
         parallel = example2_scheme(ancestor, (0, 1, 2), tree_db)
-        result = run_multiprocessing(parallel, tree_db, timeout=60)
+        result = run_multiprocessing(parallel, tree_db, timeout=60,
+                                     recovery="restart")
         assert result.stats
         for stats in result.stats.values():
             assert stats.sent_log_facts == stats.total_sent()
@@ -98,13 +100,28 @@ class TestMpCoalescing:
         parallel = example3_scheme(ancestor, (0, 1, 2))
         plan = build_fault_plan(["dup:0.6"], seed=5)
         result = run_multiprocessing(parallel, tree_db, faults=plan,
-                                     timeout=60)
+                                     timeout=60, recovery="restart")
         expected = evaluate(ancestor, tree_db)
         assert (result.relation("anc").as_set()
                 == expected.relation("anc").as_set())
         total_log = sum(s.sent_log_facts for s in result.stats.values())
         total_sent = sum(s.total_sent() for s in result.stats.values())
         assert 0 < total_log < total_sent
+
+    @pytest.mark.faultinjection
+    def test_fail_policy_keeps_no_log_and_survives_channel_faults(
+            self, ancestor, tree_db):
+        """``recovery="fail"`` can never replay, so it logs nothing; the
+        retry of dropped sends does not depend on the log."""
+        parallel = example3_scheme(ancestor, (0, 1, 2))
+        plan = build_fault_plan(["drop:0.3", "dup:0.3"], seed=7)
+        result = run_multiprocessing(parallel, tree_db, faults=plan,
+                                     timeout=60, recovery="fail")
+        expected = evaluate(ancestor, tree_db)
+        assert (result.relation("anc").as_set()
+                == expected.relation("anc").as_set())
+        assert result.metrics.retried > 0
+        assert all(s.sent_log_facts == 0 for s in result.stats.values())
 
     def test_coalescing_off_is_equivalent_but_chattier(
             self, ancestor, tree_db, monkeypatch):

@@ -1,0 +1,61 @@
+"""The partition is bit-identical: pinned cost counters of ``run_parallel``.
+
+Memoising the discriminating function, checking ``h(v(r)) = i``
+positionally / column-wise and pricing channel bytes per batch are all
+supposed to change *when* work happens, never *which* substitution
+fires where or which tuple crosses which channel.  These literals were
+recorded at the commit before those changes (and are identical for the
+three join kernels, as the kernel-equivalence contract demands); any
+drift in the partition, the constraint pushdown, the routing or the
+byte model shows up here as a changed number.
+"""
+
+import pytest
+
+from repro.engine.plan import JOIN_KERNELS, set_join_kernel
+from repro.parallel import example3_scheme, rewrite_general, run_parallel
+from repro.workloads import ancestor_program, nonlinear_ancestor_program
+
+PROCESSORS = (0, 1, 2)
+
+SCHEMES = {
+    "example3": lambda: example3_scheme(ancestor_program(), PROCESSORS),
+    "general": lambda: rewrite_general(nonlinear_ancestor_program(),
+                                       PROCESSORS),
+}
+
+# (scheme, database fixture) -> counters recorded at the parent commit.
+PINNED = {
+    ("example3", "tree_db"): dict(
+        firings=168, probes=185, rounds=6, tuples_sent=69,
+        channel_messages=16, channel_bytes=11184, duplicates_dropped=0),
+    ("example3", "dag_db"): dict(
+        firings=755, probes=423, rounds=8, tuples_sent=337,
+        channel_messages=27, channel_bytes=47105, duplicates_dropped=173),
+    ("general", "tree_db"): dict(
+        firings=252, probes=699, rounds=5, tuples_sent=438,
+        channel_messages=26, channel_bytes=59886, duplicates_dropped=153),
+    ("general", "dag_db"): dict(
+        firings=1545, probes=1635, rounds=5, tuples_sent=1514,
+        channel_messages=28, channel_bytes=197908, duplicates_dropped=1065),
+}
+
+
+@pytest.mark.parametrize("kernel", JOIN_KERNELS)
+@pytest.mark.parametrize("scheme,fixture", sorted(PINNED))
+def test_counters_equal_parent_commit(kernel, scheme, fixture, request):
+    database = request.getfixturevalue(fixture)
+    previous = set_join_kernel(kernel)
+    try:
+        metrics = run_parallel(SCHEMES[scheme](), database).metrics
+    finally:
+        set_join_kernel(previous)
+    assert dict(
+        firings=metrics.total_firings(),
+        probes=sum(metrics.probes.values()),
+        rounds=metrics.rounds,
+        tuples_sent=metrics.total_sent(),
+        channel_messages=metrics.total_channel_messages(),
+        channel_bytes=metrics.total_channel_bytes(),
+        duplicates_dropped=sum(metrics.duplicates_dropped.values()),
+    ) == PINNED[scheme, fixture]

@@ -21,6 +21,7 @@ import pytest
 from repro.engine import evaluate
 from repro.errors import ExecutionError
 from repro.facts import Database
+from repro.facts.packing import ensure_facts
 from repro.parallel import (
     build_fault_plan,
     example3_scheme,
@@ -28,7 +29,7 @@ from repro.parallel import (
     rewrite_general,
 )
 from repro.parallel.mp import run_multiprocessing
-from repro.parallel.mp.protocol import ACK, PROBE, RESULT, STOP
+from repro.parallel.mp.protocol import ACK, DATA, PROBE, RESET, RESULT, STOP
 from repro.parallel.mp.runner import _picklable_local
 from repro.parallel.mp.worker import worker_main
 from repro.workloads import (
@@ -211,7 +212,8 @@ class TestThrottleEnforcement:
         message = worker.stop()
         outputs = message[2]
         expected = evaluate(program, database)
-        assert set(outputs["anc"]) == expected.relation("anc").as_set()
+        assert (set(ensure_facts(outputs["anc"]))
+                == expected.relation("anc").as_set())
 
     def test_no_probe_means_free_running(self):
         """Before the first horizon arrives the worker runs unthrottled
@@ -235,4 +237,30 @@ class TestThrottleEnforcement:
         final_stats = message[3]
         assert final_stats.throttle_waits == 0
         expected = evaluate(program, database)
-        assert set(message[2]["anc"]) == expected.relation("anc").as_set()
+        assert (set(ensure_facts(message[2]["anc"]))
+                == expected.relation("anc").as_set())
+
+
+@pytest.mark.faultinjection
+class TestEpochAdoption:
+    def test_data_overtaking_its_reset_is_counted(self):
+        """A newcomer's ``DATA(epoch+1)`` can reach a survivor before
+        the coordinator's ``RESET(epoch+1)`` (two producers, one inbox).
+        The survivor must adopt the epoch from the DATA and count it;
+        skipping the count and then zeroing on the late RESET leaves
+        ``sent > received`` for ever ("no quiescence within N
+        seconds").  Inbox order is fabricated, so no sleeps or kills."""
+        database = Database.from_facts({"par": [(0, 1)]})
+        parallel = hash_scheme(ancestor_program(), (0,))
+        worker = _InProcessWorker(parallel, database, sync="bsp")
+        facts = [(10, 11), (11, 12), (12, 13)]
+        worker.inbox.put((DATA, 1, [("anc", facts)], 1, (1, 1)))
+        worker.inbox.put((RESET, 1))
+        worker.probe(1, None)
+        worker.start()
+        _, _proc, seq, sent, received, _activity, epoch, _clock, _pending \
+            = worker.next_ack()
+        worker.stop()
+        assert (seq, epoch) == (1, 1)
+        assert sent == 0
+        assert received == len(facts)
