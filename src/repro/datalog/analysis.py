@@ -9,15 +9,16 @@ paper restrict their schemes to.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Set, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Set, Tuple
 
 from ..errors import NotASirupError
 from .atom import Atom
 from .program import Program
 from .rule import Rule
 from .term import Variable
+
+if TYPE_CHECKING:  # networkx is an export format here, never a dependency
+    import networkx as nx
 
 __all__ = [
     "dependency_graph",
@@ -29,6 +30,72 @@ __all__ = [
     "is_linear_sirup",
 ]
 
+# Successor lists of the predicate dependency graph, nodes and edges in
+# first-mention order (insertion-ordered dicts standing in for sets).
+_Successors = Dict[str, Dict[str, None]]
+
+
+def _successors(program: Program) -> _Successors:
+    """The dependency graph as plain adjacency dicts.
+
+    The graph has a handful of nodes; everything the evaluation path
+    asks of it (components, their order, reachability) is computed on
+    this form so that importing the engine never imports networkx.
+    """
+    graph: _Successors = {predicate: {} for predicate in program.predicates}
+    for rule in program.proper_rules():
+        head = rule.head.predicate
+        for atom in rule.body:
+            graph.setdefault(atom.predicate, {})[head] = None
+            graph.setdefault(head, {})
+    return graph
+
+
+def _strongly_connected(graph: _Successors) -> List[FrozenSet[str]]:
+    """Tarjan's algorithm, iteratively (no recursion limit to hit).
+
+    Components come out in reverse topological order: each one after
+    every component it can reach.
+    """
+    preorder: Dict[str, int] = {}
+    lowlink: Dict[str, int] = {}
+    found: Set[str] = set()
+    pending: List[str] = []     # finished nodes whose component is open
+    components: List[FrozenSet[str]] = []
+    unvisited = {node: iter(targets) for node, targets in graph.items()}
+    for source in graph:
+        if source in found:
+            continue
+        stack = [source]
+        while stack:
+            node = stack[-1]
+            if node not in preorder:
+                preorder[node] = len(preorder) + 1
+            for successor in unvisited[node]:
+                if successor not in preorder:
+                    stack.append(successor)
+                    break
+            else:
+                low = preorder[node]
+                for successor in graph[node]:
+                    if successor in found:
+                        continue
+                    if preorder[successor] > preorder[node]:
+                        low = min(low, lowlink[successor])
+                    else:
+                        low = min(low, preorder[successor])
+                lowlink[node] = low
+                stack.pop()
+                if low != preorder[node]:
+                    pending.append(node)
+                    continue
+                component = {node}
+                while pending and preorder[pending[-1]] > preorder[node]:
+                    component.add(pending.pop())
+                found |= component
+                components.append(frozenset(component))
+    return components
+
 
 def dependency_graph(program: Program) -> "nx.DiGraph":
     """Return the predicate dependency graph.
@@ -37,25 +104,27 @@ def dependency_graph(program: Program) -> "nx.DiGraph":
     of a rule whose head predicate is ``p`` (i.e. ``q`` *derives* ``p``,
     paper Section 2).
     """
+    import networkx as nx
+
+    successors = _successors(program)
     graph = nx.DiGraph()
-    for predicate in program.predicates:
-        graph.add_node(predicate)
-    for rule in program.proper_rules():
-        for atom in rule.body:
-            graph.add_edge(atom.predicate, rule.head.predicate)
+    graph.add_nodes_from(successors)
+    graph.add_edges_from((source, target)
+                         for source, targets in successors.items()
+                         for target in targets)
     return graph
 
 
 def recursive_predicates(program: Program) -> FrozenSet[str]:
     """Return the predicates that transitively derive themselves."""
-    graph = dependency_graph(program)
+    graph = _successors(program)
     recursive: Set[str] = set()
-    for component in nx.strongly_connected_components(graph):
+    for component in _strongly_connected(graph):
         if len(component) > 1:
             recursive |= component
         else:
             (node,) = component
-            if graph.has_edge(node, node):
+            if node in graph[node]:
                 recursive.add(node)
     return frozenset(recursive)
 
@@ -67,9 +136,15 @@ def is_recursive_rule(rule: Rule, program: Program) -> bool:
     """
     if not rule.body:
         return False
-    graph = dependency_graph(program)
+    graph = _successors(program)
     head = rule.head.predicate
-    reachable = nx.descendants(graph, head) | {head}
+    reachable = {head}
+    frontier = [head]
+    while frontier:
+        for successor in graph.get(frontier.pop(), ()):
+            if successor not in reachable:
+                reachable.add(successor)
+                frontier.append(successor)
     return any(atom.predicate in reachable for atom in rule.body)
 
 
@@ -78,13 +153,32 @@ def recursion_components(program: Program) -> List[FrozenSet[str]]:
 
     Evaluating the program one component at a time, in this order, is
     the standard stratification of semi-naive evaluation for programs
-    with several derived predicates.
+    with several derived predicates.  Among the valid orders this is
+    the one Kahn's algorithm yields generation by generation over the
+    condensation, components numbered as Tarjan emits them.
     """
-    graph = dependency_graph(program)
-    condensation = nx.condensation(graph)
-    ordered = []
-    for node in nx.topological_sort(condensation):
-        ordered.append(frozenset(condensation.nodes[node]["members"]))
+    graph = _successors(program)
+    components = _strongly_connected(graph)
+    owner = {node: number for number, component in enumerate(components)
+             for node in component}
+    successors: List[Dict[int, None]] = [{} for _ in components]
+    indegree = [0] * len(components)
+    for node, targets in graph.items():
+        for target in targets:
+            source, sink = owner[node], owner[target]
+            if source != sink and sink not in successors[source]:
+                successors[source][sink] = None
+                indegree[sink] += 1
+    ordered: List[FrozenSet[str]] = []
+    ready = [number for number, degree in enumerate(indegree) if not degree]
+    while ready:
+        generation, ready = ready, []
+        for number in generation:
+            ordered.append(components[number])
+            for sink in successors[number]:
+                indegree[sink] -= 1
+                if not indegree[sink]:
+                    ready.append(sink)
     return ordered
 
 

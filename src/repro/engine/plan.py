@@ -6,19 +6,13 @@ step, the argument positions that are already bound when the step runs
 after the step (pushed as early as possible, mirroring the paper's
 discussion of pushing the discriminating selection into the join).
 
-Execution is a depth-first nested-loops join over hash indexes,
-yielding one head tuple per successful ground substitution.  Three
-implementations share that contract:
+Execution is a join over hash indexes returning the batch of head
+tuples, one per successful ground substitution.  Three implementations
+share that contract:
 
-* the **compiled kernel** (default) — on first execution the plan is
-  specialized into per-step key extractors, per-position match checks
-  and a head template, all resolved at compile time, and run as a
-  single iterative backtracking loop.  The per-tuple
-  ``isinstance``/dict-dispatch work of the interpretive path is hoisted
-  out entirely; positions guaranteed equal by the index lookup are not
-  re-checked.
-* the **vectorized kernel** — executes the plan over the *whole input
-  batch at once* instead of one backtracking probe per tuple: the
+* the **vectorized kernel** (default) — executes the plan over the
+  *whole input batch at once* instead of one backtracking probe per
+  tuple: the
   first step's matches become value columns, each later step groups
   the surviving rows by their join key and probes the index **once per
   distinct key** (amortizing hash lookups across duplicate keys),
@@ -30,6 +24,16 @@ implementations share that contract:
   harness's A/B divergence gates apply unchanged.  Emission *order*
   within a batch may differ from the depth-first kernels (grouping
   reorders rows); all consumers are order-insensitive sets/counters.
+  The batch leaves the kernel whole — one ``zip`` over the head
+  columns — and every consumer (the round close of
+  :mod:`.seminaive`, the processor runtimes) takes it as one list.
+* the **compiled kernel** — a depth-first nested-loops join: on first
+  execution the plan is specialized into per-step key extractors,
+  per-position match checks and a head template, all resolved at
+  compile time, and run as a single iterative backtracking loop.  The
+  per-tuple ``isinstance``/dict-dispatch work of the interpretive path
+  is hoisted out entirely; positions guaranteed equal by the index
+  lookup are not re-checked.
 * the **generic interpreter** — the original recursive reference
   implementation, kept both as executable documentation and as the
   baseline the performance harness (``repro bench``) measures the
@@ -47,7 +51,8 @@ import os
 from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import itemgetter
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence, Set,
+                    Tuple)
 
 from ..datalog.atom import Atom
 from ..datalog.rule import Constraint, Rule
@@ -70,7 +75,7 @@ _MISSING = object()
 # be forced onto one path without touching code.
 JOIN_KERNELS = ("generic", "compiled", "vectorized")
 
-_kernel_name = os.environ.get("REPRO_JOIN_KERNEL", "compiled")
+_kernel_name = os.environ.get("REPRO_JOIN_KERNEL", "vectorized")
 if _kernel_name not in JOIN_KERNELS:  # pragma: no cover - env misconfiguration
     raise ValueError(
         f"REPRO_JOIN_KERNEL={_kernel_name!r}: expected one of "
@@ -389,8 +394,12 @@ class RulePlan:
 
     def execute(self, database: Database,
                 counters: Optional[EvalCounters] = None,
-                kernel=None) -> Iterator[Fact]:
-        """Yield one head tuple per successful ground substitution.
+                kernel=None) -> List[Fact]:
+        """Return one head tuple per successful ground substitution.
+
+        The result is the whole batch: the vectorized kernel builds it
+        column-wise and transposes once, the per-fact kernels collect
+        theirs.
 
         Args:
             database: must contain a relation for every body predicate.
@@ -404,11 +413,11 @@ class RulePlan:
             EvaluationError: if a body relation is missing.
         """
         name = _kernel_name if kernel is None else _coerce_kernel(kernel)
-        if name == "compiled":
-            return self._execute_compiled(database, counters)
         if name == "vectorized":
             return self._execute_vectorized(database, counters)
-        return self._execute_generic(database, counters)
+        if name == "compiled":
+            return list(self._execute_compiled(database, counters))
+        return list(self._execute_generic(database, counters))
 
     def _kernel_for(self) -> _PlanKernel:
         """Return (building and caching on first use) the compiled kernel."""
@@ -607,7 +616,7 @@ class RulePlan:
 
     def _execute_vectorized(self, database: Database,
                             counters: Optional[EvalCounters]
-                            ) -> Iterator[Fact]:
+                            ) -> List[Fact]:
         """Batch semi-join: the whole step-0 input processed at once.
 
         The first step's matches become per-variable value columns (one
@@ -620,8 +629,8 @@ class RulePlan:
         against the bucket's gathered columns
         (:meth:`~repro.facts.index.HashIndex.bucket_column`, cached per
         bucket under the columnar backend) with C-level
-        ``list.extend`` / ``itertools.repeat`` loops; the head drains
-        straight out of the final columns via ``zip``.
+        ``list.extend`` / ``itertools.repeat`` loops; the head batch is
+        one ``zip`` over the final columns.
 
         Counter identity with the other kernels holds by construction:
         step 0 records one probe (one ``candidates()`` call in the
@@ -636,7 +645,7 @@ class RulePlan:
         empty_binding = Substitution.empty()
         for constraint in self.pre_constraints:
             if not constraint.satisfied(empty_binding):
-                return
+                return []
 
         kernel = self._kernel_for()
         steps = kernel.steps
@@ -661,9 +670,8 @@ class RulePlan:
         if depth == 0:
             if counters is not None:
                 counters.record_firing(label)
-            yield tuple(binding[part] if is_var else part
-                        for is_var, part in head_parts)
-            return
+            return [tuple(binding[part] if is_var else part
+                          for is_var, part in head_parts)]
 
         # ---- step 0: seed the batch columns -------------------------
         kstep = steps[0]
@@ -681,7 +689,7 @@ class RulePlan:
             rows = relation.facts()
 
         bind_specs = kstep.bind_specs
-        cols: Dict[Variable, List[object]] = {}
+        cols: Dict[Variable, Sequence[object]] = {}
         if kstep.const_checks or kstep.bound_checks or kstep.same_checks:
             kept: List[Fact] = []
             for fact in rows:
@@ -702,9 +710,11 @@ class RulePlan:
                             break
                 if matches:
                     kept.append(fact)
-            for position, variable in bind_specs:
-                cols[variable] = [fact[position] for fact in kept]
             n = len(kept)
+            if n:
+                by_position = list(zip(*kept))
+                for position, variable in bind_specs:
+                    cols[variable] = by_position[position]
         elif index is None and isinstance(relation, ColumnarRelation):
             # Full scan with no residual checks: reuse the relation's
             # cached raw-value columns (read-only from here on).
@@ -717,10 +727,14 @@ class RulePlan:
             for position, variable in bind_specs:
                 cols[variable] = index.bucket_column(key, position)
         else:
-            facts = list(rows)
-            for position, variable in bind_specs:
-                cols[variable] = [fact[position] for fact in facts]
-            n = len(facts)
+            # One C-level transpose; the columns are read-only tuples.
+            n = len(rows)
+            if n:
+                by_position = list(zip(*rows))
+                for position, variable in bind_specs:
+                    cols[variable] = by_position[position]
+        if not n:
+            return []
         # Constraints pushed to this step decide the whole batch at
         # once, column-wise (``compress`` builds fresh lists, so shared
         # read-only relation columns are never written).
@@ -730,7 +744,7 @@ class RulePlan:
         # ---- steps 1..depth-1: group, probe once per key, expand ----
         for level in range(1, depth):
             if not n:
-                return
+                return []
             kstep = steps[level]
             index, relation = sources[level]
             if counters is not None:
@@ -874,19 +888,13 @@ class RulePlan:
 
         # ---- head drain ---------------------------------------------
         if not n:
-            return
+            return []
         if counters is not None:
             counters.record_firing(label, n)
-        if not head_parts:
-            yield from repeat((), n)
-            return
         if any(is_var for is_var, _part in head_parts):
-            parts = [cols[part] if is_var else repeat(part)
-                     for is_var, part in head_parts]
-            yield from zip(*parts)
-        else:
-            head = tuple(part for _is_var, part in head_parts)
-            yield from repeat(head, n)
+            return list(zip(*(cols[part] if is_var else repeat(part)
+                              for is_var, part in head_parts)))
+        return [tuple(part for _is_var, part in head_parts)] * n
 
     def _execute_generic(self, database: Database,
                          counters: Optional[EvalCounters]) -> Iterator[Fact]:

@@ -18,7 +18,7 @@ relations.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from ..datalog.atom import Atom
 from ..datalog.program import Program
@@ -27,6 +27,7 @@ from ..facts.database import Database
 from ..facts.relation import Fact, Relation
 from ..obs.tracer import Tracer, ensure_tracer
 from .counters import EvalCounters
+from .plan import RulePlan
 from .planner import compile_plan
 from .stratify import Stratum, build_strata
 
@@ -35,6 +36,7 @@ __all__ = [
     "PREV_SUFFIX",
     "DeltaVariant",
     "delta_variants",
+    "prev_predicates",
     "seminaive_evaluate",
 ]
 
@@ -93,6 +95,43 @@ def delta_variants(rule: Rule, target_predicates: Set[str],
     return variants
 
 
+def prev_predicates(variant_rules: Iterable[Rule],
+                    prev_suffix: str = PREV_SUFFIX) -> Set[str]:
+    """The target predicates whose previous relation some variant reads.
+
+    :func:`delta_variants` names a ``#prev`` relation only for a second
+    recursive occurrence in one body, so a linear rule reads none — and
+    a relation nothing reads need not be kept, let alone indexed.
+    """
+    return {atom.predicate[:-len(prev_suffix)]
+            for rule in variant_rules for atom in rule.body
+            if atom.predicate.endswith(prev_suffix)}
+
+
+def _run_plans(plans: Sequence[RulePlan], working: Database,
+               counters: EvalCounters, tracer: Tracer) -> Dict[str, List[Fact]]:
+    """Execute ``plans``; return the produced batch per head predicate.
+
+    Each plan hands back its whole batch; batches of one head are
+    concatenated, never re-walked fact by fact.
+    """
+    tracing = tracer.enabled
+    by_head: Dict[str, List[Fact]] = {}
+    for plan in plans:
+        facts = plan.execute(working, counters)
+        if not facts:
+            continue
+        if tracing:
+            for fact in facts:
+                tracer.rule_fired(None, plan.label, fact)
+        head = plan.rule.head.predicate
+        if head in by_head:
+            by_head[head].extend(facts)
+        else:
+            by_head[head] = facts
+    return by_head
+
+
 def _evaluate_stratum(stratum: Stratum, working: Database,
                       counters: EvalCounters, reorder: bool,
                       tracer: Tracer) -> None:
@@ -100,93 +139,70 @@ def _evaluate_stratum(stratum: Stratum, working: Database,
     predicates = stratum.predicates
     tracing = tracer.enabled
 
+    variants = [(rule, variant) for rule in stratum.recursive_rules()
+                for variant in delta_variants(rule, set(predicates))]
+
     # Relations for the stratum's predicates already exist in `working`
-    # (declared by the caller); create delta and prev companions.
+    # (declared by the caller); create the delta companions, and a prev
+    # companion where some variant reads one.
     deltas: Dict[str, Relation] = {}
-    prevs: Dict[str, Relation] = {}
     for predicate in predicates:
         full = working.relation(predicate)
         deltas[predicate] = working.declare(predicate + DELTA_SUFFIX, full.arity)
-        prevs[predicate] = working.declare(predicate + PREV_SUFFIX, full.arity)
         deltas[predicate].clear()
+    prevs: Dict[str, Relation] = {}
+    for predicate in prev_predicates(variant.rule for _, variant in variants):
+        prevs[predicate] = working.declare(
+            predicate + PREV_SUFFIX, working.relation(predicate).arity)
         prevs[predicate].clear()
+
+    def close_round(produced: Dict[str, List[Fact]]) -> int:
+        """Dedup each head's batch into its relation; the fresh facts
+        (first-occurrence order, see Relation.add_new_many) are the
+        next delta.  Returns how many there were."""
+        new = 0
+        for head, facts in produced.items():
+            fresh = working.relation(head).add_new_many(facts)
+            if fresh:
+                counters.record_new(head, len(fresh))
+                deltas[head].update(fresh)
+                new += len(fresh)
+        return new
 
     # Exit rules run once; their results seed the deltas together with
     # any facts the stratum predicates already hold (program facts).
     exit_plans = [compile_plan(rule, reorder=reorder)
                   for rule in stratum.exit_rules()]
-    produced: List[Tuple[str, Fact]] = []
-    for plan in exit_plans:
-        head = plan.rule.head.predicate
-        for fact in plan.execute(working, counters):
-            if tracing:
-                tracer.rule_fired(None, plan.label, fact)
-            produced.append((head, fact))
-
-    # Bulk-seed the deltas: one batched insert per relation keeps the
-    # columnar backend's materialised columns on the append path and
-    # derives each index key once, instead of paying a per-fact call.
+    produced = _run_plans(exit_plans, working, counters, tracer)
     for predicate in predicates:
         deltas[predicate].update(working.relation(predicate))
-    seed_by_head: Dict[str, List[Fact]] = {}
-    for head, fact in produced:
-        bucket = seed_by_head.get(head)
-        if bucket is None:
-            bucket = seed_by_head[head] = []
-        bucket.append(fact)
-    for head, facts in seed_by_head.items():
-        fresh = working.relation(head).add_new_many(facts)
-        if fresh:
-            counters.record_new(head, len(fresh))
-            deltas[head].update(fresh)
+    close_round(produced)
 
     if not stratum.recursive:
         for predicate in predicates:
             deltas[predicate].clear()
         return
 
-    variant_plans = []
-    for rule in stratum.recursive_rules():
-        for variant in delta_variants(rule, set(predicates)):
-            plan = compile_plan(variant.rule, label=str(rule), reorder=reorder,
-                                pinned_first=variant.delta_position)
-            variant_plans.append(plan)
+    variant_plans = [
+        compile_plan(variant.rule, label=str(rule), reorder=reorder,
+                     pinned_first=variant.delta_position)
+        for rule, variant in variants]
 
     while any(deltas[p] for p in predicates):
         counters.iterations += 1
         if tracing:
             tracer.round_start(counters.iterations)
-        round_produced: List[Tuple[str, Fact]] = []
-        for plan in variant_plans:
-            head = plan.rule.head.predicate
-            for fact in plan.execute(working, counters):
-                if tracing:
-                    tracer.rule_fired(None, plan.label, fact)
-                round_produced.append((head, fact))
-        # Close the round: prev catches up with full, deltas are the
+        produced = _run_plans(variant_plans, working, counters, tracer)
+        # Close the round: prev catches up with full, deltas become the
         # genuinely new facts.
+        for predicate, prev in prevs.items():
+            prev.update(deltas[predicate])
         for predicate in predicates:
-            prevs[predicate].update(deltas[predicate])
             deltas[predicate].clear()
-        # One batch-dedup insert per head predicate (first-occurrence
-        # order preserved; see Relation.add_new_many); the fresh facts
-        # double as the next round's delta.
-        by_head: Dict[str, List[Fact]] = {}
-        for head, fact in round_produced:
-            bucket = by_head.get(head)
-            if bucket is None:
-                bucket = by_head[head] = []
-            bucket.append(fact)
-        new_this_round = 0
-        for head, facts in by_head.items():
-            fresh = working.relation(head).add_new_many(facts)
-            if fresh:
-                counters.record_new(head, len(fresh))
-                deltas[head].update(fresh)
-                new_this_round += len(fresh)
+        new_this_round = close_round(produced)
         if tracing:
             tracer.round_end(counters.iterations,
-                             produced=len(round_produced),
+                             produced=sum(map(len, produced.values())),
                              new=new_this_round)
 
 

@@ -48,11 +48,6 @@ from .index import HashIndex
 from .interning import global_interner
 from .relation import Fact, Relation
 
-try:  # pragma: no cover - exercised only where numpy is installed
-    import numpy as _numpy
-except ImportError:  # pragma: no cover
-    _numpy = None
-
 __all__ = ["ColumnarIndex", "ColumnarRelation"]
 
 _EMPTY_COLUMN: Tuple[object, ...] = ()
@@ -312,6 +307,8 @@ class ColumnarRelation(Relation):
         buffer when numpy is importable, the stdlib array otherwise.
         """
         column = self.columns()[position]
-        if _numpy is None:
+        try:  # imported here: no evaluation path pays for numpy
+            import numpy
+        except ImportError:  # pragma: no cover
             return column
-        return _numpy.frombuffer(column, dtype=_numpy.int64)
+        return numpy.frombuffer(column, dtype=numpy.int64)

@@ -17,15 +17,19 @@ every tuple self-routes.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Union
-
-import networkx as nx
+from typing import TYPE_CHECKING, Optional, Tuple, Union
 
 from ..datalog.analysis import LinearSirup, as_linear_sirup
 from ..datalog.program import Program
 from ..datalog.rule import Rule
 from ..datalog.term import Variable
 from ..errors import NotASirupError
+
+# networkx is imported where a graph is built, not at module top: the
+# schemes import this module, and evaluating a program must not pay for
+# a graph library it never calls.
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "dataflow_graph",
@@ -73,6 +77,8 @@ def dataflow_graph(rule_or_sirup: Union[Rule, LinearSirup, Program]) -> "nx.DiGr
         NotASirupError: if the rule does not have exactly one recursive
             atom or has non-variable arguments.
     """
+    import networkx as nx
+
     head_vars, body_vars = _head_body_atoms(rule_or_sirup)
     graph = nx.DiGraph()
     for i, y_var in enumerate(body_vars, start=1):
@@ -95,6 +101,8 @@ def find_dataflow_cycle(rule_or_sirup: Union[Rule, LinearSirup, Program]
     The returned tuple ``(p1, ..., pk)`` satisfies ``Y_{p1} = X_{p2}``,
     ..., ``Y_{pk} = X_{p1}`` (1-based).  A self-loop yields a 1-tuple.
     """
+    import networkx as nx
+
     graph = dataflow_graph(rule_or_sirup)
     try:
         edges = nx.find_cycle(graph)
@@ -121,6 +129,8 @@ def format_dataflow(rule_or_sirup: Union[Rule, LinearSirup, Program]) -> str:
 
     Chains are rendered inline; anything else falls back to an edge list.
     """
+    import networkx as nx
+
     graph = dataflow_graph(rule_or_sirup)
     edges = sorted(graph.edges())
     if not edges:

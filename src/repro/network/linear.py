@@ -21,8 +21,6 @@ import itertools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Set, Tuple, Union
 
-import numpy as np
-
 from ..datalog.analysis import LinearSirup, as_linear_sirup
 from ..datalog.program import Program
 from ..datalog.term import Variable
@@ -86,6 +84,8 @@ class LinearSystem:
         Vectorised: the whole cube is a ``(g_range^n, n)`` matrix and
         both equations are matrix-vector products.
         """
+        import numpy as np  # first use: nothing else here needs it
+
         if self.symbols == 0:
             return {(0, 0)}
         cube = np.array(list(itertools.product(range(g_range),

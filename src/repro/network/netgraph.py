@@ -9,9 +9,7 @@ communication.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Hashable, Iterable, Tuple
-
-import networkx as nx
+from typing import Dict, FrozenSet, Hashable, Iterable, Tuple
 
 __all__ = ["NetworkGraph"]
 
@@ -24,26 +22,29 @@ class NetworkGraph:
 
     def __init__(self, processors: Iterable[ProcessorId],
                  edges: Iterable[Edge] = ()) -> None:
-        self.graph = nx.DiGraph()
-        self.graph.add_nodes_from(processors)
+        # Successors per processor; insertion-ordered dicts stand in for
+        # sets so every rendering is deterministic.
+        self._successors: Dict[ProcessorId, Dict[ProcessorId, None]] = {
+            processor: {} for processor in processors}
         for source, target in edges:
             self.add_edge(source, target)
 
     @property
     def processors(self) -> Tuple[ProcessorId, ...]:
         """The processor set, sorted by representation."""
-        return tuple(sorted(self.graph.nodes(), key=repr))
+        return tuple(sorted(self._successors, key=repr))
 
     def add_edge(self, source: ProcessorId, target: ProcessorId) -> None:
         """Permit communication from ``source`` to ``target``."""
-        if source not in self.graph or target not in self.graph:
+        if (source not in self._successors
+                or target not in self._successors):
             raise ValueError(f"edge ({source!r}, {target!r}) leaves the "
                              "processor set")
-        self.graph.add_edge(source, target)
+        self._successors[source][target] = None
 
     def has_edge(self, source: ProcessorId, target: ProcessorId) -> bool:
         """True iff communication from ``source`` to ``target`` is permitted."""
-        return self.graph.has_edge(source, target)
+        return target in self._successors.get(source, ())
 
     def edges(self, include_self: bool = True) -> FrozenSet[Edge]:
         """The permitted edges, optionally without self-loops.
@@ -52,12 +53,12 @@ class NetworkGraph:
         costs no communication; most reports exclude them.
         """
         return frozenset(
-            (s, t) for s, t in self.graph.edges()
-            if include_self or s != t)
+            (s, t) for s, targets in self._successors.items()
+            for t in targets if include_self or s != t)
 
     def degree_summary(self) -> Tuple[int, int]:
         """(number of remote edges, complete-graph remote edge count)."""
-        n = self.graph.number_of_nodes()
+        n = len(self._successors)
         return len(self.edges(include_self=False)), n * (n - 1)
 
     def is_subset_of(self, other: "NetworkGraph") -> bool:
@@ -74,7 +75,7 @@ class NetworkGraph:
         """Render one line per node: ``node -> successors``."""
         lines = []
         for node in self.processors:
-            successors = sorted(self.graph.successors(node), key=repr)
+            successors = sorted(self._successors[node], key=repr)
             remote = [s for s in successors if s != node]
             arrow = ", ".join(repr(s) for s in remote) if remote else "(none)"
             lines.append(f"{node!r} -> {arrow}")
@@ -82,10 +83,10 @@ class NetworkGraph:
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, NetworkGraph)
-                and set(self.graph.nodes()) == set(other.graph.nodes())
-                and set(self.graph.edges()) == set(other.graph.edges()))
+                and set(self._successors) == set(other._successors)
+                and self.edges() == other.edges())
 
     def __repr__(self) -> str:
         remote, complete = self.degree_summary()
-        return (f"NetworkGraph({self.graph.number_of_nodes()} processors, "
+        return (f"NetworkGraph({len(self._successors)} processors, "
                 f"{remote}/{complete} remote edges)")

@@ -1,6 +1,5 @@
 """The parallel framework: discriminating functions, rewrites, execution."""
 
-from .chaos import ChaosCase, ChaosOutcome, run_chaos
 from .constraints import HashConstraint
 from .discriminating import (
     ConstantDiscriminator,
@@ -47,6 +46,19 @@ from .schemes import (
     wolfson_scheme,
 )
 from .simulator import ParallelResult, SimulatedCluster, run_parallel
+
+# The chaos harness drags in the workload generators and the engine
+# front end; nothing on the evaluation path needs it, so it loads on
+# first access (PEP 562).
+_CHAOS_NAMES = frozenset({"ChaosCase", "ChaosOutcome", "run_chaos"})
+
+
+def __getattr__(name: str) -> object:
+    if name in _CHAOS_NAMES:
+        from . import chaos
+        return getattr(chaos, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BROADCAST",

@@ -116,10 +116,8 @@ class HashConstraint:
         batch instead of once per row.
         """
         target = self.target
-        if len(columns) == 1:
-            return [owner == target
-                    for owner in self.discriminator.map_column(columns[0])]
-        return list(map(self.compile_values(), *columns))
+        return [owner == target
+                for owner in self.discriminator.map_columns(columns)]
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, HashConstraint)

@@ -203,6 +203,25 @@ class Discriminator:
                 append(None)
         return targets
 
+    def map_columns(self, columns: Sequence[Sequence[object]]) -> "list":
+        """Batch form of ``__call__`` over row-aligned columns.
+
+        ``columns[k]`` holds the values of the ``k``-th discriminating
+        position; the result has one target per row, ``None`` where the
+        row belongs to no fragment.  Agrees with ``__call__`` row for
+        row.  The default is the row form itself.
+        """
+        if len(columns) == 1:
+            return self.map_column(columns[0])
+        targets = []
+        append = targets.append
+        for values in zip(*columns):
+            try:
+                append(self(values))
+            except RoutingError:
+                append(None)
+        return targets
+
     def describe(self) -> str:
         """Human-readable summary for reports."""
         return type(self).__name__
@@ -239,6 +258,25 @@ class _HashedDiscriminator(Discriminator):
             return single(values[0])
         table = rows.table(tuple(map(type, values)))
         return self._compute(values) if table is None else table[values]
+
+    def map_columns(self, columns: Sequence[Sequence[object]]) -> "list":
+        # One exact-type set per column instead of one type tuple per
+        # row: when every column holds a single memoised type, all rows
+        # share the memo table ``__call__`` would pick for each of them
+        # and map through it in one C-level pass.  A mixed-type column
+        # takes the row form, so ``1``/``1.0``/``True`` still never
+        # share an entry.
+        if len(columns) > 1:
+            kinds = [set(map(type, column)) for column in columns]
+            if all(len(kind) == 1 for kind in kinds):
+                table = self._memo[1].table(
+                    tuple(kind.pop() for kind in kinds))
+                if table is not None:
+                    try:
+                        return list(map(table.__getitem__, zip(*columns)))
+                    except RoutingError:
+                        pass    # some row has no fragment: row form
+        return super().map_columns(columns)
 
 
 class HashDiscriminator(_HashedDiscriminator):

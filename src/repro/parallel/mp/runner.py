@@ -48,7 +48,11 @@ spawn path; the global ``max_restarts`` budget still bounds the total.
 
 A worker that is alive but fails to ack for the ack deadline is
 reported as wedged (that is a bug or a deadlock, not a crash — restart
-cannot be assumed safe, so this always raises).  The default deadline
+cannot be assumed safe, so this always raises).  Every error raised on
+a deadline — wedged worker, no quiescence, missing final reports —
+ends with the protocol state it expired in: the epoch, the probe wave
+and each worker's freshest ack (:func:`_describe_acks`), so a hang
+names its own cause.  The default deadline
 is not a constant: :func:`default_ack_deadline` scales it with the
 processor count and, under SSP, the staleness bound, and the resolved
 value is logged on the trace's ``run_start`` event.
@@ -73,7 +77,7 @@ from ...errors import ConfigurationError, ExecutionError
 from ...facts.database import Database
 from ...engine.plan import join_kernel
 from ...facts.backend import fact_backend, make_relation
-from ...facts.packing import ensure_facts, pack_facts
+from ...facts.packing import ensure_facts, maybe_pack
 from ...facts.relation import Relation
 from ...obs.tracer import Tracer, ensure_tracer
 from ..faults import FaultPlan
@@ -151,27 +155,47 @@ class MPResult:
         return self.output.relation(predicate)
 
 
+# One accepted ack: the epoch and probe wave it answered, then the
+# worker's (sent, received, activity, clock, pending).
+_Ack = Tuple[int, int, Tuple[int, int, int, int, bool]]
+
+
+def _describe_acks(tags: Dict[ProcessorId, str],
+                   last_acks: Dict[ProcessorId, _Ack],
+                   epoch: int, wave: int) -> str:
+    """The protocol state a deadline expired in, for its error message.
+
+    One clause per worker with the freshest ack the coordinator
+    accepted from it: a worker whose ack is older than ``wave`` stopped
+    answering there, unequal ``sent``/``received`` totals mean tuples
+    in flight (or lost), ``pending`` means staged input nobody stepped
+    on.
+    """
+    clauses = []
+    for proc, tag in tags.items():
+        ack = last_acks.get(proc)
+        if ack is None:
+            clauses.append(f"{tag!r} never acked")
+            continue
+        ack_epoch, ack_wave, (sent, received, activity, clock, pending) = ack
+        clauses.append(
+            f"{tag!r} acked wave {ack_wave} (epoch {ack_epoch}): "
+            f"sent={sent} received={received} activity={activity} "
+            f"clock={clock} pending={pending}")
+    return (f"state at expiry: epoch {epoch}, probe wave {wave}; "
+            + "; ".join(clauses))
+
+
 def _picklable_local(program: ParallelProgram, processor: ProcessorId,
-                     database: Database,
-                     backend: Optional[str] = None
-                     ) -> Dict[str, Tuple[int, object]]:
+                     database: Database) -> Dict[str, Tuple[int, object]]:
     """The picklable base fragments of one worker.
 
-    Under the columnar backend large fragments ship as packed column
-    payloads (:mod:`repro.facts.packing`) rather than tuple lists, so
-    the spawn-time pickle cost shrinks the same way DATA messages do.
+    All but the smallest fragments ship as packed column payloads
+    (:mod:`repro.facts.packing`) rather than tuple lists, so the
+    spawn-time pickle cost shrinks the same way DATA messages do.
     """
-    if backend is None:
-        backend = fact_backend()
     local = program.local_database(processor, database)
-    picklable: Dict[str, Tuple[int, object]] = {}
-    for rel in local:
-        facts = list(rel)
-        if backend == "columnar" and len(facts) >= 8:
-            picklable[rel.name] = (rel.arity, pack_facts(facts))
-        else:
-            picklable[rel.name] = (rel.arity, facts)
-    return picklable
+    return {rel.name: (rel.arity, maybe_pack(list(rel))) for rel in local}
 
 
 def run_multiprocessing(program: ParallelProgram, database: Database,
@@ -278,7 +302,7 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
     coordinator_queue = context.Queue()
     backend = fact_backend()
     kernel = join_kernel()
-    locals_by_proc = {proc: _picklable_local(program, proc, database, backend)
+    locals_by_proc = {proc: _picklable_local(program, proc, database)
                       for proc in order}
     worker_faults = {
         proc: faults.worker_faults(tags[proc]) if faults is not None else None
@@ -303,6 +327,13 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
     recovery_pending = False
     recovery_started = 0.0
     recovery_seconds_total = 0.0
+    sequence = 0
+    last_acks: Dict[ProcessorId, _Ack] = {}
+
+    def expired(what: str) -> ExecutionError:
+        """The error for a deadline that ran out, state dump included."""
+        return ExecutionError(
+            f"{what}; {_describe_acks(tags, last_acks, epoch, sequence)}")
 
     def spawn(proc: ProcessorId, armed: bool,
               restore: Optional[Dict[str, object]] = None) -> None:
@@ -422,7 +453,6 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
                 tracer.worker_spawn(tags[proc])
         workers_started = True
 
-        sequence = 0
         probes_sent = 0
         previous: Optional[Dict[ProcessorId,
                                 Tuple[int, int, int, int, bool]]] = None
@@ -434,8 +464,7 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
         deadline = started + timeout
         while True:
             if time.perf_counter() > deadline:
-                raise ExecutionError(
-                    f"no quiescence within {timeout} seconds")
+                raise expired(f"no quiescence within {timeout} seconds")
             sequence += 1
             for proc in order:
                 inboxes[proc].put((PROBE, sequence, horizon))
@@ -448,8 +477,7 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
             while len(snapshot) < len(order):
                 now = time.perf_counter()
                 if now > deadline:
-                    raise ExecutionError(
-                        f"no quiescence within {timeout} seconds")
+                    raise expired(f"no quiescence within {timeout} seconds")
                 dead = [proc for proc in order
                         if proc not in snapshot
                         and not processes[proc].is_alive()]
@@ -480,7 +508,7 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
                 if now - wave_started > ack_timeout:
                     missing = ", ".join(repr(tags[proc]) for proc in order
                                         if proc not in snapshot)
-                    raise ExecutionError(
+                    raise expired(
                         f"worker(s) {missing} alive but did not ack probe "
                         f"{sequence} within {ack_timeout} seconds (wedged?)")
                 try:
@@ -503,6 +531,7 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
                     (_, proc, _seq, sent, received, activity, _epoch,
                      clock, pending) = message
                     snapshot[proc] = (sent, received, activity, clock, pending)
+                    last_acks[proc] = (epoch, sequence, snapshot[proc])
             if recovered:
                 # The aborted wave's counters are meaningless across the
                 # epoch change; restart the double-probe from scratch.
@@ -544,8 +573,11 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
         while len(outputs) < len(order):
             now = time.perf_counter()
             if now > deadline:
-                raise ExecutionError(
-                    f"workers did not report within {timeout} seconds")
+                silent = ", ".join(repr(tags[proc]) for proc in order
+                                   if proc not in outputs)
+                raise expired(
+                    f"workers did not report within {timeout} seconds "
+                    f"(no result from {silent})")
             # A worker that exits non-zero here died between quiescence
             # and its final report; its peers have already been told to
             # stop, so replay targets are gone and restart is no longer

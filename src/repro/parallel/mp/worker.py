@@ -15,8 +15,10 @@ flushed as a single multi-predicate ``data`` message — one queue put
 and one pickle per peer per burst — when the burst ends, when a
 buffer crosses :data:`_COALESCE_MAX_FACTS`, at every probe (before the
 ack, so buffered tuples can never hide from the quiescence balance),
-and before an injected kill.  ``REPRO_MP_COALESCE=off`` restores
-one message per ``(target, predicate)`` routing batch for comparison.
+and before an injected kill.  On the wire every ``(predicate, facts)``
+pair of :data:`~repro.facts.packing.PACK_MIN_FACTS` or more facts
+travels as packed column buffers (:mod:`repro.facts.packing`), whatever
+backend stores the relations; all accounting counts the unpacked facts.
 The quiescence counters are incremented at flush time, symmetric with
 the receiver counting at dequeue time, so Theorem-2 accounting is
 untouched (see :mod:`.protocol`).
@@ -106,10 +108,8 @@ from ...engine.plan import set_join_kernel
 from ...facts.backend import make_relation, set_fact_backend
 from ...facts.database import Database
 from ...facts.packing import (
-    PACK_MIN_FACTS,
     is_packed,
     maybe_pack,
-    pack_facts,
     packed_fact_count,
     unpack_facts,
 )
@@ -119,7 +119,7 @@ from ..faults import DELAY, DELIVER, DROP, WorkerFaults
 from ..metrics import approx_batch_bytes
 from ..naming import processor_tag
 from ..plans import ProcessorProgram
-from ..processor import ProcessorRuntime
+from ..processor import EmissionBatch, ProcessorRuntime
 from .checkpoint import (
     Stamp,
     WorkerCheckpoint,
@@ -159,18 +159,11 @@ _POLL_MAX_SECONDS = 0.04
 # size (pickling cost, peer latency) inside very productive bursts.
 _COALESCE_MAX_FACTS = 512
 
-# Minimum batch size worth transposing into packed columns on the wire
-# (below it the per-column overhead outweighs the per-fact savings; the
-# byte model in parallel/metrics.py reflects both formats either way).
-# Shared with the checkpoint encoder via repro.facts.packing.
-_PACK_MIN_FACTS = PACK_MIN_FACTS
-
-
 def _rebuild_database(relations: Mapping[str, Tuple[int, object]]) -> Database:
     """Reconstruct a local database from its picklable form.
 
     Each value is ``(arity, payload)`` where the payload is a fact list
-    or, under the columnar wire format, a packed column payload.
+    or, for all but the smallest fragments, a packed column payload.
     """
     database = Database()
     for name, (arity, payload) in relations.items():
@@ -186,7 +179,7 @@ def worker_main(program: ProcessorProgram,
                 faults: Optional[WorkerFaults] = None,
                 epoch: int = 0, sync: str = "bsp",
                 staleness: int = 2, backend: str = "tuple",
-                kernel: str = "compiled",
+                kernel: str = "vectorized",
                 checkpoint_interval: Optional[int] = None,
                 restore: Optional[Dict[str, object]] = None,
                 replayable: bool = True) -> None:
@@ -213,12 +206,7 @@ def worker_main(program: ProcessorProgram,
         staleness: SSP lead bound (ignored unless ``sync == "ssp"``).
         backend: fact-storage backend for this worker's local database
             (``set_fact_backend`` is applied before any relation is
-            built).  Under ``"columnar"`` outbound DATA payloads of
-            :data:`_PACK_MIN_FACTS` or more facts ship as packed column
-            buffers (:mod:`repro.facts.packing`) instead of pickled
-            tuple lists; receivers of either format reconstruct the
-            identical fact tuples, so the choice is invisible to
-            routing and quiescence accounting.
+            built).  The wire format does not depend on it.
         kernel: join kernel for this worker's rule evaluation
             (``set_join_kernel`` is applied alongside the backend, so
             workers inherit the coordinator process's kernel choice).
@@ -236,7 +224,6 @@ def worker_main(program: ProcessorProgram,
     """
     set_fact_backend(backend)
     set_join_kernel(kernel)
-    pack_wire = backend == "columnar"
     me = program.processor
     tag = processor_tag(me)
     stats = WorkerStats()
@@ -274,10 +261,7 @@ def worker_main(program: ProcessorProgram,
     unsent: Dict[ProcessorId, Dict[str, List[tuple]]] = {}
     bursts_since_checkpoint = 0
     # Outbound coalescing buffers: facts per peer per predicate, and a
-    # per-peer fact count driving the early-flush threshold.  Read the
-    # toggle here (not at import) so tests can set the env var before
-    # spawning workers.
-    coalesce = os.environ.get("REPRO_MP_COALESCE", "on") != "off"
+    # per-peer fact count driving the early-flush threshold.
     outbound: Dict[ProcessorId, Dict[str, List[tuple]]] = {}
     outbound_counts: Dict[ProcessorId, int] = {}
     # Sends held back by an injected delay fault, flushed at the next
@@ -330,19 +314,15 @@ def worker_main(program: ProcessorProgram,
             """Put one coalesced data message on ``target``'s queue.
 
             ``pairs`` is the multi-predicate payload
-            ``[(predicate, facts), ...]``.  All tuple counters are
-            incremented here — the enqueue point — matching the
-            receiver's dequeue-side accounting (see :mod:`.protocol`).
+            ``[(predicate, facts), ...]``; batches worth packing cross
+            the wire as column buffers.  All tuple counters are
+            incremented here — the enqueue point — and count facts, not
+            bytes, matching the receiver's dequeue-side accounting (see
+            :mod:`.protocol`).
             """
             nonlocal activity, epoch_sent
-            if pack_wire:
-                wire_pairs = [
-                    (predicate,
-                     pack_facts(facts) if len(facts) >= _PACK_MIN_FACTS
-                     else facts)
-                    for predicate, facts in pairs]
-            else:
-                wire_pairs = pairs
+            wire_pairs = [(predicate, maybe_pack(facts))
+                          for predicate, facts in pairs]
             seq = out_seq.get(target, 0) + 1
             out_seq[target] = seq
             stamp = (incarnation, seq)
@@ -390,9 +370,6 @@ def worker_main(program: ProcessorProgram,
         def enqueue(target: ProcessorId, predicate: str,
                     facts: List[tuple]) -> None:
             """Buffer facts for ``target``; flush early past the cap."""
-            if not coalesce:
-                send_now(target, [(predicate, facts)])
-                return
             by_pred = outbound.get(target)
             if by_pred is None:
                 by_pred = outbound[target] = {}
@@ -406,15 +383,10 @@ def worker_main(program: ProcessorProgram,
             if total >= _COALESCE_MAX_FACTS:
                 flush_target(target)
 
-        def route(emissions: List[Tuple[str, tuple]]) -> None:
+        def route(emissions: List[EmissionBatch]) -> None:
             """Partition a step's emissions and buffer the remote ones."""
             nonlocal activity
-            if not emissions:
-                return
-            by_pred: Dict[str, List[tuple]] = {}
-            for predicate, fact in emissions:
-                by_pred.setdefault(predicate, []).append(fact)
-            for predicate, facts in by_pred.items():
+            for predicate, facts in emissions:
                 buckets, _ = router.partition(predicate, facts)
                 for target, bucket in buckets.items():
                     if target == me:
@@ -585,7 +557,7 @@ def worker_main(program: ProcessorProgram,
                 if pairs:
                     send_now(target, pairs)
         else:
-            route(runtime.initialize())
+            route(runtime.initialize_batches())
         flush_outbound()
         maybe_die()
         running = True
@@ -709,9 +681,8 @@ def worker_main(program: ProcessorProgram,
                 stepped = True
                 if trace:
                     tracer.current_round = runtime.counters.iterations + 1
-                emissions = runtime.step()
-                if emissions:
-                    activity += len(emissions)
+                emissions = runtime.step_batches()
+                activity += sum(len(facts) for _, facts in emissions)
                 route(emissions)
                 maybe_die()
             flush_outbound()

@@ -20,7 +20,13 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 from ..datalog.rule import Rule
 from ..engine.counters import EvalCounters
 from ..engine.planner import compile_plan
-from ..engine.seminaive import DELTA_SUFFIX, PREV_SUFFIX, delta_variants
+from ..engine.plan import RulePlan
+from ..engine.seminaive import (
+    DELTA_SUFFIX,
+    PREV_SUFFIX,
+    delta_variants,
+    prev_predicates,
+)
 from ..facts.database import Database
 from ..facts.packing import packed_fact_count, unpack_columns, unpack_facts
 from ..facts.relation import Fact, Relation
@@ -32,6 +38,7 @@ __all__ = ["ProcessorRuntime"]
 
 ProcessorId = Hashable
 Emission = Tuple[str, Fact]  # (derived predicate, tuple)
+EmissionBatch = Tuple[str, List[Fact]]  # (derived predicate, new tuples)
 
 
 class ProcessorRuntime:
@@ -72,7 +79,6 @@ class ProcessorRuntime:
             arity = program.arities[pred]
             self._in_full[pred] = self.working.declare(iname, arity)
             self._in_delta[pred] = self.working.declare(iname + DELTA_SUFFIX, arity)
-            self._in_prev[pred] = self.working.declare(iname + PREV_SUFFIX, arity)
             self._staged[pred] = []
             self._staged_packed[pred] = []
         for pred, oname in program.out_names.items():
@@ -90,31 +96,53 @@ class ProcessorRuntime:
                                     reorder=reorder,
                                     pinned_first=variant.delta_position)
                 self._variant_plans.append(plan)
+        # A prev relation exists only where some variant reads it (a
+        # second ``t_in`` occurrence in one body): for a linear rule it
+        # would be a full, indexed, never-read copy of ``t_in``.
+        read = prev_predicates(plan.rule for plan in self._variant_plans)
+        for pred, iname in program.in_names.items():
+            if iname in read:
+                self._in_prev[pred] = self.working.declare(
+                    iname + PREV_SUFFIX, program.arities[pred])
 
     # ------------------------------------------------------------------
     # The five execution steps (operational form)
     # ------------------------------------------------------------------
     def initialize(self) -> List[Emission]:
         """Fire the initialization rules once; return new output tuples."""
+        return _flatten(self.initialize_batches())
+
+    def initialize_batches(self) -> List[EmissionBatch]:
+        """:meth:`initialize`, the new tuples kept as one list per
+        derived predicate (what the executors route)."""
+        return self._fire(self._init_plans)
+
+    def _fire(self, plans: Sequence[RulePlan]) -> List[EmissionBatch]:
+        """Execute ``plans``; return the new output tuples per predicate.
+
+        Every plan's batch is deduplicated whole against its output
+        relation; the fresh facts (first-occurrence order) are exactly
+        what gets routed.  Predicates keep first-emission order.
+        """
         tracer = self.tracer
         tracing = tracer.enabled
-        emissions: List[Emission] = []
-        for plan in self._init_plans:
-            pred = self._out_to_pred[plan.rule.head.predicate]
-            out = self._out[pred]
+        emitted: Dict[str, List[Fact]] = {}
+        for plan in plans:
             produced = plan.execute(self.working, self.counters)
+            if not produced:
+                continue
             if tracing:
-                produced = list(produced)
                 for fact in produced:
                     tracer.rule_fired(self.tag, plan.label, fact)
-            # Batch dedup against the output relation; the fresh facts
-            # (first-occurrence order) are exactly what gets routed.
-            fresh = out.add_new_many(produced)
+            pred = self._out_to_pred[plan.rule.head.predicate]
+            fresh = self._out[pred].add_new_many(produced)
             if fresh:
                 self.counters.record_new(plan.label, len(fresh))
-                for fact in fresh:
-                    emissions.append((pred, fact))
-        return emissions
+                if pred in emitted:
+                    emitted[pred].extend(fresh)
+                else:
+                    emitted[pred] = fresh
+        return list(emitted.items())
 
     def receive(self, predicate: str, facts: Sequence[Fact],
                 remote: bool = True) -> None:
@@ -170,10 +198,16 @@ class ProcessorRuntime:
         Returns the newly generated output tuples (for routing).  With
         no staged input the processor is idle and emits nothing.
         """
-        # Close the previous round: prev catches up with full.
-        for pred in self._in_full:
-            self._in_prev[pred].update(self._in_delta[pred])
-            self._in_delta[pred].clear()
+        return _flatten(self.step_batches())
+
+    def step_batches(self) -> List[EmissionBatch]:
+        """:meth:`step`, the new tuples kept as one list per derived
+        predicate (what the executors route)."""
+        # Close the previous round: prev (where kept) catches up with full.
+        for pred, prev in self._in_prev.items():
+            prev.update(self._in_delta[pred])
+        for delta in self._in_delta.values():
+            delta.clear()
 
         # Ingest: new tuples feed the deltas, duplicates are discarded
         # by the difference operation of the paper's receiving step.
@@ -218,23 +252,7 @@ class ProcessorRuntime:
             return []
 
         self.counters.iterations += 1
-        emissions: List[Emission] = []
-        for plan in self._variant_plans:
-            pred = self._out_to_pred[plan.rule.head.predicate]
-            out = self._out[pred]
-            produced = plan.execute(self.working, self.counters)
-            if tracing:
-                produced = list(produced)
-                for fact in produced:
-                    tracer.rule_fired(self.tag, plan.label, fact)
-            # Batch dedup against the output relation; the fresh facts
-            # (first-occurrence order) are exactly what gets routed.
-            fresh = out.add_new_many(produced)
-            if fresh:
-                self.counters.record_new(plan.label, len(fresh))
-                for fact in fresh:
-                    emissions.append((pred, fact))
-        return emissions
+        return self._fire(self._variant_plans)
 
     # ------------------------------------------------------------------
     # Checkpoint support
@@ -270,11 +288,12 @@ class ProcessorRuntime:
                      duplicates_dropped: int = 0) -> None:
         """Restore an :meth:`export_state` snapshot into a fresh runtime.
 
-        Checkpointed input facts load into *full and prev* with empty
-        deltas: the checkpoint was cut at a burst boundary, where every
-        fact in full had already fired, so re-firing on them would only
-        re-derive duplicates (monotonicity makes that sound but
-        wasteful, and it would double-count firings).  Output facts
+        Checkpointed input facts load into *full and prev* (where a
+        prev relation is kept at all) with empty deltas: the checkpoint
+        was cut at a burst boundary, where every fact in full had
+        already fired, so re-firing on them would only re-derive
+        duplicates (monotonicity makes that sound but wasteful, and it
+        would double-count firings).  Output facts
         reload so later derivations dedup against them — a restored
         worker must not re-emit what its predecessor already routed.
         ``counters`` (an :meth:`EvalCounters.as_dict` snapshot) carries
@@ -287,7 +306,8 @@ class ProcessorRuntime:
         """
         for pred, facts in in_facts.items():
             self._in_full[pred].update(facts)
-            self._in_prev[pred].update(facts)
+            if pred in self._in_prev:
+                self._in_prev[pred].update(facts)
         for pred, facts in out_facts.items():
             self._out[pred].update(facts)
         for pred, facts in staged.items():
@@ -311,6 +331,11 @@ class ProcessorRuntime:
     def __repr__(self) -> str:
         return (f"ProcessorRuntime({self.program.processor!r}, "
                 f"out={self.output_size()}, {self.counters!r})")
+
+
+def _flatten(batches: Sequence[EmissionBatch]) -> List[Emission]:
+    """Per-predicate batches as the flat ``(predicate, tuple)`` list."""
+    return [(pred, fact) for pred, facts in batches for fact in facts]
 
 
 def _plain_label(rule: Rule) -> str:

@@ -185,6 +185,19 @@ class _CompiledRoute:
         self.processors = route.discriminator.processors
         self.broadcast = route.positions is None
 
+    def targets_of(self, facts: Sequence[Fact]) -> List[Optional[ProcessorId]]:
+        """One target per fact (None: no fragment), decided column-wise."""
+        if not self.positions:
+            # An empty sequence: ``h(())`` is one target for every fact
+            # (and no column would say how many facts there are).
+            try:
+                return [self.discriminator(())] * len(facts)
+            except RoutingError:
+                return [None] * len(facts)
+        return self.discriminator.map_columns(
+            [[fact[position] for fact in facts]
+             for position in self.positions])
+
     def matches(self, fact: Fact) -> bool:
         if len(fact) != self.arity:
             return False
@@ -255,37 +268,33 @@ class RouterTable:
                             facts: Sequence[Fact]) -> Tuple[Buckets, int]:
         buckets: Buckets = {}
         broadcasts = 0
+        # Routes of one predicate share its arity; a fact of another
+        # length matches none of them.
+        arity = compiled[0].arity
+        if any(len(fact) != arity for fact in facts):
+            facts = [fact for fact in facts if len(fact) == arity]
         if len(compiled) == 1:
             kernel = compiled[0]
-            arity = kernel.arity
             if kernel.broadcast:
                 # Broadcast fast path: every matching fact goes to the
                 # full processor set.
-                if kernel.unchecked:
-                    matching = [fact for fact in facts if len(fact) == arity]
-                else:
-                    matching = [fact for fact in facts if kernel.matches(fact)]
+                matching = (facts if kernel.unchecked else
+                            [fact for fact in facts if kernel.matches(fact)])
                 if matching and kernel.processors:
                     broadcasts = len(matching)
                     for target in kernel.processors:
                         buckets[target] = list(matching)
                 return buckets, broadcasts
-            if kernel.unchecked and len(kernel.positions) == 1:
-                # Point-to-point fast path: single discriminating
-                # position, no pattern constraints (the common
-                # hash-partitioned case, e.g. Example 3).  The
-                # discriminating column is gathered in one pass and
-                # mapped to targets as a whole batch
-                # (``Discriminator.map_column``), then the facts are
+            if kernel.unchecked:
+                # Point-to-point fast path: no pattern constraints (the
+                # common hash-partitioned case, e.g. Example 3).  The
+                # discriminating columns are gathered in one pass each
+                # and mapped to targets as a whole batch
+                # (``Discriminator.map_columns``), then the facts are
                 # dealt into buckets by zipping fact against target —
                 # one pass over flat arrays instead of per-fact method
                 # dispatch.
-                position = kernel.positions[0]
-                if any(len(fact) != arity for fact in facts):
-                    facts = [fact for fact in facts if len(fact) == arity]
-                column = [fact[position] for fact in facts]
-                targets = kernel.discriminator.map_column(column)
-                for fact, target in zip(facts, targets):
+                for fact, target in zip(facts, kernel.targets_of(facts)):
                     if target is None:
                         continue
                     bucket = buckets.get(target)
@@ -294,32 +303,38 @@ class RouterTable:
                     else:
                         bucket.append(fact)
                 return buckets, 0
-        multi = len(compiled) > 1
-        for fact in facts:
-            seen = None
-            for kernel in compiled:
-                if not kernel.matches(fact):
-                    continue
-                if kernel.broadcast:
-                    targets = kernel.processors
-                    if targets:
+        # General form: several routes, or one with pattern checks.
+        # Each route still decides the whole batch column-wise — a
+        # match mask where the pattern has checks, one target column
+        # per point-to-point route — and only the merge walks the
+        # facts, deduplicating targets across routes.
+        decided = []
+        for kernel in compiled:
+            mask = (None if kernel.unchecked
+                    else [kernel.matches(fact) for fact in facts])
+            if kernel.broadcast:
+                decided.append((kernel.processors, mask))
+            else:
+                targets = kernel.targets_of(facts)
+                if mask is not None:
+                    targets = [target if keep else None
+                               for target, keep in zip(targets, mask)]
+                decided.append((None, targets))
+        for row, fact in enumerate(facts):
+            seen = set()
+            for processors, column in decided:
+                if processors is None:
+                    target = column[row]
+                    if target is not None and target not in seen:
+                        seen.add(target)
+                        buckets.setdefault(target, []).append(fact)
+                elif column is None or column[row]:
+                    if processors:
                         broadcasts += 1
-                else:
-                    values = tuple(fact[p] for p in kernel.positions)
-                    try:
-                        targets = (kernel.discriminator(values),)
-                    except RoutingError:
-                        continue
-                if multi:
-                    if seen is None:
-                        seen = set()
-                    for target in targets:
+                    for target in processors:
                         if target not in seen:
                             seen.add(target)
                             buckets.setdefault(target, []).append(fact)
-                else:
-                    for target in targets:
-                        buckets.setdefault(target, []).append(fact)
         return buckets, broadcasts
 
     @staticmethod

@@ -46,26 +46,32 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import (Dict, Hashable, List, Mapping, Optional, Sequence, Set,
-                    Tuple)
+from typing import (TYPE_CHECKING, Dict, Hashable, Iterable, List, Mapping,
+                    Optional, Sequence, Set, Tuple)
 
 from ..engine.counters import EvalCounters
 from ..errors import ExecutionError
 from ..facts.database import Database
 from ..facts.backend import make_relation
 from ..facts.relation import Fact, Relation
-from ..network.netgraph import NetworkGraph
 from ..obs.tracer import Tracer, ensure_tracer
 from .faults import DELAY, DROP, DUPLICATE, FaultPlan
 from .metrics import ParallelMetrics, approx_batch_bytes
 from .naming import processor_tag
 from .plans import ParallelProgram
-from .processor import ProcessorRuntime
+from .processor import EmissionBatch, ProcessorRuntime
+
+if TYPE_CHECKING:  # an optional argument's type, not a dependency
+    from ..network.netgraph import NetworkGraph
 
 __all__ = ["ParallelResult", "SimulatedCluster", "run_parallel"]
 
 ProcessorId = Hashable
-Message = Tuple[ProcessorId, ProcessorId, str, Fact]  # (dest, sender, pred, tuple)
+# One in-flight batch: (dest, sender, pred, tuples).  A batch is what one
+# routing call put on one channel for one predicate; it is only taken
+# apart where a per-tuple decision (injected delay or channel fault) is
+# owed.
+Message = Tuple[ProcessorId, ProcessorId, str, List[Fact]]
 
 
 @dataclass
@@ -191,7 +197,7 @@ class SimulatedCluster:
                  delay_probability: float = 0.0, seed: int = 0,
                  detect_termination: bool = False, reorder: bool = True,
                  max_rounds: int = 1_000_000,
-                 network: Optional[NetworkGraph] = None,
+                 network: Optional["NetworkGraph"] = None,
                  tracer: Optional[Tracer] = None,
                  faults: Optional[FaultPlan] = None,
                  recovery: str = "fail",
@@ -260,7 +266,7 @@ class SimulatedCluster:
         self._kill_after: Dict[ProcessorId, int] = {}
         self._channel_faults = None
         self._sent_log: Dict[Tuple[ProcessorId, ProcessorId],
-                             List[Tuple[str, Fact]]] = {}
+                             List[EmissionBatch]] = {}
         if faults is not None:
             known = {tag: proc for proc, tag in self._tags.items()}
             for kill in faults.kills:
@@ -273,31 +279,24 @@ class SimulatedCluster:
 
     # ------------------------------------------------------------------
     def _route(self, sender: ProcessorId,
-               emissions: Sequence[Tuple[str, Fact]]) -> List[Message]:
+               emissions: Sequence[EmissionBatch]) -> List[Message]:
         """Apply the sending rules of ``sender`` to its new outputs.
 
-        The whole emission list is partitioned into per-target buffers
+        Each predicate's batch is partitioned into per-target buffers
         by the sender's compiled :class:`~.routing.RouterTable` in one
-        pass per predicate; all counters (``sent``, ``self_delivered``,
+        pass; all counters (``sent``, ``self_delivered``,
         ``broadcast_tuples``) are bumped by bucket size, so totals are
         identical to the historical per-fact walk.  Each ``(sender,
-        target, predicate)`` bucket counts as one message in the
-        ``channel_messages``/``channel_bytes`` accounting and becomes
-        one counted ``tuple_sent`` event.
+        target, predicate)`` bucket travels as one message, counts as
+        one in the ``channel_messages``/``channel_bytes`` accounting
+        and becomes one counted ``tuple_sent`` event.
         """
         messages: List[Message] = []
         router = self._routers[sender]
         metrics = self.metrics
         tracing = self.tracer.enabled
         total_remote = 0
-        by_pred: Dict[str, List[Fact]] = {}
-        for predicate, fact in emissions:
-            group = by_pred.get(predicate)
-            if group is None:
-                by_pred[predicate] = [fact]
-            else:
-                group.append(fact)
-        for predicate, facts in by_pred.items():
+        for predicate, facts in emissions:
             buckets, broadcasts = router.partition(predicate, facts)
             metrics.broadcast_tuples += broadcasts
             for target, bucket in buckets.items():
@@ -321,14 +320,13 @@ class SimulatedCluster:
                     if self._kill_after:
                         # Sent-logs only accumulate while a kill fault is
                         # armed; replay needs them, undisturbed runs don't.
-                        self._sent_log.setdefault(channel, []).extend(
-                            (predicate, fact) for fact in bucket)
+                        self._sent_log.setdefault(channel, []).append(
+                            (predicate, bucket))
                     if tracing:
                         self.tracer.tuple_sent(self._tags[sender],
                                                self._tags[target], predicate,
                                                count=count)
-                messages.extend(
-                    (target, sender, predicate, fact) for fact in bucket)
+                messages.append((target, sender, predicate, bucket))
         if self._detector is not None:
             self._detector.on_send(sender, total_remote)
         return messages
@@ -343,20 +341,14 @@ class SimulatedCluster:
         held: List[Message] = []
         remote_received: Dict[ProcessorId, int] = {}
         if self.delay_probability <= 0.0 and self._channel_faults is None:
-            # Fault-free fast path: no per-message RNG draw is owed, so
-            # messages can be delivered as whole ``(dest, sender, pred)``
-            # batches — one ``receive`` call and one counted
-            # ``tuple_received`` event per batch.
+            # Fault-free fast path: no per-tuple RNG draw is owed, so
+            # batches are delivered whole — one ``receive`` call and one
+            # counted ``tuple_received`` event per ``(dest, sender,
+            # pred)``.
             tracing = self.tracer.enabled
-            groups: Dict[Tuple[ProcessorId, ProcessorId, str],
-                         List[Fact]] = {}
-            for destination, sender, predicate, fact in messages:
-                key = (destination, sender, predicate)
-                group = groups.get(key)
-                if group is None:
-                    groups[key] = [fact]
-                else:
-                    group.append(fact)
+            groups = _merged(((destination, sender, predicate), facts)
+                             for destination, sender, predicate, facts
+                             in messages)
             for (destination, sender, predicate), facts in groups.items():
                 remote = destination != sender
                 self.runtimes[destination].receive(predicate, facts,
@@ -373,34 +365,37 @@ class SimulatedCluster:
                 for proc, count in remote_received.items():
                     self._detector.on_receive(proc, count)
             return held, remote_received
-        for message in messages:
-            if (self.delay_probability > 0.0
-                    and self._rng.random() < self.delay_probability):
-                held.append(message)
-                continue
-            destination, sender, predicate, fact = message
-            copies = 1
-            if self._channel_faults is not None and destination != sender:
-                verdict = self._channel_faults.decide(
-                    self._tags[sender], self._tags[destination])
-                if verdict == DROP:
-                    continue
-                if verdict == DELAY:
-                    held.append(message)
-                    continue
-                if verdict == DUPLICATE:
-                    copies = 2
+        for destination, sender, predicate, facts in messages:
             remote = destination != sender
-            for _ in range(copies):
-                self.runtimes[destination].receive(predicate, [fact],
-                                                   remote=remote)
-                if remote:
-                    remote_received[destination] = (
-                        remote_received.get(destination, 0) + 1)
-                    if self.tracer.enabled:
-                        self.tracer.tuple_received(self._tags[destination],
-                                                   self._tags[sender],
-                                                   predicate)
+            late: List[Fact] = []
+            for fact in facts:
+                if (self.delay_probability > 0.0
+                        and self._rng.random() < self.delay_probability):
+                    late.append(fact)
+                    continue
+                copies = 1
+                if self._channel_faults is not None and remote:
+                    verdict = self._channel_faults.decide(
+                        self._tags[sender], self._tags[destination])
+                    if verdict == DROP:
+                        continue
+                    if verdict == DELAY:
+                        late.append(fact)
+                        continue
+                    if verdict == DUPLICATE:
+                        copies = 2
+                for _ in range(copies):
+                    self.runtimes[destination].receive(predicate, [fact],
+                                                       remote=remote)
+                    if remote:
+                        remote_received[destination] = (
+                            remote_received.get(destination, 0) + 1)
+                        if self.tracer.enabled:
+                            self.tracer.tuple_received(
+                                self._tags[destination], self._tags[sender],
+                                predicate)
+            if late:
+                held.append((destination, sender, predicate, late))
         if self._detector is not None:
             for proc, count in remote_received.items():
                 self._detector.on_receive(proc, count)
@@ -443,22 +438,22 @@ class SimulatedCluster:
                 log = self._sent_log.get((src, proc), [])
                 if not log:
                     continue
-                replay_pairs: Dict[str, List[Fact]] = {}
-                for predicate, fact in log:
-                    in_flight.append((proc, src, predicate, fact))
-                    replay_pairs.setdefault(predicate, []).append(fact)
-                self.metrics.sent[(src, proc)] += len(log)
+                replay_pairs = _merged(log)
+                in_flight.extend((proc, src, predicate, facts)
+                                 for predicate, facts in log)
+                count = sum(len(facts) for _, facts in log)
+                self.metrics.sent[(src, proc)] += count
                 # A replay burst travels as one coalesced message.
                 self.metrics.channel_messages[(src, proc)] += 1
                 self.metrics.channel_bytes[(src, proc)] += approx_batch_bytes(
                     replay_pairs.items())
-                self.metrics.replayed[src] += len(log)
+                self.metrics.replayed[src] += count
                 if self._detector is not None:
-                    self._detector.on_send(src, len(log))
+                    self._detector.on_send(src, count)
                 if tracing:
-                    self.tracer.replay(self._tags[src], tag, len(log))
+                    self.tracer.replay(self._tags[src], tag, count)
             in_flight.extend(
-                self._route(proc, self.runtimes[proc].initialize()))
+                self._route(proc, self.runtimes[proc].initialize_batches()))
 
     def run(self) -> ParallelResult:
         """Execute to quiescence and pool the answers.
@@ -480,7 +475,7 @@ class SimulatedCluster:
                 tracer.worker_spawn(self._tags[proc])
         in_flight: List[Message] = []
         for proc in self._order:
-            emissions = self.runtimes[proc].initialize()
+            emissions = self.runtimes[proc].initialize_batches()
             in_flight.extend(self._route(proc, emissions))
 
         quiescent_round: Optional[int] = None
@@ -508,13 +503,14 @@ class SimulatedCluster:
             for proc in self._order:
                 runtime = self.runtimes[proc]
                 before_work = runtime.work_done()
-                emissions = runtime.step()
+                emissions = runtime.step_batches()
                 idle[proc] = not emissions and not runtime.has_pending_input()
                 messages = self._route(proc, emissions)
                 in_flight.extend(messages)
                 round_work[proc] = runtime.work_done() - before_work
                 round_sent[proc] = sum(
-                    1 for destination, _, _, _ in messages if destination != proc)
+                    len(facts) for destination, _, _, facts in messages
+                    if destination != proc)
                 round_received[proc] = delivered.get(proc, 0)
             self.metrics.per_round_work.append(round_work)
             self.metrics.per_round_sent.append(round_sent)
@@ -570,37 +566,48 @@ class SimulatedCluster:
 
         Arrival is ``base_tick + 1`` (a channel hop costs one tick);
         injected delay — probabilistic or from a channel fault — pushes
-        it further out, drop discards here (so a scheduled message is
-        always eventually delivered), duplicate schedules two copies.
+        single tuples further out, drop discards here (so a scheduled
+        tuple is always eventually delivered), duplicate schedules two
+        copies.  A batch splits only by arrival tick.
         """
-        for message in messages:
-            destination, sender, _predicate, _fact = message
-            arrival = base_tick + 1
-            if (self.delay_probability > 0.0
-                    and self._rng.random() < self.delay_probability):
-                arrival += 1
-            copies = 1
-            if self._channel_faults is not None and destination != sender:
-                verdict = self._channel_faults.decide(
-                    self._tags[sender], self._tags[destination])
-                if verdict == DROP:
-                    continue
-                if verdict == DELAY:
-                    arrival += 2
-                elif verdict == DUPLICATE:
-                    copies = 2
-            for _ in range(copies):
-                deliveries.setdefault(arrival, []).append(message)
-                inflight_to[destination] += 1
+        undisturbed = (self.delay_probability <= 0.0
+                       and self._channel_faults is None)
+        for destination, sender, predicate, facts in messages:
+            if undisturbed:
+                deliveries.setdefault(base_tick + 1, []).append(
+                    (destination, sender, predicate, facts))
+                inflight_to[destination] += len(facts)
+                continue
+            by_arrival: Dict[int, List[Fact]] = {}
+            for fact in facts:
+                arrival = base_tick + 1
+                if (self.delay_probability > 0.0
+                        and self._rng.random() < self.delay_probability):
+                    arrival += 1
+                copies = 1
+                if self._channel_faults is not None and destination != sender:
+                    verdict = self._channel_faults.decide(
+                        self._tags[sender], self._tags[destination])
+                    if verdict == DROP:
+                        continue
+                    if verdict == DELAY:
+                        arrival += 2
+                    elif verdict == DUPLICATE:
+                        copies = 2
+                by_arrival.setdefault(arrival, []).extend([fact] * copies)
+            for arrival, due in by_arrival.items():
+                deliveries.setdefault(arrival, []).append(
+                    (destination, sender, predicate, due))
+                inflight_to[destination] += len(due)
 
     def _deliver_ssp(self, messages: Sequence[Message],
                      inflight_to: Counter) -> None:
         """Stage due messages, batched per ``(dest, sender, pred)``."""
         tracing = self.tracer.enabled
-        groups: Dict[Tuple[ProcessorId, ProcessorId, str], List[Fact]] = {}
-        for destination, sender, predicate, fact in messages:
-            inflight_to[destination] -= 1
-            groups.setdefault((destination, sender, predicate), []).append(fact)
+        for destination, _sender, _predicate, facts in messages:
+            inflight_to[destination] -= len(facts)
+        groups = _merged(((destination, sender, predicate), facts)
+                         for destination, sender, predicate, facts in messages)
         for (destination, sender, predicate), facts in groups.items():
             remote = destination != sender
             self.runtimes[destination].receive(predicate, facts, remote=remote)
@@ -646,21 +653,21 @@ class SimulatedCluster:
             log = self._sent_log.get((src, proc), [])
             if not log:
                 continue
-            replay_pairs: Dict[str, List[Fact]] = {}
-            for predicate, fact in log:
-                deliveries.setdefault(tick + 1, []).append(
-                    (proc, src, predicate, fact))
-                inflight_to[proc] += 1
-                replay_pairs.setdefault(predicate, []).append(fact)
-            self.metrics.sent[(src, proc)] += len(log)
+            replay_pairs = _merged(log)
+            deliveries.setdefault(tick + 1, []).extend(
+                (proc, src, predicate, facts) for predicate, facts in log)
+            count = sum(len(facts) for _, facts in log)
+            inflight_to[proc] += count
+            self.metrics.sent[(src, proc)] += count
             self.metrics.channel_messages[(src, proc)] += 1
             self.metrics.channel_bytes[(src, proc)] += approx_batch_bytes(
                 replay_pairs.items())
-            self.metrics.replayed[src] += len(log)
+            self.metrics.replayed[src] += count
             if tracing:
-                self.tracer.replay(self._tags[src], tag, len(log))
-        self._schedule_ssp(self._route(proc, self.runtimes[proc].initialize()),
-                           tick, deliveries, inflight_to)
+                self.tracer.replay(self._tags[src], tag, count)
+        self._schedule_ssp(
+            self._route(proc, self.runtimes[proc].initialize_batches()),
+            tick, deliveries, inflight_to)
         busy_until[proc] = tick + 1  # re-initialization occupies one tick
 
     def _run_ssp(self) -> ParallelResult:
@@ -694,7 +701,7 @@ class SimulatedCluster:
         stalled_now: Set[ProcessorId] = set()
         for proc in self._order:
             # Initialization rules fire at tick 0 and occupy it.
-            emissions = self.runtimes[proc].initialize()
+            emissions = self.runtimes[proc].initialize_batches()
             self._schedule_ssp(self._route(proc, emissions), 0,
                                deliveries, inflight_to)
             metrics.busy[proc] += 1
@@ -750,7 +757,7 @@ class SimulatedCluster:
                 if lead > metrics.max_staleness_lag:
                     metrics.max_staleness_lag = lead
                 before = runtime.work_done()
-                emissions = runtime.step()
+                emissions = runtime.step_batches()
                 work = runtime.work_done() - before
                 speed = self._capacity.get(self._tags[proc], 1.0)
                 duration = max(1, int(math.ceil(max(work, 1.0) / speed)))
@@ -801,6 +808,28 @@ class SimulatedCluster:
                            pooled=self.metrics.pooled_tuples)
         return ParallelResult(output=output, metrics=self.metrics,
                               counters=counters)
+
+
+def _merged(batches: Iterable[Tuple[Hashable, List[Fact]]]
+            ) -> Dict[Hashable, List[Fact]]:
+    """Batches concatenated per key, keys and tuples in arrival order.
+
+    A lone batch is passed through as it is; two under one key (a
+    replay beside a routing call) merge into a new list, never in
+    place — a batch may also sit in a sent-log.
+    """
+    merged: Dict[Hashable, List[Fact]] = {}
+    copied: Set[Hashable] = set()
+    for key, facts in batches:
+        group = merged.get(key)
+        if group is None:
+            merged[key] = facts
+        elif key in copied:
+            group.extend(facts)
+        else:
+            merged[key] = group + facts
+            copied.add(key)
+    return merged
 
 
 def run_parallel(program: ParallelProgram, database: Database,

@@ -1,6 +1,9 @@
 """Tests for program analysis: dependencies, recursion, sirup detection."""
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datalog import (
     as_linear_sirup,
@@ -47,6 +50,60 @@ class TestDependencyGraph:
         famous_index = next(i for i, c in enumerate(components)
                             if "famous" in c)
         assert anc_index < famous_index
+
+
+@st.composite
+def _predicate_graph_program(draw):
+    """A program whose dependency graph is an arbitrary small digraph:
+    unary predicates ``p0..pn``, one rule per drawn (body, head) pair,
+    in drawn order (the order components are found in depends on it)."""
+    count = draw(st.integers(min_value=1, max_value=7))
+    names = st.integers(min_value=0, max_value=count - 1).map("p{}".format)
+    rules = draw(st.lists(
+        st.tuples(names, st.lists(names, min_size=1, max_size=3)),
+        min_size=1, max_size=12))
+    return parse_program("\n".join(
+        f"{head}(X) :- " + ", ".join(f"{body}(X)" for body in bodies) + "."
+        for head, bodies in rules))
+
+
+class TestAgainstNetworkx:
+    """The engine computes components and their order itself, so that
+    importing it never imports networkx; networkx stays the oracle.
+    The *order* is pinned too: strata evaluate in it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(program=_predicate_graph_program())
+    def test_components_order_and_recursion_match(self, program):
+        graph = dependency_graph(program)
+        assert isinstance(graph, nx.DiGraph)
+        condensation = nx.condensation(graph)
+        assert recursion_components(program) == [
+            frozenset(condensation.nodes[node]["members"])
+            for node in nx.topological_sort(condensation)]
+        assert recursive_predicates(program) == frozenset(
+            node for component in nx.strongly_connected_components(graph)
+            for node in component
+            if len(component) > 1 or graph.has_edge(node, node))
+        for rule in program.proper_rules():
+            head = rule.head.predicate
+            reachable = nx.descendants(graph, head) | {head}
+            assert is_recursive_rule(rule, program) == any(
+                atom.predicate in reachable for atom in rule.body)
+
+    @settings(max_examples=100, deadline=None)
+    @given(program=_predicate_graph_program())
+    def test_strata_follow_the_component_order(self, program):
+        from repro.engine import build_strata
+
+        graph = dependency_graph(program)
+        condensation = nx.condensation(graph)
+        heads = {rule.head.predicate for rule in program.proper_rules()}
+        expected = [members for members in (
+            frozenset(condensation.nodes[node]["members"])
+            for node in nx.topological_sort(condensation))
+            if members & heads]
+        assert [s.predicates for s in build_strata(program)] == expected
 
 
 class TestRecursiveRule:

@@ -7,7 +7,9 @@ from repro.engine import (
     EvalCounters,
     delta_variants,
     evaluate,
+    seminaive,
     seminaive_evaluate,
+    set_join_kernel,
 )
 from repro.facts import Database
 
@@ -133,3 +135,74 @@ class TestSemiNaive:
         counters = EvalCounters()
         seminaive_evaluate(ancestor, chain_db, counters)
         assert counters.iterations == 10
+
+
+class TestPrevElision:
+    """A ``#prev`` relation is kept only where some delta variant reads
+    it: never for a linear rule, always for a second recursive
+    occurrence.  Either way every counter equals the per-fact
+    ``compiled`` reference."""
+
+    @staticmethod
+    def _run(program, database, monkeypatch):
+        """Evaluate; return (counters, answer sets, ``#prev`` sizes)."""
+        held = {}
+        inner = seminaive._evaluate_stratum
+
+        def spy(stratum, working, *rest):
+            inner(stratum, working, *rest)
+            held.update({relation.name: len(relation) for relation in working
+                         if relation.name.endswith(PREV_SUFFIX)})
+        monkeypatch.setattr(seminaive, "_evaluate_stratum", spy)
+        counters = EvalCounters()
+        output = seminaive_evaluate(program, database, counters)
+        answers = {predicate: output.relation(predicate).as_set()
+                   for predicate in program.derived_predicates}
+        return counters.as_dict(), answers, held
+
+    def _reference(self, program, database, monkeypatch):
+        previous = set_join_kernel("compiled")
+        try:
+            return self._run(program, database, monkeypatch)[:2]
+        finally:
+            set_join_kernel(previous)
+
+    def test_prev_predicates_reads_the_variants(self):
+        linear = parse_rule("anc(X, Y) :- par(X, Z), anc(Z, Y).")
+        nonlinear = parse_rule("anc(X, Y) :- anc(X, Z), anc(Z, Y).")
+        assert seminaive.prev_predicates(
+            v.rule for v in delta_variants(linear, {"anc"})) == set()
+        assert seminaive.prev_predicates(
+            v.rule for v in delta_variants(nonlinear, {"anc"})) == {"anc"}
+
+    def test_linear_program_keeps_no_prev(self, ancestor, dag_db,
+                                          monkeypatch):
+        counters, answers, held = self._run(ancestor, dag_db, monkeypatch)
+        assert sum(held.values()) == 0
+        assert (counters, answers) == self._reference(ancestor, dag_db,
+                                                      monkeypatch)
+
+    def test_nonlinear_program_still_fills_prev(self, nonlinear_ancestor,
+                                                dag_db, monkeypatch):
+        counters, answers, held = self._run(nonlinear_ancestor, dag_db,
+                                            monkeypatch)
+        # At the fixpoint prev has caught up with everything but the
+        # last (empty) delta: it is the whole relation.
+        assert held == {"anc" + PREV_SUFFIX: len(answers["anc"])}
+        assert (counters, answers) == self._reference(
+            nonlinear_ancestor, dag_db, monkeypatch)
+
+    def test_mutual_recursion_keeps_only_the_prev_it_reads(self, monkeypatch):
+        program = parse_program("""
+            a(X, Y) :- e(X, Y).
+            a(X, Y) :- a(X, Z), b(Z, Y).
+            b(X, Y) :- e(X, Y).
+            b(X, Y) :- e(X, Z), a(Z, Y).
+        """)
+        database = Database.from_facts(
+            {"e": [(i, i + 1) for i in range(8)] + [(2, 5), (0, 4)]})
+        counters, answers, held = self._run(program, database, monkeypatch)
+        # Only ``a(X,Z), b(Z,Y)`` has a second recursive occurrence.
+        assert set(held) == {"b" + PREV_SUFFIX}
+        assert (counters, answers) == self._reference(program, database,
+                                                      monkeypatch)

@@ -26,6 +26,7 @@ from repro.parallel import (
 )
 from repro.parallel.mp import run_multiprocessing
 from repro.parallel.mp.protocol import typed_sort_key
+from repro.parallel.mp.worker import _COALESCE_MAX_FACTS
 from repro.workloads import ancestor_program
 
 
@@ -123,18 +124,30 @@ class TestMpCoalescing:
         assert result.metrics.retried > 0
         assert all(s.sent_log_facts == 0 for s in result.stats.values())
 
-    def test_coalescing_off_is_equivalent_but_chattier(
-            self, ancestor, tree_db, monkeypatch):
+    def test_one_message_per_peer_per_burst(self, ancestor, tree_db):
+        """The coalesced invariants, checked on the run itself.
+
+        A worker flushes a peer's buffer when a step burst ends or the
+        buffer crosses the cap, so a channel carries at most one
+        message per step of its sender (plus the initialization flush
+        and the cap flushes), however many routing batches the steps
+        produced.  Batching is invisible to the tuple-level counters:
+        they equal the simulator's, which never coalesces.
+        """
         parallel = example2_scheme(ancestor, (0, 1, 2), tree_db)
-        on = run_multiprocessing(parallel, tree_db, timeout=60)
-        monkeypatch.setenv("REPRO_MP_COALESCE", "off")
-        off = run_multiprocessing(parallel, tree_db, timeout=60)
-        assert (on.relation("anc").as_set() == off.relation("anc").as_set())
-        # Tuple-level cost counters are independent of batching.
-        assert on.metrics.total_sent() == off.metrics.total_sent()
-        assert on.metrics.total_firings() == off.metrics.total_firings()
-        assert (on.metrics.total_channel_messages()
-                <= off.metrics.total_channel_messages())
+        result = run_multiprocessing(parallel, tree_db, timeout=60)
+        reference = run_parallel(parallel, tree_db)
+        assert (result.relation("anc").as_set()
+                == reference.relation("anc").as_set())
+        assert result.metrics.total_sent() == reference.metrics.total_sent()
+        assert (result.metrics.total_firings()
+                == reference.metrics.total_firings())
+        for stats in result.stats.values():
+            for target, messages in stats.messages_by_target.items():
+                sent = stats.sent_by_target[target]
+                assert 0 < messages <= sent
+                assert messages <= (stats.iterations + 1
+                                    + sent // _COALESCE_MAX_FACTS)
 
     def test_mixed_type_constants_pool_correctly(self, ancestor):
         """End-to-end guard for the typed RESULT sort: pooling worker

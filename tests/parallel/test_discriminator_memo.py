@@ -120,6 +120,47 @@ def test_multi_position_matches_unmemoised_in_either_touch_order(rows):
         assert _agrees(pickle.loads(pickle.dumps(forward)), reference, rows)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(constants, constants), min_size=0, max_size=12),
+       st.lists(st.tuples(st.integers(-3, 3), st.sampled_from("ab")),
+                max_size=6))
+def test_column_form_equals_the_row_form(mixed, uniform):
+    """``map_columns`` decides a batch column-wise; it must give each
+    row what ``__call__`` gives it — on columns mixing ``int``, ``bool``,
+    ``float`` and ``str`` (the row fallback) and on single-type columns
+    (the shared memo table), cold, warm and after the rows were touched
+    in the opposite order."""
+    for rows in (mixed, uniform, uniform + mixed):
+        columns = [list(column) for column in zip(*rows)] or [[], []]
+        for _arity, make, reference in CASES:
+            expected = [reference(row) for row in rows]
+            assert make().map_columns(columns) == expected        # cold
+            warm = make()
+            assert _agrees(warm, reference, reversed(rows))
+            assert warm.map_columns(columns) == expected
+            assert warm.map_columns(columns) == expected
+            assert _agrees(warm, reference, rows)
+
+
+def test_column_form_marks_rows_outside_every_fragment():
+    h = PartitionDiscriminator(
+        ArbitraryFragmentation({(1, 2): 0, ("a", 2): 1}), PROCESSORS)
+    assert h.map_columns([[1, "a", 1], [2, 2, 3]]) == [0, 1, None]
+    keep = LocalRetentionFamily(h, 0.5, salt=9).member(1)
+    # All-int columns: the shared-table pass meets the rows no fragment
+    # owns (those the retention draw does not keep) and must fall back.
+    rows = [(1, k) for k in range(2, 12)]
+    expected = []
+    for row in rows:
+        try:
+            expected.append(keep(row))
+        except discriminating.RoutingError:
+            expected.append(None)
+    assert None in expected
+    fresh = LocalRetentionFamily(h, 0.5, salt=9).member(1)
+    assert fresh.map_columns([list(c) for c in zip(*rows)]) == expected
+
+
 def test_partition_discriminator_is_untouched_by_the_memo():
     h = _partition()
     assert h.map_column([1, "a", 2, 3, 1.0]) == [0, 0, 1, None, 0]

@@ -46,3 +46,88 @@ class TestCrashHandling:
         parallel = example3_scheme(ancestor_program(), (0, 1))
         with pytest.raises(ExecutionError):
             run_multiprocessing(parallel, chain_db, timeout=0.000001)
+
+
+def _stub_worker(program, _local, inbox, _peers, coordinator_queue,
+                 *_options, script):
+    """A worker that follows ``script`` instead of evaluating anything.
+
+    ``script(wave)`` returns the ``(sent, received, activity, clock,
+    pending)`` to ack probe ``wave`` with, or None to stop answering
+    (a wedge: alive, draining nothing).  STOP is ignored on purpose.
+    """
+    import time
+
+    from repro.parallel.mp.protocol import ACK, PROBE
+
+    wave = 0
+    while True:
+        message = inbox.get()
+        if message[0] != PROBE:
+            continue
+        wave += 1
+        reply = script(wave)
+        if reply is None:
+            time.sleep(3600)
+        sent, received, activity, clock, pending = reply
+        coordinator_queue.put((ACK, program.processor, message[1], sent,
+                               received, activity, 0, clock, pending))
+
+
+@pytest.mark.mp
+class TestDeadlineStateDump:
+    """Every deadline error says where the protocol stood (ROADMAP 6c).
+
+    The workers are stubs forked from this process (the patched
+    ``worker_main`` travels with the fork), so each scenario is exact.
+    """
+
+    @pytest.fixture
+    def run_with(self, monkeypatch, chain_db):
+        import functools
+        import multiprocessing
+
+        from repro.parallel.mp import runner
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("stub workers need the fork start method")
+
+        def run(script, **options):
+            monkeypatch.setattr(runner, "worker_main", functools.partial(
+                _stub_worker, script=script))
+            parallel = example3_scheme(ancestor_program(), (0, 1))
+            with pytest.raises(ExecutionError) as info:
+                run_multiprocessing(parallel, chain_db, start_method="fork",
+                                    probe_interval=0.01, **options)
+            return str(info.value)
+        return run
+
+    def test_wedged_worker_error_carries_last_acks(self, run_with):
+        # Both ack wave 1; from wave 2 on nobody answers.
+        message = run_with(
+            lambda wave: (7, 5, 12, 3, True) if wave == 1 else None,
+            ack_timeout=0.3, timeout=30)
+        assert "did not ack probe 2" in message
+        assert "state at expiry: epoch 0, probe wave 2" in message
+        for tag in ("'0'", "'1'"):
+            assert (f"{tag} acked wave 1 (epoch 0): sent=7 received=5 "
+                    "activity=12 clock=3 pending=True") in message
+
+    def test_never_acked_is_said_so(self, run_with):
+        message = run_with(lambda wave: None, ack_timeout=0.3, timeout=30)
+        assert "did not ack probe 1" in message
+        assert "'0' never acked; '1' never acked" in message
+
+    def test_no_quiescence_error_carries_the_imbalance(self, run_with):
+        # Static activity but sent != received: tuples forever in flight.
+        message = run_with(lambda wave: (4, 3, 9, 1, False), timeout=0.5)
+        assert "no quiescence within 0.5 seconds" in message
+        assert "state at expiry: epoch 0, probe wave " in message
+        assert "sent=4 received=3 activity=9 clock=1 pending=False" in message
+
+    def test_missing_result_error_names_the_silent_workers(self, run_with):
+        # Quiescent at once, but the stubs never send RESULT.
+        message = run_with(lambda wave: (0, 0, 0, 0, False), timeout=0.5)
+        assert "workers did not report within 0.5 seconds" in message
+        assert "no result from '0', '1'" in message
+        assert "acked wave 2 (epoch 0): sent=0 received=0" in message

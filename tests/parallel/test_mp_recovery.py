@@ -160,6 +160,72 @@ class TestCheckpointRecovery:
                 == expected.relation("anc").as_set())
 
 
+def _layered_db(width=8, layers=3):
+    """Fully connected layers: every routing batch is fat enough to
+    cross the wire packed (``PACK_MIN_FACTS``)."""
+    return Database.from_facts(
+        {"par": [(layer * width + i, (layer + 1) * width + j)
+                 for layer in range(layers - 1)
+                 for i in range(width) for j in range(width)]})
+
+
+@pytest.mark.mp
+@pytest.mark.faultinjection
+class TestPackedWireRecovery:
+    """The packed wire is every backend's wire; recovery counts facts,
+    not payloads, so replay, stamps and checkpoints must not notice."""
+
+    @pytest.mark.parametrize("recovery", ["restart", "checkpoint"])
+    @pytest.mark.parametrize("kill_at", [1, 40, 120])
+    def test_tuple_backend_kill_sweep_is_exact(self, ancestor, recovery,
+                                               kill_at):
+        from repro.facts import fact_backend
+        from repro.parallel import run_parallel
+
+        assert fact_backend() == "tuple"
+        database = _layered_db()
+        program = example3_scheme(ancestor, (0, 1, 2))
+        expected = evaluate(ancestor, database)
+        undisturbed = run_multiprocessing(program, database, timeout=60)
+        # Packing moves bytes, never tuples: the fault-free count is the
+        # simulator's, which has no wire at all.
+        assert (undisturbed.metrics.total_sent()
+                == run_parallel(program, database).metrics.total_sent())
+        result = run_multiprocessing(
+            program, database, recovery=recovery, checkpoint_interval=1,
+            faults=build_fault_plan([f"kill:1@{kill_at}"]), timeout=60)
+        assert result.restarts == 1
+        assert (result.relation("anc").as_set()
+                == expected.relation("anc").as_set())
+        assert (result.metrics.total_firings()
+                == expected.counters.total_firings())
+
+    @pytest.mark.parametrize("share", [0.0, 0.2, 0.5, 0.9])
+    def test_nonlinear_checkpoint_restores_prev(self, nonlinear_ancestor,
+                                                share):
+        """Example 8 reads ``anc@in#prev``; a restored worker must get
+        it back, or joins of new facts with checkpointed ones are lost.
+        Firings equal an undisturbed run's wherever the kill lands.
+        (Whether a kill lands after the first checkpoint is up to the
+        scheduler; ``test_processor.py`` sweeps every round boundary
+        deterministically.)"""
+        from repro.parallel import rewrite_general, run_parallel
+
+        database = _layered_db(width=2, layers=16)
+        program = rewrite_general(nonlinear_ancestor, (0, 1))
+        expected = evaluate(nonlinear_ancestor, database)
+        undisturbed = run_parallel(program, database)
+        kill_at = max(1, int(share * undisturbed.metrics.firings[1]))
+        result = run_multiprocessing(
+            program, database, recovery="checkpoint", checkpoint_interval=1,
+            faults=build_fault_plan([f"kill:1@{kill_at}"]), timeout=60)
+        assert result.restarts == 1
+        assert (result.relation("anc").as_set()
+                == expected.relation("anc").as_set())
+        assert (result.metrics.total_firings()
+                == undisturbed.metrics.total_firings())
+
+
 @pytest.mark.mp
 @pytest.mark.faultinjection
 class TestCascadingFailure:

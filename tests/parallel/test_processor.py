@@ -114,3 +114,119 @@ class TestProcessorRuntime:
         runtime, _parallel = _runtime(processors=(0,))
         runtime.initialize()
         assert runtime.output_size() == 3
+
+
+class TestBatchesAndPrev:
+    """Batches stay batches, and ``t_in#prev`` exists only if read."""
+
+    @staticmethod
+    def _prev_sizes(runtime):
+        from repro.engine import PREV_SUFFIX
+        return {relation.name: len(relation) for relation in runtime.working
+                if relation.name.endswith(PREV_SUFFIX)}
+
+    def test_flat_emissions_are_the_batches_flattened(self):
+        flat, _ = _runtime()
+        batched, _ = _runtime()
+        batches = batched.initialize_batches()
+        assert flat.initialize() == [("anc", fact) for predicate, facts
+                                     in batches for fact in facts]
+        assert [predicate for predicate, _ in batches] == ["anc"]
+        for runtime in (flat, batched):
+            runtime.receive("anc", [(2, 3), (3, 4)], remote=False)
+        batches = batched.step_batches()
+        assert flat.step() == [("anc", fact) for _, facts in batches
+                               for fact in facts]
+        assert batched.step_batches() == []     # nothing staged: idle
+
+    def test_linear_runtimes_keep_no_prev(self, ancestor, dag_db):
+        from repro.parallel import example3_scheme
+        from repro.parallel.simulator import SimulatedCluster
+
+        cluster = SimulatedCluster(example3_scheme(ancestor, (0, 1, 2)),
+                                   dag_db)
+        result = cluster.run()
+        assert len(result.relation("anc")) > 0
+        for runtime in cluster.runtimes.values():
+            assert sum(self._prev_sizes(runtime).values()) == 0
+
+    def test_nonlinear_runtimes_fill_prev(self, nonlinear_ancestor, dag_db):
+        """Example 8 under the Section 7 rewrite reads ``anc@in#prev``:
+        at quiescence it holds every ingested fact."""
+        from repro.parallel import rewrite_general
+        from repro.parallel.simulator import SimulatedCluster
+
+        cluster = SimulatedCluster(rewrite_general(nonlinear_ancestor, (0, 1)),
+                                   dag_db)
+        cluster.run()
+        for runtime in cluster.runtimes.values():
+            ingested, _out, _staged = runtime.export_state()
+            assert (list(self._prev_sizes(runtime).values())
+                    == [len(ingested["anc"])] != [0])
+
+    @staticmethod
+    def _drive(parallel, database, restore_at=None):
+        """Barriered rounds over bare runtimes; at round ``restore_at``
+        every runtime is replaced by a fresh one restored from its
+        checkpoint (cut at the burst boundary: input staged, no step in
+        progress).  Returns the pooled answer and the total firings."""
+        order = sorted(parallel.processors)
+        runtimes = {
+            proc: ProcessorRuntime(parallel.program_for(proc),
+                                   parallel.local_database(proc, database))
+            for proc in order}
+        routers = {proc: parallel.program_for(proc).router_table()
+                   for proc in order}
+
+        def route(sender, batches):
+            return [(target, predicate, bucket)
+                    for predicate, facts in batches
+                    for target, bucket in routers[sender].partition(
+                        predicate, facts)[0].items()]
+
+        in_flight = [message for proc in order
+                     for message in route(proc,
+                                          runtimes[proc].initialize_batches())]
+        rounds = 0
+        while in_flight:
+            rounds += 1
+            for target, predicate, facts in in_flight:
+                runtimes[target].receive(predicate, facts)
+            if rounds == restore_at:
+                for proc in order:
+                    old = runtimes[proc]
+                    runtimes[proc] = ProcessorRuntime(
+                        parallel.program_for(proc),
+                        parallel.local_database(proc, database))
+                    runtimes[proc].import_state(
+                        *old.export_state(), counters=old.counters.as_dict(),
+                        duplicates_dropped=old.duplicates_dropped)
+            in_flight = [message for proc in order
+                         for message in route(proc,
+                                              runtimes[proc].step_batches())]
+        pooled = set()
+        for runtime in runtimes.values():
+            pooled.update(runtime.output_relation("anc"))
+        return (pooled, rounds,
+                sum(r.counters.total_firings() for r in runtimes.values()))
+
+    def test_checkpoint_restore_is_exact_at_every_round(
+            self, ancestor, nonlinear_ancestor, dag_db):
+        """A kill-sweep without processes: restoring every runtime from
+        its checkpoint at any round boundary changes neither the answer
+        nor the firing count — for the linear rewrite (no prev to
+        restore) and for Example 8 (a runtime that lost ``#prev`` would
+        miss every join of a new fact with a checkpointed one)."""
+        from repro.engine import evaluate
+        from repro.parallel import example3_scheme, rewrite_general
+
+        for program, parallel in (
+                (ancestor, example3_scheme(ancestor, (0, 1))),
+                (nonlinear_ancestor,
+                 rewrite_general(nonlinear_ancestor, (0, 1)))):
+            answer, rounds, firings = self._drive(parallel, dag_db)
+            assert answer == evaluate(program, dag_db).relation("anc").as_set()
+            assert rounds >= 3
+            for restore_at in range(1, rounds + 1):
+                assert self._drive(parallel, dag_db, restore_at) == (
+                    answer, rounds, firings), restore_at

@@ -64,8 +64,10 @@ def _reference_partition(routes, facts):
     return buckets, broadcasts
 
 
+# 1, 1.0 and True are equal but hash to different processors: a batch
+# mixing them must route each by its own repr.
 _VALUES = st.one_of(st.integers(min_value=-5, max_value=20),
-                    st.sampled_from(["a", "b", "xyz", ""]))
+                    st.sampled_from(["a", "b", "xyz", "", 1.0, True, 0.0]))
 
 
 @st.composite
@@ -86,7 +88,7 @@ def _route_for(draw, predicate, arity, processors):
     else:
         positions = tuple(draw(st.lists(
             st.integers(min_value=0, max_value=arity - 1),
-            min_size=1, max_size=arity)))
+            min_size=0, max_size=arity)))
     return Route(predicate=predicate, pattern=pattern,
                  positions=positions, discriminator=discriminator)
 
@@ -119,6 +121,22 @@ class TestKernelEquivalence:
         # down per-target emission order, not just membership.
         assert compiled == generic
         assert compiled == _reference_partition(routes, facts)
+        # ... and targets keep first-seen order (dict equality does not
+        # look at it; message order in the executors does).
+        assert list(compiled[0]) == list(generic[0])
+
+    def test_empty_sequence_routes_every_fact_to_one_target(self):
+        """``v(r) = ()`` (rewrite_general admits it): ``h(())`` is the
+        target of every fact, alone or beside a broadcast route."""
+        h = HashDiscriminator((0, 1, 2))
+        facts = [(1, 2), (3, 4), (1, 2)]
+        alone = RouterTable([Route("t", Atom("t", [Variable("X"),
+                                                   Variable("Y")]), (), h)])
+        assert alone.partition("t", facts) == ({h(()): facts}, 0)
+        both = [Route("t", Atom("t", [Variable("X"), Variable("Y")]), (), h),
+                Route("t", Atom("t", [Variable("X"), Constant(2)]), None, h)]
+        assert (RouterTable(both).partition("t", facts)
+                == _reference_partition(both, facts))
 
     def test_unknown_predicate_routes_nowhere(self):
         pattern = Atom("t", [Variable("X")])
