@@ -50,21 +50,21 @@ __all__ = [
 # and old/new workers can share a queue during rolling changes.
 PACKED_TAG = "__cols__"
 
-_INT64_MIN = -(2 ** 63)
-_INT64_MAX = 2 ** 63 - 1
+_INT = {int}
 
 # Column encodings: ("i", bytes) int64 column; ("d", values, typecode,
 # bytes) dictionary-encoded column; ("v", list) raw value fallback.
 
 
 def _encode_column(values: List[object]) -> Tuple:
-    all_int = True
-    for value in values:
-        if type(value) is not int or not (_INT64_MIN <= value <= _INT64_MAX):
-            all_int = False
-            break
-    if all_int:
-        return ("i", array("q", values).tobytes())
+    # Exact-type check at C speed: bools and other int subclasses must
+    # not collapse into the int column; ``array`` itself rejects values
+    # outside int64.
+    if set(map(type, values)) == _INT:
+        try:
+            return ("i", array("q", values).tobytes())
+        except OverflowError:
+            pass
     # Dictionary-encode when repetition makes it pay; otherwise ship raw.
     codes: dict = {}
     indexes: List[int] = []

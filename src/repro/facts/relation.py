@@ -19,6 +19,11 @@ __all__ = ["Relation", "Fact"]
 
 Fact = Tuple[object, ...]
 
+# Containers :meth:`Relation.update` may scan twice (type and arity
+# check, then insert) — an iterator can be read only once.
+_SIZED = (list, tuple, set, frozenset)
+_TUPLE = {tuple}
+
 
 class Relation:
     """A mutable set of same-arity tuples.
@@ -61,9 +66,33 @@ class Relation:
         Bulk path: new facts are determined with one set difference and
         handed to each index's :meth:`~repro.facts.index.HashIndex.add_many`,
         so index keys are derived once per fact instead of once per
-        fact per :meth:`add` call.
+        fact per :meth:`add` call.  When ``facts`` is a list, tuple,
+        set or (tuple-backend) relation of plain tuples of this arity —
+        what the engines and the executors' pooling pass — the insert
+        is a single C-level
+        ``set.update`` (no ``fresh`` set at all without indexes);
+        anything else takes the per-fact loop, which converts each fact
+        and raises :class:`ValueError` on a wrong arity before the
+        relation changes.
         """
         arity = self.arity
+        present = self._facts
+        if type(facts) is Relation:
+            # Simulator pooling and the engines' prev/delta catch-up
+            # pass whole relations: scan the backing set directly.
+            facts = facts._facts
+        if (type(facts) in _SIZED and set(map(type, facts)) <= _TUPLE
+                and set(map(len, facts)) <= {arity}):
+            if not self._indexes:
+                before = len(present)
+                present.update(facts)
+                return len(present) - before
+            fresh = set(facts)
+            fresh -= present
+            present |= fresh
+            for index in self._indexes.values():
+                index.add_many(fresh)
+            return len(fresh)
         incoming: Set[Fact] = set()
         for fact in facts:
             tup = tuple(fact)
@@ -71,10 +100,10 @@ class Relation:
                 raise ValueError(
                     f"relation {self.name}/{self.arity} cannot store {tup!r}")
             incoming.add(tup)
-        fresh = incoming - self._facts
+        fresh = incoming - present
         if not fresh:
             return 0
-        self._facts |= fresh
+        present |= fresh
         for index in self._indexes.values():
             index.add_many(fresh)
         return len(fresh)

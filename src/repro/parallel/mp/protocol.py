@@ -41,6 +41,14 @@ Control plane (coordinator ↔ worker):
   input it has not yet processed — under SSP a throttled worker can
   sit on staged input with *static* activity, so termination must
   additionally require all ``pending`` flags False (see below).
+* ``("ack", processor, 0, sent, received, activity, epoch, clock,
+  False)`` — worker → coordinator, a *passive notice*: the same
+  counters, sent unprompted when a pass of the worker loop that did
+  work (stepped, or served a replay) ends with no staged input left.
+  Probe waves are numbered from 1, so ``seq == 0`` marks the notice and
+  one parser reads both.  A notice is a hint that ends the
+  coordinator's wait for the next wave early; it is never a wave member
+  (see "Passive notices" below).
 * ``("stop",)`` — coordinator → worker, terminate and report.
 * ``("result", processor, outputs, stats)`` — worker → coordinator,
   final output relations and cumulative counters.  ``outputs`` maps
@@ -128,6 +136,24 @@ are idle, because:
    a coincidence of crossing messages: any message received after wave
    one would have moved ``activity`` by wave two.
 
+Passive notices.  Between waves the coordinator keeps a *view*: the
+latest current-epoch ack or notice from each worker.  It starts the
+next wave as soon as the view is balanced with no ``pending`` flag —
+at once when the wave that just completed was itself balanced and
+clear, otherwise when the notice that makes it so arrives — and only
+falls back to waiting ``probe_interval`` when neither happens (a
+replayed peer whose counters moved without a burst, an SSP-throttled
+worker, a worker that never reports).  The view decides *when* a wave
+is sent, never *whether* termination holds: a notice is not a wave
+member, so the test above still needs two consecutive real waves, and
+a stale or crossing notice can at worst start a wave that fails it.
+Nor does the confirming wave need a pause after the first: the
+argument above uses only that every snapshot of wave two is taken
+after every snapshot of wave one, which holds because the coordinator
+sends wave two once every ack of wave one is in hand.  A sleep between
+them adds no ordering the argument relies on; it only delays
+detection.
+
 Recovery epochs exist to protect invariant (1) across a restart: the
 counters of a dead worker vanish with it, so the global sums would
 never balance again.  Bumping the epoch and zeroing every survivor's
@@ -195,7 +221,7 @@ so it only delays detection, never falsifies it.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Tuple
+from typing import Dict, Hashable
 
 __all__ = [
     "DATA",
@@ -210,21 +236,7 @@ __all__ = [
     "CHECKPOINT",
     "TRUNCATE",
     "WorkerStats",
-    "typed_sort_key",
 ]
-
-
-def typed_sort_key(fact: Tuple[object, ...]) -> Tuple[Tuple[str, object], ...]:
-    """Deterministic total order over fact tuples with mixed-type values.
-
-    Values are ordered by type name first, then natively within a type.
-    This replaces ``key=repr``, which was both slow (a string render per
-    comparison key) and ordering-fragile: ``repr`` interleaves types
-    lexicographically (``repr(10) < repr(9)``, quoted strings sorting
-    among digits), so pooled output order depended on value spellings
-    rather than values.
-    """
-    return tuple((type(value).__name__, value) for value in fact)
 
 DATA = "data"
 PROBE = "probe"

@@ -7,7 +7,13 @@ worker's activity counter moved, the global sent/received counters
 balance, and no worker reports staged-but-unprocessed input imply that
 no data message can be in flight and no work remains, i.e. the paper's
 termination condition — all processors idle and all channels empty.
-The full invariant argument lives in :mod:`.protocol`.
+The full invariant argument lives in :mod:`.protocol`.  Waves are
+event-driven: between two of them the coordinator waits only until the
+workers' passive notices (sent when a worker goes idle) show a
+balanced, pending-free cluster, or — the fallback — for
+``probe_interval``; so a run ends a couple of queue round trips after
+its last firing rather than one to two sleeps after it.  Each worker's
+RESULT is unioned into the output as soon as it is dequeued.
 
 Under ``sync="ssp"`` the coordinator additionally computes the
 *horizon* — the minimum step clock over workers that acked with
@@ -155,9 +161,21 @@ class MPResult:
         return self.output.relation(predicate)
 
 
+# A worker's quiescence counters as an ack or notice reports them:
+# (sent, received, activity, clock, pending).
+_Counters = Tuple[int, int, int, int, bool]
+
 # One accepted ack: the epoch and probe wave it answered, then the
-# worker's (sent, received, activity, clock, pending).
-_Ack = Tuple[int, int, Tuple[int, int, int, int, bool]]
+# worker's counters.
+_Ack = Tuple[int, int, _Counters]
+
+
+def _quiet(counters: Dict[ProcessorId, _Counters], workers: int) -> bool:
+    """One entry per worker, ``Σ sent == Σ received``, no ``pending``."""
+    return (len(counters) == workers
+            and sum(entry[0] for entry in counters.values())
+            == sum(entry[1] for entry in counters.values())
+            and not any(entry[4] for entry in counters.values()))
 
 
 def _describe_acks(tags: Dict[ProcessorId, str],
@@ -215,10 +233,15 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
     Args:
         program: the rewritten program.
         database: the global extensional input.
-        probe_interval: seconds between quiescence probe waves; also
-            bounds failure-detection latency (a dead worker is noticed
-            within about two intervals).
-        timeout: overall wall-clock limit.
+        probe_interval: the *fallback* period of the quiescence probe
+            waves (must be ``> 0``).  A wave normally follows the
+            previous one as soon as the workers' passive notices say
+            the cluster may be idle (see :mod:`.protocol`); the
+            coordinator waits the full interval only when no notice
+            does.  It also bounds failure-detection latency (a dead
+            worker is noticed within about two intervals) and, under
+            ``sync="ssp"``, how stale the broadcast horizon can get.
+        timeout: overall wall-clock limit (must be ``> 0``).
         start_method: multiprocessing start method (default: ``fork``
             when available, else the platform default).
         tracer: optional :class:`~repro.obs.Tracer`.  Workers buffer
@@ -279,6 +302,12 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
     if ack_timeout is not None and ack_timeout <= 0:
         raise ConfigurationError(
             f"ack deadline must be positive, got {ack_timeout}")
+    if probe_interval <= 0:
+        raise ConfigurationError(
+            f"probe_interval must be positive seconds, got {probe_interval}")
+    if timeout <= 0:
+        raise ConfigurationError(
+            f"timeout must be positive seconds, got {timeout}")
     started = time.perf_counter()
     tracer = ensure_tracer(tracer)
     tracing = tracer.enabled
@@ -384,6 +413,22 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
             if inbox is not None:
                 inbox.put((TRUNCATE, proc, stamp))
 
+    def absorb_control(message: tuple, fanout: bool = True) -> bool:
+        """Handle an ERROR, TRACE or CHECKPOINT the same way in every
+        coordinator loop; False for any other message."""
+        tag = message[0]
+        if tag == ERROR:
+            raise ExecutionError(
+                f"worker {tags[message[1]]!r} crashed:\n{message[2]}")
+        if tag == TRACE:
+            for payload in message[2]:
+                tracer.ingest(payload)
+            return True
+        if tag == CHECKPOINT:
+            absorb_checkpoint(message, fanout)
+            return True
+        return False
+
     def fail_dead(dead: List[ProcessorId], reason: str) -> None:
         names = ", ".join(
             f"{tags[proc]!r} (exit code {processes[proc].exitcode})"
@@ -454,8 +499,24 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
         workers_started = True
 
         probes_sent = 0
-        previous: Optional[Dict[ProcessorId,
-                                Tuple[int, int, int, int, bool]]] = None
+        previous: Optional[Dict[ProcessorId, _Counters]] = None
+        # The coordinator's view between waves: the latest current-epoch
+        # ack or passive notice from each worker.  It only decides when
+        # the next wave goes out (see .protocol, "Passive notices").
+        view: Dict[ProcessorId, _Counters] = {}
+
+        def note(message: tuple) -> bool:
+            """Absorb ``message``; True iff it was a current-epoch ack
+            or notice, now folded into ``view``."""
+            if absorb_control(message) or message[0] != ACK:
+                return False
+            # (ACK, proc, seq, sent, received, activity, epoch, clock,
+            #  pending)
+            if message[6] != epoch:
+                return False
+            view[message[1]] = message[3:6] + message[7:]
+            return True
+
         # SSP horizon broadcast on the next probe wave: min clock over
         # workers whose last ack reported pending work, None when no
         # bound currently applies (free-running mode, first wave, the
@@ -471,7 +532,7 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
                 probes_sent += 1
             if tracing:
                 tracer.probe(seq=sequence, wave=len(order), horizon=horizon)
-            snapshot: Dict[ProcessorId, Tuple[int, int, int, int, bool]] = {}
+            snapshot: Dict[ProcessorId, _Counters] = {}
             wave_started = time.perf_counter()
             recovered = False
             while len(snapshot) < len(order):
@@ -485,23 +546,14 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
                     # Prefer a worker's own crash report when one is
                     # already queued (a polite crash exits 0 after
                     # posting ERROR; only truly silent deaths recover).
+                    # A checkpoint that raced the death is still the
+                    # latest one: absorbing it (and letting peers
+                    # truncate) comes before deciding how to respawn.
                     while True:
                         try:
-                            message = coordinator_queue.get_nowait()
+                            absorb_control(coordinator_queue.get_nowait())
                         except queue_module.Empty:
                             break
-                        if message[0] == ERROR:
-                            raise ExecutionError(
-                                f"worker {tags[message[1]]!r} crashed:\n"
-                                f"{message[2]}")
-                        if message[0] == TRACE:
-                            for payload in message[2]:
-                                tracer.ingest(payload)
-                        if message[0] == CHECKPOINT:
-                            # A snapshot that raced the death is still
-                            # the latest one; keep it (and let peers
-                            # truncate) before deciding how to respawn.
-                            absorb_checkpoint(message)
                     handle_dead(dead)
                     recovered = True
                     break
@@ -516,21 +568,9 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
                         timeout=min(probe_interval, deadline - now))
                 except queue_module.Empty:
                     continue
-                tag = message[0]
-                if tag == ERROR:
-                    raise ExecutionError(
-                        f"worker {tags[message[1]]!r} crashed:\n{message[2]}")
-                if tag == TRACE:
-                    for payload in message[2]:
-                        tracer.ingest(payload)
-                    continue
-                if tag == CHECKPOINT:
-                    absorb_checkpoint(message)
-                    continue
-                if tag == ACK and message[2] == sequence and message[6] == epoch:
-                    (_, proc, _seq, sent, received, activity, _epoch,
-                     clock, pending) = message
-                    snapshot[proc] = (sent, received, activity, clock, pending)
+                if note(message) and message[2] == sequence:
+                    proc = message[1]
+                    snapshot[proc] = view[proc]
                     last_acks[proc] = (epoch, sequence, snapshot[proc])
             if recovered:
                 # The aborted wave's counters are meaningless across the
@@ -540,6 +580,7 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
                 # clocks (one unbounded wave is within the SSP slack).
                 previous = None
                 horizon = None
+                view.clear()
                 continue
             if recovery_pending:
                 # First fully-acked wave after a death: every worker
@@ -551,30 +592,48 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
                 pending_clocks = [snapshot[p][3] for p in order
                                   if snapshot[p][4]]
                 horizon = min(pending_clocks) if pending_clocks else None
-            total_sent = sum(entry[0] for entry in snapshot.values())
-            total_received = sum(entry[1] for entry in snapshot.values())
-            balanced = total_sent == total_received
             unchanged = previous is not None and all(
                 snapshot[p][2] == previous[p][2] for p in order)
-            # ``pending`` must be clear too: an SSP-throttled worker can
-            # sit on staged input with static activity and balanced
-            # counters (see .protocol); the conjunct is sound — and a
-            # no-op in steady state — for the free-running mode as well.
-            if balanced and unchanged and not any(
-                    snapshot[p][4] for p in order):
+            # ``pending`` must be clear too (inside _quiet): an
+            # SSP-throttled worker can sit on staged input with static
+            # activity and balanced counters (see .protocol); the
+            # conjunct is sound — and a no-op in steady state — for the
+            # free-running mode as well.
+            if unchanged and _quiet(snapshot, len(order)):
                 break
             previous = snapshot
-            time.sleep(probe_interval)
+            # Send the next wave as soon as the view is quiet: at once
+            # when this wave was (no notice has superseded its acks),
+            # else on the notice that makes it so.  ``probe_interval``
+            # is only the fallback when no such notice comes.
+            wait_until = min(time.perf_counter() + probe_interval, deadline)
+            while not _quiet(view, len(order)):
+                remaining = wait_until - time.perf_counter()
+                if remaining <= 0:
+                    break
+                try:
+                    message = coordinator_queue.get(timeout=remaining)
+                except queue_module.Empty:
+                    break
+                note(message)
 
         for proc in order:
             inboxes[proc].put((STOP,))
-        outputs: Dict[ProcessorId, Dict[str, object]] = {}
+        # Results are pooled as they are dequeued, so one worker's rows
+        # are unioned in while the other is still packing its own.
+        output = Database()
+        pooled: Dict[str, Relation] = {}
+        for predicate in program.derived:
+            arity = program.program_for(order[0]).arities[predicate]
+            pooled[predicate] = make_relation(predicate, arity)
+            output.attach(pooled[predicate])
+        pooled_tuples = 0
         stats: Dict[ProcessorId, WorkerStats] = {}
-        while len(outputs) < len(order):
+        while len(stats) < len(order):
             now = time.perf_counter()
             if now > deadline:
                 silent = ", ".join(repr(tags[proc]) for proc in order
-                                   if proc not in outputs)
+                                   if proc not in stats)
                 raise expired(
                     f"workers did not report within {timeout} seconds "
                     f"(no result from {silent})")
@@ -583,7 +642,7 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
             # stop, so replay targets are gone and restart is no longer
             # possible — fail precisely instead.
             dead = [proc for proc in order
-                    if proc not in outputs
+                    if proc not in stats
                     and not processes[proc].is_alive()
                     and processes[proc].exitcode not in (None, 0)]
             if dead:
@@ -594,22 +653,17 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
                     timeout=min(0.1, deadline - now))
             except queue_module.Empty:
                 continue
-            tag = message[0]
-            if tag == ERROR:
-                raise ExecutionError(
-                    f"worker {tags[message[1]]!r} crashed:\n{message[2]}")
-            if tag == TRACE:
-                for payload in message[2]:
-                    tracer.ingest(payload)
+            # Workers have been told to stop; a late checkpoint keeps its
+            # slot current but skips the truncation fan-out (nobody will
+            # read it).
+            if absorb_control(message, fanout=False):
                 continue
-            if tag == CHECKPOINT:
-                # Workers have been told to stop; keep the slot current
-                # but skip the truncation fan-out (nobody will read it).
-                absorb_checkpoint(message, fanout=False)
-                continue
-            if tag == RESULT:
+            if message[0] == RESULT:
                 _, proc, worker_outputs, worker_stats = message
-                outputs[proc] = worker_outputs
+                for predicate, relation in pooled.items():
+                    facts = ensure_facts(worker_outputs.pop(predicate, ()))
+                    relation.update(facts)
+                    pooled_tuples += len(facts)
                 stats[proc] = worker_stats
                 if tracing:
                     tracer.worker_exit(tags[proc],
@@ -628,6 +682,7 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
                               processors=tuple(order), sync=sync,
                               staleness=staleness if sync == "ssp" else None)
     metrics.control_messages = probes_sent
+    metrics.pooled_tuples = pooled_tuples
     metrics.restarts = restarts
     metrics.recovery_seconds = recovery_seconds_total
     # Coordinator-side total: a worker's own checkpoint_bytes counter
@@ -657,18 +712,6 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
             metrics.channel_messages[(proc, target)] += count
         for target, nbytes in worker_stats.bytes_by_target.items():
             metrics.channel_bytes[(proc, target)] += nbytes
-
-    output = Database()
-    for predicate in program.derived:
-        arity = program.program_for(order[0]).arities[predicate]
-        pooled = make_relation(predicate, arity)
-        for proc in order:
-            # Popped, so each worker's payload (and its unpacked rows)
-            # is released as soon as it is pooled.
-            facts = ensure_facts(outputs[proc].pop(predicate, ()))
-            pooled.update(facts)
-            metrics.pooled_tuples += len(facts)
-        output.attach(pooled)
 
     wall_seconds = time.perf_counter() - started
     if tracing:

@@ -6,7 +6,10 @@ whatever arrived (receives are asynchronous — the paper's stipulation),
 routes new tuples through the compiled
 :class:`~repro.parallel.routing.RouterTable`, and answers the
 coordinator's quiescence probes with its counters (see
-:mod:`.protocol` for the probe/ack invariants).
+:mod:`.protocol` for the probe/ack invariants).  It also volunteers the
+same counters as a *passive notice* whenever a pass of its loop did
+work and left no staged input, so the coordinator can send the next
+probe wave the moment the cluster may be idle instead of on a timer.
 
 Send coalescing.  Outbound tuples are not put on peer queues as they
 are routed: they accumulate in a per-peer buffer across the steps of
@@ -426,6 +429,15 @@ def worker_main(program: ProcessorProgram,
                     if bucket:
                         enqueue(target, predicate, bucket)
 
+        def report(seq: int) -> None:
+            """Put this worker's quiescence counters on the coordinator
+            queue: the ack of probe ``seq``, or with ``seq == 0`` a
+            passive notice (see :mod:`.protocol`)."""
+            coordinator_queue.put(
+                (ACK, me, seq, epoch_sent, epoch_received, activity,
+                 epoch, runtime.counters.iterations,
+                 runtime.has_pending_input()))
+
         def flush_delayed() -> None:
             """Deliver sends an injected delay fault held back."""
             if not delayed:
@@ -622,10 +634,7 @@ def worker_main(program: ProcessorProgram,
                     stats.probes = runtime.counters.probes
                     stats.iterations = runtime.counters.iterations
                     stats.duplicates_dropped = runtime.duplicates_dropped
-                    coordinator_queue.put(
-                        (ACK, me, seq, epoch_sent, epoch_received, activity,
-                         epoch, runtime.counters.iterations,
-                         runtime.has_pending_input()))
+                    report(seq)
                     if trace:
                         tracer.probe(tag, seq=seq, activity=activity)
                         flush_trace()
@@ -695,6 +704,12 @@ def worker_main(program: ProcessorProgram,
                     bursts_since_checkpoint = 0
                     take_checkpoint()
             if drained_any or stepped:
+                if not runtime.has_pending_input():
+                    # Idle after doing work: a passive notice lets the
+                    # coordinator start its next probe wave now instead
+                    # of at its fallback period (a hint, never a wave
+                    # member — see .protocol).
+                    report(0)
                 idle_poll = _POLL_MIN_SECONDS
             else:
                 idle_poll = min(idle_poll * 2, _POLL_MAX_SECONDS)

@@ -74,6 +74,29 @@ class TestPackRoundTrip:
         assert kinds[1] == "i"
         assert unpack_facts(payload) == facts
 
+    def test_int64_boundaries(self):
+        # The two extremes of int64 stay in the int column; one past
+        # either end falls out to a value encoding.
+        for inside in (2 ** 63 - 1, -2 ** 63):
+            kind, raw = _encode_column([inside, 0])
+            assert kind == "i"
+            assert len(raw) == 2 * 8
+        for outside in (2 ** 63, -2 ** 63 - 1):
+            assert _encode_column([outside, 0])[0] != "i"
+        facts = [(2 ** 63 - 1, 2 ** 63), (-2 ** 63, -2 ** 63 - 1)]
+        payload = pack_facts(facts)
+        assert [column[0] for column in payload[3]] == ["i", "v"]
+        assert unpack_facts(payload) == facts
+
+    def test_int_subclass_not_collapsed_into_int_column(self):
+        class Tagged(int):
+            pass
+
+        facts = [(Tagged(1),), (Tagged(2),)]
+        payload = pack_facts(facts)
+        assert payload[3][0][0] != "i"
+        assert all(type(fact[0]) is Tagged for fact in unpack_facts(payload))
+
     def test_bool_not_collapsed_into_int_column(self):
         # bools share equality with 0/1 but must survive as bools.
         facts = [(True, 1), (False, 2)]

@@ -1,6 +1,8 @@
 """Tests for relations and their incremental indexes."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.facts import Relation
 
@@ -91,3 +93,70 @@ class TestRelation:
         relation.add((1,))
         assert (1,) in view
         assert len(view) == 1
+
+
+_facts = st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=30)
+# How the batch reaches update(): the C-level path takes lists, tuples,
+# sets and relations of plain tuples; lists-as-facts and generators take
+# the per-fact loop.
+_shapes = st.sampled_from(["list", "tuple", "set", "list-of-lists",
+                           "generator"])
+
+
+def _shaped(facts, shape):
+    if shape == "relation":
+        return Relation("q", 2, facts)
+    if shape == "list":
+        return list(facts)
+    if shape == "tuple":
+        return tuple(facts)
+    if shape == "set":
+        return set(facts)
+    if shape == "list-of-lists":
+        return [list(fact) for fact in facts]
+    return (fact for fact in facts)
+
+
+class TestUpdateMatchesAddLoop:
+    @given(initial=_facts, batch=_facts,
+           shape=_shapes | st.just("relation"), indexed=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_same_facts_indexes_and_count(self, initial, batch, shape,
+                                          indexed):
+        bulk = Relation("p", 2, initial)
+        reference = Relation("p", 2, initial)
+        if indexed:
+            bulk.index_on((1,))
+            reference.index_on((1,))
+        added = bulk.update(_shaped(batch, shape))
+        expected = sum(reference.add(fact) for fact in batch)
+        assert added == expected
+        assert bulk.as_set() == reference.as_set()
+        if indexed:
+            for value in range(6):
+                assert (sorted(bulk.lookup((1,), (value,)))
+                        == sorted(reference.lookup((1,), (value,))))
+
+    @given(initial=_facts, batch=_facts, shape=_shapes,
+           indexed=st.booleans(), bad_at=st.integers(0, 30))
+    @settings(max_examples=100, deadline=None)
+    def test_wrong_arity_raises_and_changes_nothing(self, initial, batch,
+                                                    shape, indexed, bad_at):
+        relation = Relation("p", 2, initial)
+        if indexed:
+            relation.index_on((0,))
+        bad = list(batch)
+        bad.insert(min(bad_at, len(bad)), (1, 2, 3))
+        before = relation.as_set()
+        with pytest.raises(ValueError):
+            relation.update(_shaped(bad, shape))
+        assert relation.as_set() == before
+        if indexed:
+            assert (sum(len(list(relation.lookup((0,), (v,))))
+                        for v in range(6)) == len(before))
+
+    def test_relation_of_another_arity_rejected(self):
+        relation = Relation("p", 2, [(1, 2)])
+        with pytest.raises(ValueError):
+            relation.update(Relation("q", 3, [(1, 2, 3)]))
+        assert relation.as_set() == {(1, 2)}

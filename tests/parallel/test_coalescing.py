@@ -25,27 +25,8 @@ from repro.parallel import (
     run_parallel,
 )
 from repro.parallel.mp import run_multiprocessing
-from repro.parallel.mp.protocol import typed_sort_key
 from repro.parallel.mp.worker import _COALESCE_MAX_FACTS
 from repro.workloads import ancestor_program
-
-
-class TestTypedSortKey:
-    def test_ints_sort_numerically_not_by_repr(self):
-        facts = [(10,), (9,), (2,)]
-        assert sorted(facts, key=typed_sort_key) == [(2,), (9,), (10,)]
-        # repr order would have put "10" before "9".
-        assert sorted(facts, key=repr) != sorted(facts, key=typed_sort_key)
-
-    def test_mixed_types_sort_without_type_error(self):
-        facts = [(1, "b"), ("a", 2), (1, "a"), ("a", 1)]
-        ordered = sorted(facts, key=typed_sort_key)
-        assert ordered == [(1, "a"), (1, "b"), ("a", 1), ("a", 2)]
-
-    def test_total_order_is_deterministic(self):
-        facts = [("x",), (3,), (None,), (2.5,), (True,)]
-        assert (sorted(facts, key=typed_sort_key)
-                == sorted(reversed(facts), key=typed_sort_key))
 
 
 class TestSimulatorChannelCounters:

@@ -329,3 +329,15 @@ class TestKnobValidation:
         program = example3_scheme(ancestor, (0, 1))
         with pytest.raises(ConfigurationError, match="ack deadline"):
             run_multiprocessing(program, chain_db, ack_timeout=0.0)
+
+    @pytest.mark.parametrize("knob, value", [
+        ("probe_interval", -0.01), ("probe_interval", 0.0),
+        ("timeout", -1.0), ("timeout", 0.0)])
+    def test_non_positive_periods_rejected(self, ancestor, chain_db, knob,
+                                           value):
+        # A negative probe_interval used to surface as a raw
+        # "sleep length must be non-negative" after the first wave, and
+        # zero spun the coordinator; both are rejected before any spawn.
+        program = example3_scheme(ancestor, (0, 1))
+        with pytest.raises(ConfigurationError, match=knob):
+            run_multiprocessing(program, chain_db, **{knob: value})
