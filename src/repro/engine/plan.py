@@ -12,18 +12,17 @@ share that contract:
 
 * the **vectorized kernel** (default) — executes the plan over the
   *whole input batch at once* instead of one backtracking probe per
-  tuple: the
-  first step's matches become value columns, each later step groups
-  the surviving rows by their join key and probes the index **once per
-  distinct key** (amortizing hash lookups across duplicate keys),
-  expanding rows against cached bucket-column gathers
-  (:meth:`~repro.facts.index.HashIndex.bucket_column`) with C-level
-  ``extend``/``repeat`` loops.  Counter totals (probes = partial
+  tuple: the first step's matches become value columns, and each later
+  step expands the rows against their keys' buckets at C speed — one
+  bulk :meth:`~repro.facts.index.HashIndex.lookup_many` per level
+  where keys barely repeat, one lookup and one column gather per
+  distinct key where they repeat — so its Python work is per level and
+  per distinct bucket, never per row.  Counter totals (probes = partial
   bindings arriving at each step, firings = ground substitutions) are
   identical to the other kernels by construction, so the bench
   harness's A/B divergence gates apply unchanged.  Emission *order*
-  within a batch may differ from the depth-first kernels (grouping
-  reorders rows); all consumers are order-insensitive sets/counters.
+  within a batch may differ from the depth-first kernels; all
+  consumers are order-insensitive sets/counters.
   The batch leaves the kernel whole — one ``zip`` over the head
   columns — and every consumer (the round close of
   :mod:`.seminaive`, the processor runtimes) takes it as one list.
@@ -49,10 +48,10 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import chain, compress, islice, repeat
 from operator import itemgetter
-from typing import (Callable, Dict, Iterator, List, Optional, Sequence, Set,
-                    Tuple)
+from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List,
+                    Optional, Sequence, Set, Tuple)
 
 from ..datalog.atom import Atom
 from ..datalog.rule import Constraint, Rule
@@ -68,6 +67,10 @@ __all__ = ["JOIN_KERNELS", "PlanStep", "RulePlan", "join_kernel",
            "join_kernel_enabled", "set_join_kernel"]
 
 _MISSING = object()
+
+# Constraints over one step's atom alone, each with the position in the
+# atom of every variable it reads (see ``_PlanKernel.fact_constraints``).
+_FactConstraints = Tuple[Tuple[Constraint, Dict[Variable, int]], ...]
 
 # The selectable execution paths, mirroring REPRO_FACT_BACKEND /
 # REPRO_ROUTE_KERNEL: a name picks the path, the env var picks the
@@ -201,17 +204,34 @@ class _PlanKernel:
             ``("c", value)`` head constant, ``("b", variable)`` value
             bound by an outer step, or ``("p", position)`` value read
             from the bucket's ``position`` column.
+        fact_constraints: per step, the constraints over that step's
+            atom alone, each with its variables' positions in the atom:
+            a function of the matched fact, so the vectorized kernel
+            checks them once per bucket fact, before the rows expand.
+        row_constraints: per step, its other constraints, checked on
+            the expanded rows.
+        live: per step, the variables read after it has matched — by
+            its row constraints, a later step's key, check or
+            constraint, or the head.  The vectorized kernel carries
+            only these columns from one level to the next.
     """
 
-    __slots__ = ("steps", "head_parts", "emit_slots")
+    __slots__ = ("steps", "head_parts", "emit_slots", "fact_constraints",
+                 "row_constraints", "live")
 
     def __init__(self, steps: Tuple[_StepKernel, ...],
                  head_parts: Tuple[Tuple[bool, object], ...],
-                 emit_slots: Optional[Tuple[Tuple[str, object], ...]] = None,
+                 emit_slots: Optional[Tuple[Tuple[str, object], ...]],
+                 fact_constraints: Tuple[_FactConstraints, ...],
+                 row_constraints: Tuple[Tuple[Constraint, ...], ...],
+                 live: Tuple[FrozenSet[Variable], ...],
                  ) -> None:
         self.steps = steps
         self.head_parts = head_parts
         self.emit_slots = emit_slots
+        self.fact_constraints = fact_constraints
+        self.row_constraints = row_constraints
+        self.live = live
 
 
 def _satisfied_boxed(constraint: Constraint, variables, values) -> bool:
@@ -297,6 +317,117 @@ def _keep_rows(cols: Dict[Variable, List[object]], mask: List[bool],
              for variable, column in cols.items()}, sum(mask))
 
 
+def _carry(carried: List[Tuple[Variable, Sequence[object]]],
+           counts: List[int], n: int,
+           ) -> Tuple[Dict[Variable, Sequence[object]], int]:
+    """The carried columns of a level whose row ``i`` matched
+    ``counts[i]`` facts, and the level's output row count.
+
+    Each row's values are repeated by its count, row-major, at C speed.
+    Where no row matched more than once (a chain) the columns are only
+    compressed — or kept as they are when every row matched once.
+    """
+    total = sum(counts)
+    if max(counts) > 1:
+        return ({variable: list(chain.from_iterable(map(repeat, column,
+                                                        counts)))
+                 for variable, column in carried}, total)
+    if total == n:
+        return dict(carried), total
+    return ({variable: list(compress(column, counts))
+             for variable, column in carried}, total)
+
+
+def _fact_mask(facts: List[Fact],
+               constraints: _FactConstraints) -> List[bool]:
+    """One verdict per fact: does it satisfy every fact-local constraint?
+
+    Each constraint reads its variables straight off the facts'
+    positions (one ``itemgetter`` map per variable) and decides the
+    whole list in one column-wise call.
+    """
+    masks = [_constraint_mask(constraint, {
+                 variable: list(map(itemgetter(position), facts))
+                 for variable, position in position_of.items()})
+             for constraint, position_of in constraints]
+    return masks[0] if len(masks) == 1 else list(map(all, zip(*masks)))
+
+
+def _filter_buckets(buckets: List[Iterable[Fact]], kstep: _StepKernel,
+                    fact_constraints: _FactConstraints,
+                    ) -> List[List[Fact]]:
+    """The distinct buckets of a level, each cut to the facts that pass
+    the step's per-fact checks.
+
+    Constants and repeated variables the lookup does not guarantee are
+    checked fact by fact; fact-local constraints decide every bucket's
+    facts in one column-wise call, whose verdicts are then dealt back
+    bucket by bucket.
+    """
+    if kstep.const_checks or kstep.same_checks:
+        buckets = [[fact for fact in bucket
+                    if all(fact[position] == value
+                           for position, value in kstep.const_checks)
+                    and all(fact[position] == fact[earlier]
+                            for position, earlier in kstep.same_checks)]
+                   for bucket in buckets]
+    if fact_constraints:
+        verdicts = iter(_fact_mask(list(chain.from_iterable(buckets)),
+                                   fact_constraints))
+        buckets = [list(compress(bucket, islice(verdicts, len(bucket))))
+                   for bucket in buckets]
+    return buckets
+
+
+def _expand_rows(buckets: List[Iterable[Fact]], n: int,
+                 carried: List[Tuple[Variable, Sequence[object]]],
+                 new_specs: List[Tuple[int, Variable]],
+                 fact_constraints: _FactConstraints,
+                 ) -> Tuple[Dict[Variable, Sequence[object]], int]:
+    """Expand a level whose row ``i`` matches every fact of ``buckets[i]``.
+
+    The form for keys that barely repeat: the facts are chained in row
+    order, fact-local constraints cut the expanded rows by one mask, and
+    every newly bound column is read off the facts with one
+    ``itemgetter`` map.
+    """
+    out, total = _carry(carried, list(map(len, buckets)), n)
+    right = list(chain.from_iterable(buckets))
+    if fact_constraints:
+        mask = _fact_mask(right, fact_constraints)
+        right = list(compress(right, mask))
+        out = {variable: list(compress(column, mask))
+               for variable, column in out.items()}
+        total = len(right)
+    for position, variable in new_specs:
+        out[variable] = list(map(itemgetter(position), right))
+    return out, total
+
+
+def _expand_shared(keys: Sequence[object], distinct: Sequence[object],
+                   buckets: List[Iterable[Fact]], n: int,
+                   carried: List[Tuple[Variable, Sequence[object]]],
+                   new_specs: List[Tuple[int, Variable]],
+                   ) -> Tuple[Dict[Variable, Sequence[object]], int]:
+    """Expand a level whose rows share buckets: row ``i`` matches every
+    fact of ``buckets[j]`` where ``distinct[j] == keys[i]``.
+
+    The form for keys that repeat: each distinct bucket is measured and
+    has its newly bound columns gathered once; every row then looks its
+    count and columns up by key and the columns are chained in row
+    order — C calls per level and column, none per row.
+    """
+    count_of = dict(zip(distinct, map(len, buckets)))
+    out, total = _carry(carried, list(map(count_of.__getitem__, keys)), n)
+    for position, variable in new_specs:
+        # One gathered list per bucket: list(map(getter, bucket)).
+        column_of = dict(zip(distinct, map(list, map(
+            map, repeat(itemgetter(position)), buckets))))
+        out[variable] = list(chain.from_iterable(
+            map(column_of.__getitem__, keys)))
+    return out, total
+
+
 def _compile_kernel(plan: "RulePlan") -> _PlanKernel:
     """Specialize ``plan`` into a :class:`_PlanKernel`."""
     bound_before: Set[Variable] = set()
@@ -372,8 +503,34 @@ def _compile_kernel(plan: "RulePlan") -> _PlanKernel:
                 else:
                     slots.append(("b", part))
             emit_slots = tuple(slots)
+    fact_constraints = []
+    row_constraints = []
+    for step in plan.steps:
+        position_of: Dict[Variable, int] = {}
+        for position, term in enumerate(step.atom.terms):
+            if isinstance(term, Variable):
+                position_of.setdefault(term, position)
+        on_fact = tuple(c for c in step.constraints
+                        if set(c.variables) <= position_of.keys())
+        fact_constraints.append(tuple(
+            (c, {variable: position_of[variable] for variable in c.variables})
+            for c in on_fact))
+        row_constraints.append(tuple(c for c in step.constraints
+                                     if c not in on_fact))
+    needed = {part for is_var, part in head_parts if is_var}
+    live: List[FrozenSet[Variable]] = []
+    for level in range(len(steps) - 1, -1, -1):
+        for constraint in row_constraints[level]:
+            needed.update(constraint.variables)
+        live.append(frozenset(needed))
+        kstep = steps[level]
+        needed.update(part for is_var, part in kstep.key_parts if is_var)
+        needed.update(variable for _position, variable in kstep.bound_checks)
     return _PlanKernel(steps=tuple(steps), head_parts=head_parts,
-                       emit_slots=emit_slots)
+                       emit_slots=emit_slots,
+                       fact_constraints=tuple(fact_constraints),
+                       row_constraints=tuple(row_constraints),
+                       live=tuple(reversed(live)))
 
 
 @dataclass(frozen=True)
@@ -620,26 +777,40 @@ class RulePlan:
         """Batch semi-join: the whole step-0 input processed at once.
 
         The first step's matches become per-variable value columns (one
-        list per bound variable, row-aligned).  Each later step groups
-        the surviving rows by their join key and probes the index
-        **once per distinct key** — duplicate keys, the common case in
-        a transitive-closure delta, amortize the hash lookup, the
-        bucket resolution and the residual const/repeated-variable
-        checks across every row sharing the key.  Matching rows expand
-        against the bucket's gathered columns
-        (:meth:`~repro.facts.index.HashIndex.bucket_column`, cached per
-        bucket under the columnar backend) with C-level
-        ``list.extend`` / ``itertools.repeat`` loops; the head batch is
-        one ``zip`` over the final columns.
+        list per bound variable, row-aligned).  Each later step expands
+        the rows against the buckets their join keys probe, in one of
+        two forms chosen per level from the data — one C-level
+        ``dict.fromkeys`` over the key column counts the distinct keys:
+
+        * **keys that barely repeat** (more distinct keys than half the
+          rows, no per-fact check; a chain's delta): no grouping.  One
+          :meth:`~repro.facts.index.HashIndex.lookup_many` resolves
+          every row's bucket, the buckets are chained, and each column
+          is one ``map`` over the facts or the per-row counts
+          (:func:`_expand_rows`);
+        * **keys that repeat** (a DAG's or a non-linear rule's delta):
+          every distinct key's bucket is looked up, filtered and
+          gathered into value columns once, and each row chains its
+          key's columns (:func:`_expand_shared`).
+
+        Either way the Python work is per level and per distinct
+        bucket, never per row.  Constants and repeated variables in the
+        probed atom are checked once per distinct bucket; equalities on
+        bound variables once per (row, fact).  A constraint over the
+        probed atom's variables alone is a function of the fact, so it
+        cuts the distinct buckets before the rows expand; the step's
+        other constraints cut the expanded rows.  Only the columns a
+        later step, constraint or the head reads are carried forward.
+        The head batch is one ``zip`` over the final columns.
 
         Counter identity with the other kernels holds by construction:
         step 0 records one probe (one ``candidates()`` call in the
         compiled path), every later step records one probe per row
         arriving at it (one ``candidates()`` call per partial binding),
         and firings equal the final row count (one per ground
-        substitution).  Emission *order* differs from the depth-first
-        kernels beyond two steps (grouping reorders rows); every
-        consumer treats emissions as a multiset, so answers, counters
+        substitution).  Emission *order* within the batch differs from
+        the depth-first kernels and between the two forms; every
+        consumer treats the batch as a multiset, so answers, counters
         and round structure are unaffected.
         """
         empty_binding = Substitution.empty()
@@ -741,7 +912,7 @@ class RulePlan:
         for constraint in self.steps[0].constraints:
             cols, n = _keep_rows(cols, _constraint_mask(constraint, cols))
 
-        # ---- steps 1..depth-1: group, probe once per key, expand ----
+        # ---- steps 1..depth-1: probe, expand -------------------------
         for level in range(1, depth):
             if not n:
                 return []
@@ -749,141 +920,64 @@ class RulePlan:
             index, relation = sources[level]
             if counters is not None:
                 counters.record_probe(n)
-            const_checks = kstep.const_checks
-            same_checks = kstep.same_checks
-            bound_checks = kstep.bound_checks
-            bind_specs = kstep.bind_specs
-            prefilter = const_checks or same_checks
+            live = kernel.live[level]
+            carried = [(variable, column) for variable, column in cols.items()
+                       if variable in live]
+            new_specs = [(position, variable)
+                         for position, variable in kstep.bind_specs
+                         if variable in live]
+            fact_constraints = kernel.fact_constraints[level]
+            prefilter = kstep.const_checks or kstep.same_checks
 
-            # Group the surviving rows by join key (first-occurrence
-            # key order): every distinct key resolves its bucket once.
-            wrap = False
+            # One probe key per row: a single-variable key is its raw
+            # column (wrapped into the index's 1-tuple key only to look
+            # a bucket up), a wider one is zipped once.  A constant key
+            # or a full scan is one bucket every row shares.
             if index is None or kstep.const_key is not None:
-                groups: Dict[object, object] = {kstep.const_key: range(n)}
-            elif len(kstep.key_parts) == 1:
-                # Single-variable key: group on the raw value and wrap
-                # it into the index's tuple key once per distinct key.
-                wrap = True
-                keycol = cols[kstep.key_parts[0][1]]
-                groups = {}
-                for i, value in enumerate(keycol):
-                    group = groups.get(value)
-                    if group is None:
-                        groups[value] = [i]
-                    else:
-                        group.append(i)
+                keys: Sequence[object] = [None] * n
+                distinct: Optional[List[object]] = [None]
+                buckets = [relation.facts() if index is None
+                           else index.lookup(kstep.const_key)]
             else:
-                parts = [cols[part] if is_var else repeat(part)
-                         for is_var, part in kstep.key_parts]
-                groups = {}
-                for i, row_key in enumerate(zip(*parts)):
-                    group = groups.get(row_key)
-                    if group is None:
-                        groups[row_key] = [i]
-                    else:
-                        group.append(i)
-
-            out_cols: Dict[Variable, List[object]] = {
-                variable: [] for variable in cols}
-            old_pairs = [(cols[variable], out_cols[variable])
-                         for variable in cols]
-            new_cols: List[List[object]] = [[] for _ in bind_specs]
-            slow = bool(bound_checks)
-            out_n = 0
-
-            for group_key, rows_idx in groups.items():
-                if index is None:
-                    bucket = relation.facts()
-                    probe_key = None
+                wrap = len(kstep.key_parts) == 1
+                if wrap:
+                    keys = cols[kstep.key_parts[0][1]]
                 else:
-                    probe_key = (group_key,) if wrap else group_key
-                    bucket = index.lookup(probe_key)
-                if prefilter:
-                    facts = []
-                    for fact in bucket:
-                        ok = True
-                        for position, value in const_checks:
-                            if fact[position] != value:
-                                ok = False
-                                break
-                        if ok:
-                            for position, earlier in same_checks:
-                                if fact[position] != fact[earlier]:
-                                    ok = False
-                                    break
-                        if ok:
-                            facts.append(fact)
-                    m = len(facts)
-                    if not m:
-                        continue
-                    bcols = [[fact[position] for fact in facts]
-                             for position, _variable in bind_specs]
-                    ccols = [[fact[position] for fact in facts]
-                             for position, _variable in bound_checks]
+                    keys = list(zip(*[cols[part] if is_var else repeat(part)
+                                      for is_var, part in kstep.key_parts]))
+                distinct = list(dict.fromkeys(keys))
+                if (2 * len(distinct) > n and not prefilter
+                        and not kstep.bound_checks):
+                    # Keys that barely repeat: sharing buckets saves
+                    # nothing, so look every row's key up in bulk.
+                    distinct = None
+                    buckets = index.lookup_many(zip(keys) if wrap else keys)
                 else:
-                    m = len(bucket)
-                    if not m:
-                        continue
-                    if index is not None:
-                        bcols = [index.bucket_column(probe_key, position)
-                                 for position, _variable in bind_specs]
-                        ccols = [index.bucket_column(probe_key, position)
-                                 for position, _variable in bound_checks]
-                    else:
-                        facts = list(bucket)
-                        bcols = [[fact[position] for fact in facts]
-                                 for position, _variable in bind_specs]
-                        ccols = [[fact[position] for fact in facts]
-                                 for position, _variable in bound_checks]
-
-                if not slow:
-                    # Fast expansion: every bucket fact matches every
-                    # row of the group.
-                    r = len(rows_idx)
-                    if m == 1:
-                        for col, out in old_pairs:
-                            out.extend(col[i] for i in rows_idx)
-                    else:
-                        for col, out in old_pairs:
-                            for i in rows_idx:
-                                out.extend(repeat(col[i], m))
-                    if r == 1:
-                        for bcol, out in zip(bcols, new_cols):
-                            out.extend(bcol)
-                    else:
-                        for bcol, out in zip(bcols, new_cols):
-                            out.extend(bcol * r)
-                    out_n += m * r
-                    continue
-
-                # Slow expansion: bound-variable equalities need each
-                # row's own values.
-                for i in rows_idx:
-                    js = [j for j in range(m)
-                          if all(ccol[j] == cols[variable][i]
-                                 for (_position, variable), ccol
-                                 in zip(bound_checks, ccols))]
-                    if not js:
-                        continue
-                    count = len(js)
-                    if count == 1:
-                        for col, out in old_pairs:
-                            out.append(col[i])
-                    else:
-                        for col, out in old_pairs:
-                            out.extend(repeat(col[i], count))
-                    for bcol, out in zip(bcols, new_cols):
-                        for j in js:
-                            out.append(bcol[j])
-                    out_n += count
-
-            cols = out_cols
-            for (position, variable), column in zip(bind_specs, new_cols):
-                cols[variable] = column
-            n = out_n
-            # Constraints pushed to this step: one column-wise pass over
+                    buckets = index.lookup_many(zip(distinct) if wrap
+                                                else distinct)
+            if distinct is not None and (prefilter or fact_constraints):
+                buckets = _filter_buckets(buckets, kstep, fact_constraints)
+                fact_constraints = ()
+            if kstep.bound_checks:
+                # Equalities on variables bound by earlier steps: every
+                # row keeps the facts of its bucket that agree with it.
+                bucket_of = dict(zip(distinct, buckets))
+                checks = [(position, cols[variable])
+                          for position, variable in kstep.bound_checks]
+                buckets = [[fact for fact in bucket_of[key]
+                            if all(fact[position] == column[i]
+                                   for position, column in checks)]
+                           for i, key in enumerate(keys)]
+                distinct = None
+            if distinct is None:
+                cols, n = _expand_rows(buckets, n, carried, new_specs,
+                                       fact_constraints)
+            else:
+                cols, n = _expand_shared(keys, distinct, buckets, n,
+                                         carried, new_specs)
+            # The step's other constraints: one column-wise pass over
             # the expanded batch, before it reaches the next step.
-            for constraint in self.steps[level].constraints:
+            for constraint in kernel.row_constraints[level]:
                 cols, n = _keep_rows(cols, _constraint_mask(constraint, cols))
 
         # ---- head drain ---------------------------------------------

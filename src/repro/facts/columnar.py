@@ -29,10 +29,11 @@ with a different storage layout, selectable via
 with per-bucket **gathered key columns**: ``bucket_column(key, pos)``
 returns the position-``pos`` values of every fact in the bucket as one
 flat list, cached until the bucket next changes.  The compiled join
-kernel's columnar drain (:mod:`repro.engine.plan`) and the router's
-column partition path are built on these gathers: probing a static
-relation (e.g. ``edge`` in a transitive closure) re-uses the same
-gathered column across every round instead of re-walking fact tuples.
+kernel's columnar drain and the vectorized kernel's step-0 seed
+(:mod:`repro.engine.plan`) are built on these gathers: probing a
+static relation (e.g. ``edge`` in a transitive closure) re-uses the
+same gathered column across every round instead of re-walking fact
+tuples.
 
 numpy, when importable, is used only as an optional export format
 (:meth:`ColumnarRelation.column_array`); the stdlib ``array`` module is
@@ -72,21 +73,20 @@ class ColumnarIndex(HashIndex):
 
     def add(self, fact: Fact) -> None:
         if self._gathers:
-            self._gathers.pop(tuple(fact[p] for p in self.positions), None)
+            self._gathers.pop(self.key_of(fact), None)
         super().add(fact)
 
     def add_many(self, facts: Iterable[Fact]) -> None:
         if self._gathers:
-            gathers = self._gathers
-            positions = self.positions
             facts = list(facts)
-            for fact in facts:
-                gathers.pop(tuple(fact[p] for p in positions), None)
+            pop = self._gathers.pop
+            for key in set(self.keys_of(facts)):
+                pop(key, None)
         super().add_many(facts)
 
     def discard(self, fact: Fact) -> None:
         if self._gathers:
-            self._gathers.pop(tuple(fact[p] for p in self.positions), None)
+            self._gathers.pop(self.key_of(fact), None)
         super().discard(fact)
 
     def bucket_column(self, key: Tuple[object, ...],

@@ -1,6 +1,11 @@
 """Tests for hash indexes."""
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.facts import HashIndex
+from repro.facts.columnar import ColumnarIndex, ColumnarRelation
 
 
 class TestHashIndex:
@@ -80,3 +85,61 @@ class TestHashIndex:
         assert len(index) == 50
         index.discard((17, "never added"))
         assert len(index) == 50
+
+
+class TestLookupMany:
+    def test_one_bucket_per_key_in_order(self):
+        index = HashIndex((0,))
+        index.add_many([(1, "a"), (2, "b"), (1, "c")])
+        buckets = index.lookup_many([(2,), (1,), (2,)])
+        assert [list(bucket) for bucket in buckets] == [
+            [(2, "b")], [(1, "a"), (1, "c")], [(2, "b")]]
+
+    def test_missing_keys_get_empty_buckets(self):
+        index = HashIndex((0, 1))
+        index.add((1, 2, 3))
+        buckets = index.lookup_many(iter([(9, 9), (1, 2), (2, 1)]))
+        assert [list(bucket) for bucket in buckets] == [[], [(1, 2, 3)], []]
+        assert HashIndex((0,)).lookup_many([]) == []
+
+    def test_columnar_index_matches_lookup(self):
+        relation = ColumnarRelation("p", 2, [(1, 2), (1, 3), (2, 9)])
+        index = relation.index_on((0,))
+        assert isinstance(index, ColumnarIndex)
+        index.bucket_column((1,), 1)  # a warm gather must not matter
+        keys = [(1,), (3,), (2,)]
+        assert ([list(bucket) for bucket in index.lookup_many(keys)]
+                == [list(index.lookup(key)) for key in keys])
+
+    def test_keys_of_matches_key_of(self):
+        facts = [(1, "a", 3.0), (2, "b", 4.0)]
+        for positions in ((), (1,), (2, 0)):
+            index = HashIndex(positions)
+            assert list(index.keys_of(facts)) == [
+                index.key_of(fact) for fact in facts]
+
+
+_facts = st.lists(st.tuples(st.integers(0, 3), st.sampled_from("abc")),
+                  max_size=25)
+
+
+class TestAddManyProperty:
+    """``add_many`` is a loop of ``add``: same buckets in the same
+    order, duplicates (within the batch or already indexed) no-ops,
+    and ``len`` exact."""
+
+    @pytest.mark.parametrize("kind", [HashIndex, ColumnarIndex])
+    @pytest.mark.parametrize("positions", [(), (1,), (1, 0)])
+    @given(existing=_facts, batch=_facts)
+    @settings(max_examples=40, deadline=None)
+    def test_equals_loop_of_add(self, kind, positions, existing, batch):
+        bulk, single = kind(positions), kind(positions)
+        for fact in existing:
+            bulk.add(fact)
+            single.add(fact)
+        bulk.add_many(iter(batch + existing))
+        for fact in batch + existing:
+            single.add(fact)
+        assert len(bulk) == len(single) == len(set(existing + batch))
+        for key in {single.key_of(fact) for fact in existing + batch}:
+            assert list(bulk.lookup(key)) == list(single.lookup(key))

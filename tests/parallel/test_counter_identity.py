@@ -8,11 +8,19 @@ recorded at the commit before those changes (and are identical for the
 three join kernels, as the kernel-equivalence contract demands); any
 drift in the partition, the constraint pushdown, the routing or the
 byte model shows up here as a changed number.
+
+The shuffled chain pins the other end of the join kernel's shape
+range: every delta row carries its own join key, so the vectorized
+kernel expands it without grouping, where the DAG and the non-linear
+rule share buckets across rows.
 """
+
+import random
 
 import pytest
 
 from repro.engine.plan import JOIN_KERNELS, set_join_kernel
+from repro.facts import Database
 from repro.parallel import example3_scheme, rewrite_general, run_parallel
 from repro.workloads import ancestor_program, nonlinear_ancestor_program
 
@@ -38,7 +46,20 @@ PINNED = {
     ("general", "dag_db"): dict(
         firings=1545, probes=1635, rounds=5, tuples_sent=1514,
         channel_messages=28, channel_bytes=197908, duplicates_dropped=1065),
+    ("example3", "shuffled_chain_db"): dict(
+        firings=820, probes=940, rounds=40, tuples_sent=501,
+        channel_messages=213, channel_bytes=95439, duplicates_dropped=0),
+    ("general", "shuffled_chain_db"): dict(
+        firings=10700, probes=3325, rounds=7, tuples_sent=4312,
+        channel_messages=42, channel_bytes=558110, duplicates_dropped=4008),
 }
+
+
+@pytest.fixture
+def shuffled_chain_db():
+    """A 40-edge path over shuffled labels (``chain-rounds`` in small)."""
+    labels = random.Random(5).sample(range(400), 41)
+    return Database.from_facts({"par": list(zip(labels, labels[1:]))})
 
 
 @pytest.mark.parametrize("kernel", JOIN_KERNELS)
