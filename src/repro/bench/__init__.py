@@ -1,15 +1,13 @@
-"""Benchmark harness: claim tables, perf baselines and rendering.
-
-Two complementary halves:
+"""Benchmark harness: the paper's claim tables and their rendering.
 
 * :mod:`repro.bench.harness` — the paper's *qualitative* claim tables
-  (firings, tuples sent) behind ``benchmarks/``;
-* :mod:`repro.bench.perf` / :mod:`repro.bench.scenarios` /
-  :mod:`repro.bench.compare` — the *wall-clock* performance baseline
-  behind ``repro bench`` (see docs/PERFORMANCE.md).
+  (firings, tuples sent) behind ``benchmarks/test_bench_*.py``;
+* :mod:`repro.bench.reporting` — the plain-text table they render to.
+
+Wall-clock performance is measured by ``benchmarks/e2e/`` (see
+docs/PERFORMANCE.md).
 """
 
-from .compare import ComparisonResult, MetricDelta, compare_reports
 from .harness import (
     compare_schemes,
     default_schemes,
@@ -22,52 +20,19 @@ from .harness import (
     termination_overhead_table,
     tradeoff_sweep,
 )
-from .perf import (
-    BENCH_SCHEMA_VERSION,
-    load_report,
-    machine_fingerprint,
-    next_bench_path,
-    profile_scenario,
-    run_matrix,
-    run_scenario,
-    write_report,
-)
 from .reporting import ExperimentTable, render_table
-from .scenarios import (
-    PerfScenario,
-    default_matrix,
-    find_scenario,
-    matrix_by_name,
-    smoke_matrix,
-)
 
 __all__ = [
-    "BENCH_SCHEMA_VERSION",
-    "ComparisonResult",
     "ExperimentTable",
-    "MetricDelta",
-    "PerfScenario",
-    "compare_reports",
     "compare_schemes",
-    "default_matrix",
     "default_schemes",
-    "find_scenario",
     "general_scheme_table",
     "load_balance_table",
-    "load_report",
-    "machine_fingerprint",
-    "matrix_by_name",
     "network_minimality_table",
-    "next_bench_path",
-    "profile_scenario",
     "redundancy_table",
     "render_table",
-    "run_matrix",
-    "run_scenario",
     "scalability_sweep",
     "sequential_baseline",
-    "smoke_matrix",
     "termination_overhead_table",
     "tradeoff_sweep",
-    "write_report",
 ]

@@ -15,11 +15,6 @@ Usage (also available as ``python -m repro``)::
     repro network program.dl [--positions 1,2] [--linear 1,-1,1]
                    [--g-range 2]
     repro workloads
-    repro bench run [-o BENCH_1.json] [--matrix smoke] [--repeats 3]
-    repro bench compare BENCH_1.json BENCH_2.json [--threshold 0.1]
-                   [--counters-only]
-    repro bench profile engine-seminaive-chain-256 [--top 20]
-    repro bench list
 
 ``program.dl`` is a Datalog file; fact rules (``par(1, 2).``) may live
 in the program file itself or in a separate ``--facts`` file.
@@ -293,61 +288,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_run(args: argparse.Namespace) -> int:
-    from .bench import matrix_by_name, next_bench_path, run_matrix, write_report
-
-    matrix = matrix_by_name(args.matrix)
-    report = run_matrix(matrix, repeats=args.repeats, warmup=args.warmup,
-                        baseline=not args.no_baseline,
-                        only=args.only or None,
-                        progress=lambda line: print(line, flush=True))
-    path = args.output if args.output else next_bench_path()
-    write_report(report, path)
-    scenarios = report["scenarios"]
-    print(f"\nwrote {path}: {len(scenarios)} scenario(s), "
-          f"schema v{report['schema_version']}")
-    speedups = [r for r in scenarios if "kernel_speedup" in r]
-    if speedups:
-        best = max(speedups, key=lambda r: r["kernel_speedup"])
-        print(f"join-kernel speedup vs generic interpreter: best "
-              f"{best['kernel_speedup']}x on {best['name']}")
-    backends = [r for r in scenarios if "backend_speedup" in r]
-    if backends:
-        best = max(backends, key=lambda r: r["backend_speedup"])
-        print(f"columnar-backend speedup vs tuple backend: best "
-              f"{best['backend_speedup']}x on {best['name']}")
-    return 0
-
-
-def _cmd_bench_compare(args: argparse.Namespace) -> int:
-    from .bench import compare_reports, load_report
-
-    old = load_report(args.old)
-    new = load_report(args.new)
-    result = compare_reports(old, new, threshold=args.threshold,
-                             counters_only=args.counters_only,
-                             force_wall=args.force_wall)
-    print(result.render())
-    return 0 if result.ok else 1
-
-
-def _cmd_bench_profile(args: argparse.Namespace) -> int:
-    from .bench import profile_scenario
-
-    print(profile_scenario(args.scenario, top=args.top))
-    return 0
-
-
-def _cmd_bench_list(args: argparse.Namespace) -> int:
-    from .bench import matrix_by_name
-
-    for matrix_name in ("default", "smoke"):
-        print(f"{matrix_name} matrix:")
-        for scenario in matrix_by_name(matrix_name):
-            print(f"  {scenario.name:32s} {scenario.describe()}")
-    return 0
-
-
 def _cmd_workloads(_args: argparse.Namespace) -> int:
     from .workloads import make_workload, workload_kinds
 
@@ -479,58 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bursts between checkpoints on the checkpoint-"
                             "recovery cases")
     chaos.set_defaults(func=_cmd_chaos)
-
-    bench = commands.add_parser(
-        "bench", help="measure, compare and profile performance baselines")
-    bench_commands = bench.add_subparsers(dest="bench_command", required=True)
-
-    bench_run = bench_commands.add_parser(
-        "run", help="run a scenario matrix and write a BENCH_<n>.json")
-    bench_run.add_argument("-o", "--output", metavar="PATH",
-                           help="report path (default: first unused "
-                                "BENCH_<n>.json in the current directory)")
-    bench_run.add_argument("--matrix", choices=("default", "smoke"),
-                           default="default")
-    bench_run.add_argument("--repeats", type=int, default=3,
-                           help="measured runs per scenario; wall_seconds "
-                                "is their minimum")
-    bench_run.add_argument("--warmup", type=int, default=1,
-                           help="unmeasured warmup runs per scenario")
-    bench_run.add_argument("--only", metavar="SUBSTR", action="append",
-                           help="run only scenarios whose name contains "
-                                "SUBSTR; repeatable")
-    bench_run.add_argument("--no-baseline", action="store_true",
-                           help="skip the generic-join-interpreter baseline "
-                                "measurement on engine scenarios")
-    bench_run.set_defaults(func=_cmd_bench_run)
-
-    bench_compare = bench_commands.add_parser(
-        "compare", help="diff two BENCH_*.json reports; non-zero exit on "
-                        "regression")
-    bench_compare.add_argument("old", help="reference BENCH_*.json")
-    bench_compare.add_argument("new", help="candidate BENCH_*.json")
-    bench_compare.add_argument("--threshold", type=float, default=0.10,
-                               help="relative worsening that counts as a "
-                                    "regression (default 0.10 = 10%%)")
-    bench_compare.add_argument("--counters-only", action="store_true",
-                               help="gate only deterministic counter "
-                                    "metrics, never wall-clock (CI mode)")
-    bench_compare.add_argument("--force-wall", action="store_true",
-                               help="compare wall-clock even across "
-                                    "differing machine fingerprints")
-    bench_compare.set_defaults(func=_cmd_bench_compare)
-
-    bench_profile = bench_commands.add_parser(
-        "profile", help="cProfile one scenario + per-phase obs breakdown")
-    bench_profile.add_argument("scenario", help="scenario name "
-                                                "(see `repro bench list`)")
-    bench_profile.add_argument("--top", type=int, default=20,
-                               help="hot functions to print")
-    bench_profile.set_defaults(func=_cmd_bench_profile)
-
-    bench_list = bench_commands.add_parser(
-        "list", help="list the scenario matrices")
-    bench_list.set_defaults(func=_cmd_bench_list)
     return parser
 
 

@@ -3,14 +3,7 @@
 from .counters import EvalCounters
 from .evaluator import EvaluationResult, evaluate
 from .naive import naive_evaluate
-from .plan import (
-    JOIN_KERNELS,
-    PlanStep,
-    RulePlan,
-    join_kernel,
-    join_kernel_enabled,
-    set_join_kernel,
-)
+from .plan import PlanStep, RulePlan
 from .planner import compile_plan, order_body
 from .seminaive import (
     DELTA_SUFFIX,
@@ -27,7 +20,6 @@ __all__ = [
     "DeltaVariant",
     "EvalCounters",
     "EvaluationResult",
-    "JOIN_KERNELS",
     "PlanStep",
     "RulePlan",
     "Stratum",
@@ -35,10 +27,7 @@ __all__ = [
     "compile_plan",
     "delta_variants",
     "evaluate",
-    "join_kernel",
-    "join_kernel_enabled",
     "naive_evaluate",
     "order_body",
     "seminaive_evaluate",
-    "set_join_kernel",
 ]

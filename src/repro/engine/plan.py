@@ -6,52 +6,32 @@ step, the argument positions that are already bound when the step runs
 after the step (pushed as early as possible, mirroring the paper's
 discussion of pushing the discriminating selection into the join).
 
-Execution is a join over hash indexes returning the batch of head
-tuples, one per successful ground substitution.  Three implementations
-share that contract:
-
-* the **vectorized kernel** (default) — executes the plan over the
-  *whole input batch at once* instead of one backtracking probe per
-  tuple: the first step's matches become value columns, and each later
-  step expands the rows against their keys' buckets at C speed — one
-  bulk :meth:`~repro.facts.index.HashIndex.lookup_many` per level
-  where keys barely repeat, one lookup and one column gather per
-  distinct key where they repeat — so its Python work is per level and
-  per distinct bucket, never per row.  Counter totals (probes = partial
-  bindings arriving at each step, firings = ground substitutions) are
-  identical to the other kernels by construction, so the bench
-  harness's A/B divergence gates apply unchanged.  Emission *order*
-  within a batch may differ from the depth-first kernels; all
-  consumers are order-insensitive sets/counters.
-  The batch leaves the kernel whole — one ``zip`` over the head
-  columns — and every consumer (the round close of
-  :mod:`.seminaive`, the processor runtimes) takes it as one list.
-* the **compiled kernel** — a depth-first nested-loops join: on first
-  execution the plan is specialized into per-step key extractors,
-  per-position match checks and a head template, all resolved at
-  compile time, and run as a single iterative backtracking loop.  The
-  per-tuple ``isinstance``/dict-dispatch work of the interpretive path
-  is hoisted out entirely; positions guaranteed equal by the index
-  lookup are not re-checked.
-* the **generic interpreter** — the original recursive reference
-  implementation, kept both as executable documentation and as the
-  baseline the performance harness (``repro bench``) measures the
-  kernels against.  Equivalence (identical fact sets, firing and probe
-  counts) is property-tested across the full kernel × backend grid.
-
-:func:`set_join_kernel` switches the process-wide default (accepting a
-kernel name, or a bool for backward compatibility);
-``RulePlan.execute(..., kernel="generic")`` overrides it per call.
+Execution is a batch join over hash indexes returning the batch of
+head tuples, one per successful ground substitution.  It runs the plan
+over the *whole input batch at once* instead of one backtracking probe
+per tuple: the first step's matches become value columns, and each
+later step expands the rows against their keys' buckets at C speed —
+one bulk :meth:`~repro.facts.index.HashIndex.lookup_many` per level
+where keys barely repeat, one lookup and one column gather per distinct
+key where they repeat — so its Python work is per level and per
+distinct bucket, never per row.  Counter totals (probes = partial
+bindings arriving at each step, firings = ground substitutions) are
+those of a depth-first nested-loops join over the same plan; the test
+suite holds the batch, as a multiset, and both counters to a recursive
+reference interpreter (``tests/reference_join.py``).  Emission *order*
+within a batch is unspecified; all consumers are order-insensitive
+sets/counters.  The batch leaves the join whole — one ``zip`` over the
+head columns — and every consumer (the round close of
+:mod:`.seminaive`, the processor runtimes) takes it as one list.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from itertools import chain, compress, islice, repeat
 from operator import itemgetter
-from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List,
-                    Optional, Sequence, Set, Tuple)
+from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence,
+                    Set, Tuple)
 
 from ..datalog.atom import Atom
 from ..datalog.rule import Constraint, Rule
@@ -63,64 +43,11 @@ from ..facts.database import Database
 from ..facts.relation import Fact
 from .counters import EvalCounters
 
-__all__ = ["JOIN_KERNELS", "PlanStep", "RulePlan", "join_kernel",
-           "join_kernel_enabled", "set_join_kernel"]
-
-_MISSING = object()
+__all__ = ["PlanStep", "RulePlan"]
 
 # Constraints over one step's atom alone, each with the position in the
 # atom of every variable it reads (see ``_PlanKernel.fact_constraints``).
 _FactConstraints = Tuple[Tuple[Constraint, Dict[Variable, int]], ...]
-
-# The selectable execution paths, mirroring REPRO_FACT_BACKEND /
-# REPRO_ROUTE_KERNEL: a name picks the path, the env var picks the
-# process default at import time so a whole run (tests, benchmarks) can
-# be forced onto one path without touching code.
-JOIN_KERNELS = ("generic", "compiled", "vectorized")
-
-_kernel_name = os.environ.get("REPRO_JOIN_KERNEL", "vectorized")
-if _kernel_name not in JOIN_KERNELS:  # pragma: no cover - env misconfiguration
-    raise ValueError(
-        f"REPRO_JOIN_KERNEL={_kernel_name!r}: expected one of "
-        f"{sorted(JOIN_KERNELS)}")
-
-
-def _coerce_kernel(kernel) -> str:
-    """Normalise a kernel selector (name or legacy bool) to a name."""
-    if kernel is True:
-        return "compiled"
-    if kernel is False:
-        return "generic"
-    if kernel in JOIN_KERNELS:
-        return kernel
-    raise ValueError(
-        f"unknown join kernel {kernel!r}: expected one of "
-        f"{sorted(JOIN_KERNELS)} (or a bool)")
-
-
-def join_kernel() -> str:
-    """Return the name of the process-default join kernel."""
-    return _kernel_name
-
-
-def join_kernel_enabled() -> bool:
-    """True iff `execute` defaults to a compiled path (not the generic
-    interpreter).  Kept for callers that only care about that split;
-    :func:`join_kernel` returns the precise name."""
-    return _kernel_name != "generic"
-
-
-def set_join_kernel(kernel) -> str:
-    """Select the process-default join kernel; return the previous name.
-
-    Accepts a kernel name (``"generic"``, ``"compiled"``,
-    ``"vectorized"``) or, for backward compatibility, a bool —
-    ``True`` means ``"compiled"``, ``False`` means ``"generic"``.
-    """
-    global _kernel_name
-    previous = _kernel_name
-    _kernel_name = _coerce_kernel(kernel)
-    return previous
 
 
 @dataclass(frozen=True)
@@ -142,9 +69,9 @@ class PlanStep:
 class _StepKernel:
     """The compiled form of one :class:`PlanStep`.
 
-    Every per-tuple decision the interpretive path makes dynamically
-    (``isinstance`` on terms, "is this variable bound yet") is resolved
-    here once, at compile time:
+    Every per-tuple decision a term-by-term interpreter makes
+    dynamically (``isinstance`` on terms, "is this variable bound yet")
+    is resolved here once, at compile time:
 
     Attributes:
         predicate: relation to probe.
@@ -158,14 +85,10 @@ class _StepKernel:
         same_checks: ``(position, earlier_position)`` within-atom
             repeated-variable equalities.
         bind_specs: ``(position, variable)`` first occurrences to bind.
-        constraint_checks: callables ``check(binding, fact) -> bool``,
-            run on a matching candidate *before* its values are bound
-            (see :func:`_compile_constraint_check`).
     """
 
     __slots__ = ("predicate", "key_positions", "key_parts", "const_key",
-                 "const_checks", "bound_checks", "same_checks", "bind_specs",
-                 "constraint_checks")
+                 "const_checks", "bound_checks", "same_checks", "bind_specs")
 
     def __init__(self, predicate: str, key_positions: Tuple[int, ...],
                  key_parts: Tuple[Tuple[bool, object], ...],
@@ -173,10 +96,7 @@ class _StepKernel:
                  const_checks: Tuple[Tuple[int, object], ...],
                  bound_checks: Tuple[Tuple[int, Variable], ...],
                  same_checks: Tuple[Tuple[int, int], ...],
-                 bind_specs: Tuple[Tuple[int, Variable], ...],
-                 constraint_checks: Tuple[Callable[[Dict[Variable, object],
-                                                    Fact], bool], ...]
-                 ) -> None:
+                 bind_specs: Tuple[Tuple[int, Variable], ...]) -> None:
         self.predicate = predicate
         self.key_positions = key_positions
         self.key_parts = key_parts
@@ -185,7 +105,6 @@ class _StepKernel:
         self.bound_checks = bound_checks
         self.same_checks = same_checks
         self.bind_specs = bind_specs
-        self.constraint_checks = constraint_checks
 
 
 class _PlanKernel:
@@ -194,41 +113,29 @@ class _PlanKernel:
     Attributes:
         steps: one :class:`_StepKernel` per body atom.
         head_parts: ``(is_var, var_or_value)`` per head position.
-        emit_slots: the columnar emit plan for the innermost step, or
-            None when the step is ineligible.  When the last step has
-            no residual checks or constraints, *every* fact of its
-            probed bucket fires, so the whole emission batch can be
-            assembled from gathered bucket columns
-            (:meth:`~repro.facts.columnar.ColumnarIndex.bucket_column`)
-            without touching the binding dict.  Each slot is one of
-            ``("c", value)`` head constant, ``("b", variable)`` value
-            bound by an outer step, or ``("p", position)`` value read
-            from the bucket's ``position`` column.
         fact_constraints: per step, the constraints over that step's
             atom alone, each with its variables' positions in the atom:
-            a function of the matched fact, so the vectorized kernel
-            checks them once per bucket fact, before the rows expand.
+            a function of the matched fact, so the join checks them
+            once per bucket fact, before the rows expand.
         row_constraints: per step, its other constraints, checked on
             the expanded rows.
         live: per step, the variables read after it has matched — by
             its row constraints, a later step's key, check or
-            constraint, or the head.  The vectorized kernel carries
-            only these columns from one level to the next.
+            constraint, or the head.  The join carries only these
+            columns from one level to the next.
     """
 
-    __slots__ = ("steps", "head_parts", "emit_slots", "fact_constraints",
+    __slots__ = ("steps", "head_parts", "fact_constraints",
                  "row_constraints", "live")
 
     def __init__(self, steps: Tuple[_StepKernel, ...],
                  head_parts: Tuple[Tuple[bool, object], ...],
-                 emit_slots: Optional[Tuple[Tuple[str, object], ...]],
                  fact_constraints: Tuple[_FactConstraints, ...],
                  row_constraints: Tuple[Tuple[Constraint, ...], ...],
                  live: Tuple[FrozenSet[Variable], ...],
                  ) -> None:
         self.steps = steps
         self.head_parts = head_parts
-        self.emit_slots = emit_slots
         self.fact_constraints = fact_constraints
         self.row_constraints = row_constraints
         self.live = live
@@ -242,61 +149,9 @@ def _satisfied_boxed(constraint: Constraint, variables, values) -> bool:
          for variable, value in zip(variables, values)}))
 
 
-def _compile_constraint_check(
-        constraint: Constraint, bound_here: Dict[Variable, int],
-        ) -> Callable[[Dict[Variable, object], Fact], bool]:
-    """Compile a constraint into ``check(binding, fact) -> bool``.
-
-    The check runs on a candidate ``fact`` of the step the constraint
-    was pushed to, before the fact's values enter ``binding``: a
-    variable the step binds (``bound_here``: variable → position) is
-    read from the fact, any other from the earlier steps' ``binding``.
-    Rejected candidates therefore cost no binding-dict traffic at all.
-
-    Constraints exposing ``sequence`` and ``compile_values()`` (e.g.
-    :class:`~repro.parallel.constraints.HashConstraint`) are called
-    positionally on the raw values; others fall back to the protocol's
-    :meth:`~repro.datalog.rule.Constraint.satisfied` on a boxed
-    :class:`~repro.datalog.substitution.Substitution` snapshot.
-    """
-    compile_values = getattr(constraint, "compile_values", None)
-    if compile_values is None:
-        variables = tuple(constraint.variables)
-        accept = None
-    else:
-        variables = tuple(constraint.sequence)
-        accept = compile_values()
-    here = [bound_here.get(variable) for variable in variables]
-    if None in here:
-        sources = tuple(zip(here, variables))
-
-        def read(binding, fact):
-            return [binding[variable] if position is None
-                    else fact[position]
-                    for position, variable in sources]
-    elif len(here) == 1:
-        (position,) = here
-        if accept is not None:
-            return lambda binding, fact: accept(fact[position])
-
-        def read(binding, fact):
-            return (fact[position],)
-    else:
-        getter = itemgetter(*here)
-
-        def read(binding, fact):
-            return getter(fact)
-
-    if accept is not None:
-        return lambda binding, fact: accept(*read(binding, fact))
-
-    return lambda binding, fact: _satisfied_boxed(
-        constraint, variables, read(binding, fact))
-
-
 def _constraint_mask(constraint: Constraint,
                      cols: Dict[Variable, List[object]]) -> List[bool]:
-    """One verdict per row of the batch columns (vectorized kernel).
+    """One verdict per row of the batch columns.
 
     Constraints exposing ``satisfied_columns`` decide the whole batch
     in one call; others are asked row by row through the protocol.
@@ -475,34 +330,10 @@ def _compile_kernel(plan: "RulePlan") -> _PlanKernel:
             bound_checks=tuple(bound_checks),
             same_checks=tuple(same_checks),
             bind_specs=tuple(bind_specs),
-            constraint_checks=tuple(
-                _compile_constraint_check(c, {variable: position for
-                                              position, variable in bind_specs})
-                for c in step.constraints),
         ))
     head_parts = tuple(
         (False, term.value) if isinstance(term, Constant) else (True, term)
         for term in plan.rule.head.terms)
-    emit_slots: Optional[Tuple[Tuple[str, object], ...]] = None
-    if steps:
-        last = steps[-1]
-        eligible = (last.key_positions
-                    and not last.const_checks
-                    and not last.bound_checks
-                    and not last.same_checks
-                    and not last.constraint_checks)
-        if eligible:
-            bound_at_last = {variable: position
-                             for position, variable in last.bind_specs}
-            slots: List[Tuple[str, object]] = []
-            for is_var, part in head_parts:
-                if not is_var:
-                    slots.append(("c", part))
-                elif part in bound_at_last:
-                    slots.append(("p", bound_at_last[part]))
-                else:
-                    slots.append(("b", part))
-            emit_slots = tuple(slots)
     fact_constraints = []
     row_constraints = []
     for step in plan.steps:
@@ -527,7 +358,6 @@ def _compile_kernel(plan: "RulePlan") -> _PlanKernel:
         needed.update(part for is_var, part in kstep.key_parts if is_var)
         needed.update(variable for _position, variable in kstep.bound_checks)
     return _PlanKernel(steps=tuple(steps), head_parts=head_parts,
-                       emit_slots=emit_slots,
                        fact_constraints=tuple(fact_constraints),
                        row_constraints=tuple(row_constraints),
                        live=tuple(reversed(live)))
@@ -549,33 +379,6 @@ class RulePlan:
     steps: Tuple[PlanStep, ...]
     pre_constraints: Tuple[Constraint, ...]
 
-    def execute(self, database: Database,
-                counters: Optional[EvalCounters] = None,
-                kernel=None) -> List[Fact]:
-        """Return one head tuple per successful ground substitution.
-
-        The result is the whole batch: the vectorized kernel builds it
-        column-wise and transposes once, the per-fact kernels collect
-        theirs.
-
-        Args:
-            database: must contain a relation for every body predicate.
-            counters: optional counters updated with firings and probes.
-            kernel: force an execution path by name (``"generic"``,
-                ``"compiled"``, ``"vectorized"``) or legacy bool
-                (True → compiled, False → generic); None uses the
-                process default set by :func:`set_join_kernel`.
-
-        Raises:
-            EvaluationError: if a body relation is missing.
-        """
-        name = _kernel_name if kernel is None else _coerce_kernel(kernel)
-        if name == "vectorized":
-            return self._execute_vectorized(database, counters)
-        if name == "compiled":
-            return list(self._execute_compiled(database, counters))
-        return list(self._execute_generic(database, counters))
-
     def _kernel_for(self) -> _PlanKernel:
         """Return (building and caching on first use) the compiled kernel."""
         kernel = self.__dict__.get("_kernel")
@@ -584,198 +387,11 @@ class RulePlan:
             object.__setattr__(self, "_kernel", kernel)
         return kernel
 
-    def _execute_compiled(self, database: Database,
-                          counters: Optional[EvalCounters]) -> Iterator[Fact]:
-        """Iterative backtracking join over the compiled step kernels."""
-        empty_binding = Substitution.empty()
-        for constraint in self.pre_constraints:
-            if not constraint.satisfied(empty_binding):
-                return
+    def execute(self, database: Database,
+                counters: Optional[EvalCounters] = None) -> List[Fact]:
+        """Return one head tuple per successful ground substitution.
 
-        kernel = self._kernel_for()
-        steps = kernel.steps
-        depth = len(steps)
-        head_parts = kernel.head_parts
-        label = self.label
-
-        sources: List[Tuple[Optional[object], object]] = []
-        for kstep in steps:
-            relation = database.get(kstep.predicate)
-            if relation is None:
-                raise EvaluationError(
-                    f"no relation for predicate {kstep.predicate!r} "
-                    f"needed by rule {self.label}")
-            if kstep.key_positions:
-                sources.append((relation.index_on(kstep.key_positions),
-                                relation))
-            else:
-                sources.append((None, relation))
-
-        binding: Dict[Variable, object] = {}
-        if depth == 0:
-            if counters is not None:
-                counters.record_firing(label)
-            yield tuple(binding[part] if is_var else part
-                        for is_var, part in head_parts)
-            return
-
-        def candidates(level: int) -> Iterator[Fact]:
-            kstep = steps[level]
-            index, relation = sources[level]
-            if counters is not None:
-                counters.record_probe()
-            if index is None:
-                return iter(relation.facts())
-            key = kstep.const_key
-            if key is None:
-                key = tuple(binding[part] if is_var else part
-                            for is_var, part in kstep.key_parts)
-            return iter(index.lookup(key))
-
-        emit_slots = kernel.emit_slots
-        last_index = sources[-1][0]
-        columnar_drain = (emit_slots is not None
-                          and isinstance(last_index, ColumnarIndex))
-
-        def drain_last() -> Iterator[Fact]:
-            """Tight loop over the innermost step — the hottest path."""
-            kstep = steps[-1]
-            if columnar_drain:
-                # Columnar batch emission: compile time proved every
-                # bucket fact fires (no residual checks/constraints),
-                # so gather the bound head columns once per bucket and
-                # assemble the whole emission batch with C-level zip
-                # instead of per-fact binding-dict updates.  Probe and
-                # firing counts match the per-fact loop exactly.
-                key = kstep.const_key
-                if key is None:
-                    key = tuple(binding[part] if is_var else part
-                                for is_var, part in kstep.key_parts)
-                if counters is not None:
-                    counters.record_probe()
-                count = len(last_index.lookup(key))
-                if not count:
-                    return
-                parts: List[object] = []
-                has_columns = False
-                for kind, value in emit_slots:
-                    if kind == "p":
-                        parts.append(last_index.bucket_column(key, value))
-                        has_columns = True
-                    elif kind == "b":
-                        parts.append(repeat(binding[value]))
-                    else:
-                        parts.append(repeat(value))
-                if counters is not None:
-                    counters.record_firing(label, count)
-                if has_columns:
-                    yield from zip(*parts)
-                else:
-                    head = tuple(binding[value] if kind == "b" else value
-                                 for kind, value in emit_slots)
-                    yield from repeat(head, count)
-                return
-            const_checks = kstep.const_checks
-            bound_checks = kstep.bound_checks
-            same_checks = kstep.same_checks
-            bind_specs = kstep.bind_specs
-            checks = kstep.constraint_checks
-            plain = not (const_checks or bound_checks or same_checks)
-            for fact in candidates(depth - 1):
-                if not plain:
-                    matches = True
-                    for position, value in const_checks:
-                        if fact[position] != value:
-                            matches = False
-                            break
-                    if matches:
-                        for position, variable in bound_checks:
-                            if fact[position] != binding[variable]:
-                                matches = False
-                                break
-                    if matches:
-                        for position, earlier in same_checks:
-                            if fact[position] != fact[earlier]:
-                                matches = False
-                                break
-                    if not matches:
-                        continue
-                satisfied = True
-                for check in checks:
-                    if not check(binding, fact):
-                        satisfied = False
-                        break
-                if not satisfied:
-                    continue
-                for position, variable in bind_specs:
-                    binding[variable] = fact[position]
-                if counters is not None:
-                    counters.record_firing(label)
-                yield tuple(binding[part] if is_var else part
-                            for is_var, part in head_parts)
-                for _position, variable in bind_specs:
-                    del binding[variable]
-
-        if depth == 1:
-            yield from drain_last()
-            return
-
-        # Levels 0..depth-2 run the backtracking dispatcher; the final
-        # level is always drained inline by `drain_last`.
-        iters: List[Iterator[Fact]] = [iter(())] * (depth - 1)
-        bound_flags = [False] * (depth - 1)
-        last_outer = depth - 2
-        level = 0
-        iters[0] = candidates(0)
-        while level >= 0:
-            kstep = steps[level]
-            if bound_flags[level]:
-                for _position, variable in kstep.bind_specs:
-                    del binding[variable]
-                bound_flags[level] = False
-            fact = next(iters[level], _MISSING)
-            if fact is _MISSING:
-                level -= 1
-                continue
-            matches = True
-            for position, value in kstep.const_checks:
-                if fact[position] != value:
-                    matches = False
-                    break
-            if matches:
-                for position, variable in kstep.bound_checks:
-                    if fact[position] != binding[variable]:
-                        matches = False
-                        break
-            if matches:
-                for position, earlier in kstep.same_checks:
-                    if fact[position] != fact[earlier]:
-                        matches = False
-                        break
-            if not matches:
-                continue
-            satisfied = True
-            for check in kstep.constraint_checks:
-                if not check(binding, fact):
-                    satisfied = False
-                    break
-            if not satisfied:
-                continue
-            if kstep.bind_specs:
-                for position, variable in kstep.bind_specs:
-                    binding[variable] = fact[position]
-                bound_flags[level] = True
-            if level == last_outer:
-                yield from drain_last()
-                continue
-            level += 1
-            iters[level] = candidates(level)
-
-    def _execute_vectorized(self, database: Database,
-                            counters: Optional[EvalCounters]
-                            ) -> List[Fact]:
-        """Batch semi-join: the whole step-0 input processed at once.
-
+        Batch semi-join: the whole step-0 input processed at once.
         The first step's matches become per-variable value columns (one
         list per bound variable, row-aligned).  Each later step expands
         the rows against the buckets their join keys probe, in one of
@@ -803,15 +419,21 @@ class RulePlan:
         later step, constraint or the head reads are carried forward.
         The head batch is one ``zip`` over the final columns.
 
-        Counter identity with the other kernels holds by construction:
-        step 0 records one probe (one ``candidates()`` call in the
-        compiled path), every later step records one probe per row
-        arriving at it (one ``candidates()`` call per partial binding),
+        The counters are those of a depth-first nested-loops join by
+        construction: step 0 records one probe, every later step one
+        probe per row arriving at it (one probe per partial binding),
         and firings equal the final row count (one per ground
-        substitution).  Emission *order* within the batch differs from
-        the depth-first kernels and between the two forms; every
-        consumer treats the batch as a multiset, so answers, counters
-        and round structure are unaffected.
+        substitution).  Emission *order* within the batch differs
+        between the two forms; every consumer treats the batch as a
+        multiset, so answers, counters and round structure are
+        unaffected.
+
+        Args:
+            database: must contain a relation for every body predicate.
+            counters: optional counters updated with firings and probes.
+
+        Raises:
+            EvaluationError: if a body relation is missing.
         """
         empty_binding = Substitution.empty()
         for constraint in self.pre_constraints:
@@ -989,86 +611,6 @@ class RulePlan:
             return list(zip(*(cols[part] if is_var else repeat(part)
                               for is_var, part in head_parts)))
         return [tuple(part for _is_var, part in head_parts)] * n
-
-    def _execute_generic(self, database: Database,
-                         counters: Optional[EvalCounters]) -> Iterator[Fact]:
-        """The original recursive interpreter (reference implementation)."""
-        empty_binding = Substitution.empty()
-        for constraint in self.pre_constraints:
-            if not constraint.satisfied(empty_binding):
-                return
-
-        relations = []
-        for step in self.steps:
-            relation = database.get(step.atom.predicate)
-            if relation is None:
-                raise EvaluationError(
-                    f"no relation for predicate {step.atom.predicate!r} "
-                    f"needed by rule {self.label}")
-            relations.append(relation)
-
-        head_terms = self.rule.head.terms
-        binding: Dict[Variable, object] = {}
-
-        def instantiate_head() -> Fact:
-            values = []
-            for term in head_terms:
-                if isinstance(term, Constant):
-                    values.append(term.value)
-                else:
-                    values.append(binding[term])
-            return tuple(values)
-
-        def descend(step_index: int) -> Iterator[Fact]:
-            if step_index == len(self.steps):
-                if counters is not None:
-                    counters.record_firing(self.label)
-                yield instantiate_head()
-                return
-            step = self.steps[step_index]
-            relation = relations[step_index]
-            key = tuple(
-                term.value if isinstance(term, Constant) else binding[term]
-                for term in (step.atom.terms[p] for p in step.key_positions))
-            if counters is not None:
-                counters.record_probe()
-            if len(step.key_positions) == step.atom.arity == 0:
-                candidates = relation.facts()
-            elif step.key_positions:
-                candidates = relation.lookup(step.key_positions, key)
-            else:
-                candidates = relation.facts()
-            for fact in candidates:
-                newly_bound: List[Variable] = []
-                matches = True
-                for position, term in enumerate(step.atom.terms):
-                    value = fact[position]
-                    if isinstance(term, Constant):
-                        if term.value != value:
-                            matches = False
-                            break
-                        continue
-                    if term in binding:
-                        if binding[term] != value:
-                            matches = False
-                            break
-                        continue
-                    binding[term] = value
-                    newly_bound.append(term)
-                if matches:
-                    satisfied = True
-                    for constraint in step.constraints:
-                        snapshot = Substitution(
-                            {v: Constant(binding[v]) for v in constraint.variables})
-                        if not constraint.satisfied(snapshot):
-                            satisfied = False
-                            break
-                    if satisfied:
-                        yield from descend(step_index + 1)
-                for variable in newly_bound:
-                    del binding[variable]
-
-        yield from descend(0)
 
     def __str__(self) -> str:
         parts = [f"plan for {self.label}:"]

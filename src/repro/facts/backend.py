@@ -1,10 +1,9 @@
 """Fact-storage backend selection: tuple rows vs interned columns.
 
-Mirrors the join/route kernel toggles (``REPRO_JOIN_KERNEL``,
-``REPRO_ROUTE_KERNEL``): the environment variable ``REPRO_FACT_BACKEND``
-picks the process default at import time, :func:`set_fact_backend`
-switches it programmatically (returning the previous name so callers
-can restore it), and every site that constructs a relation goes through
+The environment variable ``REPRO_FACT_BACKEND`` picks the process
+default at import time, :func:`set_fact_backend` switches it
+programmatically (returning the previous name so callers can restore
+it), and every site that constructs a relation goes through
 :func:`make_relation` so the choice applies uniformly — `Database`
 construction, fragmentation, simulator pooling and mp worker rebuild
 all honour it.
@@ -19,8 +18,8 @@ Backends:
     :class:`~repro.facts.columnar.ColumnarRelation` — insertion-ordered
     row dict plus lazily materialised interned-id ``array('q')``
     columns, :class:`~repro.facts.columnar.ColumnarIndex` indexes with
-    cached bucket column gathers, and batch fast paths in the compiled
-    join kernel, router and mp wire format (docs/DATA_PLANE.md).
+    cached bucket column gathers, and batch fast paths in the join,
+    router and mp wire format (docs/DATA_PLANE.md).
 
 The backend only changes layout and batching; answers, firings and
 index semantics are identical (pinned by the backend-equivalence
@@ -32,6 +31,7 @@ from __future__ import annotations
 import os
 from typing import Callable, Dict, Iterable, Optional, Sequence, Type
 
+from ..errors import ConfigurationError
 from .columnar import ColumnarRelation
 from .relation import Relation
 
@@ -49,8 +49,8 @@ FACT_BACKENDS: Dict[str, Type[Relation]] = {
 }
 
 _backend = os.environ.get("REPRO_FACT_BACKEND", "tuple")
-if _backend not in FACT_BACKENDS:  # pragma: no cover - env misconfiguration
-    raise ValueError(
+if _backend not in FACT_BACKENDS:
+    raise ConfigurationError(
         f"REPRO_FACT_BACKEND={_backend!r}: expected one of "
         f"{sorted(FACT_BACKENDS)}")
 
@@ -61,10 +61,14 @@ def fact_backend() -> str:
 
 
 def set_fact_backend(name: str) -> str:
-    """Select the fact backend; returns the previous backend name."""
+    """Select the fact backend; returns the previous backend name.
+
+    Raises:
+        ConfigurationError: if ``name`` is not a backend.
+    """
     global _backend
     if name not in FACT_BACKENDS:
-        raise ValueError(
+        raise ConfigurationError(
             f"unknown fact backend {name!r}: expected one of "
             f"{sorted(FACT_BACKENDS)}")
     previous = _backend

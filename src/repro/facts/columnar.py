@@ -14,7 +14,7 @@ with a different storage layout, selectable via
 * The **columns** are flat ``array('q')`` buffers of interned constant
   ids (:mod:`repro.facts.interning`), one per attribute position, plus
   a parallel raw-value column cache (:meth:`ColumnarRelation.
-  value_columns`) serving the vectorized join kernel's full-scan seed.
+  value_columns`) serving the batch join's full-scan seed.
   Both are *caches* over the row store, materialised lazily on first
   batch access — engine paths that never touch them pay nothing beyond
   the dict insert.  Additive mutations (:meth:`~ColumnarRelation.add`,
@@ -28,12 +28,11 @@ with a different storage layout, selectable via
 :class:`ColumnarIndex` extends :class:`~repro.facts.index.HashIndex`
 with per-bucket **gathered key columns**: ``bucket_column(key, pos)``
 returns the position-``pos`` values of every fact in the bucket as one
-flat list, cached until the bucket next changes.  The compiled join
-kernel's columnar drain and the vectorized kernel's step-0 seed
-(:mod:`repro.engine.plan`) are built on these gathers: probing a
-static relation (e.g. ``edge`` in a transitive closure) re-uses the
-same gathered column across every round instead of re-walking fact
-tuples.
+flat list, cached until the bucket next changes.  The batch join's
+step-0 seed (:mod:`repro.engine.plan`) is built on these gathers:
+probing a static relation (e.g. ``edge`` in a transitive closure)
+re-uses the same gathered column across every round instead of
+re-walking fact tuples.
 
 numpy, when importable, is used only as an optional export format
 (:meth:`ColumnarRelation.column_array`); the stdlib ``array`` module is
@@ -278,8 +277,8 @@ class ColumnarRelation(Relation):
 
         One list per position, row-aligned with relation iteration
         order; materialised lazily like :meth:`columns` and likewise
-        append-maintained by additive mutations.  This is the
-        vectorized join kernel's full-scan seed: a delta relation built
+        append-maintained by additive mutations.  This is the batch
+        join's full-scan seed: a delta relation built
         once per round hands its whole batch over without re-walking
         fact tuples.  Callers must treat the returned lists as
         read-only — they are shared with every other caller.

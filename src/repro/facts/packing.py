@@ -159,7 +159,7 @@ def unpack_columns(payload: Tuple) -> Tuple[int, int, List[List[object]]]:
 
     The column-shaped sibling of :func:`unpack_facts`: receivers that
     ingest batches columnwise (an mp worker handing a DATA batch to the
-    vectorized join kernel) decode each attribute column once and skip
+    batch join) decode each attribute column once and skip
     the transpose back to row tuples entirely.  Column ``p`` holds the
     position-``p`` values of every fact, row-aligned across columns.
     """

@@ -229,7 +229,7 @@ class TraceReport:
         return rows
 
     def summary(self) -> Dict[str, object]:
-        """A flat, JSON-compatible summary (``BENCH_*.json`` shape).
+        """A flat, JSON-compatible summary (``repro trace --json``).
 
         Keys mirror :meth:`~repro.parallel.metrics.ParallelMetrics.
         summary` where both exist, so traced and live numbers can be

@@ -32,9 +32,7 @@ from .routing import (
     BROADCAST,
     Route,
     RouterTable,
-    route_kernel_enabled,
     route_positions,
-    set_route_kernel,
 )
 from .schemes import (
     example1_scheme,
@@ -102,11 +100,9 @@ __all__ = [
     "rewrite_general",
     "rewrite_linear_family",
     "rewrite_linear_sirup",
-    "route_kernel_enabled",
     "route_positions",
     "run_chaos",
     "run_parallel",
-    "set_route_kernel",
     "stable_hash",
     "tradeoff_scheme",
     "wolfson_scheme",

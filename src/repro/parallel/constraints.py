@@ -10,7 +10,7 @@ effective parallelism (Section 3).
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, List, Mapping, Sequence, Tuple
+from typing import Hashable, List, Sequence, Tuple
 
 from ..datalog.substitution import Substitution
 from ..datalog.term import Constant, Variable
@@ -65,55 +65,13 @@ class HashConstraint:
         except RoutingError:
             return False
 
-    def satisfied_values(self, binding: Mapping[Variable, object]) -> bool:
-        """Fast path for the engine's compiled join kernel.
-
-        ``binding`` maps variables directly to Python values (no
-        :class:`~repro.datalog.term.Constant` boxing); the kernel
-        guarantees every variable of :attr:`sequence` is bound.
-        """
-        try:
-            return (self.discriminator(
-                tuple(binding[v] for v in self.sequence)) == self.target)
-        except RoutingError:
-            return False
-
-    def compile_values(self) -> Callable[..., bool]:
-        """The constraint as ``accept(*values) -> bool``.
-
-        ``values`` are the bound values of :attr:`sequence`, in order,
-        passed positionally — the form the compiled join kernel calls
-        once per candidate row, with no ``{Variable: value}`` dict in
-        between.  Specialised on the sequence length: the
-        single-position case skips the value tuple altogether.
-        """
-        discriminator, target = self.discriminator, self.target
-        if len(self.sequence) == 1:
-            of_value = discriminator.of_value
-
-            def accept_one(value: object) -> bool:
-                try:
-                    return of_value(value) == target
-                except RoutingError:
-                    return False
-
-            return accept_one
-
-        def accept(*values: object) -> bool:
-            try:
-                return discriminator(values) == target
-            except RoutingError:
-                return False
-
-        return accept
-
     def satisfied_columns(self,
                           columns: Sequence[Sequence[object]]) -> List[bool]:
         """Column form: one verdict per row of the row-aligned columns.
 
-        ``columns[k]`` holds the values of ``sequence[k]``; the
-        vectorized join kernel calls this once per step over the whole
-        batch instead of once per row.
+        ``columns[k]`` holds the values of ``sequence[k]``; the batch
+        join calls this once per step over the whole batch instead of
+        once per row.
         """
         target = self.target
         return [owner == target

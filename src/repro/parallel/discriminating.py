@@ -177,10 +177,6 @@ class Discriminator:
     def __call__(self, values: Values) -> ProcessorId:
         raise NotImplementedError
 
-    def of_value(self, value: object) -> ProcessorId:
-        """``h((value,))``: the single-position case without the tuple."""
-        return self((value,))
-
     def map_column(self, column: Sequence[object]) -> "list":
         """Batch form of ``__call__`` over a single-position column.
 
@@ -231,10 +227,10 @@ class _HashedDiscriminator(Discriminator):
     """A discriminator that hashes the whole value tuple, memoised.
 
     Subclasses define :meth:`_compute` (the unmemoised function, one
-    ``stable_hash`` per call); ``__call__`` and ``of_value`` read the
-    memo: a :class:`_TypedMemo` over raw constants for single-position
-    sequences and, for longer ones, one :class:`_Memo` over value
-    tuples per tuple of exact element types.
+    ``stable_hash`` per call); ``__call__`` reads the memo: a
+    :class:`_TypedMemo` over raw constants for single-position sequences
+    and, for longer ones, one :class:`_Memo` over value tuples per tuple
+    of exact element types.
     """
 
     def _compute(self, values: Values) -> ProcessorId:
@@ -246,9 +242,6 @@ class _HashedDiscriminator(Discriminator):
         # value tuples by the tuple of their exact element types.
         return (_TypedMemo(lambda value: compute((value,))),
                 _TypedMemo(compute, _MEMO_TYPES.issuperset))
-
-    def of_value(self, value: object) -> ProcessorId:
-        return self._memo[0](value)
 
     def __call__(self, values: Values) -> ProcessorId:
         if type(values) is not tuple:

@@ -31,8 +31,8 @@ Channel = Tuple[ProcessorId, ProcessorId]
 
 # Deterministic size model for channel accounting.  The point is not to
 # predict pickle output exactly but to weight messages by payload in a
-# way that is stable across platforms and Python versions, so the bench
-# harness can compare ``channel_bytes`` between reports.  Constants
+# way that is stable across platforms and Python versions, so
+# ``channel_bytes`` compares across runs, machines and commits.  Constants
 # approximate CPython object sizes.
 MESSAGE_OVERHEAD_BYTES = 96   # envelope: tag, sender id, epoch, list
 BATCH_OVERHEAD_BYTES = 48     # per (predicate, facts) group in a message
@@ -68,8 +68,9 @@ def approx_packed_bytes(payload) -> int:
     bytes per value), dictionary-encoded columns cost the unique values
     plus the index buffer, raw fallback columns cost per value what the
     tuple model charges.  Keeping both formats in one model is what
-    lets ``repro bench compare`` gate ``channel_bytes`` meaningfully
-    across wire formats.
+    keeps ``channel_bytes`` comparable across wire formats (the pinned
+    counters of ``tests/parallel/test_counter_identity.py`` hold on
+    both backends).
     """
     _tag, _count, _arity, columns = payload
     total = _TUPLE_OVERHEAD_BYTES

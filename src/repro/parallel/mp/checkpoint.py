@@ -177,8 +177,8 @@ def approx_checkpoint_bytes(payload: Dict[str, object]) -> int:
     """Deterministic approximate size of an encoded checkpoint.
 
     Same currency as ``channel_bytes`` (the size model of
-    :mod:`repro.parallel.metrics`), so ``checkpoint_bytes`` in metrics
-    and bench records is comparable across runs and platforms.
+    :mod:`repro.parallel.metrics`), so ``checkpoint_bytes`` in the
+    metrics is comparable across runs and platforms.
     """
     total = MESSAGE_OVERHEAD_BYTES
     for key in ("in", "out", "staged"):

@@ -81,7 +81,6 @@ from typing import Dict, Hashable, List, Optional, Tuple
 
 from ...errors import ConfigurationError, ExecutionError
 from ...facts.database import Database
-from ...engine.plan import join_kernel
 from ...facts.backend import fact_backend, make_relation
 from ...facts.packing import ensure_facts, maybe_pack
 from ...facts.relation import Relation
@@ -330,7 +329,6 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
     inboxes = {proc: context.Queue() for proc in order}
     coordinator_queue = context.Queue()
     backend = fact_backend()
-    kernel = join_kernel()
     locals_by_proc = {proc: _picklable_local(program, proc, database)
                       for proc in order}
     worker_faults = {
@@ -386,7 +384,7 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
             target=worker_main,
             args=(program.program_for(proc), locals_by_proc[proc],
                   inboxes[proc], inboxes, coordinator_queue, tracing,
-                  injected, epoch, sync, staleness, backend, kernel,
+                  injected, epoch, sync, staleness, backend,
                   interval, restore, recovery != "fail"),
             daemon=True)
         process.start()

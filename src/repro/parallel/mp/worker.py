@@ -107,7 +107,6 @@ import time
 import traceback
 from typing import Dict, Hashable, List, Mapping, Optional, Tuple
 
-from ...engine.plan import set_join_kernel
 from ...facts.backend import make_relation, set_fact_backend
 from ...facts.database import Database
 from ...facts.packing import (
@@ -182,7 +181,6 @@ def worker_main(program: ProcessorProgram,
                 faults: Optional[WorkerFaults] = None,
                 epoch: int = 0, sync: str = "bsp",
                 staleness: int = 2, backend: str = "tuple",
-                kernel: str = "vectorized",
                 checkpoint_interval: Optional[int] = None,
                 restore: Optional[Dict[str, object]] = None,
                 replayable: bool = True) -> None:
@@ -210,9 +208,6 @@ def worker_main(program: ProcessorProgram,
         backend: fact-storage backend for this worker's local database
             (``set_fact_backend`` is applied before any relation is
             built).  The wire format does not depend on it.
-        kernel: join kernel for this worker's rule evaluation
-            (``set_join_kernel`` is applied alongside the backend, so
-            workers inherit the coordinator process's kernel choice).
         checkpoint_interval: when set (``recovery="checkpoint"``), ship
             a checkpoint to the coordinator every this many productive
             step bursts.
@@ -226,7 +221,6 @@ def worker_main(program: ProcessorProgram,
             stamps.
     """
     set_fact_backend(backend)
-    set_join_kernel(kernel)
     me = program.processor
     tag = processor_tag(me)
     stats = WorkerStats()

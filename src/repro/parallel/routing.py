@@ -11,11 +11,14 @@ Two regimes exist (paper, Examples 2 and 3):
   sent to *every* processor (broadcast).  This costs communication but
   is neither incorrect nor redundant: the receiver's processing
   constraint still admits each firing at exactly one site.
+
+:class:`Route` states the sending rule per fact (:meth:`Route.targets`);
+:class:`RouterTable` is its batch form, precompiled per route, and the
+only one the executors call.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
@@ -29,34 +32,10 @@ __all__ = [
     "BROADCAST",
     "Route",
     "RouterTable",
-    "route_kernel_enabled",
     "route_positions",
-    "set_route_kernel",
 ]
 
 ProcessorId = Hashable
-
-# Route-kernel toggle, mirroring the join-kernel toggle in
-# ``engine/plan.py``: the compiled batch partitioner is the default;
-# ``REPRO_ROUTE_KERNEL=generic`` (or ``set_route_kernel(False)``)
-# selects the per-fact ``Route.targets`` reference interpreter so the
-# two can be compared for equivalence and performance.
-_use_kernel = os.environ.get("REPRO_ROUTE_KERNEL", "compiled") != "generic"
-
-
-def route_kernel_enabled() -> bool:
-    """True when partitioning uses the compiled route kernel."""
-    return _use_kernel
-
-
-def set_route_kernel(enabled: bool) -> bool:
-    """Select the compiled kernel (True) or the reference interpreter
-    (False); returns the previous setting."""
-    global _use_kernel
-    previous = _use_kernel
-    _use_kernel = bool(enabled)
-    return previous
-
 
 class _Broadcast:
     """Sentinel: the tuple must be sent to every processor."""
@@ -224,10 +203,8 @@ class RouterTable:
     (metrics, sent-logs, traces) sees the same tuples it always did,
     just grouped.
 
-    The compiled path dispatches through :class:`_CompiledRoute`; the
-    reference path (``set_route_kernel(False)`` /
-    ``REPRO_ROUTE_KERNEL=generic``) aggregates per-fact
-    :meth:`Route.targets` calls.  Both return the same
+    Each route dispatches through its :class:`_CompiledRoute`, and the
+    result equals aggregating per-fact :meth:`Route.targets` calls: a
     ``(buckets, broadcast_count)`` pair, where ``broadcast_count`` is
     the number of (fact, broadcast route) matches — the quantity
     ``ParallelMetrics.broadcast_tuples`` has always counted.
@@ -257,15 +234,9 @@ class RouterTable:
         appear in no bucket.  A fact matched by several routes is
         deduplicated across targets exactly as the per-fact path did.
         """
-        if _use_kernel:
-            compiled = self._compiled.get(predicate)
-            if not compiled:
-                return {}, 0
-            return self._partition_compiled(compiled, facts)
-        return self._partition_generic(self._routes.get(predicate, ()), facts)
-
-    def _partition_compiled(self, compiled: Tuple[_CompiledRoute, ...],
-                            facts: Sequence[Fact]) -> Tuple[Buckets, int]:
+        compiled = self._compiled.get(predicate)
+        if not compiled:
+            return {}, 0
         buckets: Buckets = {}
         broadcasts = 0
         # Routes of one predicate share its arity; a fact of another
@@ -335,22 +306,4 @@ class RouterTable:
                         if target not in seen:
                             seen.add(target)
                             buckets.setdefault(target, []).append(fact)
-        return buckets, broadcasts
-
-    @staticmethod
-    def _partition_generic(routes: Tuple[Route, ...],
-                           facts: Sequence[Fact]) -> Tuple[Buckets, int]:
-        """Reference path: per-fact ``Route.targets``, aggregated."""
-        buckets: Buckets = {}
-        broadcasts = 0
-        for fact in facts:
-            seen = set()
-            for route in routes:
-                targets = route.targets(fact)
-                if targets and route.is_broadcast():
-                    broadcasts += 1
-                for target in targets:
-                    if target not in seen:
-                        seen.add(target)
-                        buckets.setdefault(target, []).append(fact)
         return buckets, broadcasts

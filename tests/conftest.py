@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.datalog import parse_program
+from repro.engine import RulePlan
 from repro.facts import Database
 from repro.workloads import (
     ancestor_program,
@@ -16,6 +17,8 @@ from repro.workloads import (
     same_generation_database,
     same_generation_program,
 )
+
+from .reference_join import reference_execute
 
 
 @pytest.fixture
@@ -70,3 +73,11 @@ def sg_db():
 def sg_program():
     """The same-generation program."""
     return same_generation_program()
+
+
+@pytest.fixture
+def oracle_join(monkeypatch):
+    """Run every rule plan on the reference interpreter for the rest of
+    the test, so whole evaluations (sequential or simulated) can be
+    compared with the batch join's."""
+    monkeypatch.setattr(RulePlan, "execute", reference_execute)

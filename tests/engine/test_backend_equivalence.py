@@ -1,9 +1,10 @@
 """Property tests: the columnar backend is invisible to the engine.
 
-For any program, data, backend and join-kernel setting, evaluation must
-produce the same answers, the same firings and the same probe counts —
-the backend-selection matrix of docs/DATA_PLANE.md.  Divergence here
-would silently invalidate every cross-backend bench comparison.
+For any program and data, evaluation on either fact backend must
+produce the same answers, the same firings and the same probe counts as
+the reference interpreter (``tests/reference_join.py``) — the
+backend-selection matrix of docs/DATA_PLANE.md.  Divergence here would
+silently invalidate every cross-backend comparison.
 """
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datalog import Program, parse_program
-from repro.engine import JOIN_KERNELS, EvalCounters, evaluate, set_join_kernel
+from repro.engine import EvalCounters, RulePlan, evaluate
 from repro.facts import Database, set_fact_backend
 from repro.parallel import HashConstraint
 from repro.parallel.discriminating import ModuloDiscriminator
@@ -21,14 +22,17 @@ from repro.workloads import (
     same_generation_program,
 )
 
+from ..reference_join import reference_execute
+
 edge_lists = st.lists(
     st.tuples(st.integers(1, 12), st.integers(1, 12)),
     min_size=0, max_size=40).map(lambda edges: sorted(set(edges)))
 
 
-def _evaluate_under(backend, kernel, program, relations, method):
+def _evaluate_under(backend, execute, program, relations, method):
     previous_backend = set_fact_backend(backend)
-    previous_kernel = set_join_kernel(kernel)
+    patch = pytest.MonkeyPatch()
+    patch.setattr(RulePlan, "execute", execute)
     try:
         database = Database()
         for name, facts in relations.items():
@@ -40,22 +44,22 @@ def _evaluate_under(backend, kernel, program, relations, method):
                    for pred in program.derived_predicates}
         return answers, counters
     finally:
-        set_join_kernel(previous_kernel)
+        patch.undo()
         set_fact_backend(previous_backend)
 
 
 def _assert_all_backends_agree(program, relations, method="seminaive"):
     reference = None
     for backend in ("tuple", "columnar"):
-        for kernel in JOIN_KERNELS:
+        for execute in (reference_execute, RulePlan.execute):
             answers, counters = _evaluate_under(
-                backend, kernel, program, relations, method)
+                backend, execute, program, relations, method)
             observed = (answers, counters.total_firings(), counters.probes,
                         counters.iterations)
             if reference is None:
                 reference = observed
             else:
-                assert observed == reference, (backend, kernel)
+                assert observed == reference, (backend, execute.__name__)
 
 
 class TestBackendKernelEquivalence:
@@ -92,9 +96,9 @@ class TestBackendKernelEquivalence:
     @given(edge_lists)
     @settings(max_examples=15, deadline=None)
     def test_multi_step_bodies(self, edges):
-        # Three-atom bodies drive the kernels through several join
-        # levels per rule, where the vectorized kernel's per-level
-        # grouping must count probes exactly like backtracking does.
+        # Three-atom bodies drive the join through several levels per
+        # rule, where its per-level grouping must count probes exactly
+        # like backtracking does.
         program = parse_program("""
             hop2(X, Z) :- e(X, Y), e(Y, Z).
             reach(X, Y) :- e(X, Y).
@@ -106,7 +110,7 @@ class TestBackendKernelEquivalence:
     @settings(max_examples=15, deadline=None)
     def test_constraint_bearing_rules(self, edges, target):
         # Hash constraints (the parallel rewrites' side conditions)
-        # force every kernel through its constraint-filter path.
+        # force the join through its constraint-filter path.
         disc = ModuloDiscriminator((0, 1))
         rules = [rule.with_constraints(
                      [HashConstraint(disc, rule.head_variables(), target)])

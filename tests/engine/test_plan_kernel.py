@@ -1,11 +1,10 @@
-"""Equivalence of the specialized join kernels and the generic interpreter.
+"""Equivalence of the batch join and the reference interpreter.
 
-The compiled kernel (`RulePlan._execute_compiled`) and the vectorized
-batch kernel (`RulePlan._execute_vectorized`) are the seed evaluator's
-specialized replacements; these tests pin both to the reference
-implementation exactly: identical fact sets, firing counts and probe
-counts, over the workload generator (hypothesis) and over hand-built
-corner cases (constants, repeated variables, constraints, full scans).
+``RulePlan.execute`` (the batch join) is pinned to the recursive
+reference interpreter of ``tests/reference_join.py`` exactly, on both
+fact backends: identical fact sets, firing counts and probe counts,
+over the workload generator (hypothesis) and over hand-built corner
+cases (constants, repeated variables, constraints, full scans).
 """
 
 import pytest
@@ -13,111 +12,64 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datalog import Variable, parse_program
-from repro.engine import (
-    JOIN_KERNELS,
-    EvalCounters,
-    compile_plan,
-    evaluate,
-    join_kernel,
-    join_kernel_enabled,
-    set_join_kernel,
-)
-from repro.facts import Database
+from repro.engine import EvalCounters, RulePlan, compile_plan, evaluate
+from repro.facts import Database, make_relation, set_fact_backend
 from repro.parallel import example3_scheme, run_parallel
 from repro.workloads import make_workload, workload_kinds
+
+from ..reference_join import reference_execute
+
+BACKENDS = ("tuple", "columnar")
 
 edge_lists = st.lists(
     st.tuples(st.integers(1, 10), st.integers(1, 10)),
     min_size=0, max_size=30).map(lambda edges: sorted(set(edges)))
 
 
-def _all_paths(program, database, method="seminaive"):
-    """Evaluate under every kernel; returns {kernel: result}."""
-    results = {}
-    for kernel in JOIN_KERNELS:
-        previous = set_join_kernel(kernel)
-        try:
-            results[kernel] = evaluate(program, database, method=method)
-        finally:
-            set_join_kernel(previous)
-    return results
+def _evaluate_on(backend, program, database, method):
+    """Evaluate with every relation, input and working, on ``backend``."""
+    previous = set_fact_backend(backend)
+    try:
+        copy = Database()
+        for relation in database:
+            copy.attach(make_relation(relation.name, relation.arity,
+                                      relation))
+        return evaluate(program, copy, method=method)
+    finally:
+        set_fact_backend(previous)
 
 
-def _both_paths(program, database, method="seminaive"):
-    results = _all_paths(program, database, method=method)
-    return results["generic"], results
-
-
-def _assert_equivalent(generic, results, predicates):
-    for kernel, result in results.items():
+def _assert_equivalent(program, database, predicates, method="seminaive"):
+    """The batch join on both backends against the reference
+    interpreter: answers, firings, probes and iterations.  Returns the
+    reference result."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(RulePlan, "execute", reference_execute)
+        reference = evaluate(program, database, method=method)
+    for backend in BACKENDS:
+        batch = _evaluate_on(backend, program, database, method)
         for predicate in predicates:
-            assert (result.relation(predicate).as_set()
-                    == generic.relation(predicate).as_set()), kernel
-        assert (result.counters.total_firings()
-                == generic.counters.total_firings()), kernel
-        assert result.counters.probes == generic.counters.probes, kernel
-        assert result.counters.iterations == generic.counters.iterations, kernel
-
-
-class TestToggle:
-    def test_set_join_kernel_returns_previous_name(self):
-        original = join_kernel()
-        assert set_join_kernel("generic") == original
-        assert join_kernel() == "generic"
-        assert join_kernel_enabled() is False
-        assert set_join_kernel("vectorized") == "generic"
-        assert join_kernel() == "vectorized"
-        assert join_kernel_enabled() is True
-        assert set_join_kernel(original) == "vectorized"
-        assert join_kernel() == original
-
-    def test_bool_arguments_coerce(self):
-        # Back-compat: True/False map onto the compiled/generic kernels.
-        original = set_join_kernel(False)
-        try:
-            assert join_kernel() == "generic"
-            set_join_kernel(True)
-            assert join_kernel() == "compiled"
-        finally:
-            set_join_kernel(original)
-
-    def test_unknown_kernel_rejected(self):
-        before = join_kernel()
-        with pytest.raises(ValueError):
-            set_join_kernel("simd")
-        assert join_kernel() == before
-
-    def test_per_call_override_beats_default(self):
-        program = parse_program("""
-            anc(X, Y) :- par(X, Y).
-            anc(X, Y) :- par(X, Z), anc(Z, Y).
-        """)
-        database = Database.from_facts({"par": [(1, 2), (2, 3)]})
-        working = Database.from_facts({"par": [(1, 2), (2, 3)]})
-        working.declare("anc", 2)
-        plan = compile_plan(program.proper_rules()[0])
-        forced_generic = set(plan.execute(working, kernel=False))
-        forced_kernel = set(plan.execute(working, kernel=True))
-        forced_vectorized = set(plan.execute(working, kernel="vectorized"))
-        assert (forced_generic == forced_kernel == forced_vectorized
-                == {(1, 2), (2, 3)})
+            assert (batch.relation(predicate).as_set()
+                    == reference.relation(predicate).as_set()), backend
+        counters, expected = batch.counters, reference.counters
+        assert counters.total_firings() == expected.total_firings(), backend
+        assert counters.probes == expected.probes, backend
+        assert counters.iterations == expected.iterations, backend
+    return reference
 
 
 class TestWorkloadEquivalence:
     def test_all_workload_kinds_seminaive(self):
         for kind in workload_kinds():
             workload = make_workload(kind, 48, seed=5)
-            generic, compiled = _both_paths(workload.program,
-                                            workload.database)
-            _assert_equivalent(generic, compiled,
+            _assert_equivalent(workload.program, workload.database,
                                workload.program.derived_predicates)
 
     def test_naive_method(self):
         workload = make_workload("dag", 40, seed=1)
-        generic, compiled = _both_paths(workload.program, workload.database,
-                                        method="naive")
-        _assert_equivalent(generic, compiled,
-                           workload.program.derived_predicates)
+        _assert_equivalent(workload.program, workload.database,
+                           workload.program.derived_predicates,
+                           method="naive")
 
     @given(edge_lists, st.sampled_from(["chain", "tree", "dag"]))
     @settings(max_examples=40, deadline=None)
@@ -125,20 +77,30 @@ class TestWorkloadEquivalence:
         workload = make_workload(kind, 12, seed=0)
         database = Database()
         database.declare("par", 2).update(edges)
-        generic, compiled = _both_paths(workload.program, database)
-        _assert_equivalent(generic, compiled,
+        _assert_equivalent(workload.program, database,
                            workload.program.derived_predicates)
 
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=25, deadline=None)
     def test_random_same_generation(self, seed):
         workload = make_workload("same-generation", 32, seed=seed)
-        generic, compiled = _both_paths(workload.program, workload.database)
-        _assert_equivalent(generic, compiled,
+        _assert_equivalent(workload.program, workload.database,
                            workload.program.derived_predicates)
 
 
 class TestCornerCases:
+    def test_single_rule_matches_reference(self):
+        program = parse_program("""
+            anc(X, Y) :- par(X, Y).
+            anc(X, Y) :- par(X, Z), anc(Z, Y).
+        """)
+        working = Database.from_facts({"par": [(1, 2), (2, 3)]})
+        working.declare("anc", 2)
+        plan = compile_plan(program.proper_rules()[0])
+        assert (set(plan.execute(working))
+                == set(reference_execute(plan, working))
+                == {(1, 2), (2, 3)})
+
     def test_constants_in_body_and_head(self):
         program = parse_program("""
             p(X, 7) :- e(X, 3).
@@ -146,10 +108,8 @@ class TestCornerCases:
         """)
         database = Database.from_facts(
             {"e": [(1, 3), (2, 3), (5, 4)]})
-        generic, results = _both_paths(program, database)
-        _assert_equivalent(generic, results, ["p", "q"])
-        for result in results.values():
-            assert result.relation("p").as_set() == {(1, 7), (2, 7)}
+        reference = _assert_equivalent(program, database, ["p", "q"])
+        assert reference.relation("p").as_set() == {(1, 7), (2, 7)}
 
     def test_repeated_variable_within_atom(self):
         program = parse_program("""
@@ -158,38 +118,26 @@ class TestCornerCases:
         """)
         database = Database.from_facts(
             {"e": [(1, 1), (1, 2), (2, 1), (3, 4)]})
-        generic, results = _both_paths(program, database)
-        _assert_equivalent(generic, results, ["loop", "r"])
-        for result in results.values():
-            assert result.relation("loop").as_set() == {(1,)}
-            assert result.relation("r").as_set() == {(1, 1), (1, 2), (2, 1)}
+        reference = _assert_equivalent(program, database, ["loop", "r"])
+        assert reference.relation("loop").as_set() == {(1,)}
+        assert reference.relation("r").as_set() == {(1, 1), (1, 2), (2, 1)}
 
-    def test_hash_constraints_parallel_rewrite(self):
+    def test_hash_constraints_parallel_rewrite(self, monkeypatch):
         # The rewritten programs carry HashConstraints, exercising the
-        # kernels' compiled constraint forms (positional in the compiled
-        # kernel, column-wise in the vectorized); the simulated cluster
-        # must agree with sequential evaluation under both paths.
+        # join's column-wise constraint form; the simulated cluster must
+        # agree with the one whose processors run the reference.
         workload = make_workload("dag", 40, seed=7)
         parallel_program = example3_scheme(workload.program,
                                            tuple(range(4)))
-        previous = set_join_kernel("generic")
-        try:
-            generic = run_parallel(parallel_program, workload.database)
-        finally:
-            set_join_kernel(previous)
-        for kernel in ("compiled", "vectorized"):
-            previous = set_join_kernel(kernel)
-            try:
-                specialized = run_parallel(parallel_program, workload.database)
-            finally:
-                set_join_kernel(previous)
-            for predicate in parallel_program.derived:
-                assert (specialized.relation(predicate).as_set()
-                        == generic.relation(predicate).as_set()), kernel
-            assert (specialized.metrics.total_firings()
-                    == generic.metrics.total_firings()), kernel
-            assert (specialized.metrics.total_sent()
-                    == generic.metrics.total_sent()), kernel
+        batch = run_parallel(parallel_program, workload.database)
+        monkeypatch.setattr(RulePlan, "execute", reference_execute)
+        reference = run_parallel(parallel_program, workload.database)
+        for predicate in parallel_program.derived:
+            assert (batch.relation(predicate).as_set()
+                    == reference.relation(predicate).as_set())
+        assert (batch.metrics.total_firings()
+                == reference.metrics.total_firings())
+        assert batch.metrics.total_sent() == reference.metrics.total_sent()
 
     def test_constraints_spanning_steps_agree_across_kernels(self):
         """Constraint values come partly from the candidate fact and
@@ -220,14 +168,14 @@ class TestCornerCases:
             plan = compile_plan(rule, reorder=False)
             assert len(plan.steps[1].constraints) == 1
             outcomes = {}
-            for kernel in JOIN_KERNELS:
+            for name, execute in (("batch", RulePlan.execute),
+                                  ("reference", reference_execute)):
                 counters = EvalCounters()
-                facts = sorted(plan.execute(database, counters, kernel=kernel))
-                outcomes[kernel] = (facts, counters.total_firings(),
-                                    counters.probes)
-            assert outcomes["compiled"] == outcomes["generic"]
-            assert outcomes["vectorized"] == outcomes["generic"]
-            assert 0 < len(outcomes["generic"][0]) < 30
+                facts = sorted(execute(plan, database, counters))
+                outcomes[name] = (facts, counters.total_firings(),
+                                  counters.probes)
+            assert outcomes["batch"] == outcomes["reference"]
+            assert 0 < len(outcomes["reference"][0]) < 30
 
     def test_missing_relation_raises_same_error(self):
         from repro.errors import EvaluationError
@@ -235,9 +183,9 @@ class TestCornerCases:
         program = parse_program("p(X) :- q(X).", validate=False)
         plan = compile_plan(program.rules[0])
         empty = Database()
-        for kernel in JOIN_KERNELS:
+        for execute in (RulePlan.execute, reference_execute):
             with pytest.raises(EvaluationError, match="no relation"):
-                list(plan.execute(empty, kernel=kernel))
+                execute(plan, empty)
 
     def test_counters_optional(self):
         program = parse_program("""
@@ -245,10 +193,8 @@ class TestCornerCases:
         """, validate=False)
         database = Database.from_facts({"par": [(1, 2)]})
         plan = compile_plan(program.rules[0])
-        for kernel in ("compiled", "vectorized"):
-            assert list(plan.execute(database, kernel=kernel)) == [(1, 2)]
-            counters = EvalCounters()
-            assert (list(plan.execute(database, counters, kernel=kernel))
-                    == [(1, 2)])
-            assert counters.total_firings() == 1
-            assert counters.probes == 1
+        assert plan.execute(database) == [(1, 2)]
+        counters = EvalCounters()
+        assert plan.execute(database, counters) == [(1, 2)]
+        assert counters.total_firings() == 1
+        assert counters.probes == 1

@@ -5,13 +5,15 @@ from repro.engine import (
     DELTA_SUFFIX,
     PREV_SUFFIX,
     EvalCounters,
+    RulePlan,
     delta_variants,
     evaluate,
     seminaive,
     seminaive_evaluate,
-    set_join_kernel,
 )
 from repro.facts import Database
+
+from ..reference_join import reference_execute
 
 
 class TestDeltaVariants:
@@ -140,8 +142,8 @@ class TestSemiNaive:
 class TestPrevElision:
     """A ``#prev`` relation is kept only where some delta variant reads
     it: never for a linear rule, always for a second recursive
-    occurrence.  Either way every counter equals the per-fact
-    ``compiled`` reference."""
+    occurrence.  Either way every counter equals the one the reference
+    interpreter (``tests/reference_join.py``) counts."""
 
     @staticmethod
     def _run(program, database, monkeypatch):
@@ -161,11 +163,9 @@ class TestPrevElision:
         return counters.as_dict(), answers, held
 
     def _reference(self, program, database, monkeypatch):
-        previous = set_join_kernel("compiled")
-        try:
-            return self._run(program, database, monkeypatch)[:2]
-        finally:
-            set_join_kernel(previous)
+        with monkeypatch.context() as patch:
+            patch.setattr(RulePlan, "execute", reference_execute)
+            return self._run(program, database, patch)[:2]
 
     def test_prev_predicates_reads_the_variants(self):
         linear = parse_rule("anc(X, Y) :- par(X, Z), anc(Z, Y).")

@@ -1,14 +1,13 @@
-"""Property tests: the vectorized kernel on every join shape it branches on.
+"""Property tests: the batch join on every join shape it branches on.
 
-The vectorized kernel (``RulePlan._execute_vectorized``) chooses its
-expansion per level from the data: keys that barely repeat (a chain's
-delta) take one bulk lookup per level, keys that repeat (a star, a
-fan-in, a grid) share one bucket per distinct key, and per-fact checks
-cut buckets or rows — constants and repeated variables in the probed
+The batch join (``RulePlan.execute``) chooses its expansion per level
+from the data: keys that barely repeat (a chain's delta) take one bulk
+lookup per level, keys that repeat (a star, a fan-in, a grid) share one
+bucket per distinct key, and per-fact checks cut buckets or rows — constants and repeated variables in the probed
 atom, equalities on bound variables, and constraints at step 0, over
 the probed atom alone, or spanning steps.  Every shape here is held to
-the generic interpreter: the same head batch as a multiset, and the
-same probe and firing counts under all three kernels on both fact
+the reference interpreter (``tests/reference_join.py``): the same head
+batch as a multiset, and the same probe and firing counts, on both fact
 backends.
 """
 
@@ -19,12 +18,14 @@ from hypothesis import strategies as st
 
 from repro.datalog import Atom, Rule, Variable, parse_program
 from repro.datalog.term import Constant
-from repro.engine import JOIN_KERNELS, EvalCounters, compile_plan
+from repro.engine import EvalCounters, compile_plan
 from repro.engine import plan as plan_module
 from repro.engine.plan import PlanStep, RulePlan
 from repro.facts import Database, set_fact_backend
 from repro.parallel import HashConstraint, HashDiscriminator
 from repro.parallel.discriminating import ModuloDiscriminator
+
+from ..reference_join import reference_execute
 
 BACKENDS = ("tuple", "columnar")
 X, Y, Z = (Variable(name) for name in "XYZ")
@@ -85,19 +86,20 @@ def _database(backend, edges, facts):
         set_fact_backend(previous)
 
 
-def _assert_kernels_agree(plan, edges, facts=()):
-    """Every kernel × backend: the generic interpreter's batch as a
-    multiset, and its probes and firings."""
+def _assert_agree(plan, edges, facts=()):
+    """The batch join and the reference on both backends: the
+    reference's batch as a multiset, and its probes and firings."""
     outcomes = {}
     for backend in BACKENDS:
         database = _database(backend, edges, facts)
-        for kernel in JOIN_KERNELS:
+        for name, execute in (("reference", reference_execute),
+                              ("batch", RulePlan.execute)):
             counters = EvalCounters()
-            batch = plan.execute(database, counters, kernel=kernel)
-            outcomes[backend, kernel] = (Counter(batch),
-                                         counters.total_firings(),
-                                         counters.probes)
-    reference = outcomes["tuple", "generic"]
+            batch = execute(plan, database, counters)
+            outcomes[backend, name] = (Counter(batch),
+                                       counters.total_firings(),
+                                       counters.probes)
+    reference = outcomes["tuple", "reference"]
     for key, outcome in outcomes.items():
         assert outcome == reference, key
     return reference
@@ -140,9 +142,9 @@ class TestJoinShapes:
     @given(edge_sets)
     @settings(max_examples=60, deadline=None)
     def test_single_variable_keys(self, edges):
-        _assert_kernels_agree(
+        _assert_agree(
             _textual_plan("p(X, Y) :- e(X, Z), e(Z, Y)."), edges)
-        _assert_kernels_agree(
+        _assert_agree(
             _textual_plan("p(X, W) :- e(X, Y), e(Y, Z), e(Z, W)."), edges)
 
     @given(edge_sets, triples)
@@ -151,25 +153,25 @@ class TestJoinShapes:
         for text in ("p(X, W) :- e(X, Y), g(X, Y, W).",
                      "p(X, W) :- e(X, Y), g(Y, 1, W).",
                      "p(X, W) :- e(X, Y), g(2, 1, W)."):
-            _assert_kernels_agree(_textual_plan(text), edges, facts)
+            _assert_agree(_textual_plan(text), edges, facts)
 
     @given(edge_sets)
     @settings(max_examples=25, deadline=None)
     def test_full_scan_cross_product(self, edges):
-        _assert_kernels_agree(
+        _assert_agree(
             _textual_plan("p(X, W) :- e(X, Y), e(Z, W)."), edges[:20])
 
     @given(edge_sets, triples)
     @settings(max_examples=40, deadline=None)
     def test_prefilter_constants_and_repeated_variables(self, edges, facts):
         # A repeated variable the lookup cannot guarantee ...
-        _assert_kernels_agree(
+        _assert_agree(
             _textual_plan("p(X, Y) :- e(X, Y), g(Y, Z, Z)."), edges, facts)
         # ... and a constant left out of the key by hand.
         rule = _rule("p(X, W) :- e(X, Y), g(Y, 2, W).")
         plan = _manual_plan(rule, ((), ()), ((0,), ()))
         assert plan._kernel_for().steps[1].const_checks == ((1, 2),)
-        _assert_kernels_agree(plan, edges, facts)
+        _assert_agree(plan, edges, facts)
 
     @given(edge_sets)
     @settings(max_examples=40, deadline=None)
@@ -177,10 +179,10 @@ class TestJoinShapes:
         rule = _rule("p(X, Y) :- e(X, Y), e(Y, X).")
         indexed = _manual_plan(rule, ((), ()), ((0,), ()))
         assert indexed._kernel_for().steps[1].bound_checks == ((1, X),)
-        _assert_kernels_agree(indexed, edges)
+        _assert_agree(indexed, edges)
         scanned = _manual_plan(rule, ((), ()), ((), ()))
         assert len(scanned._kernel_for().steps[1].bound_checks) == 2
-        _assert_kernels_agree(scanned, edges)
+        _assert_agree(scanned, edges)
 
     @given(edge_sets, st.sampled_from([0, 1]))
     @settings(max_examples=40, deadline=None)
@@ -197,22 +199,22 @@ class TestJoinShapes:
         assert len(plan.steps[0].constraints) == 1
         assert len(kernel.fact_constraints[1]) == 2
         assert len(kernel.row_constraints[1]) == 1
-        _assert_kernels_agree(plan, edges)
+        _assert_agree(plan, edges)
         # X is read after step 1 only by the constraint spanning steps.
         projected = _textual_plan("p(Y) :- e(X, Z), e(Z, Y).", (
             HashConstraint(hashed, [X, Y], target),))
-        _assert_kernels_agree(projected, edges)
+        _assert_agree(projected, edges)
 
     @given(edge_sets)
     @settings(max_examples=25, deadline=None)
     def test_zero_arity_head(self, edges):
         body = _rule("p(X, Z) :- e(X, Y), e(Y, Z).").body
         rule = Rule(Atom("found", ()), body)
-        firings = _assert_kernels_agree(compile_plan(rule, reorder=False),
-                                        edges)[1]
+        firings = _assert_agree(compile_plan(rule, reorder=False),
+                                edges)[1]
         constrained = rule.with_constraints(
             [HashConstraint(HashDiscriminator((0, 1)), [Y, Z], 0)])
-        _assert_kernels_agree(compile_plan(constrained, reorder=False), edges)
+        _assert_agree(compile_plan(constrained, reorder=False), edges)
         assert firings == sum(
             1 for _x, y in edges for y2, _z in edges if y == y2)
 
@@ -231,7 +233,7 @@ class TestExpansionForm:
                 return _inner(*args)
             monkeypatch.setattr(plan_module, name, spy)
         plan = _textual_plan("p(X, Y) :- e(X, Z), e(Z, Y).")
-        _assert_kernels_agree(plan, edges)
+        _assert_agree(plan, edges)
         return set(seen)
 
     def test_chain_expands_per_row(self, monkeypatch):

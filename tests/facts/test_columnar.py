@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ConfigurationError
 from repro.facts import (
     ColumnarIndex,
     ColumnarRelation,
@@ -40,7 +41,7 @@ class TestBackendSelection:
             set_fact_backend(previous)
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="'arrow'"):
             set_fact_backend("arrow")
 
     def test_make_relation_explicit_backend(self):

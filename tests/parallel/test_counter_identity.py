@@ -4,27 +4,42 @@ Memoising the discriminating function, checking ``h(v(r)) = i``
 positionally / column-wise and pricing channel bytes per batch are all
 supposed to change *when* work happens, never *which* substitution
 fires where or which tuple crosses which channel.  These literals were
-recorded at the commit before those changes (and are identical for the
-three join kernels, as the kernel-equivalence contract demands); any
-drift in the partition, the constraint pushdown, the routing or the
+recorded at the commit before those changes; they hold on both fact
+backends, and with the reference interpreter (``tests/reference_join.py``)
+in place of the batch join, as the join's equivalence contract demands.
+Any drift in the partition, the constraint pushdown, the routing or the
 byte model shows up here as a changed number.
 
-The shuffled chain pins the other end of the join kernel's shape
-range: every delta row carries its own join key, so the vectorized
-kernel expands it without grouping, where the DAG and the non-linear
-rule share buckets across rows.
+The shuffled chain pins the other end of the join's shape range:
+every delta row carries its own join key, so the batch join expands it
+without grouping, where the DAG and the non-linear rule share buckets
+across rows.
+
+The stale-synchronous case pins the simulator's modelled time: the
+power-law ``skewed`` workload under ``hash_scheme`` with a staleness
+bound of 2, where ``ticks`` and ``stalled`` measure how far processors
+run ahead of the slowest one.
 """
 
 import random
 
 import pytest
 
-from repro.engine.plan import JOIN_KERNELS, set_join_kernel
-from repro.facts import Database
-from repro.parallel import example3_scheme, rewrite_general, run_parallel
-from repro.workloads import ancestor_program, nonlinear_ancestor_program
+from repro.facts import Database, set_fact_backend
+from repro.parallel import (
+    example3_scheme,
+    hash_scheme,
+    rewrite_general,
+    run_parallel,
+)
+from repro.workloads import (
+    ancestor_program,
+    make_workload,
+    nonlinear_ancestor_program,
+)
 
 PROCESSORS = (0, 1, 2)
+BACKENDS = ("tuple", "columnar")
 
 SCHEMES = {
     "example3": lambda: example3_scheme(ancestor_program(), PROCESSORS),
@@ -54,6 +69,11 @@ PINNED = {
         channel_messages=42, channel_bytes=558110, duplicates_dropped=4008),
 }
 
+# ``skewed``, 48 nodes, seed 3; hash_scheme on four processors, SSP with
+# staleness 2 -> counters recorded at the parent commit.
+PINNED_SSP = dict(ticks=130, stalled=33, rounds=8, firings=314,
+                  tuples_sent=145, facts_out=187)
+
 
 @pytest.fixture
 def shuffled_chain_db():
@@ -62,16 +82,17 @@ def shuffled_chain_db():
     return Database.from_facts({"par": list(zip(labels, labels[1:]))})
 
 
-@pytest.mark.parametrize("kernel", JOIN_KERNELS)
-@pytest.mark.parametrize("scheme,fixture", sorted(PINNED))
-def test_counters_equal_parent_commit(kernel, scheme, fixture, request):
-    database = request.getfixturevalue(fixture)
-    previous = set_join_kernel(kernel)
-    try:
-        metrics = run_parallel(SCHEMES[scheme](), database).metrics
-    finally:
-        set_join_kernel(previous)
-    assert dict(
+@pytest.fixture
+def backend(request):
+    """Build the test's databases on the parametrized fact backend."""
+    previous = set_fact_backend(request.param)
+    yield request.param
+    set_fact_backend(previous)
+
+
+def _counters(scheme, database):
+    metrics = run_parallel(SCHEMES[scheme](), database).metrics
+    return dict(
         firings=metrics.total_firings(),
         probes=sum(metrics.probes.values()),
         rounds=metrics.rounds,
@@ -79,4 +100,36 @@ def test_counters_equal_parent_commit(kernel, scheme, fixture, request):
         channel_messages=metrics.total_channel_messages(),
         channel_bytes=metrics.total_channel_bytes(),
         duplicates_dropped=sum(metrics.duplicates_dropped.values()),
-    ) == PINNED[scheme, fixture]
+    )
+
+
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
+@pytest.mark.parametrize("scheme,fixture", sorted(PINNED))
+def test_counters_equal_parent_commit(scheme, fixture, backend, request):
+    database = request.getfixturevalue(fixture)
+    assert _counters(scheme, database) == PINNED[scheme, fixture]
+
+
+@pytest.mark.parametrize("scheme,fixture", sorted(PINNED))
+def test_reference_join_gives_the_same_counters(scheme, fixture,
+                                                oracle_join, request):
+    database = request.getfixturevalue(fixture)
+    assert _counters(scheme, database) == PINNED[scheme, fixture]
+
+
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
+def test_ssp_counters_equal_parent_commit(backend):
+    workload = make_workload("skewed", 48, seed=3)
+    parallel = hash_scheme(workload.program, (0, 1, 2, 3))
+    result = run_parallel(parallel, workload.database, sync="ssp",
+                          staleness=2)
+    metrics = result.metrics
+    assert dict(
+        ticks=metrics.ticks,
+        stalled=metrics.total_stalled(),
+        rounds=metrics.rounds,
+        firings=metrics.total_firings(),
+        tuples_sent=metrics.total_sent(),
+        facts_out=sum(len(result.relation(predicate))
+                      for predicate in parallel.derived),
+    ) == PINNED_SSP

@@ -13,7 +13,7 @@ watermarks and replay only the suffix.  The contract under test:
   invisible in the gated cost counters;
 * checkpoint recovery replays strictly fewer facts than
   restart-from-base on a bursty workload (the headline of
-  docs/FAULT_TOLERANCE.md, gated numerically in the bench matrix);
+  docs/FAULT_TOLERANCE.md);
 * a kill landing *during* another worker's recovery (cascading
   failure) is survived and marked in the trace.
 """
@@ -115,9 +115,8 @@ class TestCheckpointRecovery:
         """The headline claim, as a strict inequality on one seeded
         run pair: same chain workload, same late kill, checkpoint
         recovery replays strictly fewer facts than restart-from-base
-        — with answers and firings identical to sequential for both.
-        (The bench matrix gates the same pair numerically across
-        commits; see mp-recovery-* in repro/bench/scenarios.py.)"""
+        — with answers and firings identical to sequential for both,
+        and exactly one restart each."""
         database = _chain_db(96)
         program = example3_scheme(ancestor, (0, 1, 2))
         expected = evaluate(ancestor, database)

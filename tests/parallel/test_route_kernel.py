@@ -1,12 +1,11 @@
-"""Equivalence of the compiled route kernel and its reference interpreter.
+"""Equivalence of the compiled route kernel and the per-fact sending rule.
 
-The :class:`~repro.parallel.routing.RouterTable` has two partitioning
-paths: the compiled kernel (default) and the generic per-fact
-``Route.targets`` aggregation (``set_route_kernel(False)`` /
-``REPRO_ROUTE_KERNEL=generic``).  Theorems 1 and 2 rest on routing
-being *exactly* the sending rules, so the two paths must agree on
-buckets, bucket order, and the broadcast count — over random routes and
-fragments (Hypothesis) and over the paper's schemes end-to-end.
+:meth:`~repro.parallel.routing.RouterTable.partition` is the compiled
+batch partitioner; the reference here aggregates per-fact
+``Route.targets`` calls.  Theorems 1 and 2 rest on routing being
+*exactly* the sending rules, so the two must agree on buckets, bucket
+order, and the broadcast count — over random routes and fragments
+(Hypothesis) and over the paper's schemes end-to-end.
 """
 
 import pytest
@@ -25,9 +24,7 @@ from repro.parallel import (
     example2_scheme,
     example3_scheme,
     hash_scheme,
-    route_kernel_enabled,
     run_parallel,
-    set_route_kernel,
     wolfson_scheme,
 )
 from repro.parallel.discriminating import Discriminator
@@ -110,20 +107,14 @@ class TestKernelEquivalence:
     @given(case=_case())
     def test_partition_matches_reference(self, case):
         routes, facts = case
-        table = RouterTable(routes)
-        compiled = table.partition("t", facts)
-        previous = set_route_kernel(False)
-        try:
-            generic = table.partition("t", facts)
-        finally:
-            set_route_kernel(previous)
-        # Bucket *lists* compare ordered, so these equalities also pin
-        # down per-target emission order, not just membership.
-        assert compiled == generic
-        assert compiled == _reference_partition(routes, facts)
+        compiled = RouterTable(routes).partition("t", facts)
+        reference = _reference_partition(routes, facts)
+        # Bucket *lists* compare ordered, so this equality also pins
+        # down per-target emission order, not just membership ...
+        assert compiled == reference
         # ... and targets keep first-seen order (dict equality does not
         # look at it; message order in the executors does).
-        assert list(compiled[0]) == list(generic[0])
+        assert list(compiled[0]) == list(reference[0])
 
     def test_empty_sequence_routes_every_fact_to_one_target(self):
         """``v(r) = ()`` (rewrite_general admits it): ``h(())`` is the
@@ -147,21 +138,12 @@ class TestKernelEquivalence:
 
 
 class TestKernelToggle:
-    def test_set_route_kernel_returns_previous(self):
-        assert route_kernel_enabled()
-        previous = set_route_kernel(False)
-        try:
-            assert previous is True
-            assert not route_kernel_enabled()
-        finally:
-            set_route_kernel(previous)
-        assert route_kernel_enabled()
-
     @pytest.mark.parametrize("scheme", ["example2", "example3", "hash",
                                         "wolfson"])
-    def test_schemes_identical_under_both_kernels(self, scheme):
-        """End-to-end: simulator metrics and answers must not depend on
-        which routing path is active."""
+    def test_schemes_identical_under_both_kernels(self, scheme,
+                                                  monkeypatch):
+        """End-to-end: simulator metrics and answers are those of the
+        per-fact sending rules."""
         program = ancestor_program()
         database = Database.from_facts(
             {"par": random_tree_edges(40, seed=3)})
@@ -174,11 +156,10 @@ class TestKernelToggle:
         else:
             parallel = wolfson_scheme(program, (0, 1))
         compiled = run_parallel(parallel, database)
-        previous = set_route_kernel(False)
-        try:
-            generic = run_parallel(parallel, database)
-        finally:
-            set_route_kernel(previous)
+        monkeypatch.setattr(
+            RouterTable, "partition", lambda table, predicate, facts:
+            _reference_partition(table.routes_for(predicate), facts))
+        generic = run_parallel(parallel, database)
         assert (compiled.relation("anc").as_set()
                 == generic.relation("anc").as_set()
                 == evaluate(program, database).relation("anc").as_set())

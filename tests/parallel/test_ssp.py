@@ -149,7 +149,7 @@ class TestSkewedUtilisation:
 
     Hub nodes concentrate firings on one processor; under BSP its peers
     idle at every barrier, under SSP they run ahead within the bound.
-    Pinned on the seeded workload the bench matrix measures (T11)."""
+    Pinned on the seeded workload EXPERIMENTS.md T11 measures."""
 
     def test_ssp_beats_bsp_utilisation(self):
         workload, program = _skewed()

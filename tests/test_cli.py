@@ -193,72 +193,6 @@ class TestWorkloadsCommand:
         assert "same-generation" in output
 
 
-class TestBenchCommand:
-    def test_list_shows_matrices(self, capsys):
-        assert main(["bench", "list"]) == 0
-        output = capsys.readouterr().out
-        assert "default" in output
-        assert "smoke" in output
-        assert "engine-seminaive-dag-64" in output
-
-    def test_run_writes_report(self, tmp_path, capsys):
-        path = tmp_path / "BENCH_out.json"
-        code = main(["bench", "run", "-o", str(path), "--matrix", "smoke",
-                     "--repeats", "1", "--warmup", "0", "--no-baseline",
-                     "--only", "engine-seminaive-dag"])
-        output = capsys.readouterr().out
-        assert code == 0
-        assert path.exists()
-        assert "1 scenario" in output
-
-        import json
-        report = json.loads(path.read_text())
-        assert report["bench_format"] == "repro.bench.perf"
-        assert report["scenarios"][0]["name"] == "engine-seminaive-dag-64"
-
-    def test_compare_detects_injected_regression(self, tmp_path, capsys):
-        import json
-
-        path = tmp_path / "BENCH_ref.json"
-        assert main(["bench", "run", "-o", str(path), "--matrix", "smoke",
-                     "--repeats", "1", "--warmup", "0", "--no-baseline",
-                     "--only", "engine-seminaive-dag"]) == 0
-        capsys.readouterr()
-
-        report = json.loads(path.read_text())
-        report["scenarios"][0]["counters"]["firings"] = int(
-            report["scenarios"][0]["counters"]["firings"] * 2)
-        worse = tmp_path / "BENCH_worse.json"
-        worse.write_text(json.dumps(report))
-
-        assert main(["bench", "compare", str(path), str(path),
-                     "--counters-only"]) == 0
-        capsys.readouterr()
-        code = main(["bench", "compare", str(path), str(worse),
-                     "--counters-only", "--threshold", "0.25"])
-        output = capsys.readouterr().out
-        assert code == 1
-        assert "REGRESSED" in output
-        assert "firings" in output
-
-    def test_compare_bad_file_errors_cleanly(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{}")
-        assert main(["bench", "compare", str(bad), str(bad)]) == 2
-        assert "error:" in capsys.readouterr().err
-
-    def test_profile_prints_hot_functions(self, capsys):
-        assert main(["bench", "profile", "engine-seminaive-dag-64",
-                     "--top", "5"]) == 0
-        output = capsys.readouterr().out
-        assert "cumulative time" in output
-        assert "per-phase event counts" in output
-
-    def test_unknown_scenario_errors_cleanly(self, capsys):
-        assert main(["bench", "profile", "nope"]) == 2
-        assert "error:" in capsys.readouterr().err
-
-
 class TestRecoveryFlags:
     def test_checkpoint_without_mp_rejected(self, program_file, capsys):
         code = main(["parallel", program_file, "-n", "2",

@@ -1,10 +1,11 @@
 """What a fresh interpreter with no ``REPRO_*`` variable set runs.
 
-The defaults are the measured fast path (vectorized join kernel over
-the tuple backend) and ``import repro`` stays light: the graph and
-array libraries are conveniences of ``repro network`` and the test
-suite, never a cost of evaluating a program.  Both are properties of a
-*fresh* process, so each test starts one.
+The default is the measured fast path (the tuple backend), a bad
+backend name is a precise ``ConfigurationError``, and ``import repro``
+stays light: the graph and array libraries are conveniences of
+``repro network`` and the test suite, never a cost of evaluating a
+program.  All are properties of a *fresh* process, so each test starts
+one.
 """
 
 import json
@@ -16,13 +17,18 @@ import sys
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
-def _fresh_python(code):
+def _run_fresh(code, **variables):
     environment = {key: value for key, value in os.environ.items()
                    if not key.startswith("REPRO_")}
+    environment.update(variables)
     environment["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC), environment.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", code], env=environment,
+    return subprocess.run([sys.executable, "-c", code], env=environment,
                           capture_output=True, text=True, timeout=60)
+
+
+def _fresh_python(code):
+    done = _run_fresh(code)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout)
 
@@ -30,10 +36,31 @@ def _fresh_python(code):
 def test_defaults_are_the_fast_path():
     assert _fresh_python(
         "import json\n"
-        "from repro.engine import join_kernel\n"
         "from repro.facts import fact_backend\n"
-        "print(json.dumps([join_kernel(), fact_backend()]))\n"
-    ) == ["vectorized", "tuple"]
+        "print(json.dumps(fact_backend()))\n"
+    ) == "tuple"
+
+
+def test_bad_backend_variable_is_a_configuration_error():
+    done = _run_fresh("import repro", REPRO_FACT_BACKEND="bogus")
+    assert done.returncode != 0
+    last = done.stderr.strip().splitlines()[-1]
+    assert last.startswith("repro.errors.ConfigurationError: "
+                           "REPRO_FACT_BACKEND='bogus'"), done.stderr
+    assert "'columnar', 'tuple'" in last
+
+
+def test_bad_backend_name_is_a_configuration_error():
+    assert _fresh_python(
+        "import json\n"
+        "from repro.errors import ConfigurationError\n"
+        "from repro.facts import fact_backend, set_fact_backend\n"
+        "try:\n"
+        "    set_fact_backend('x')\n"
+        "except ConfigurationError as error:\n"
+        "    print(json.dumps([str(error), fact_backend()]))\n"
+    ) == ["unknown fact backend 'x': expected one of ['columnar', 'tuple']",
+          "tuple"]
 
 
 def test_import_budget_excludes_networkx_and_numpy():
