@@ -38,7 +38,6 @@ from ..datalog.rule import Constraint, Rule
 from ..datalog.substitution import Substitution
 from ..datalog.term import Constant, Variable
 from ..errors import EvaluationError
-from ..facts.columnar import ColumnarIndex, ColumnarRelation
 from ..facts.database import Database
 from ..facts.relation import Fact
 from .counters import EvalCounters
@@ -478,7 +477,6 @@ class RulePlan:
                             for is_var, part in kstep.key_parts)
             rows = index.lookup(key)
         else:
-            key = None
             rows = relation.facts()
 
         bind_specs = kstep.bind_specs
@@ -508,17 +506,6 @@ class RulePlan:
                 by_position = list(zip(*kept))
                 for position, variable in bind_specs:
                     cols[variable] = by_position[position]
-        elif index is None and isinstance(relation, ColumnarRelation):
-            # Full scan with no residual checks: reuse the relation's
-            # cached raw-value columns (read-only from here on).
-            value_columns = relation.value_columns()
-            for position, variable in bind_specs:
-                cols[variable] = value_columns[position]
-            n = len(relation)
-        elif index is not None and isinstance(index, ColumnarIndex):
-            n = len(rows)
-            for position, variable in bind_specs:
-                cols[variable] = index.bucket_column(key, position)
         else:
             # One C-level transpose; the columns are read-only tuples.
             n = len(rows)
@@ -529,8 +516,7 @@ class RulePlan:
         if not n:
             return []
         # Constraints pushed to this step decide the whole batch at
-        # once, column-wise (``compress`` builds fresh lists, so shared
-        # read-only relation columns are never written).
+        # once, column-wise.
         for constraint in self.steps[0].constraints:
             cols, n = _keep_rows(cols, _constraint_mask(constraint, cols))
 

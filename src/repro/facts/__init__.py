@@ -1,19 +1,9 @@
 """Storage layer: relations, hash indexes, databases and fragmentation.
 
-Two interchangeable storage backends sit behind the ``Relation`` API —
-the tuple-set default and an interned columnar layout — selected via
-:func:`set_fact_backend` / ``REPRO_FACT_BACKEND`` (see
-docs/DATA_PLANE.md and :mod:`repro.facts.backend`).
+Every fact lives in a :class:`Relation` — a set of plain tuples with
+lazily built :class:`HashIndex` indexes (see docs/DATA_PLANE.md).
 """
 
-from .backend import (
-    FACT_BACKENDS,
-    fact_backend,
-    make_relation,
-    relation_class,
-    set_fact_backend,
-)
-from .columnar import ColumnarIndex, ColumnarRelation
 from .database import Database
 from .fragments import (
     SHARED,
@@ -24,7 +14,6 @@ from .fragments import (
     SharedFragmentation,
 )
 from .index import HashIndex
-from .interning import ConstantInterner, global_interner, reset_global_interner
 from .packing import (
     is_packed,
     pack_facts,
@@ -34,14 +23,14 @@ from .packing import (
 )
 from .relation import Fact, Relation
 
+# An alias the benchmark's layer timings (benchmarks/e2e/layers.py)
+# still import; a relation is always a ``Relation``.
+make_relation = Relation
+
 __all__ = [
     "SHARED",
     "ArbitraryFragmentation",
-    "ColumnarIndex",
-    "ColumnarRelation",
-    "ConstantInterner",
     "Database",
-    "FACT_BACKENDS",
     "Fact",
     "FragmentationPlan",
     "FragmentationPolicy",
@@ -49,15 +38,10 @@ __all__ = [
     "HashIndex",
     "Relation",
     "SharedFragmentation",
-    "fact_backend",
-    "global_interner",
     "is_packed",
     "make_relation",
     "pack_facts",
     "packed_fact_count",
-    "relation_class",
-    "reset_global_interner",
-    "set_fact_backend",
     "unpack_columns",
     "unpack_facts",
 ]

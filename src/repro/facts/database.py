@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
 from ..datalog.atom import Atom
-from .backend import make_relation
 from .relation import Relation
 
 __all__ = ["Database"]
@@ -40,7 +39,7 @@ class Database:
                 raise ValueError(
                     f"cannot infer arity of empty relation {name!r}; "
                     "use Database.declare instead")
-            relation = make_relation(name, len(rows[0]), rows)
+            relation = Relation(name, len(rows[0]), rows)
             database.attach(relation)
         return database
 
@@ -60,7 +59,7 @@ class Database:
         """
         relation = self._relations.get(name)
         if relation is None:
-            relation = make_relation(name, arity)
+            relation = Relation(name, arity)
             self._relations[name] = relation
         elif relation.arity != arity:
             raise ValueError(
@@ -75,7 +74,7 @@ class Database:
         """Insert a fact, creating the relation if needed."""
         relation = self._relations.get(name)
         if relation is None:
-            relation = make_relation(name, len(fact))
+            relation = Relation(name, len(fact))
             self._relations[name] = relation
         return relation.add(fact)
 

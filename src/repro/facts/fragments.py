@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Hashable, Mapping, Sequence, Tuple
 
-from .backend import make_relation
 from .relation import Fact, Relation
 
 __all__ = [
@@ -85,7 +84,7 @@ class HashFragmentation(FragmentationPolicy):
 
     def fragment(self, relation: Relation,
                  processors: Sequence[ProcessorId]) -> Dict[ProcessorId, Relation]:
-        fragments = {proc: make_relation(relation.name, relation.arity)
+        fragments = {proc: Relation(relation.name, relation.arity)
                      for proc in processors}
         known = set(processors)
         for fact in relation:
@@ -137,7 +136,7 @@ class ArbitraryFragmentation(FragmentationPolicy):
 
     def fragment(self, relation: Relation,
                  processors: Sequence[ProcessorId]) -> Dict[ProcessorId, Relation]:
-        fragments = {proc: make_relation(relation.name, relation.arity)
+        fragments = {proc: Relation(relation.name, relation.arity)
                      for proc in processors}
         for fact in relation:
             fragments[self.owner(fact)].add(fact)

@@ -14,9 +14,8 @@ transposes the batch into per-attribute columns:
 
 Crucially the encoding is **self-contained**: the dictionary of a
 dictionary-encoded column travels inside the message, and int columns
-carry raw values, so no interner state crosses the process boundary
-(interned ids are process-local — see :mod:`repro.facts.interning`).
-The receiver reconstructs the exact value tuples; ``unpack_facts(
+carry raw values, so nothing process-local crosses the process
+boundary.  The receiver reconstructs the exact value tuples; ``unpack_facts(
 pack_facts(facts))`` is the identity on fact lists (property-tested in
 ``tests/facts/test_packing.py``), which keeps routing, discriminating
 functions and quiescence counting oblivious to the wire format.

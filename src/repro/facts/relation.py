@@ -67,7 +67,7 @@ class Relation:
         handed to each index's :meth:`~repro.facts.index.HashIndex.add_many`,
         so index keys are derived once per fact instead of once per
         fact per :meth:`add` call.  When ``facts`` is a list, tuple,
-        set or (tuple-backend) relation of plain tuples of this arity —
+        set or relation of plain tuples of this arity —
         what the engines and the executors' pooling pass — the insert
         is a single C-level
         ``set.update`` (no ``fresh`` set at all without indexes);
@@ -192,9 +192,6 @@ class Relation:
         return bool(self._facts)
 
     def __eq__(self, other: object) -> bool:
-        # Membership-based so relations from different storage backends
-        # (set-backed tuple store vs dict-backed columnar store) compare
-        # equal whenever they hold the same facts.
         if not isinstance(other, Relation):
             return NotImplemented
         if self.name != other.name or self.arity != other.arity:

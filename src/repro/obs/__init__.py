@@ -29,7 +29,6 @@ from .events import (
     RULE_FIRED,
     RUN_END,
     RUN_START,
-    SPAN,
     TUPLE_DROPPED,
     TUPLE_RECEIVED,
     TUPLE_SENT,
@@ -68,7 +67,6 @@ __all__ = [
     "RULE_FIRED",
     "RUN_END",
     "RUN_START",
-    "SPAN",
     "TUPLE_DROPPED",
     "TUPLE_RECEIVED",
     "TUPLE_SENT",

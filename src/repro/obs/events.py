@@ -28,7 +28,6 @@ __all__ = [
     "RULE_FIRED",
     "RUN_END",
     "RUN_START",
-    "SPAN",
     "TUPLE_DROPPED",
     "TUPLE_RECEIVED",
     "TUPLE_SENT",
@@ -58,13 +57,12 @@ REPLAY = "replay"
 CHECKPOINT = "checkpoint"
 RESTORE = "restore"
 LOG_TRUNCATE = "log_truncate"
-SPAN = "span"
 
 EVENT_KINDS = frozenset({
     RUN_START, RUN_END, ROUND_START, ROUND_END, RULE_FIRED,
     TUPLE_SENT, TUPLE_RECEIVED, TUPLE_DROPPED, PROBE,
     WORKER_SPAWN, WORKER_EXIT, WORKER_DOWN, WORKER_RESTART,
-    WORKER_STALLED, REPLAY, CHECKPOINT, RESTORE, LOG_TRUNCATE, SPAN,
+    WORKER_STALLED, REPLAY, CHECKPOINT, RESTORE, LOG_TRUNCATE,
 })
 
 # Keys of the flat dict form that are *not* payload entries.

@@ -19,8 +19,7 @@ stamps nothing, making traces deterministic; ``clock=time.perf_counter``
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Callable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .events import (
     CHECKPOINT,
@@ -33,7 +32,6 @@ from .events import (
     RULE_FIRED,
     RUN_END,
     RUN_START,
-    SPAN,
     TUPLE_DROPPED,
     TUPLE_RECEIVED,
     TUPLE_SENT,
@@ -201,27 +199,6 @@ class Tracer:
         watermark and will never need replaying)."""
         self.emit(LOG_TRUNCATE, proc=proc, dst=dst, count=count)
 
-    # ------------------------------------------------------------------
-    # Spans
-    # ------------------------------------------------------------------
-    @contextmanager
-    def span(self, name: str, proc: Optional[str] = None) -> Iterator[None]:
-        """Time a block; emits one ``span`` event when the block exits.
-
-        With no clock the event still marks that the phase happened,
-        just without a duration (determinism is preserved).
-        """
-        started = self.clock() if self.clock is not None else None
-        try:
-            yield
-        finally:
-            if started is not None:
-                assert self.clock is not None
-                self.emit(SPAN, proc=proc, name=name,
-                          seconds=self.clock() - started)
-            else:
-                self.emit(SPAN, proc=proc, name=name)
-
 
 class NullTracer(Tracer):
     """The zero-overhead default: every operation is a no-op."""
@@ -242,10 +219,6 @@ class NullTracer(Tracer):
 
     def close(self) -> None:
         pass
-
-    @contextmanager
-    def span(self, name: str, proc: Optional[str] = None) -> Iterator[None]:
-        yield
 
 
 NULL_TRACER = NullTracer()

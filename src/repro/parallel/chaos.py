@@ -7,9 +7,9 @@ Individual tests pin single fault shapes; this module soaks the
 cross-product.  Each seed deterministically derives one *case*:
 
 * a point in the configuration grid — rewriting scheme x sync mode
-  (bsp/ssp) x fact backend (tuple/columnar) x recovery policy
-  (restart/checkpoint) — cycled so consecutive seeds disagree on the
-  recovery policy first (the axis under test);
+  (bsp/ssp) x recovery policy (restart/checkpoint) — cycled so
+  consecutive seeds disagree on the recovery policy first (the axis
+  under test);
 * a workload (random tree or diamond-rich DAG under the ancestor
   program, size and shape drawn from the seed);
 * a fault schedule: one or two SIGKILLs at random firing counts on
@@ -34,7 +34,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..engine import evaluate
 from ..errors import ReproError
-from ..facts.backend import set_fact_backend
 from ..facts.database import Database
 from ..workloads import ancestor_program, random_dag_edges, random_tree_edges
 from .faults import build_fault_plan
@@ -56,7 +55,6 @@ __all__ = ["ChaosCase", "ChaosOutcome", "build_case", "run_case",
 _RECOVERIES = ("restart", "checkpoint")
 _SCHEMES = ("example3", "hash", "example2", "wolfson")
 _SYNCS = ("bsp", "ssp")
-_BACKENDS = ("tuple", "columnar")
 
 
 @dataclass(frozen=True)
@@ -67,7 +65,6 @@ class ChaosCase:
     scheme: str
     sync: str
     staleness: int
-    backend: str
     recovery: str
     workload: str            # "tree" or "dag"
     size: int
@@ -80,7 +77,7 @@ class ChaosCase:
     def describe(self) -> str:
         faults = ", ".join(self.fault_specs) if self.fault_specs else "none"
         mode = (f"ssp(s={self.staleness})" if self.sync == "ssp" else "bsp")
-        return (f"seed {self.seed}: {self.scheme}/{mode}/{self.backend}/"
+        return (f"seed {self.seed}: {self.scheme}/{mode}/"
                 f"{self.recovery} on {self.workload}-{self.size} "
                 f"[{faults}]")
 
@@ -106,15 +103,13 @@ class ChaosOutcome:
         return f"{status} {self.case.describe()}{extra}{tail}"
 
 
-def _grid_point(index: int) -> Tuple[str, str, str, str]:
+def _grid_point(index: int) -> Tuple[str, str, str]:
     recovery = _RECOVERIES[index % len(_RECOVERIES)]
     index //= len(_RECOVERIES)
     scheme = _SCHEMES[index % len(_SCHEMES)]
     index //= len(_SCHEMES)
     sync = _SYNCS[index % len(_SYNCS)]
-    index //= len(_SYNCS)
-    backend = _BACKENDS[index % len(_BACKENDS)]
-    return recovery, scheme, sync, backend
+    return recovery, scheme, sync
 
 
 def _processors(scheme: str) -> Tuple[int, ...]:
@@ -126,7 +121,7 @@ def _processors(scheme: str) -> Tuple[int, ...]:
 def build_case(seed: int, max_restarts: int = 4,
                checkpoint_interval: int = 2) -> ChaosCase:
     """Derive the soak case of ``seed`` (pure, deterministic)."""
-    recovery, scheme, sync, backend = _grid_point(seed)
+    recovery, scheme, sync = _grid_point(seed)
     rng = random.Random(f"chaos:{seed}")
     workload = rng.choice(("tree", "tree", "dag"))
     size = rng.randint(24, 48)
@@ -141,7 +136,7 @@ def build_case(seed: int, max_restarts: int = 4,
         prob = round(rng.uniform(0.05, 0.30), 2)
         specs.append(f"{kind}:{prob}")
     return ChaosCase(seed=seed, scheme=scheme, sync=sync, staleness=2,
-                     backend=backend, recovery=recovery, workload=workload,
+                     recovery=recovery, workload=workload,
                      size=size, workload_seed=workload_seed,
                      fault_specs=tuple(specs), fault_seed=seed,
                      max_restarts=max_restarts,
@@ -178,7 +173,6 @@ def run_case(case: ChaosCase, timeout: float = 60.0) -> ChaosOutcome:
     expected = evaluate(program, database)
     parallel_program = _build_parallel(case, program, database)
     plan = build_fault_plan(list(case.fault_specs), seed=case.fault_seed)
-    previous_backend = set_fact_backend(case.backend)
     try:
         result = run_multiprocessing(
             parallel_program, database, faults=plan, recovery=case.recovery,
@@ -188,8 +182,6 @@ def run_case(case: ChaosCase, timeout: float = 60.0) -> ChaosOutcome:
     except ReproError as error:
         return ChaosOutcome(case=case, ok=False,
                             detail=f"{type(error).__name__}: {error}")
-    finally:
-        set_fact_backend(previous_backend)
     for predicate in parallel_program.derived:
         got = result.relation(predicate).as_set()
         want = expected.relation(predicate).as_set()

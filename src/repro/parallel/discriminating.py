@@ -187,8 +187,8 @@ class Discriminator:
         per value; subclasses with cheap dispatch override it with a
         tight comprehension over the whole column.  Must agree with
         ``__call__`` value-for-value — routing always works on raw
-        constants, never on interned ids, so both backends and both
-        wire formats partition identically (docs/DATA_PLANE.md).
+        constants, so packed and plain batches partition identically
+        (docs/DATA_PLANE.md).
         """
         targets = []
         append = targets.append

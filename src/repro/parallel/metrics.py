@@ -69,8 +69,7 @@ def approx_packed_bytes(payload) -> int:
     plus the index buffer, raw fallback columns cost per value what the
     tuple model charges.  Keeping both formats in one model is what
     keeps ``channel_bytes`` comparable across wire formats (the pinned
-    counters of ``tests/parallel/test_counter_identity.py`` hold on
-    both backends).
+    counters of ``tests/parallel/test_counter_identity.py``).
     """
     _tag, _count, _arity, columns = payload
     total = _TUPLE_OVERHEAD_BYTES

@@ -22,9 +22,9 @@ consistent local cut:
   watermark/truncation invariant in :mod:`.protocol`).
 
 Fact batches are encoded with the packed column wire format of
-:mod:`repro.facts.packing` — self-contained, no interner state crosses
-the process boundary — so both fact backends checkpoint compactly and a
-checkpoint written under one backend restores under the other.
+:mod:`repro.facts.packing`, which is self-contained: a payload carries
+raw values and its own dictionaries, so a checkpoint restores in any
+process.
 
 The payload is a plain picklable dict (versioned, see
 :data:`CHECKPOINT_VERSION`); :func:`encode_checkpoint` /

@@ -8,10 +8,11 @@ Data plane (worker → worker):
   paper's ``t_ij`` predicates), coalesced: ``pairs`` is a list of
   ``(predicate, facts)`` groups, so one message (one queue put, one
   pickle) can carry a whole step burst's output for the peer across
-  several predicates.  ``facts`` is either a plain list of fact tuples
-  or, under the columnar backend, a packed column payload
+  several predicates.  ``facts`` is a packed column payload
   (``repro.facts.packing``; detected with ``is_packed`` and decoded
-  with ``unpack_facts``) — self-contained either way, and all
+  with ``unpack_facts``) when the group holds at least
+  ``PACK_MIN_FACTS`` facts, and a plain list of fact tuples below
+  that — self-contained either way, and all
   protocol accounting below counts *unpacked facts*, so the wire
   format never affects quiescence or replay.  ``epoch`` is the
   *recovery epoch* the sender was in when it *flushed* (see below);

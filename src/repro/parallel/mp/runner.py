@@ -45,7 +45,9 @@ the ``recovery`` policy:
   fragment, so it re-derives only the work since the snapshot; the
   checkpoint's per-sender watermarks let every peer truncate its
   sent-log down to the unacknowledged suffix, so replays shrink the
-  same way.  Answers and total firings still equal an undisturbed run.
+  same way.  When several workers die at once, each restored newcomer
+  also replays its restored log to the others.  Answers and total
+  firings still equal an undisturbed run.
 
 Every restart of the same worker after the first is preceded by an
 exponentially growing backoff sleep (base :data:`_BACKOFF_BASE`, cap
@@ -81,7 +83,6 @@ from typing import Dict, Hashable, List, Optional, Tuple
 
 from ...errors import ConfigurationError, ExecutionError
 from ...facts.database import Database
-from ...facts.backend import fact_backend, make_relation
 from ...facts.packing import ensure_facts, maybe_pack
 from ...facts.relation import Relation
 from ...obs.tracer import Tracer, ensure_tracer
@@ -328,7 +329,6 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
                     f"{kill.processor!r}; known: {sorted(known)}")
     inboxes = {proc: context.Queue() for proc in order}
     coordinator_queue = context.Queue()
-    backend = fact_backend()
     locals_by_proc = {proc: _picklable_local(program, proc, database)
                       for proc in order}
     worker_faults = {
@@ -384,7 +384,7 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
             target=worker_main,
             args=(program.program_for(proc), locals_by_proc[proc],
                   inboxes[proc], inboxes, coordinator_queue, tracing,
-                  injected, epoch, sync, staleness, backend,
+                  injected, epoch, sync, staleness,
                   interval, restore, recovery != "fail"),
             daemon=True)
         process.start()
@@ -484,9 +484,15 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
             if tracing:
                 tracer.worker_restart(tags[proc], epoch=epoch,
                                       restored=restore is not None)
-        for proc in survivors:
+        # Newcomers replay too, to every *other* casualty: one restored
+        # from a checkpoint holds its predecessor's sent-log, whose
+        # entries past a fellow casualty's own checkpoint neither side
+        # will derive again (both restored ``t_out``s hold them).  A
+        # newcomer from its base fragment has an empty log and re-derives.
+        for proc in order:
             for casualty in dead:
-                inboxes[proc].put((REPLAY, casualty))
+                if casualty != proc:
+                    inboxes[proc].put((REPLAY, casualty))
 
     workers_started = False
     try:
@@ -623,7 +629,7 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
         pooled: Dict[str, Relation] = {}
         for predicate in program.derived:
             arity = program.program_for(order[0]).arities[predicate]
-            pooled[predicate] = make_relation(predicate, arity)
+            pooled[predicate] = Relation(predicate, arity)
             output.attach(pooled[predicate])
         pooled_tuples = 0
         stats: Dict[ProcessorId, WorkerStats] = {}

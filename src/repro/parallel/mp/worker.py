@@ -20,8 +20,8 @@ buffer crosses :data:`_COALESCE_MAX_FACTS`, at every probe (before the
 ack, so buffered tuples can never hide from the quiescence balance),
 and before an injected kill.  On the wire every ``(predicate, facts)``
 pair of :data:`~repro.facts.packing.PACK_MIN_FACTS` or more facts
-travels as packed column buffers (:mod:`repro.facts.packing`), whatever
-backend stores the relations; all accounting counts the unpacked facts.
+travels as packed column buffers (:mod:`repro.facts.packing`); all
+accounting counts the unpacked facts.
 The quiescence counters are incremented at flush time, symmetric with
 the receiver counting at dequeue time, so Theorem-2 accounting is
 untouched (see :mod:`.protocol`).
@@ -107,7 +107,6 @@ import time
 import traceback
 from typing import Dict, Hashable, List, Mapping, Optional, Tuple
 
-from ...facts.backend import make_relation, set_fact_backend
 from ...facts.database import Database
 from ...facts.packing import (
     is_packed,
@@ -115,6 +114,7 @@ from ...facts.packing import (
     packed_fact_count,
     unpack_facts,
 )
+from ...facts.relation import Relation
 from ...obs.sinks import InMemorySink
 from ...obs.tracer import NULL_TRACER, Tracer
 from ..faults import DELAY, DELIVER, DROP, WorkerFaults
@@ -170,7 +170,7 @@ def _rebuild_database(relations: Mapping[str, Tuple[int, object]]) -> Database:
     database = Database()
     for name, (arity, payload) in relations.items():
         facts = unpack_facts(payload) if is_packed(payload) else payload
-        database.attach(make_relation(name, arity, facts))
+        database.attach(Relation(name, arity, facts))
     return database
 
 
@@ -180,7 +180,7 @@ def worker_main(program: ProcessorProgram,
                 coordinator_queue, trace: bool = False,
                 faults: Optional[WorkerFaults] = None,
                 epoch: int = 0, sync: str = "bsp",
-                staleness: int = 2, backend: str = "tuple",
+                staleness: int = 2,
                 checkpoint_interval: Optional[int] = None,
                 restore: Optional[Dict[str, object]] = None,
                 replayable: bool = True) -> None:
@@ -205,9 +205,6 @@ def worker_main(program: ProcessorProgram,
             flushing continue, so termination detection and recovery
             are unaffected.
         staleness: SSP lead bound (ignored unless ``sync == "ssp"``).
-        backend: fact-storage backend for this worker's local database
-            (``set_fact_backend`` is applied before any relation is
-            built).  The wire format does not depend on it.
         checkpoint_interval: when set (``recovery="checkpoint"``), ship
             a checkpoint to the coordinator every this many productive
             step bursts.
@@ -220,7 +217,6 @@ def worker_main(program: ProcessorProgram,
             When False the worker keeps no sent-log and no per-fact
             stamps.
     """
-    set_fact_backend(backend)
     me = program.processor
     tag = processor_tag(me)
     stats = WorkerStats()

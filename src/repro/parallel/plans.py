@@ -25,7 +25,6 @@ from ..datalog.rule import Rule
 from ..errors import RewriteError
 from ..facts.database import Database
 from ..facts.fragments import FragmentationPlan
-from ..facts.backend import make_relation
 from ..facts.relation import Relation
 from .discriminating import Discriminator
 from .routing import Route, RouterTable
@@ -66,7 +65,7 @@ class FragmentSpec:
     def local_fragment(self, relation: Relation,
                        processor: ProcessorId) -> Relation:
         """Materialise this processor's fragment of ``relation``."""
-        fragment = make_relation(self.local_name, relation.arity)
+        fragment = Relation(self.local_name, relation.arity)
         if self.kind == SHARED:
             fragment.update(relation)
             return fragment
@@ -188,7 +187,7 @@ class ParallelProgram:
         for spec in self.fragments:
             source = database.get(spec.predicate)
             if source is None:
-                local.attach(make_relation(spec.local_name, spec.arity))
+                local.attach(Relation(spec.local_name, spec.arity))
                 continue
             local.attach(spec.local_fragment(source, processor))
         return local

@@ -215,8 +215,7 @@ class ProcessorRuntime:
         # columnwise, one zip per batch) combine into a single
         # ``add_new_many`` per predicate — first occurrence wins, every
         # later occurrence is a drop, exactly the per-fact ``add``
-        # accounting — and the fresh facts land on the columnar
-        # backend's append path for both full and delta.
+        # accounting.
         tracer = self.tracer
         tracing = tracer.enabled
         fired = False

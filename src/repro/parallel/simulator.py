@@ -52,7 +52,6 @@ from typing import (TYPE_CHECKING, Dict, Hashable, Iterable, List, Mapping,
 from ..engine.counters import EvalCounters
 from ..errors import ExecutionError
 from ..facts.database import Database
-from ..facts.backend import make_relation
 from ..facts.relation import Fact, Relation
 from ..obs.tracer import Tracer, ensure_tracer
 from .faults import DELAY, DROP, DUPLICATE, FaultPlan
@@ -795,7 +794,7 @@ class SimulatedCluster:
         output = Database()
         for predicate in self.program.derived:
             arity = self.program.program_for(self._order[0]).arities[predicate]
-            pooled = make_relation(predicate, arity)
+            pooled = Relation(predicate, arity)
             for proc in self._order:
                 pooled.update(self.runtimes[proc].output_relation(predicate))
                 self.metrics.pooled_tuples += len(

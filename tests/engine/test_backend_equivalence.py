@@ -1,10 +1,10 @@
-"""Property tests: the columnar backend is invisible to the engine.
+"""Property tests: the batch join is invisible to the engine.
 
-For any program and data, evaluation on either fact backend must
-produce the same answers, the same firings and the same probe counts as
-the reference interpreter (``tests/reference_join.py``) — the
-backend-selection matrix of docs/DATA_PLANE.md.  Divergence here would
-silently invalidate every cross-backend comparison.
+For any program and data, evaluation through the batch join must
+produce the same answers, the same firings, the same probe counts and
+the same iterations as through the reference interpreter
+(``tests/reference_join.py``), over both evaluation methods, multi-step
+bodies and constraint-bearing rules.
 """
 
 import pytest
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.datalog import Program, parse_program
 from repro.engine import EvalCounters, RulePlan, evaluate
-from repro.facts import Database, set_fact_backend
+from repro.facts import Database
 from repro.parallel import HashConstraint
 from repro.parallel.discriminating import ModuloDiscriminator
 from repro.workloads import (
@@ -29,68 +29,56 @@ edge_lists = st.lists(
     min_size=0, max_size=40).map(lambda edges: sorted(set(edges)))
 
 
-def _evaluate_under(backend, execute, program, relations, method):
-    previous_backend = set_fact_backend(backend)
-    patch = pytest.MonkeyPatch()
-    patch.setattr(RulePlan, "execute", execute)
-    try:
+def _evaluate_under(execute, program, relations, method):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(RulePlan, "execute", execute)
         database = Database()
         for name, facts in relations.items():
             database.declare(name, 2).update(facts)
         counters = EvalCounters()
         result = evaluate(program, database, method=method,
                           counters=counters)
-        answers = {pred: result.relation(pred).as_set()
-                   for pred in program.derived_predicates}
-        return answers, counters
-    finally:
-        patch.undo()
-        set_fact_backend(previous_backend)
+    answers = {pred: result.relation(pred).as_set()
+               for pred in program.derived_predicates}
+    return (answers, counters.total_firings(), counters.probes,
+            counters.iterations)
 
 
-def _assert_all_backends_agree(program, relations, method="seminaive"):
-    reference = None
-    for backend in ("tuple", "columnar"):
-        for execute in (reference_execute, RulePlan.execute):
-            answers, counters = _evaluate_under(
-                backend, execute, program, relations, method)
-            observed = (answers, counters.total_firings(), counters.probes,
-                        counters.iterations)
-            if reference is None:
-                reference = observed
-            else:
-                assert observed == reference, (backend, execute.__name__)
+def _assert_join_matches_reference(program, relations, method="seminaive"):
+    assert (_evaluate_under(RulePlan.execute, program, relations, method)
+            == _evaluate_under(reference_execute, program, relations,
+                               method))
 
 
 class TestBackendKernelEquivalence:
     @given(edge_lists)
     @settings(max_examples=25, deadline=None)
     def test_ancestor(self, edges):
-        _assert_all_backends_agree(ancestor_program(), {"par": edges})
+        _assert_join_matches_reference(ancestor_program(), {"par": edges})
 
     @given(edge_lists)
     @settings(max_examples=15, deadline=None)
     def test_nonlinear_ancestor(self, edges):
-        _assert_all_backends_agree(nonlinear_ancestor_program(),
+        _assert_join_matches_reference(nonlinear_ancestor_program(),
                                    {"par": edges})
 
     @given(edge_lists, edge_lists, edge_lists)
     @settings(max_examples=10, deadline=None)
     def test_same_generation(self, up, down, flat):
-        _assert_all_backends_agree(
+        _assert_join_matches_reference(
             same_generation_program(),
             {"up": up, "down": down, "flat": flat})
 
     @given(edge_lists)
     @settings(max_examples=10, deadline=None)
     def test_naive_method(self, edges):
-        _assert_all_backends_agree(ancestor_program(), {"par": edges},
+        _assert_join_matches_reference(ancestor_program(), {"par": edges},
                                    method="naive")
 
     @pytest.mark.parametrize("method", ["seminaive", "naive"])
     def test_chain_exact(self, method):
         edges = [(i, i + 1) for i in range(1, 30)]
-        _assert_all_backends_agree(ancestor_program(), {"par": edges},
+        _assert_join_matches_reference(ancestor_program(), {"par": edges},
                                    method=method)
 
     @given(edge_lists)
@@ -104,7 +92,7 @@ class TestBackendKernelEquivalence:
             reach(X, Y) :- e(X, Y).
             reach(X, Y) :- reach(X, Z), e(Z, W), e(W, Y).
         """)
-        _assert_all_backends_agree(program, {"e": edges})
+        _assert_join_matches_reference(program, {"e": edges})
 
     @given(edge_lists, st.sampled_from([0, 1]))
     @settings(max_examples=15, deadline=None)
@@ -115,4 +103,4 @@ class TestBackendKernelEquivalence:
         rules = [rule.with_constraints(
                      [HashConstraint(disc, rule.head_variables(), target)])
                  for rule in ancestor_program().rules]
-        _assert_all_backends_agree(Program(rules), {"par": edges})
+        _assert_join_matches_reference(Program(rules), {"par": edges})

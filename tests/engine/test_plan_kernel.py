@@ -1,8 +1,8 @@
 """Equivalence of the batch join and the reference interpreter.
 
 ``RulePlan.execute`` (the batch join) is pinned to the recursive
-reference interpreter of ``tests/reference_join.py`` exactly, on both
-fact backends: identical fact sets, firing counts and probe counts,
+reference interpreter of ``tests/reference_join.py`` exactly:
+identical fact sets, firing counts and probe counts,
 over the workload generator (hypothesis) and over hand-built corner
 cases (constants, repeated variables, constraints, full scans).
 """
@@ -13,48 +13,31 @@ from hypothesis import strategies as st
 
 from repro.datalog import Variable, parse_program
 from repro.engine import EvalCounters, RulePlan, compile_plan, evaluate
-from repro.facts import Database, make_relation, set_fact_backend
+from repro.facts import Database
 from repro.parallel import example3_scheme, run_parallel
 from repro.workloads import make_workload, workload_kinds
 
 from ..reference_join import reference_execute
-
-BACKENDS = ("tuple", "columnar")
 
 edge_lists = st.lists(
     st.tuples(st.integers(1, 10), st.integers(1, 10)),
     min_size=0, max_size=30).map(lambda edges: sorted(set(edges)))
 
 
-def _evaluate_on(backend, program, database, method):
-    """Evaluate with every relation, input and working, on ``backend``."""
-    previous = set_fact_backend(backend)
-    try:
-        copy = Database()
-        for relation in database:
-            copy.attach(make_relation(relation.name, relation.arity,
-                                      relation))
-        return evaluate(program, copy, method=method)
-    finally:
-        set_fact_backend(previous)
-
-
 def _assert_equivalent(program, database, predicates, method="seminaive"):
-    """The batch join on both backends against the reference
-    interpreter: answers, firings, probes and iterations.  Returns the
-    reference result."""
+    """The batch join against the reference interpreter: answers,
+    firings, probes and iterations.  Returns the reference result."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(RulePlan, "execute", reference_execute)
         reference = evaluate(program, database, method=method)
-    for backend in BACKENDS:
-        batch = _evaluate_on(backend, program, database, method)
-        for predicate in predicates:
-            assert (batch.relation(predicate).as_set()
-                    == reference.relation(predicate).as_set()), backend
-        counters, expected = batch.counters, reference.counters
-        assert counters.total_firings() == expected.total_firings(), backend
-        assert counters.probes == expected.probes, backend
-        assert counters.iterations == expected.iterations, backend
+    batch = evaluate(program, database, method=method)
+    for predicate in predicates:
+        assert (batch.relation(predicate).as_set()
+                == reference.relation(predicate).as_set())
+    counters, expected = batch.counters, reference.counters
+    assert counters.total_firings() == expected.total_firings()
+    assert counters.probes == expected.probes
+    assert counters.iterations == expected.iterations
     return reference
 
 

@@ -7,8 +7,7 @@ bucket per distinct key, and per-fact checks cut buckets or rows — constants a
 atom, equalities on bound variables, and constraints at step 0, over
 the probed atom alone, or spanning steps.  Every shape here is held to
 the reference interpreter (``tests/reference_join.py``): the same head
-batch as a multiset, and the same probe and firing counts, on both fact
-backends.
+batch as a multiset, and the same probe and firing counts.
 """
 
 from collections import Counter
@@ -21,13 +20,12 @@ from repro.datalog.term import Constant
 from repro.engine import EvalCounters, compile_plan
 from repro.engine import plan as plan_module
 from repro.engine.plan import PlanStep, RulePlan
-from repro.facts import Database, set_fact_backend
+from repro.facts import Database
 from repro.parallel import HashConstraint, HashDiscriminator
 from repro.parallel.discriminating import ModuloDiscriminator
 
 from ..reference_join import reference_execute
 
-BACKENDS = ("tuple", "columnar")
 X, Y, Z = (Variable(name) for name in "XYZ")
 
 
@@ -75,34 +73,21 @@ triples = st.lists(st.tuples(st.integers(0, 9), st.integers(0, 3),
     lambda facts: sorted(set(facts)))
 
 
-def _database(backend, edges, facts):
-    previous = set_fact_backend(backend)
-    try:
-        database = Database()
-        database.declare("e", 2).update(edges)
-        database.declare("g", 3).update(facts)
-        return database
-    finally:
-        set_fact_backend(previous)
-
-
 def _assert_agree(plan, edges, facts=()):
-    """The batch join and the reference on both backends: the
-    reference's batch as a multiset, and its probes and firings."""
+    """The batch join and the reference: the reference's batch as a
+    multiset, and its probes and firings."""
+    database = Database()
+    database.declare("e", 2).update(edges)
+    database.declare("g", 3).update(facts)
     outcomes = {}
-    for backend in BACKENDS:
-        database = _database(backend, edges, facts)
-        for name, execute in (("reference", reference_execute),
-                              ("batch", RulePlan.execute)):
-            counters = EvalCounters()
-            batch = execute(plan, database, counters)
-            outcomes[backend, name] = (Counter(batch),
-                                       counters.total_firings(),
-                                       counters.probes)
-    reference = outcomes["tuple", "reference"]
-    for key, outcome in outcomes.items():
-        assert outcome == reference, key
-    return reference
+    for name, execute in (("reference", reference_execute),
+                          ("batch", RulePlan.execute)):
+        counters = EvalCounters()
+        batch = execute(plan, database, counters)
+        outcomes[name] = (Counter(batch), counters.total_firings(),
+                          counters.probes)
+    assert outcomes["batch"] == outcomes["reference"]
+    return outcomes["reference"]
 
 
 def _rule(text):

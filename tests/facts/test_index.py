@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.facts import HashIndex
-from repro.facts.columnar import ColumnarIndex, ColumnarRelation
 
 
 class TestHashIndex:
@@ -102,15 +101,6 @@ class TestLookupMany:
         assert [list(bucket) for bucket in buckets] == [[], [(1, 2, 3)], []]
         assert HashIndex((0,)).lookup_many([]) == []
 
-    def test_columnar_index_matches_lookup(self):
-        relation = ColumnarRelation("p", 2, [(1, 2), (1, 3), (2, 9)])
-        index = relation.index_on((0,))
-        assert isinstance(index, ColumnarIndex)
-        index.bucket_column((1,), 1)  # a warm gather must not matter
-        keys = [(1,), (3,), (2,)]
-        assert ([list(bucket) for bucket in index.lookup_many(keys)]
-                == [list(index.lookup(key)) for key in keys])
-
     def test_keys_of_matches_key_of(self):
         facts = [(1, "a", 3.0), (2, "b", 4.0)]
         for positions in ((), (1,), (2, 0)):
@@ -128,12 +118,11 @@ class TestAddManyProperty:
     order, duplicates (within the batch or already indexed) no-ops,
     and ``len`` exact."""
 
-    @pytest.mark.parametrize("kind", [HashIndex, ColumnarIndex])
     @pytest.mark.parametrize("positions", [(), (1,), (1, 0)])
     @given(existing=_facts, batch=_facts)
     @settings(max_examples=40, deadline=None)
-    def test_equals_loop_of_add(self, kind, positions, existing, batch):
-        bulk, single = kind(positions), kind(positions)
+    def test_equals_loop_of_add(self, positions, existing, batch):
+        bulk, single = HashIndex(positions), HashIndex(positions)
         for fact in existing:
             bulk.add(fact)
             single.add(fact)

@@ -19,6 +19,14 @@ class TestRelation:
         with pytest.raises(ValueError):
             relation.add((1, 2, 3))
 
+    def test_add_new_many_first_occurrence_order(self):
+        relation = Relation("p", 1, [(1,)])
+        index = relation.index_on((0,))
+        assert relation.add_new_many([(2,), (1,), (3,), (2,)]) == [(2,), (3,)]
+        assert list(index.lookup((3,))) == [(3,)]
+        with pytest.raises(ValueError):
+            relation.add_new_many([(1, 2)])
+
     def test_negative_arity_rejected(self):
         with pytest.raises(ValueError):
             Relation("p", -1)

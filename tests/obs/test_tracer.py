@@ -9,7 +9,6 @@ from repro.obs import (
     ROUND_START,
     RULE_FIRED,
     RUN_START,
-    SPAN,
     TUPLE_DROPPED,
     TUPLE_RECEIVED,
     TUPLE_SENT,
@@ -39,8 +38,6 @@ class TestNullTracer:
         tracer.probe("0")
         tracer.worker_spawn("0")
         tracer.worker_exit("0")
-        with tracer.span("phase"):
-            pass
         tracer.close()  # no sink to close, still fine
 
     def test_ensure_tracer(self):
@@ -102,26 +99,6 @@ class TestTypedEvents:
         event = sink.events[0]
         assert (event.kind, event.proc, event.round) == (RULE_FIRED, "2", 3)
         assert event.data == {"rule": "r"}
-
-
-class TestSpans:
-    def test_span_with_clock_records_duration(self):
-        sink = InMemorySink()
-        tracer = Tracer(sink, clock=time.monotonic)
-        with tracer.span("setup", proc="0"):
-            pass
-        event = sink.events[0]
-        assert event.kind == SPAN
-        assert event.data["name"] == "setup"
-        assert event.data["seconds"] >= 0.0
-
-    def test_span_without_clock_stays_deterministic(self):
-        sink = InMemorySink()
-        with Tracer(sink).span("setup"):
-            pass
-        event = sink.events[0]
-        assert event.kind == SPAN
-        assert "seconds" not in event.data
 
 
 class TestTraceEvent:

@@ -56,6 +56,19 @@ class TestChaosSoak:
         outcome = run_case(case, timeout=60)
         assert outcome.ok, outcome.describe()
 
+    def test_simultaneous_deaths_under_checkpoint_recovery_are_exact(self):
+        """Seed 21 kills two workers two firings apart, so one detection
+        usually finds both dead.  Each newcomer restored from its
+        checkpoint must replay its restored sent-log to the other: the
+        facts logged past the other's checkpoint are in both restored
+        states' reach and neither derives them again."""
+        case = build_case(21)
+        assert case.recovery == "checkpoint"
+        assert sum(spec.startswith("kill:") for spec in case.fault_specs) == 2
+        for _ in range(3):
+            outcome = run_case(case, timeout=60)
+            assert outcome.ok, outcome.describe()
+
     def test_budget_exhaustion_is_recorded_not_raised(self):
         """A case whose restart budget cannot cover its kills must come
         back as a recorded failure — the soak never crashes."""

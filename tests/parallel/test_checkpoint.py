@@ -8,14 +8,13 @@ so any loss here silently corrupts recovery.  The encoding leans on the
 packed column format, which kicks in only for batches of
 ``PACK_MIN_FACTS`` or more; the strategies below deliberately straddle
 that threshold so both the packed and the plain path are property
-tested, under both fact backends.
+tested.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.facts import set_fact_backend
 from repro.facts.packing import PACK_MIN_FACTS, is_packed
 from repro.parallel.mp.checkpoint import (
     CHECKPOINT_VERSION,
@@ -84,40 +83,20 @@ def _checkpoints(draw):
     )
 
 
-@pytest.fixture(params=["tuple", "columnar"])
-def fact_backend(request):
-    previous = set_fact_backend(request.param)
-    yield request.param
-    set_fact_backend(previous)
-
-
 class TestRoundTrip:
     @given(_checkpoints())
     @settings(max_examples=60, deadline=None)
     def test_decode_inverts_encode(self, checkpoint):
         assert decode_checkpoint(encode_checkpoint(checkpoint)) == checkpoint
 
-    @given(_checkpoints())
-    @settings(max_examples=25, deadline=None)
-    def test_round_trip_under_both_backends(self, checkpoint):
-        """The payload is backend-agnostic: encode under one backend,
-        decode under the other, and nothing changes (no interner state
-        crosses the boundary — see repro/facts/packing.py)."""
-        previous = set_fact_backend("columnar")
-        try:
-            payload = encode_checkpoint(checkpoint)
-        finally:
-            set_fact_backend(previous)
-        assert decode_checkpoint(payload) == checkpoint
-
-    def test_empty_checkpoint(self, fact_backend):
+    def test_empty_checkpoint(self):
         checkpoint = WorkerCheckpoint()
         payload = encode_checkpoint(checkpoint)
         assert payload["version"] == CHECKPOINT_VERSION
         assert decode_checkpoint(payload) == checkpoint
         assert approx_checkpoint_bytes(payload) > 0
 
-    def test_large_batches_travel_packed(self, fact_backend):
+    def test_large_batches_travel_packed(self):
         facts = [(i, i + 1) for i in range(4 * PACK_MIN_FACTS)]
         checkpoint = WorkerCheckpoint(
             in_facts={"anc": facts},

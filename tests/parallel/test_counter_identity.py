@@ -4,8 +4,8 @@ Memoising the discriminating function, checking ``h(v(r)) = i``
 positionally / column-wise and pricing channel bytes per batch are all
 supposed to change *when* work happens, never *which* substitution
 fires where or which tuple crosses which channel.  These literals were
-recorded at the commit before those changes; they hold on both fact
-backends, and with the reference interpreter (``tests/reference_join.py``)
+recorded at the commit before those changes; they hold with the batch
+join, and with the reference interpreter (``tests/reference_join.py``)
 in place of the batch join, as the join's equivalence contract demands.
 Any drift in the partition, the constraint pushdown, the routing or the
 byte model shows up here as a changed number.
@@ -25,7 +25,7 @@ import random
 
 import pytest
 
-from repro.facts import Database, set_fact_backend
+from repro.facts import Database
 from repro.parallel import (
     example3_scheme,
     hash_scheme,
@@ -39,7 +39,6 @@ from repro.workloads import (
 )
 
 PROCESSORS = (0, 1, 2)
-BACKENDS = ("tuple", "columnar")
 
 SCHEMES = {
     "example3": lambda: example3_scheme(ancestor_program(), PROCESSORS),
@@ -82,14 +81,6 @@ def shuffled_chain_db():
     return Database.from_facts({"par": list(zip(labels, labels[1:]))})
 
 
-@pytest.fixture
-def backend(request):
-    """Build the test's databases on the parametrized fact backend."""
-    previous = set_fact_backend(request.param)
-    yield request.param
-    set_fact_backend(previous)
-
-
 def _counters(scheme, database):
     metrics = run_parallel(SCHEMES[scheme](), database).metrics
     return dict(
@@ -103,9 +94,8 @@ def _counters(scheme, database):
     )
 
 
-@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
 @pytest.mark.parametrize("scheme,fixture", sorted(PINNED))
-def test_counters_equal_parent_commit(scheme, fixture, backend, request):
+def test_counters_equal_parent_commit(scheme, fixture, request):
     database = request.getfixturevalue(fixture)
     assert _counters(scheme, database) == PINNED[scheme, fixture]
 
@@ -117,8 +107,7 @@ def test_reference_join_gives_the_same_counters(scheme, fixture,
     assert _counters(scheme, database) == PINNED[scheme, fixture]
 
 
-@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
-def test_ssp_counters_equal_parent_commit(backend):
+def test_ssp_counters_equal_parent_commit():
     workload = make_workload("skewed", 48, seed=3)
     parallel = hash_scheme(workload.program, (0, 1, 2, 3))
     result = run_parallel(parallel, workload.database, sync="ssp",

@@ -171,17 +171,15 @@ def _layered_db(width=8, layers=3):
 @pytest.mark.mp
 @pytest.mark.faultinjection
 class TestPackedWireRecovery:
-    """The packed wire is every backend's wire; recovery counts facts,
-    not payloads, so replay, stamps and checkpoints must not notice."""
+    """Batches cross the wire packed; recovery counts facts, not
+    payloads, so replay, stamps and checkpoints must not notice."""
 
     @pytest.mark.parametrize("recovery", ["restart", "checkpoint"])
     @pytest.mark.parametrize("kill_at", [1, 40, 120])
     def test_tuple_backend_kill_sweep_is_exact(self, ancestor, recovery,
                                                kill_at):
-        from repro.facts import fact_backend
         from repro.parallel import run_parallel
 
-        assert fact_backend() == "tuple"
         database = _layered_db()
         program = example3_scheme(ancestor, (0, 1, 2))
         expected = evaluate(ancestor, database)

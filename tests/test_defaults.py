@@ -1,11 +1,11 @@
-"""What a fresh interpreter with no ``REPRO_*`` variable set runs.
+"""What a fresh interpreter runs, and what no environment can change.
 
-The default is the measured fast path (the tuple backend), a bad
-backend name is a precise ``ConfigurationError``, and ``import repro``
-stays light: the graph and array libraries are conveniences of
-``repro network`` and the test suite, never a cost of evaluating a
-program.  All are properties of a *fresh* process, so each test starts
-one.
+No ``REPRO_*`` environment variable selects an implementation: the
+package reads none, so every run takes the one data plane.  And
+``import repro`` stays light: the graph and array libraries are
+conveniences of ``repro network`` and the test suite, never a cost of
+evaluating a program — a property of a *fresh* process, so that test
+starts one.
 """
 
 import json
@@ -17,50 +17,24 @@ import sys
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
-def _run_fresh(code, **variables):
-    environment = {key: value for key, value in os.environ.items()
-                   if not key.startswith("REPRO_")}
-    environment.update(variables)
+def _fresh_python(code):
+    environment = dict(os.environ)
     environment["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC), environment.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", code], env=environment,
+    done = subprocess.run([sys.executable, "-c", code], env=environment,
                           capture_output=True, text=True, timeout=60)
-
-
-def _fresh_python(code):
-    done = _run_fresh(code)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout)
 
 
-def test_defaults_are_the_fast_path():
-    assert _fresh_python(
-        "import json\n"
-        "from repro.facts import fact_backend\n"
-        "print(json.dumps(fact_backend()))\n"
-    ) == "tuple"
-
-
-def test_bad_backend_variable_is_a_configuration_error():
-    done = _run_fresh("import repro", REPRO_FACT_BACKEND="bogus")
-    assert done.returncode != 0
-    last = done.stderr.strip().splitlines()[-1]
-    assert last.startswith("repro.errors.ConfigurationError: "
-                           "REPRO_FACT_BACKEND='bogus'"), done.stderr
-    assert "'columnar', 'tuple'" in last
-
-
-def test_bad_backend_name_is_a_configuration_error():
-    assert _fresh_python(
-        "import json\n"
-        "from repro.errors import ConfigurationError\n"
-        "from repro.facts import fact_backend, set_fact_backend\n"
-        "try:\n"
-        "    set_fact_backend('x')\n"
-        "except ConfigurationError as error:\n"
-        "    print(json.dumps([str(error), fact_backend()]))\n"
-    ) == ["unknown fact backend 'x': expected one of ['columnar', 'tuple']",
-          "tuple"]
+def test_no_module_reads_a_repro_variable():
+    # Reading a REPRO_* variable needs its name, or the prefix to scan
+    # for, spelled in the source: a package that never spells it reads
+    # none.
+    spelled = sorted(str(path.relative_to(SRC))
+                     for path in (SRC / "repro").rglob("*.py")
+                     if "REPRO_" in path.read_text())
+    assert spelled == []
 
 
 def test_import_budget_excludes_networkx_and_numpy():
