@@ -122,6 +122,10 @@ def _cmd_parallel(args: argparse.Namespace) -> int:
         raise ReproError(
             "--recovery checkpoint needs real worker processes to "
             "snapshot; add --mp (the simulator supports fail/restart)")
+    if args.sync == "ssp" and args.mp:
+        raise ReproError(
+            "--sync ssp is a simulator model of barrier relaxation; "
+            "--mp workers already run free (drop --mp to simulate it)")
     program, database = _load(args.program, args.facts)
     parallel_program = _build_scheme(args, program, database)
     mode = (f"{args.sync}(staleness={args.staleness})"
@@ -156,8 +160,7 @@ def _cmd_parallel(args: argparse.Namespace) -> int:
             result = run_multiprocessing(parallel_program, database,
                                          timeout=args.timeout, tracer=tracer,
                                          recovery=args.recovery,
-                                         faults=faults, sync=args.sync,
-                                         staleness=args.staleness,
+                                         faults=faults,
                                          max_restarts=args.max_restarts,
                                          checkpoint_interval=
                                          args.checkpoint_interval,
@@ -328,14 +331,13 @@ def build_parser() -> argparse.ArgumentParser:
     par.add_argument("--mp", action="store_true",
                      help="use real OS processes instead of the simulator")
     par.add_argument("--sync", choices=("bsp", "ssp"), default="bsp",
-                     help="synchronisation regime: bsp = barriered rounds "
-                          "(free-running on --mp), ssp = stale-synchronous "
-                          "with a bounded staleness lead (see "
-                          "docs/EXECUTION_MODES.md)")
+                     help="synchronisation regime (simulator only): bsp = "
+                          "barriered rounds, ssp = stale-synchronous with a "
+                          "bounded staleness lead (docs/EXECUTION_MODES.md)")
     par.add_argument("--staleness", type=int, default=2,
-                     help="SSP lead bound: max steps a processor may run "
-                          "ahead of the slowest one still holding work "
-                          "(>= 1; ignored under --sync bsp)")
+                     help="SSP lead bound (simulator only): max steps a "
+                          "processor may run ahead of the slowest one still "
+                          "holding work (>= 1; ignored under --sync bsp)")
     par.add_argument("--detect-termination", action="store_true",
                      help="run Safra's detector (simulator only)")
     par.add_argument("--delay-prob", type=float, default=0.0,
@@ -364,8 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     par.add_argument("--ack-deadline", type=float, default=None,
                      help="seconds a live worker may go without acking a "
                           "probe before the run is declared wedged "
-                          "(default: derived from processor count and, "
-                          "under ssp, the staleness bound)")
+                          "(default: derived from the processor count)")
     par.add_argument("--trace", metavar="PATH",
                      help="write a JSONL event trace to PATH")
     par.add_argument("--timeout", type=float, default=120.0)

@@ -6,10 +6,9 @@ the pooled answer must equal the sequential least model *exactly*.
 Individual tests pin single fault shapes; this module soaks the
 cross-product.  Each seed deterministically derives one *case*:
 
-* a point in the configuration grid — rewriting scheme x sync mode
-  (bsp/ssp) x recovery policy (restart/checkpoint) — cycled so
-  consecutive seeds disagree on the recovery policy first (the axis
-  under test);
+* a point in the configuration grid — rewriting scheme x recovery
+  policy (restart/checkpoint) — cycled so consecutive seeds disagree
+  on the recovery policy first (the axis under test);
 * a workload (random tree or diamond-rich DAG under the ancestor
   program, size and shape drawn from the seed);
 * a fault schedule: one or two SIGKILLs at random firing counts on
@@ -54,7 +53,6 @@ __all__ = ["ChaosCase", "ChaosOutcome", "build_case", "run_case",
 # and any contiguous seed range then covers both policies evenly.
 _RECOVERIES = ("restart", "checkpoint")
 _SCHEMES = ("example3", "hash", "example2", "wolfson")
-_SYNCS = ("bsp", "ssp")
 
 
 @dataclass(frozen=True)
@@ -63,8 +61,6 @@ class ChaosCase:
 
     seed: int
     scheme: str
-    sync: str
-    staleness: int
     recovery: str
     workload: str            # "tree" or "dag"
     size: int
@@ -76,10 +72,8 @@ class ChaosCase:
 
     def describe(self) -> str:
         faults = ", ".join(self.fault_specs) if self.fault_specs else "none"
-        mode = (f"ssp(s={self.staleness})" if self.sync == "ssp" else "bsp")
-        return (f"seed {self.seed}: {self.scheme}/{mode}/"
-                f"{self.recovery} on {self.workload}-{self.size} "
-                f"[{faults}]")
+        return (f"seed {self.seed}: {self.scheme}/{self.recovery} on "
+                f"{self.workload}-{self.size} [{faults}]")
 
 
 @dataclass
@@ -103,13 +97,11 @@ class ChaosOutcome:
         return f"{status} {self.case.describe()}{extra}{tail}"
 
 
-def _grid_point(index: int) -> Tuple[str, str, str]:
+def _grid_point(index: int) -> Tuple[str, str]:
     recovery = _RECOVERIES[index % len(_RECOVERIES)]
     index //= len(_RECOVERIES)
     scheme = _SCHEMES[index % len(_SCHEMES)]
-    index //= len(_SCHEMES)
-    sync = _SYNCS[index % len(_SYNCS)]
-    return recovery, scheme, sync
+    return recovery, scheme
 
 
 def _processors(scheme: str) -> Tuple[int, ...]:
@@ -121,7 +113,7 @@ def _processors(scheme: str) -> Tuple[int, ...]:
 def build_case(seed: int, max_restarts: int = 4,
                checkpoint_interval: int = 2) -> ChaosCase:
     """Derive the soak case of ``seed`` (pure, deterministic)."""
-    recovery, scheme, sync = _grid_point(seed)
+    recovery, scheme = _grid_point(seed)
     rng = random.Random(f"chaos:{seed}")
     workload = rng.choice(("tree", "tree", "dag"))
     size = rng.randint(24, 48)
@@ -135,9 +127,8 @@ def build_case(seed: int, max_restarts: int = 4,
         kind = rng.choice(("drop", "delay", "dup"))
         prob = round(rng.uniform(0.05, 0.30), 2)
         specs.append(f"{kind}:{prob}")
-    return ChaosCase(seed=seed, scheme=scheme, sync=sync, staleness=2,
-                     recovery=recovery, workload=workload,
-                     size=size, workload_seed=workload_seed,
+    return ChaosCase(seed=seed, scheme=scheme, recovery=recovery,
+                     workload=workload, size=size, workload_seed=workload_seed,
                      fault_specs=tuple(specs), fault_seed=seed,
                      max_restarts=max_restarts,
                      checkpoint_interval=checkpoint_interval)
@@ -177,8 +168,7 @@ def run_case(case: ChaosCase, timeout: float = 60.0) -> ChaosOutcome:
         result = run_multiprocessing(
             parallel_program, database, faults=plan, recovery=case.recovery,
             max_restarts=case.max_restarts,
-            checkpoint_interval=case.checkpoint_interval,
-            sync=case.sync, staleness=case.staleness, timeout=timeout)
+            checkpoint_interval=case.checkpoint_interval, timeout=timeout)
     except ReproError as error:
         return ChaosOutcome(case=case, ok=False,
                             detail=f"{type(error).__name__}: {error}")

@@ -152,9 +152,8 @@ class ParallelMetrics:
     ``ticks`` is the modelled end-to-end time in those units and
     ``max_staleness_lag`` the largest clock lead any processor ever had
     over the slowest processor that still held pending work.  The mp
-    executor has no tick model: there ``stalled`` counts throttle
-    *episodes* (entries into the throttled state) and
-    ``busy``/``idle``/``ticks`` stay empty.
+    executor's workers run free, with no tick model and no throttle: it
+    reports ``sync="bsp"`` and leaves these fields empty.
     """
 
     scheme: str

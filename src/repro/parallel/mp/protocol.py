@@ -28,22 +28,15 @@ Data plane (worker → worker):
 
 Control plane (coordinator ↔ worker):
 
-* ``("probe", seq, horizon)`` — coordinator → worker, a quiescence
-  probe.  ``horizon`` is the coordinator's latest view of the minimum
-  ``clock`` over workers that still hold work (``None`` = no bound
-  currently applies); it is how the SSP staleness bound reaches the
-  workers, and it is ignored under the legacy free-running mode.
-* ``("ack", processor, seq, sent, received, activity, epoch, clock,
+* ``("probe", seq)`` — coordinator → worker, a quiescence probe.
+* ``("ack", processor, seq, sent, received, activity, epoch,
   pending)`` — worker → coordinator, counters at probe time.
   ``sent``/``received`` count only current-epoch data tuples;
   ``activity`` is a monotone counter of tuples ingested, emitted and
-  re-sent; ``clock`` is the worker's local step count (its SSP
-  logical clock); ``pending`` is True iff the worker holds staged
-  input it has not yet processed — under SSP a throttled worker can
-  sit on staged input with *static* activity, so termination must
-  additionally require all ``pending`` flags False (see below).
-* ``("ack", processor, 0, sent, received, activity, epoch, clock,
-  False)`` — worker → coordinator, a *passive notice*: the same
+  re-sent; ``pending`` is True iff the worker holds staged input it
+  has not yet processed (see below).
+* ``("ack", processor, 0, sent, received, activity, epoch, False)`` —
+  worker → coordinator, a *passive notice*: the same
   counters, sent unprompted when a pass of the worker loop that did
   work (stepped, or served a replay) ends with no staged input left.
   Probe waves are numbered from 1, so ``seq == 0`` marks the notice and
@@ -111,9 +104,10 @@ Quiescence invariant
 
 The coordinator detects termination with a counting double probe
 (Mattern-style).  A wave is *balanced* when ``Σ sent == Σ received``
-over all acks of the wave, and *unchanged* when no worker's
-``activity`` moved since the previous wave.  Balanced + unchanged over
-two consecutive waves implies all channels are empty and all workers
+over all acks of the wave, *unchanged* when no worker's ``activity``
+moved since the previous wave, and *clear* when no ack of the wave
+reports ``pending``.  A wave that is balanced, clear and unchanged
+from the one before it implies all channels are empty and all workers
 are idle, because:
 
 1. every data tuple increments exactly one ``sent`` at the sender (at
@@ -128,14 +122,19 @@ are idle, because:
    Buffered tuples that straddle a ``reset`` are stamped and counted in
    the epoch at flush time, symmetric with the receiver's
    dequeue-time epoch check;
-2. a worker with staged-but-unprocessed input has already bumped
-   ``activity`` for it, and processing staged input either derives
-   nothing new (then the worker is genuinely idle) or emits tuples,
-   which bump ``activity`` again — so two identical ``activity``
-   snapshots bracket a window in which no work happened;
+2. a worker bumps ``activity`` for every tuple it stages, emits or
+   re-sends, and a clear ack holds no unstepped input — so two equal
+   snapshots, the second clear, bracket a window with no work in it;
 3. balanced counters taken *between* two unchanged snapshots cannot be
    a coincidence of crossing messages: any message received after wave
    one would have moved ``activity`` by wave two.
+
+``pending`` is needed although workers run free: a worker acks every
+probe of one drain pass before it steps, so two consecutive waves can
+both find it holding staged input, with equal ``activity`` and
+balanced counters.  Without the flag that double probe would end the
+run and lose what the input derives.  It delays detection only until
+the drain pass ends and the worker steps.
 
 Passive notices.  Between waves the coordinator keeps a *view*: the
 latest current-epoch ack or notice from each worker.  It starts the
@@ -143,11 +142,11 @@ next wave as soon as the view is balanced with no ``pending`` flag —
 at once when the wave that just completed was itself balanced and
 clear, otherwise when the notice that makes it so arrives — and only
 falls back to waiting ``probe_interval`` when neither happens (a
-replayed peer whose counters moved without a burst, an SSP-throttled
-worker, a worker that never reports).  The view decides *when* a wave
-is sent, never *whether* termination holds: a notice is not a wave
-member, so the test above still needs two consecutive real waves, and
-a stale or crossing notice can at worst start a wave that fails it.
+replayed peer whose counters moved without a burst, a worker that
+never reports).  The view decides *when* a wave is sent, never
+*whether* termination holds: a notice is not a wave member, so the
+test above still needs two consecutive real waves, and a stale or
+crossing notice can at worst start a wave that fails it.
 Nor does the confirming wave need a pause after the first: the
 argument above uses only that every snapshot of wave two is taken
 after every snapshot of wave one, which holds because the coordinator
@@ -185,39 +184,6 @@ with the new epoch, which every receiver reaches by the same rule.
 Messages the coordinator sends to one worker (``reset``, ``replay``,
 ``truncate``, ``probe``) share a producer and do stay in order, which
 is all the truncation and replay arguments above rely on.
-
-Stale-synchronous relaxation (``sync="ssp"``)
----------------------------------------------
-
-Under SSP each worker carries a logical *clock* — its local step
-count — reported in every ack.  The coordinator computes the *horizon*,
-the minimum clock over workers that reported pending work (staged
-input), and broadcasts it on the next probe.  A worker whose
-``clock − horizon >= staleness`` stops *stepping* (it still drains its
-inbox, stages tuples, acks probes and serves replays — only rule
-evaluation is throttled), so no worker races more than ``staleness``
-steps ahead of the slowest worker that still has work to do.  Workers
-without pending work are excluded from the horizon: a finished worker's
-frozen clock must never throttle the rest, and an all-idle cluster
-must be able to terminate.  The bound is enforced to within one probe
-wave of slack — the horizon a worker sees is at most one wave old.
-
-Soundness is unchanged from the epoch argument above: stepping on a
-stale delta can only derive tuples *later*, never different ones
-(set-monotone, non-redundant derivations), so the fixpoint — and the
-pooled answer — is identical to the free-running and sequential runs.
-
-Termination under SSP needs one extra conjunct.  A throttled worker
-holds staged input while its ``activity`` is static and the global
-counters are balanced, which satisfies the legacy double-probe test —
-invariant (2) assumed a worker always processes what it stages.  The
-coordinator therefore also requires every ack of the wave to report
-``pending == False``.  This cannot deadlock: if any worker holds work,
-the minimum-clock worker among the pending ones has lag 0 < staleness
-and is free to step (which is also why ``staleness >= 1`` is
-required).  The extra conjunct is sound for the legacy mode too — a
-transiently-True ``pending`` flag coincides with moved ``activity``,
-so it only delays detection, never falsifies it.
 """
 
 from __future__ import annotations
@@ -292,21 +258,13 @@ class WorkerStats:
             watermark covered them.
         restored_facts: facts loaded from a checkpoint at restore time
             (0 unless this worker is a checkpoint-restored incarnation).
-        throttle_waits: number of times the SSP staleness bound made
-            the worker hold back a step it was otherwise ready to run
-            (counted once per entry into the throttled state, not per
-            poll; always 0 in the legacy mode).
-        max_lag: largest ``clock − horizon`` lead this worker observed
-            for itself at the moment it started a step (so it is
-            bounded by ``staleness`` up to one probe wave of slack).
     """
 
     __slots__ = ("firings", "probes", "iterations", "sent_by_target",
                  "messages_by_target", "bytes_by_target", "received",
                  "duplicates_dropped", "self_delivered", "replayed",
-                 "retried", "sent_log_facts", "throttle_waits", "max_lag",
-                 "checkpoints", "checkpoint_bytes", "log_truncated",
-                 "restored_facts")
+                 "retried", "sent_log_facts", "checkpoints",
+                 "checkpoint_bytes", "log_truncated", "restored_facts")
 
     def __init__(self) -> None:
         self.firings: int = 0
@@ -321,8 +279,6 @@ class WorkerStats:
         self.replayed: int = 0
         self.retried: int = 0
         self.sent_log_facts: int = 0
-        self.throttle_waits: int = 0
-        self.max_lag: int = 0
         self.checkpoints: int = 0
         self.checkpoint_bytes: int = 0
         self.log_truncated: int = 0

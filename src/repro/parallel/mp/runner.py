@@ -15,13 +15,9 @@ balanced, pending-free cluster, or — the fallback — for
 its last firing rather than one to two sleeps after it.  Each worker's
 RESULT is unioned into the output as soon as it is dequeued.
 
-Under ``sync="ssp"`` the coordinator additionally computes the
-*horizon* — the minimum step clock over workers that acked with
-pending work — from each probe wave and broadcasts it on the next, so
-workers can throttle themselves to the staleness bound.  Under the
-default free-running mode the horizon is never set and workers step
-unboundedly; either way answers are exact because termination uses the
-same counting double-probe.
+Workers run free: Theorem 2 bounds total firings under any schedule,
+so holding one back cannot save work (barrier relaxation is modelled
+in the simulator).
 
 Fault tolerance.  The coordinator polls ``Process.is_alive`` inside the
 ack-collection loop, so a worker that dies *silently* (``SIGKILL``, OOM
@@ -62,8 +58,8 @@ ends with the protocol state it expired in: the epoch, the probe wave
 and each worker's freshest ack (:func:`_describe_acks`), so a hang
 names its own cause.  The default deadline
 is not a constant: :func:`default_ack_deadline` scales it with the
-processor count and, under SSP, the staleness bound, and the resolved
-value is logged on the trace's ``run_start`` event.
+processor count, and the resolved value is logged on the trace's
+``run_start`` event.
 
 Python's GIL makes *thread*-level parallelism useless for this
 workload; separate processes sidestep it, at the cost of pickling
@@ -118,21 +114,15 @@ _BACKOFF_BASE = 0.05
 _BACKOFF_CAP = 1.0
 
 
-def default_ack_deadline(processors: int, sync: str = "bsp",
-                         staleness: int = 2) -> float:
+def default_ack_deadline(processors: int) -> float:
     """The default wedged-worker deadline, scaled to the run's shape.
 
     A worker that stays alive but does not ack a probe wave for this
     many seconds is declared wedged.  The floor covers interpreter
     start-up and scheduler noise; every extra processor adds probe
-    fan-out and queue contention, and under SSP a throttled worker may
-    legitimately sit on a full staleness window of staged work before
-    it next drains its inbox, so the bound widens with the staleness.
+    fan-out and queue contention.
     """
-    deadline = 15.0 + 0.5 * processors
-    if sync == "ssp":
-        deadline += 2.0 * staleness
-    return deadline
+    return 15.0 + 0.5 * processors
 
 
 @dataclass
@@ -162,8 +152,8 @@ class MPResult:
 
 
 # A worker's quiescence counters as an ack or notice reports them:
-# (sent, received, activity, clock, pending).
-_Counters = Tuple[int, int, int, int, bool]
+# (sent, received, activity, pending).
+_Counters = Tuple[int, int, int, bool]
 
 # One accepted ack: the epoch and probe wave it answered, then the
 # worker's counters.
@@ -175,7 +165,7 @@ def _quiet(counters: Dict[ProcessorId, _Counters], workers: int) -> bool:
     return (len(counters) == workers
             and sum(entry[0] for entry in counters.values())
             == sum(entry[1] for entry in counters.values())
-            and not any(entry[4] for entry in counters.values()))
+            and not any(entry[3] for entry in counters.values()))
 
 
 def _describe_acks(tags: Dict[ProcessorId, str],
@@ -195,11 +185,11 @@ def _describe_acks(tags: Dict[ProcessorId, str],
         if ack is None:
             clauses.append(f"{tag!r} never acked")
             continue
-        ack_epoch, ack_wave, (sent, received, activity, clock, pending) = ack
+        ack_epoch, ack_wave, (sent, received, activity, pending) = ack
         clauses.append(
             f"{tag!r} acked wave {ack_wave} (epoch {ack_epoch}): "
             f"sent={sent} received={received} activity={activity} "
-            f"clock={clock} pending={pending}")
+            f"pending={pending}")
     return (f"state at expiry: epoch {epoch}, probe wave {wave}; "
             + "; ".join(clauses))
 
@@ -225,8 +215,6 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
                         faults: Optional[FaultPlan] = None,
                         max_restarts: int = 3,
                         ack_timeout: Optional[float] = None,
-                        sync: str = "bsp",
-                        staleness: int = 2,
                         checkpoint_interval: int = 4) -> MPResult:
     """Execute a rewritten program on real OS processes.
 
@@ -239,8 +227,7 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
             the cluster may be idle (see :mod:`.protocol`); the
             coordinator waits the full interval only when no notice
             does.  It also bounds failure-detection latency (a dead
-            worker is noticed within about two intervals) and, under
-            ``sync="ssp"``, how stale the broadcast horizon can get.
+            worker is noticed within about two intervals).
         timeout: overall wall-clock limit (must be ``> 0``).
         start_method: multiprocessing start method (default: ``fork``
             when available, else the platform default).
@@ -268,13 +255,6 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
         checkpoint_interval: bursts between worker checkpoints under
             ``recovery="checkpoint"`` (must be ``>= 1``); ignored by
             the other policies.
-        sync: ``"bsp"`` (default) — workers run free, never held back
-            (real execution has no barriers; the name states which
-            semantics the mode matches, not that rounds exist);
-            ``"ssp"`` — workers throttle their stepping to at most
-            ``staleness`` steps ahead of the probe-carried horizon.
-        staleness: SSP lead bound; must be ``>= 1`` so the slowest
-            work-holding worker can always step.
 
     Raises:
         ConfigurationError: on an invalid parameter value.
@@ -285,13 +265,6 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
         raise ConfigurationError(
             f"unknown recovery policy {recovery!r}: expected 'fail', "
             "'restart' or 'checkpoint'")
-    if sync not in ("bsp", "ssp"):
-        raise ExecutionError(
-            f"unknown sync mode {sync!r}: expected 'bsp' or 'ssp'")
-    if sync == "ssp" and staleness < 1:
-        raise ExecutionError(
-            "ssp requires staleness >= 1: the slowest work-holding worker "
-            "has lag 0 and must always be allowed to step")
     if max_restarts < 0:
         raise ConfigurationError(
             f"max_restarts must be >= 0, got {max_restarts}")
@@ -319,7 +292,7 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
     order = sorted(program.processors, key=processor_tag)
     tags = {proc: processor_tag(proc) for proc in order}
     if ack_timeout is None:
-        ack_timeout = default_ack_deadline(len(order), sync, staleness)
+        ack_timeout = default_ack_deadline(len(order))
     if faults is not None:
         known = set(tags.values())
         for kill in faults.kills:
@@ -384,8 +357,7 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
             target=worker_main,
             args=(program.program_for(proc), locals_by_proc[proc],
                   inboxes[proc], inboxes, coordinator_queue, tracing,
-                  injected, epoch, sync, staleness,
-                  interval, restore, recovery != "fail"),
+                  injected, epoch, interval, restore, recovery != "fail"),
             daemon=True)
         process.start()
         processes[proc] = process
@@ -514,28 +486,22 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
             or notice, now folded into ``view``."""
             if absorb_control(message) or message[0] != ACK:
                 return False
-            # (ACK, proc, seq, sent, received, activity, epoch, clock,
-            #  pending)
+            # (ACK, proc, seq, sent, received, activity, epoch, pending)
             if message[6] != epoch:
                 return False
             view[message[1]] = message[3:6] + message[7:]
             return True
 
-        # SSP horizon broadcast on the next probe wave: min clock over
-        # workers whose last ack reported pending work, None when no
-        # bound currently applies (free-running mode, first wave, the
-        # wave after a recovery, or an all-drained cluster).
-        horizon: Optional[int] = None
         deadline = started + timeout
         while True:
             if time.perf_counter() > deadline:
                 raise expired(f"no quiescence within {timeout} seconds")
             sequence += 1
             for proc in order:
-                inboxes[proc].put((PROBE, sequence, horizon))
+                inboxes[proc].put((PROBE, sequence))
                 probes_sent += 1
             if tracing:
-                tracer.probe(seq=sequence, wave=len(order), horizon=horizon)
+                tracer.probe(seq=sequence, wave=len(order))
             snapshot: Dict[ProcessorId, _Counters] = {}
             wave_started = time.perf_counter()
             recovered = False
@@ -579,11 +545,7 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
             if recovered:
                 # The aborted wave's counters are meaningless across the
                 # epoch change; restart the double-probe from scratch.
-                # The stale horizon goes too: the restarted worker's
-                # clock is 0 and must not be throttled against pre-death
-                # clocks (one unbounded wave is within the SSP slack).
                 previous = None
-                horizon = None
                 view.clear()
                 continue
             if recovery_pending:
@@ -592,17 +554,10 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
                 # recovery window closes here.
                 recovery_seconds_total += time.perf_counter() - recovery_started
                 recovery_pending = False
-            if sync == "ssp":
-                pending_clocks = [snapshot[p][3] for p in order
-                                  if snapshot[p][4]]
-                horizon = min(pending_clocks) if pending_clocks else None
             unchanged = previous is not None and all(
                 snapshot[p][2] == previous[p][2] for p in order)
-            # ``pending`` must be clear too (inside _quiet): an
-            # SSP-throttled worker can sit on staged input with static
-            # activity and balanced counters (see .protocol); the
-            # conjunct is sound — and a no-op in steady state — for the
-            # free-running mode as well.
+            # ``pending`` must be clear too (inside _quiet): two waves
+            # can be acked from one drain pass, before a step (.protocol).
             if unchanged and _quiet(snapshot, len(order)):
                 break
             previous = snapshot
@@ -683,8 +638,7 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
                     process.terminate()
 
     metrics = ParallelMetrics(scheme=program.scheme + "+mp",
-                              processors=tuple(order), sync=sync,
-                              staleness=staleness if sync == "ssp" else None)
+                              processors=tuple(order))
     metrics.control_messages = probes_sent
     metrics.pooled_tuples = pooled_tuples
     metrics.restarts = restarts
@@ -703,13 +657,6 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
         metrics.duplicates_dropped[proc] = worker_stats.duplicates_dropped
         metrics.self_delivered[proc] = worker_stats.self_delivered
         metrics.replayed[proc] = worker_stats.replayed
-        # Real execution has no tick model: ``stalled`` counts throttle
-        # *episodes* here (entries into the throttled state), and
-        # ``max_staleness_lag`` is the workers' own step-start maximum.
-        if worker_stats.throttle_waits:
-            metrics.stalled[proc] = worker_stats.throttle_waits
-        if worker_stats.max_lag > metrics.max_staleness_lag:
-            metrics.max_staleness_lag = worker_stats.max_lag
         for target, count in worker_stats.sent_by_target.items():
             metrics.sent[(proc, target)] += count
         for target, count in worker_stats.messages_by_target.items():

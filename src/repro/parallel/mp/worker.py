@@ -26,14 +26,6 @@ The quiescence counters are incremented at flush time, symmetric with
 the receiver counting at dequeue time, so Theorem-2 accounting is
 untouched (see :mod:`.protocol`).
 
-Stale-synchronous throttling.  Under ``sync="ssp"`` the worker
-compares its local step count against the horizon the coordinator
-broadcasts on probes and stops *stepping* once it leads by the
-staleness bound — the inbox keeps draining, probes keep being acked
-(with the worker's clock and a pending flag), and replays keep being
-served, so only rule evaluation is paced.  See :mod:`.protocol` for
-the soundness and termination argument.
-
 Fault tolerance.  Under a recovery policy that can replay
 (``"restart"``, ``"checkpoint"``) a worker keeps a *sent-log*: per peer
 and predicate, the set of facts it has routed there, in first-send order
@@ -179,8 +171,7 @@ def worker_main(program: ProcessorProgram,
                 inbox, peer_queues: Mapping[ProcessorId, object],
                 coordinator_queue, trace: bool = False,
                 faults: Optional[WorkerFaults] = None,
-                epoch: int = 0, sync: str = "bsp",
-                staleness: int = 2,
+                epoch: int = 0,
                 checkpoint_interval: Optional[int] = None,
                 restore: Optional[Dict[str, object]] = None,
                 replayable: bool = True) -> None:
@@ -197,14 +188,6 @@ def worker_main(program: ProcessorProgram,
         faults: optional injected-fault slice for this worker.
         epoch: recovery epoch to start in (non-zero for workers spawned
             as replacements after a failure).
-        sync: ``"bsp"`` — free-running (steps are never held back);
-            ``"ssp"`` — the worker throttles its own stepping when its
-            clock runs ``staleness`` or more ahead of the horizon the
-            coordinator broadcasts on probes (see :mod:`.protocol`).
-            Only stepping is throttled: draining, acking, replaying and
-            flushing continue, so termination detection and recovery
-            are unaffected.
-        staleness: SSP lead bound (ignored unless ``sync == "ssp"``).
         checkpoint_interval: when set (``recovery="checkpoint"``), ship
             a checkpoint to the coordinator every this many productive
             step bursts.
@@ -221,13 +204,6 @@ def worker_main(program: ProcessorProgram,
     tag = processor_tag(me)
     stats = WorkerStats()
     activity = 0
-    # SSP state: the freshest horizon seen on a probe (None until the
-    # first probe arrives — the bound is enforced to within one wave),
-    # and whether the last burst ended in the throttled state (so the
-    # stall is counted and traced once per episode, not per poll).
-    throttling = sync == "ssp"
-    horizon: Optional[int] = None
-    was_throttled = False
     # Per-epoch quiescence counters: zeroed on RESET so the global
     # sent/received balance survives the loss of a dead peer's counters.
     epoch_sent = 0
@@ -425,8 +401,7 @@ def worker_main(program: ProcessorProgram,
             passive notice (see :mod:`.protocol`)."""
             coordinator_queue.put(
                 (ACK, me, seq, epoch_sent, epoch_received, activity,
-                 epoch, runtime.counters.iterations,
-                 runtime.has_pending_input()))
+                 epoch, runtime.has_pending_input()))
 
         def flush_delayed() -> None:
             """Deliver sends an injected delay fault held back."""
@@ -610,10 +585,7 @@ def worker_main(program: ProcessorProgram,
                     activity += count
                     drained_any = True
                 elif kind == PROBE:
-                    _, seq, probe_horizon = message
-                    if probe_horizon is not None:
-                        horizon = probe_horizon
-                        drained_any = True  # a new horizon may unthrottle
+                    _, seq = message
                     # Buffered tuples must hit the wire (and the
                     # epoch_sent counter) before the ack snapshots it,
                     # or coalescing could fake a sent/received balance.
@@ -661,22 +633,6 @@ def worker_main(program: ProcessorProgram,
             # blocks on its inbox again.
             stepped = False
             while runtime.has_pending_input():
-                if throttling and horizon is not None:
-                    lag = runtime.counters.iterations - horizon
-                    if lag >= staleness:
-                        # Staleness bound hit: stop stepping (draining,
-                        # acking and replaying continue) until a fresher
-                        # horizon arrives on a probe.
-                        if not was_throttled:
-                            was_throttled = True
-                            stats.throttle_waits += 1
-                            if trace:
-                                tracer.worker_stalled(
-                                    tag, lag, staged=runtime.staged_size())
-                        break
-                    if lag > stats.max_lag:
-                        stats.max_lag = lag
-                was_throttled = False
                 stepped = True
                 if trace:
                     tracer.current_round = runtime.counters.iterations + 1

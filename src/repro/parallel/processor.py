@@ -184,8 +184,9 @@ class ProcessorRuntime:
     def staged_size(self) -> int:
         """Staged tuples awaiting the next step (duplicates included).
 
-        The SSP executors report this when a processor is throttled, so
-        traces show how much work the staleness bound is holding back.
+        The simulator's SSP engine reports this when a processor is
+        throttled, so traces show how much work the staleness bound is
+        holding back.
         """
         return (sum(len(staged) for staged in self._staged.values())
                 + sum(packed_fact_count(payload)

@@ -48,13 +48,24 @@ class TestCrashHandling:
             run_multiprocessing(parallel, chain_db, timeout=0.000001)
 
 
+@pytest.mark.mp
+class TestMetricsRegime:
+    def test_mp_reports_bsp(self, ancestor, chain_db):
+        """Free-running workers report the barrier-free regime: ``bsp``
+        with no staleness bound."""
+        program = example3_scheme(ancestor, (0, 1))
+        result = run_multiprocessing(program, chain_db, timeout=60)
+        assert result.metrics.sync == "bsp"
+        assert result.metrics.staleness is None
+
+
 def _stub_worker(program, _local, inbox, _peers, coordinator_queue,
                  *_options, script):
     """A worker that follows ``script`` instead of evaluating anything.
 
-    ``script(wave)`` returns the ``(sent, received, activity, clock,
-    pending)`` to ack probe ``wave`` with, or None to stop answering
-    (a wedge: alive, draining nothing).  STOP is ignored on purpose.
+    ``script(wave)`` returns the ``(sent, received, activity, pending)``
+    to ack probe ``wave`` with, or None to stop answering (a wedge:
+    alive, draining nothing).  STOP is ignored on purpose.
     """
     import time
 
@@ -69,9 +80,9 @@ def _stub_worker(program, _local, inbox, _peers, coordinator_queue,
         reply = script(wave)
         if reply is None:
             time.sleep(3600)
-        sent, received, activity, clock, pending = reply
+        sent, received, activity, pending = reply
         coordinator_queue.put((ACK, program.processor, message[1], sent,
-                               received, activity, 0, clock, pending))
+                               received, activity, 0, pending))
 
 
 @pytest.mark.mp
@@ -105,13 +116,13 @@ class TestDeadlineStateDump:
     def test_wedged_worker_error_carries_last_acks(self, run_with):
         # Both ack wave 1; from wave 2 on nobody answers.
         message = run_with(
-            lambda wave: (7, 5, 12, 3, True) if wave == 1 else None,
+            lambda wave: (7, 5, 12, True) if wave == 1 else None,
             ack_timeout=0.3, timeout=30)
         assert "did not ack probe 2" in message
         assert "state at expiry: epoch 0, probe wave 2" in message
         for tag in ("'0'", "'1'"):
             assert (f"{tag} acked wave 1 (epoch 0): sent=7 received=5 "
-                    "activity=12 clock=3 pending=True") in message
+                    "activity=12 pending=True") in message
 
     def test_never_acked_is_said_so(self, run_with):
         message = run_with(lambda wave: None, ack_timeout=0.3, timeout=30)
@@ -120,14 +131,22 @@ class TestDeadlineStateDump:
 
     def test_no_quiescence_error_carries_the_imbalance(self, run_with):
         # Static activity but sent != received: tuples forever in flight.
-        message = run_with(lambda wave: (4, 3, 9, 1, False), timeout=0.5)
+        message = run_with(lambda wave: (4, 3, 9, False), timeout=0.5)
         assert "no quiescence within 0.5 seconds" in message
         assert "state at expiry: epoch 0, probe wave " in message
-        assert "sent=4 received=3 activity=9 clock=1 pending=False" in message
+        assert "sent=4 received=3 activity=9 pending=False" in message
+
+    def test_pending_alone_blocks_quiescence(self, run_with):
+        # Balanced and unchanged on every wave, but each worker still
+        # holds staged input: without the ``pending`` conjunct the
+        # second wave would end the run and lose that input.
+        message = run_with(lambda wave: (0, 0, 5, True), timeout=0.5)
+        assert "no quiescence within 0.5 seconds" in message
+        assert "sent=0 received=0 activity=5 pending=True" in message
 
     def test_missing_result_error_names_the_silent_workers(self, run_with):
         # Quiescent at once, but the stubs never send RESULT.
-        message = run_with(lambda wave: (0, 0, 0, 0, False), timeout=0.5)
+        message = run_with(lambda wave: (0, 0, 0, False), timeout=0.5)
         assert "workers did not report within 0.5 seconds" in message
         assert "no result from '0', '1'" in message
         assert "acked wave 2 (epoch 0): sent=0 received=0" in message

@@ -300,10 +300,6 @@ class TestKnobValidation:
     def test_default_ack_deadline_scales_with_processors(self):
         assert default_ack_deadline(2) == pytest.approx(16.0)
         assert default_ack_deadline(8) == pytest.approx(19.0)
-        # SSP lets workers run ahead by `staleness` bursts, so the
-        # deadline stretches with the bound.
-        assert (default_ack_deadline(4, sync="ssp", staleness=4)
-                > default_ack_deadline(4))
 
     def test_unknown_recovery_policy_rejected(self, ancestor, chain_db):
         program = example3_scheme(ancestor, (0, 1))
