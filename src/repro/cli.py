@@ -113,11 +113,6 @@ def _cmd_parallel(args: argparse.Namespace) -> int:
     from .parallel import run_parallel
     from .parallel.mp import run_multiprocessing
 
-    if not 0.0 <= args.delay_prob < 1.0:
-        raise ReproError(
-            f"--delay-prob must be in [0, 1), got {args.delay_prob}: "
-            "at 1 every tuple is re-delayed forever and the run never "
-            "quiesces")
     if args.recovery == "checkpoint" and not args.mp:
         raise ReproError(
             "--recovery checkpoint needs real worker processes to "
@@ -341,8 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
     par.add_argument("--detect-termination", action="store_true",
                      help="run Safra's detector (simulator only)")
     par.add_argument("--delay-prob", type=float, default=0.0,
-                     help="per-tuple chance of an extra round of message "
-                          "delay (simulator only; asynchrony injection)")
+                     help="per-tuple chance in [0, 1] of one extra tick of "
+                          "message delay, drawn at send (simulator only; "
+                          "asynchrony injection)")
     par.add_argument("--seed", type=int, default=0,
                      help="RNG seed for delay injection (simulator only)")
     par.add_argument("--inject-fault", metavar="SPEC", action="append",

@@ -10,8 +10,8 @@ solutions of the system
 
 subject to ``x ∈ {0..g_range-1}^n`` — the paper's equations (4)/(5).
 This module constructs the system symbolically (so benchmarks can print
-it exactly as the paper does) and solves it with a vectorised numpy
-enumeration of the cube.  It must agree with the generic enumeration of
+it exactly as the paper does) and solves it by enumerating the cube.
+It must agree with the generic enumeration of
 :mod:`repro.network.derivation`; the test suite cross-checks the two.
 """
 
@@ -79,28 +79,20 @@ class LinearSystem:
         return "\n".join(lines)
 
     def solve(self, g_range: int = 2) -> Set[Tuple[int, int]]:
-        """Enumerate ``x ∈ {0..g_range-1}^n`` and collect edges ``(u, v)``.
-
-        Vectorised: the whole cube is a ``(g_range^n, n)`` matrix and
-        both equations are matrix-vector products.
-        """
-        import numpy as np  # first use: nothing else here needs it
-
+        """Enumerate ``x ∈ {0..g_range-1}^n``; collect edges ``(u, v)``."""
         if self.symbols == 0:
             return {(0, 0)}
-        cube = np.array(list(itertools.product(range(g_range),
-                                               repeat=self.symbols)),
-                        dtype=np.int64)
-        for a, b in self.equalities:
-            cube = cube[cube[:, a] == cube[:, b]]
-        if cube.size == 0:
-            return set()
-        consumer = cube @ np.array(self.consumer_row, dtype=np.int64)
-        producer = cube @ np.array(self.producer_row, dtype=np.int64)
-        if self.modulus is not None:
-            consumer = consumer % self.modulus
-            producer = producer % self.modulus
-        return {(int(u), int(v)) for u, v in zip(producer, consumer)}
+        edges: Set[Tuple[int, int]] = set()
+        for x in itertools.product(range(g_range), repeat=self.symbols):
+            if any(x[a] != x[b] for a, b in self.equalities):
+                continue
+            producer = sum(c * value for c, value in zip(self.producer_row, x))
+            consumer = sum(c * value for c, value in zip(self.consumer_row, x))
+            if self.modulus is not None:
+                producer %= self.modulus
+                consumer %= self.modulus
+            edges.add((producer, consumer))
+        return edges
 
 
 def _row_from_symbols(symbols: Sequence[int], coefficients: Sequence[int],

@@ -13,12 +13,13 @@ is exercised:
   delivers a real ``SIGKILL`` to the worker process, after flushing its
   outbound queue buffers so the shared-queue locks are never torn down
   mid-write; the simulator discards the processor's runtime state at
-  the end of the round in which the threshold is crossed.  Kills are
-  one-shot: a restarted worker is not re-killed.
+  the end of the tick in which the threshold is crossed (once the
+  processor is not mid-step).  Kills are one-shot: a restarted worker
+  is not re-killed.
 * **channel faults** — for each tuple crossing a remote channel,
   independently ``drop`` it (it vanishes; the paper assumes reliable
   channels, so this demonstrates *why*), ``delay`` it (held back and
-  delivered later — one probe interval in the mp executor, one round in
+  delivered later — one probe interval in the mp executor, two ticks in
   the simulator), or ``dup``licate it (delivered twice; harmless by
   monotonicity).  Decisions come from a seeded RNG, so runs are
   reproducible.

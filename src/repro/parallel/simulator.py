@@ -1,43 +1,44 @@
 """A deterministic simulated cluster for rewritten programs.
 
 The abstract architecture of Section 3: a set of processors, a reliable
-channel ``ij`` for every ordered pair, asynchronous receives.  The
-simulation is round-based — every round each processor ingests whatever
-reached it, fires its processing rules semi-naively on the new tuples,
-and the resulting outputs are routed for delivery at the next round.
-Rounds make every metric exactly reproducible; message *delay* can be
-injected (each in-flight tuple is independently held back a round) to
-exercise the asynchrony the paper claims the schemes tolerate.
+channel ``ij`` for every ordered pair, asynchronous receives.  One tick
+engine runs it: at every tick each processor ingests whatever reached
+it and, unless it is inside a step or throttled, fires its processing
+rules semi-naively on the new tuples; the outputs are routed for
+delivery at the tick after the step ends.  Ticks make every metric
+exactly reproducible; message *delay* can be injected (a tuple is held
+back one extra tick, drawn once at send) to exercise the asynchrony
+the paper claims the schemes tolerate.
+
+Two synchronisation regimes run on that engine (see
+``docs/EXECUTION_MODES.md``).  Under ``sync="bsp"`` every step lasts
+one tick and nothing is throttled, so every tick is one barriered
+round.  Under ``sync="ssp"`` (stale-synchronous) a step costs ticks
+proportional to its work divided by the processor's modelled
+``capacity``, and a processor may run ahead of the slowest processor
+that still holds work by at most ``staleness`` steps before it is
+throttled.  Because the discriminating-function partition makes every
+derivation set-monotone and non-redundant, firing on stale deltas can
+only delay tuples, never corrupt them — the pooled answer is identical
+to BSP and to sequential evaluation (Theorem 1), while skewed workloads
+keep fast processors busy instead of idling at barriers.
 
 Termination is the condition that all processors are idle and all
-channels empty.  The simulator sees this globally; optionally it also
-runs Safra's token-ring termination-detection algorithm — the "standard
-algorithm of Distributed Computing" the paper defers to [5, 7] — and
-reports its control-message overhead and detection delay.
-
-Two synchronisation regimes are supported (see
-``docs/EXECUTION_MODES.md``).  ``sync="bsp"`` is the historical
-round-barriered execution above.  ``sync="ssp"`` is a stale-synchronous
-tick engine: each processor advances its own clock (one unit per
-semi-naive step), steps cost ticks proportional to the work they
-perform divided by the processor's modelled ``capacity``, and a
-processor may run ahead of the slowest processor that still holds
-pending work by at most ``staleness`` steps before it is throttled.
-Because the discriminating-function partition makes every derivation
-set-monotone and non-redundant, firing on stale deltas can only delay
-tuples, never corrupt them — the pooled answer is identical to BSP and
-to sequential evaluation (Theorem 1), while skewed workloads keep fast
-processors busy instead of idling at barriers.
+channels empty.  The simulator sees this globally; optionally (BSP
+only) it also runs Safra's token-ring termination-detection algorithm —
+the "standard algorithm of Distributed Computing" the paper defers to
+[5, 7] — and reports its control-message overhead and detection delay.
 
 Fault injection (see :mod:`repro.parallel.faults`) shares its spec
 language with the multiprocessing executor: kill faults discard a
 processor's runtime state once its firing count crosses the threshold
-(round granularity here, step granularity in mp), and channel faults
-drop/delay/duplicate individual in-flight tuples from a seeded RNG.
+(at the end of a tick here, step granularity in mp), and channel faults
+drop/delay/duplicate individual tuples at send time from a seeded RNG.
 Under ``recovery="restart"`` a killed processor is rebuilt from its
-base fragment at the next round and its peers replay their per-target
-sent-logs to it — the same monotonicity-backed protocol the mp
-executor uses, so recovered outputs match undisturbed ones exactly.
+base fragment and its peers replay their per-target sent-logs to it,
+both arriving at the next tick — the same monotonicity-backed protocol
+the mp executor uses, so recovered outputs match undisturbed ones
+exactly.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from typing import (TYPE_CHECKING, Dict, Hashable, Iterable, List, Mapping,
                     Optional, Sequence, Set, Tuple)
 
 from ..engine.counters import EvalCounters
-from ..errors import ExecutionError
+from ..errors import ConfigurationError, ExecutionError
 from ..facts.database import Database
 from ..facts.relation import Fact, Relation
 from ..obs.tracer import Tracer, ensure_tracer
@@ -66,10 +67,8 @@ if TYPE_CHECKING:  # an optional argument's type, not a dependency
 __all__ = ["ParallelResult", "SimulatedCluster", "run_parallel"]
 
 ProcessorId = Hashable
-# One in-flight batch: (dest, sender, pred, tuples).  A batch is what one
-# routing call put on one channel for one predicate; it is only taken
-# apart where a per-tuple decision (injected delay or channel fault) is
-# owed.
+# One in-flight batch: (dest, sender, pred, tuples) — what one routing
+# call put on one channel for one predicate.
 Message = Tuple[ProcessorId, ProcessorId, str, List[Fact]]
 
 
@@ -152,13 +151,14 @@ class SimulatedCluster:
     Args:
         program: the rewritten program.
         database: the global extensional input.
-        delay_probability: chance that an in-flight tuple is held back
-            one extra round (asynchrony injection; 0 = synchronous BSP).
+        delay_probability: chance in ``[0, 1]`` that a tuple takes one
+            extra tick, drawn once at send (asynchrony injection).
         seed: RNG seed for delay injection.
         detect_termination: additionally run Safra's algorithm and
             record its control-message overhead.
         reorder: allow the planner's greedy body reordering.
-        max_rounds: safety valve against non-terminating executions.
+        max_rounds: safety valve against non-terminating executions,
+            in ticks.
         network: optional :class:`~repro.network.netgraph.NetworkGraph`
             restricting which channels exist (Definition 3 — no
             indirect routing).  A send over a missing channel raises
@@ -167,19 +167,20 @@ class SimulatedCluster:
             (Section 5's "adapt the parallel execution onto an existing
             parallel architecture").
         tracer: optional :class:`~repro.obs.Tracer`.  The simulator is
-            round-based and fully deterministic, so the tracer should
+            tick-based and fully deterministic, so the tracer should
             carry no clock: equal seeds then yield byte-identical
             event streams.
         faults: optional :class:`~repro.parallel.faults.FaultPlan` to
-            inject (kills at round granularity, per-tuple channel
+            inject (kills at the end of a tick, per-tuple channel
             drop/delay/duplicate from the plan's own seeded RNG).
         recovery: ``"fail"`` — an injected kill aborts the run with
             :class:`~repro.errors.ExecutionError`; ``"restart"`` — the
             killed processor is rebuilt from its base fragment and its
             peers replay their sent-logs to it.
-        sync: ``"bsp"`` (default) — barriered rounds; ``"ssp"`` — the
-            stale-synchronous tick engine (see the module docstring and
-            ``docs/EXECUTION_MODES.md``).
+        sync: ``"bsp"`` (default) — one-tick steps, no throttle, so
+            every tick is a barriered round; ``"ssp"`` — work-priced
+            steps under the staleness bound (see the module docstring
+            and ``docs/EXECUTION_MODES.md``).
         staleness: SSP lead bound — a processor may start a step only
             while its clock is less than ``staleness`` ahead of the
             slowest processor that still holds work.  Must be ``>= 1``
@@ -207,6 +208,10 @@ class SimulatedCluster:
             raise ExecutionError(
                 f"unknown recovery policy {recovery!r}: expected 'fail' or "
                 "'restart'")
+        if not 0.0 <= delay_probability <= 1.0:
+            raise ConfigurationError(
+                f"delay_probability must be in [0, 1], got "
+                f"{delay_probability!r}")
         if sync not in ("bsp", "ssp"):
             raise ExecutionError(
                 f"unknown sync mode {sync!r}: expected 'bsp' or 'ssp'")
@@ -283,12 +288,11 @@ class SimulatedCluster:
 
         Each predicate's batch is partitioned into per-target buffers
         by the sender's compiled :class:`~.routing.RouterTable` in one
-        pass; all counters (``sent``, ``self_delivered``,
-        ``broadcast_tuples``) are bumped by bucket size, so totals are
-        identical to the historical per-fact walk.  Each ``(sender,
-        target, predicate)`` bucket travels as one message, counts as
-        one in the ``channel_messages``/``channel_bytes`` accounting
-        and becomes one counted ``tuple_sent`` event.
+        pass; ``sent``, ``self_delivered`` and ``broadcast_tuples`` are
+        bumped by bucket size.  Each ``(sender, target, predicate)``
+        bucket travels as one message, counts as one in the
+        ``channel_messages``/``channel_bytes`` accounting and becomes
+        one counted ``tuple_sent`` event.
         """
         messages: List[Message] = []
         router = self._routers[sender]
@@ -330,244 +334,17 @@ class SimulatedCluster:
             self._detector.on_send(sender, total_remote)
         return messages
 
-    def _deliver(self, messages: List[Message]
-                 ) -> Tuple[List[Message], Dict[ProcessorId, int]]:
-        """Deliver in-flight messages, possibly holding some back.
-
-        Returns the held-back messages and the per-processor count of
-        remote tuples delivered this round.
-        """
-        held: List[Message] = []
-        remote_received: Dict[ProcessorId, int] = {}
-        if self.delay_probability <= 0.0 and self._channel_faults is None:
-            # Fault-free fast path: no per-tuple RNG draw is owed, so
-            # batches are delivered whole — one ``receive`` call and one
-            # counted ``tuple_received`` event per ``(dest, sender,
-            # pred)``.
-            tracing = self.tracer.enabled
-            groups = _merged(((destination, sender, predicate), facts)
-                             for destination, sender, predicate, facts
-                             in messages)
-            for (destination, sender, predicate), facts in groups.items():
-                remote = destination != sender
-                self.runtimes[destination].receive(predicate, facts,
-                                                   remote=remote)
-                if remote:
-                    remote_received[destination] = (
-                        remote_received.get(destination, 0) + len(facts))
-                    if tracing:
-                        self.tracer.tuple_received(self._tags[destination],
-                                                   self._tags[sender],
-                                                   predicate,
-                                                   count=len(facts))
-            if self._detector is not None:
-                for proc, count in remote_received.items():
-                    self._detector.on_receive(proc, count)
-            return held, remote_received
-        for destination, sender, predicate, facts in messages:
-            remote = destination != sender
-            late: List[Fact] = []
-            for fact in facts:
-                if (self.delay_probability > 0.0
-                        and self._rng.random() < self.delay_probability):
-                    late.append(fact)
-                    continue
-                copies = 1
-                if self._channel_faults is not None and remote:
-                    verdict = self._channel_faults.decide(
-                        self._tags[sender], self._tags[destination])
-                    if verdict == DROP:
-                        continue
-                    if verdict == DELAY:
-                        late.append(fact)
-                        continue
-                    if verdict == DUPLICATE:
-                        copies = 2
-                for _ in range(copies):
-                    self.runtimes[destination].receive(predicate, [fact],
-                                                       remote=remote)
-                    if remote:
-                        remote_received[destination] = (
-                            remote_received.get(destination, 0) + 1)
-                        if self.tracer.enabled:
-                            self.tracer.tuple_received(
-                                self._tags[destination], self._tags[sender],
-                                predicate)
-            if late:
-                held.append((destination, sender, predicate, late))
-        if self._detector is not None:
-            for proc, count in remote_received.items():
-                self._detector.on_receive(proc, count)
-        return held, remote_received
-
-    def _apply_kills(self, in_flight: List[Message]) -> None:
-        """Fire armed kill faults whose firing threshold was crossed.
-
-        Called at round boundaries.  Under ``recovery="fail"`` the
-        first kill aborts the run; under ``"restart"`` the processor's
-        runtime is rebuilt from its base fragment (all derived state is
-        lost, modelling a process death), peers replay their sent-logs
-        to it, and its initialization rules re-fire.  Kills are
-        one-shot: a restarted processor is never re-killed.
-        """
-        tracing = self.tracer.enabled
-        for proc, threshold in list(self._kill_after.items()):
-            firings = self.runtimes[proc].counters.total_firings()
-            if firings < threshold:
-                continue
-            del self._kill_after[proc]
-            tag = self._tags[proc]
-            if tracing:
-                self.tracer.worker_down(tag, firings=firings,
-                                        round=self.metrics.rounds)
-            if self.recovery != "restart":
-                raise ExecutionError(
-                    f"processor {tag!r} killed by injected fault after "
-                    f"{firings} firings (recovery policy is 'fail')")
-            local = self.program.local_database(proc, self.database)
-            self.runtimes[proc] = ProcessorRuntime(
-                self.program.program_for(proc), local,
-                reorder=self._reorder, tracer=self.tracer)
-            self.metrics.restarts += 1
-            if tracing:
-                self.tracer.worker_restart(tag, round=self.metrics.rounds)
-            for src in self._order:
-                if src == proc:
-                    continue
-                log = self._sent_log.get((src, proc), [])
-                if not log:
-                    continue
-                replay_pairs = _merged(log)
-                in_flight.extend((proc, src, predicate, facts)
-                                 for predicate, facts in log)
-                count = sum(len(facts) for _, facts in log)
-                self.metrics.sent[(src, proc)] += count
-                # A replay burst travels as one coalesced message.
-                self.metrics.channel_messages[(src, proc)] += 1
-                self.metrics.channel_bytes[(src, proc)] += approx_batch_bytes(
-                    replay_pairs.items())
-                self.metrics.replayed[src] += count
-                if self._detector is not None:
-                    self._detector.on_send(src, count)
-                if tracing:
-                    self.tracer.replay(self._tags[src], tag, count)
-            in_flight.extend(
-                self._route(proc, self.runtimes[proc].initialize_batches()))
-
-    def run(self) -> ParallelResult:
-        """Execute to quiescence and pool the answers.
-
-        Raises:
-            ExecutionError: if ``max_rounds`` is exceeded, or an
-                injected kill fires under ``recovery="fail"``.
-        """
-        if self.sync == "ssp":
-            return self._run_ssp()
-        tracer = self.tracer
-        tracing = tracer.enabled
-        if tracing:
-            tracer.run_start(scheme=self.program.scheme,
-                             processors=[self._tags[p] for p in self._order],
-                             executor="simulator")
-            tracer.current_round = 0
-            for proc in self._order:
-                tracer.worker_spawn(self._tags[proc])
-        in_flight: List[Message] = []
-        for proc in self._order:
-            emissions = self.runtimes[proc].initialize_batches()
-            in_flight.extend(self._route(proc, emissions))
-
-        quiescent_round: Optional[int] = None
-        while True:
-            data_pending = bool(in_flight) or any(
-                self.runtimes[p].has_pending_input() for p in self._order)
-            if not data_pending and quiescent_round is None:
-                quiescent_round = self.metrics.rounds
-            if not data_pending and (self._detector is None
-                                     or self._detector.detected):
-                break
-            if self.metrics.rounds >= self.max_rounds:
-                raise ExecutionError(
-                    f"no quiescence after {self.max_rounds} rounds")
-
-            self.metrics.rounds += 1
-            if tracing:
-                tracer.round_start(self.metrics.rounds)
-            in_flight, delivered = self._deliver(in_flight)
-
-            round_work: Dict[ProcessorId, float] = {}
-            round_sent: Dict[ProcessorId, int] = {}
-            round_received: Dict[ProcessorId, int] = {}
-            idle: Dict[ProcessorId, bool] = {}
-            for proc in self._order:
-                runtime = self.runtimes[proc]
-                before_work = runtime.work_done()
-                emissions = runtime.step_batches()
-                idle[proc] = not emissions and not runtime.has_pending_input()
-                messages = self._route(proc, emissions)
-                in_flight.extend(messages)
-                round_work[proc] = runtime.work_done() - before_work
-                round_sent[proc] = sum(
-                    len(facts) for destination, _, _, facts in messages
-                    if destination != proc)
-                round_received[proc] = delivered.get(proc, 0)
-            self.metrics.per_round_work.append(round_work)
-            self.metrics.per_round_sent.append(round_sent)
-            self.metrics.per_round_received.append(round_received)
-            if tracing:
-                tracer.round_end(
-                    self.metrics.rounds,
-                    work={self._tags[p]: round_work[p] for p in self._order},
-                    sent={self._tags[p]: round_sent[p] for p in self._order},
-                    received={self._tags[p]: round_received[p]
-                              for p in self._order})
-
-            if self._kill_after:
-                self._apply_kills(in_flight)
-
-            if self._detector is not None:
-                hops_before = self._detector.hops
-                self._detector.advance(idle)
-                if tracing and self._detector.hops > hops_before:
-                    tracer.probe(algorithm="safra-token",
-                                 hops=self._detector.hops,
-                                 detected=self._detector.detected)
-
-        if self._detector is not None:
-            self.metrics.control_messages = self._detector.hops
-            if quiescent_round is not None:
-                self.metrics.detection_rounds = (
-                    self.metrics.rounds - quiescent_round)
-        # Derive barrier busy/idle accounting from the per-round loads:
-        # each round lasts as long as its most loaded processor, everyone
-        # else waits at the barrier for the difference.  This puts BSP in
-        # the same busy/idle/ticks currency the SSP engine measures
-        # natively, so utilisation is comparable across modes.
-        for round_work in self.metrics.per_round_work:
-            peak = max((round_work.get(p, 0.0) for p in self._order),
-                       default=0.0)
-            if peak <= 0:
-                continue
-            self.metrics.ticks += int(math.ceil(peak))
-            for proc in self._order:
-                work = round_work.get(proc, 0.0)
-                self.metrics.busy[proc] += int(work)
-                self.metrics.idle[proc] += int(math.ceil(peak)) - int(work)
-        return self._finish()
-
-    # ------------------------------------------------------------------
-    # Stale-synchronous (SSP) tick engine
-    # ------------------------------------------------------------------
-    def _schedule_ssp(self, messages: Sequence[Message], base_tick: int,
-                      deliveries: Dict[int, List[Message]],
-                      inflight_to: Counter) -> None:
+    def _schedule(self, messages: Sequence[Message], base_tick: int,
+                  deliveries: Dict[int, List[Message]],
+                  inflight_to: Counter) -> None:
         """Schedule routed messages for future delivery.
 
-        Arrival is ``base_tick + 1`` (a channel hop costs one tick);
-        injected delay — probabilistic or from a channel fault — pushes
-        single tuples further out, drop discards here (so a scheduled
-        tuple is always eventually delivered), duplicate schedules two
-        copies.  A batch splits only by arrival tick.
+        Arrival is ``base_tick + 1`` (a channel hop costs one tick).
+        Injected delay and channel faults are decided here, once per
+        tuple: ``delay_probability`` adds one tick, a channel ``delay``
+        two, a drop discards (so a scheduled tuple is always delivered)
+        and a duplicate schedules two copies.  A batch splits only by
+        arrival tick.
         """
         undisturbed = (self.delay_probability <= 0.0
                        and self._channel_faults is None)
@@ -599,10 +376,12 @@ class SimulatedCluster:
                     (destination, sender, predicate, due))
                 inflight_to[destination] += len(due)
 
-    def _deliver_ssp(self, messages: Sequence[Message],
-                     inflight_to: Counter) -> None:
-        """Stage due messages, batched per ``(dest, sender, pred)``."""
+    def _deliver(self, messages: Sequence[Message],
+                 inflight_to: Counter) -> Dict[ProcessorId, int]:
+        """Stage due messages per ``(dest, sender, pred)``; return the
+        per-processor count of remote tuples delivered."""
         tracing = self.tracer.enabled
+        remote_received: Dict[ProcessorId, int] = {}
         for destination, _sender, _predicate, facts in messages:
             inflight_to[destination] -= len(facts)
         groups = _merged(((destination, sender, predicate), facts)
@@ -610,86 +389,116 @@ class SimulatedCluster:
         for (destination, sender, predicate), facts in groups.items():
             remote = destination != sender
             self.runtimes[destination].receive(predicate, facts, remote=remote)
-            if remote and tracing:
-                self.tracer.tuple_received(
-                    self._tags[destination], self._tags[sender], predicate,
-                    count=len(facts))
+            if remote:
+                remote_received[destination] = (
+                    remote_received.get(destination, 0) + len(facts))
+                if tracing:
+                    self.tracer.tuple_received(
+                        self._tags[destination], self._tags[sender],
+                        predicate, count=len(facts))
+        if self._detector is not None:
+            for proc, count in remote_received.items():
+                self._detector.on_receive(proc, count)
+        return remote_received
 
-    def _apply_kill_ssp(self, proc: ProcessorId, tick: int,
-                        deliveries: Dict[int, List[Message]],
-                        inflight_to: Counter,
-                        clock: Dict[ProcessorId, int],
-                        busy_until: Dict[ProcessorId, int]) -> None:
-        """Fire one armed kill at a step boundary of the SSP engine.
+    def _apply_kills(self, tick: int, deliveries: Dict[int, List[Message]],
+                     inflight_to: Counter, clock: Dict[ProcessorId, int],
+                     busy_until: Dict[ProcessorId, int]) -> None:
+        """Fire armed kills whose firing threshold was crossed.
 
-        Same restart-and-replay protocol as the BSP path, adapted to the
-        tick clock: the rebuilt processor's SSP clock restarts at 0,
-        which can only *lower* the horizon — peers over-throttle rather
-        than race ahead of a recovering processor, which is the sound
-        direction.
+        Called at the end of each tick, for processors not inside a
+        step.  Under ``recovery="fail"`` the first kill aborts the run;
+        under ``"restart"`` the runtime is rebuilt from its base
+        fragment (all derived state is lost, modelling a process death),
+        and the peers' sent-log replay and the re-fired initialization
+        rules arrive at the next tick.  The rebuilt clock restarts at 0,
+        which can only *lower* the SSP horizon: peers over-throttle
+        rather than race ahead of a recovering processor.  Kills are
+        one-shot.
         """
-        firings = self.runtimes[proc].counters.total_firings()
-        tag = self._tags[proc]
         tracing = self.tracer.enabled
-        del self._kill_after[proc]
-        if tracing:
-            self.tracer.worker_down(tag, firings=firings, tick=tick)
-        if self.recovery != "restart":
-            raise ExecutionError(
-                f"processor {tag!r} killed by injected fault after "
-                f"{firings} firings (recovery policy is 'fail')")
-        local = self.program.local_database(proc, self.database)
-        self.runtimes[proc] = ProcessorRuntime(
-            self.program.program_for(proc), local,
-            reorder=self._reorder, tracer=self.tracer)
-        self.metrics.restarts += 1
-        clock[proc] = 0
-        if tracing:
-            self.tracer.worker_restart(tag, tick=tick)
-        for src in self._order:
-            if src == proc:
+        for proc, threshold in list(self._kill_after.items()):
+            firings = self.runtimes[proc].counters.total_firings()
+            if busy_until[proc] > tick + 1 or firings < threshold:
                 continue
-            log = self._sent_log.get((src, proc), [])
-            if not log:
-                continue
-            replay_pairs = _merged(log)
-            deliveries.setdefault(tick + 1, []).extend(
-                (proc, src, predicate, facts) for predicate, facts in log)
-            count = sum(len(facts) for _, facts in log)
-            inflight_to[proc] += count
-            self.metrics.sent[(src, proc)] += count
-            self.metrics.channel_messages[(src, proc)] += 1
-            self.metrics.channel_bytes[(src, proc)] += approx_batch_bytes(
-                replay_pairs.items())
-            self.metrics.replayed[src] += count
+            del self._kill_after[proc]
+            tag = self._tags[proc]
             if tracing:
-                self.tracer.replay(self._tags[src], tag, count)
-        self._schedule_ssp(
-            self._route(proc, self.runtimes[proc].initialize_batches()),
-            tick, deliveries, inflight_to)
-        busy_until[proc] = tick + 1  # re-initialization occupies one tick
+                self.tracer.worker_down(tag, firings=firings, tick=tick)
+            if self.recovery != "restart":
+                raise ExecutionError(
+                    f"processor {tag!r} killed by injected fault after "
+                    f"{firings} firings (recovery policy is 'fail')")
+            local = self.program.local_database(proc, self.database)
+            self.runtimes[proc] = ProcessorRuntime(
+                self.program.program_for(proc), local,
+                reorder=self._reorder, tracer=self.tracer)
+            self.metrics.restarts += 1
+            clock[proc] = 0
+            if tracing:
+                self.tracer.worker_restart(tag, tick=tick)
+            for src in self._order:
+                if src == proc:
+                    continue
+                log = self._sent_log.get((src, proc), [])
+                if not log:
+                    continue
+                replay_pairs = _merged(log)
+                deliveries.setdefault(tick + 1, []).extend(
+                    (proc, src, predicate, facts) for predicate, facts in log)
+                count = sum(len(facts) for _, facts in log)
+                inflight_to[proc] += count
+                self.metrics.sent[(src, proc)] += count
+                # A replay burst travels as one coalesced message.
+                self.metrics.channel_messages[(src, proc)] += 1
+                self.metrics.channel_bytes[(src, proc)] += approx_batch_bytes(
+                    replay_pairs.items())
+                self.metrics.replayed[src] += count
+                if self._detector is not None:
+                    self._detector.on_send(src, count)
+                if tracing:
+                    self.tracer.replay(self._tags[src], tag, count)
+            self._schedule(
+                self._route(proc, self.runtimes[proc].initialize_batches()),
+                tick, deliveries, inflight_to)
 
-    def _run_ssp(self) -> ParallelResult:
-        """Execute under bounded staleness until global quiescence.
+    def _duration(self, proc: ProcessorId, work: float) -> int:
+        """Ticks a step performing ``work`` occupies ``proc`` for."""
+        if self.sync == "bsp":
+            return 1
+        speed = self._capacity.get(self._tags[proc], 1.0)
+        return max(1, int(math.ceil(max(work, 1.0) / speed)))
 
-        The engine advances a global tick.  Each processor is either
-        *busy* (inside a step whose cost is ``ceil(max(work, 1) /
-        capacity)`` ticks), *idle* (no staged input), *stalled*
-        (staged input but throttled by the staleness bound), or starts
-        a new step.  The horizon is the minimum clock over processors
-        that still hold work — staged input, a step in progress, or
-        in-flight messages headed their way; processors without work
-        are excluded so a finished processor can never throttle the
-        rest (and an idle cluster terminates).  A processor may start
-        a step only while ``clock - horizon < staleness``.
+    def run(self) -> ParallelResult:
+        """Execute to quiescence and pool the answers.
+
+        At every tick each processor is *busy* (inside a step of
+        :meth:`_duration` ticks), *idle* (no staged input), *stalled*
+        (throttled by the SSP staleness bound), or starts a step.  The
+        horizon is the minimum clock over processors that still hold
+        work — staged input, a step in progress, or in-flight messages
+        headed their way — so a finished processor never throttles the
+        rest.  Under SSP a processor may start a step only while
+        ``clock - horizon < staleness``; under BSP every step lasts one
+        tick and nothing is throttled, so a tick is a barriered round.
+
+        Raises:
+            ExecutionError: if ``max_rounds`` ticks pass without
+                quiescence, or an injected kill fires under
+                ``recovery="fail"``.
         """
         tracer = self.tracer
         tracing = tracer.enabled
         metrics = self.metrics
+        # BSP records per-round loads and prices each round at its
+        # barrier; SSP counts busy/idle/stalled per tick.
+        per_round = self.sync == "bsp"
         if tracing:
             tracer.run_start(scheme=self.program.scheme,
                              processors=[self._tags[p] for p in self._order],
                              executor="simulator")
+            if per_round:
+                tracer.current_round = 0
             for proc in self._order:
                 tracer.worker_spawn(self._tags[proc])
 
@@ -701,48 +510,46 @@ class SimulatedCluster:
         for proc in self._order:
             # Initialization rules fire at tick 0 and occupy it.
             emissions = self.runtimes[proc].initialize_batches()
-            self._schedule_ssp(self._route(proc, emissions), 0,
-                               deliveries, inflight_to)
-            metrics.busy[proc] += 1
+            self._schedule(self._route(proc, emissions), 0, deliveries,
+                           inflight_to)
+            if not per_round:
+                metrics.busy[proc] += 1
 
+        quiescent_tick: Optional[int] = None
         tick = 1
         while True:
+            holders = [p for p in self._order
+                       if busy_until[p] > tick or inflight_to[p] > 0
+                       or self.runtimes[p].has_pending_input()]
+            if not holders:
+                if quiescent_tick is None:
+                    quiescent_tick = tick - 1
+                if self._detector is None or self._detector.detected:
+                    break
             if tick > self.max_rounds:
                 raise ExecutionError(
                     f"no quiescence after {self.max_rounds} ticks")
-            arrivals = deliveries.pop(tick, None)
-            if arrivals:
-                self._deliver_ssp(arrivals, inflight_to)
+            if per_round and tracing:
+                tracer.round_start(tick)
+            received = self._deliver(deliveries.pop(tick, []), inflight_to)
+            horizon = min((clock[p] for p in holders), default=0)
 
-            busy = {p: busy_until[p] > tick for p in self._order}
-            if self._kill_after:
-                for proc in list(self._kill_after):
-                    threshold = self._kill_after[proc]
-                    if (not busy[proc] and self.runtimes[proc].counters
-                            .total_firings() >= threshold):
-                        self._apply_kill_ssp(proc, tick, deliveries,
-                                             inflight_to, clock, busy_until)
-                        busy[proc] = True
-
-            pending = {p: self.runtimes[p].has_pending_input()
-                       for p in self._order}
-            holders = [p for p in self._order
-                       if busy[p] or pending[p] or inflight_to[p] > 0]
-            if not holders:
-                break
-            horizon = min(clock[p] for p in holders)
-
+            tick_work: Dict[ProcessorId, float] = {}
+            tick_sent: Dict[ProcessorId, int] = {}
+            idle: Dict[ProcessorId, bool] = {}
             for proc in self._order:
-                if busy[proc]:
+                if busy_until[proc] > tick:
                     metrics.busy[proc] += 1
                     continue
                 runtime = self.runtimes[proc]
-                if not pending[proc]:
-                    metrics.idle[proc] += 1
+                if not runtime.has_pending_input():
+                    idle[proc] = True
                     stalled_now.discard(proc)
+                    if not per_round:
+                        metrics.idle[proc] += 1
                     continue
                 lag = clock[proc] - horizon
-                if lag >= self.staleness:
+                if self.sync == "ssp" and lag >= self.staleness:
                     metrics.stalled[proc] += 1
                     if proc not in stalled_now:
                         stalled_now.add(proc)
@@ -752,27 +559,80 @@ class SimulatedCluster:
                                 staged=runtime.staged_size(), tick=tick)
                     continue
                 stalled_now.discard(proc)
-                lead = clock[proc] + 1 - horizon
-                if lead > metrics.max_staleness_lag:
-                    metrics.max_staleness_lag = lead
+                if not per_round:
+                    metrics.busy[proc] += 1
+                    metrics.max_staleness_lag = max(
+                        metrics.max_staleness_lag, lag + 1)
                 before = runtime.work_done()
                 emissions = runtime.step_batches()
                 work = runtime.work_done() - before
-                speed = self._capacity.get(self._tags[proc], 1.0)
-                duration = max(1, int(math.ceil(max(work, 1.0) / speed)))
+                duration = self._duration(proc, work)
                 clock[proc] += 1
                 busy_until[proc] = tick + duration
-                metrics.busy[proc] += 1
+                idle[proc] = not emissions and not runtime.has_pending_input()
+                messages = self._route(proc, emissions)
                 # Emissions travel once the step completes: schedule
                 # against the step's last busy tick.
-                self._schedule_ssp(self._route(proc, emissions),
-                                   tick + duration - 1, deliveries,
-                                   inflight_to)
+                self._schedule(messages, tick + duration - 1, deliveries,
+                               inflight_to)
+                tick_work[proc] = work
+                tick_sent[proc] = sum(
+                    len(facts) for destination, _, _, facts in messages
+                    if destination != proc)
+            if per_round:
+                self._record_round(tick, tick_work, tick_sent, received)
+
+            if self._kill_after:
+                self._apply_kills(tick, deliveries, inflight_to, clock,
+                                  busy_until)
+            if self._detector is not None:
+                hops_before = self._detector.hops
+                self._detector.advance(idle)
+                if tracing and self._detector.hops > hops_before:
+                    tracer.probe(algorithm="safra-token",
+                                 hops=self._detector.hops,
+                                 detected=self._detector.detected)
             tick += 1
 
-        metrics.ticks = tick
-        metrics.rounds = max(clock.values(), default=0)
+        if self._detector is not None:
+            metrics.control_messages = self._detector.hops
+            metrics.detection_rounds = tick - 1 - quiescent_tick
+        if per_round:
+            metrics.rounds = tick - 1
+        else:
+            metrics.ticks = tick
+            metrics.rounds = max(clock.values(), default=0)
         return self._finish()
+
+    def _record_round(self, tick: int, work: Dict[ProcessorId, float],
+                      sent: Dict[ProcessorId, int],
+                      received: Dict[ProcessorId, int]) -> None:
+        """Record one barriered round: per-processor loads and cost.
+
+        A round lasts as long as its most loaded processor; everyone
+        else waits at the barrier for the difference.  This puts BSP in
+        the busy/idle/ticks currency SSP counts per tick, so
+        utilisation is comparable across regimes.
+        """
+        metrics = self.metrics
+        round_work = {p: work.get(p, 0) for p in self._order}
+        round_sent = {p: sent.get(p, 0) for p in self._order}
+        round_received = {p: received.get(p, 0) for p in self._order}
+        metrics.per_round_work.append(round_work)
+        metrics.per_round_sent.append(round_sent)
+        metrics.per_round_received.append(round_received)
+        peak = int(math.ceil(max(round_work.values(), default=0)))
+        if peak > 0:
+            metrics.ticks += peak
+            for proc, load in round_work.items():
+                metrics.busy[proc] += int(load)
+                metrics.idle[proc] += peak - int(load)
+        if self.tracer.enabled:
+            tags = self._tags
+            self.tracer.round_end(
+                tick, work={tags[p]: n for p, n in round_work.items()},
+                sent={tags[p]: n for p, n in round_sent.items()},
+                received={tags[p]: n for p, n in round_received.items()})
 
     # ------------------------------------------------------------------
     def _finish(self) -> ParallelResult:

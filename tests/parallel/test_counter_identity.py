@@ -19,6 +19,12 @@ The stale-synchronous case pins the simulator's modelled time: the
 power-law ``skewed`` workload under ``hash_scheme`` with a staleness
 bound of 2, where ``ticks`` and ``stalled`` measure how far processors
 run ahead of the slowest one.
+
+The remaining literals pin what the simulator's one tick engine must
+reproduce in both regimes: the barrier cost model BSP derives from its
+per-round loads (``ticks``, busy and idle work-units), Safra's detector
+overhead, the SSP engine's busy/idle/lead accounting and a BSP
+restart-and-replay run.
 """
 
 import random
@@ -27,6 +33,7 @@ import pytest
 
 from repro.facts import Database
 from repro.parallel import (
+    build_fault_plan,
     example3_scheme,
     hash_scheme,
     rewrite_general,
@@ -72,6 +79,29 @@ PINNED = {
 # staleness 2 -> counters recorded at the parent commit.
 PINNED_SSP = dict(ticks=130, stalled=33, rounds=8, firings=314,
                   tuples_sent=145, facts_out=187)
+
+# The same cases under BSP: the barrier cost model derived from the
+# per-round loads -> counters recorded at the parent commit.
+PINNED_BSP_COST = {
+    ("example3", "tree_db"): dict(ticks=137, busy=291, idle=120),
+    ("example3", "dag_db"): dict(ticks=509, busy=1078, idle=449),
+    ("general", "tree_db"): dict(ticks=363, busy=889, idle=200),
+    ("general", "dag_db"): dict(ticks=1079, busy=3080, idle=157),
+    ("example3", "shuffled_chain_db"): dict(ticks=688, busy=1717, idle=347),
+    ("general", "shuffled_chain_db"): dict(ticks=4895, busy=13982,
+                                           idle=703),
+}
+
+# example3 on ``dag_db`` with Safra's detector running.
+PINNED_SAFRA = dict(rounds=15, control_messages=9, detection_rounds=7)
+
+# The PINNED_SSP run's remaining cost-model counters.
+PINNED_SSP_COST = dict(busy=447, idle=40, max_staleness_lag=2)
+
+# example3 on ``tree_db``, processor 1 killed after 40 firings and
+# restarted with sent-log replay.
+PINNED_BSP_KILL = dict(rounds=6, tuples_sent=95, replayed=18, firings=168,
+                       restarts=1)
 
 
 @pytest.fixture
@@ -122,3 +152,49 @@ def test_ssp_counters_equal_parent_commit():
         facts_out=sum(len(result.relation(predicate))
                       for predicate in parallel.derived),
     ) == PINNED_SSP
+
+
+@pytest.mark.parametrize("scheme,fixture", sorted(PINNED_BSP_COST))
+def test_bsp_barrier_cost_equals_parent_commit(scheme, fixture, request):
+    database = request.getfixturevalue(fixture)
+    metrics = run_parallel(SCHEMES[scheme](), database).metrics
+    assert dict(
+        ticks=metrics.ticks,
+        busy=sum(metrics.busy.values()),
+        idle=metrics.total_idle(),
+    ) == PINNED_BSP_COST[scheme, fixture]
+
+
+def test_safra_overhead_equals_parent_commit(dag_db):
+    metrics = run_parallel(SCHEMES["example3"](), dag_db,
+                           detect_termination=True).metrics
+    assert dict(
+        rounds=metrics.rounds,
+        control_messages=metrics.control_messages,
+        detection_rounds=metrics.detection_rounds,
+    ) == PINNED_SAFRA
+
+
+def test_ssp_cost_model_equals_parent_commit():
+    workload = make_workload("skewed", 48, seed=3)
+    parallel = hash_scheme(workload.program, (0, 1, 2, 3))
+    metrics = run_parallel(parallel, workload.database, sync="ssp",
+                           staleness=2).metrics
+    assert dict(
+        busy=sum(metrics.busy.values()),
+        idle=metrics.total_idle(),
+        max_staleness_lag=metrics.max_staleness_lag,
+    ) == PINNED_SSP_COST
+
+
+def test_bsp_restart_equals_parent_commit(tree_db):
+    metrics = run_parallel(SCHEMES["example3"](), tree_db,
+                           faults=build_fault_plan(["kill:1@40"]),
+                           recovery="restart").metrics
+    assert dict(
+        rounds=metrics.rounds,
+        tuples_sent=metrics.total_sent(),
+        replayed=sum(metrics.replayed.values()),
+        firings=metrics.total_firings(),
+        restarts=metrics.restarts,
+    ) == PINNED_BSP_KILL

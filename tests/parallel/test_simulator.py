@@ -3,7 +3,7 @@
 import pytest
 
 from repro.engine import evaluate
-from repro.errors import ExecutionError
+from repro.errors import ConfigurationError, ExecutionError
 from repro.parallel import (
     CostModel,
     example1_scheme,
@@ -72,6 +72,28 @@ class TestSimulatedCluster:
     def test_pooled_tuples_counted(self, ancestor, chain_db):
         result = run_parallel(example3_scheme(ancestor, (0, 1)), chain_db)
         assert result.metrics.pooled_tuples == 55
+
+
+class TestDelayProbability:
+    """``delay_probability`` is a probability: the library checks it."""
+
+    @pytest.mark.parametrize("probability", [-0.5, 1.5])
+    def test_out_of_range_rejected(self, ancestor, chain_db, probability):
+        with pytest.raises(ConfigurationError, match=r"\[0, 1\]"):
+            run_parallel(example3_scheme(ancestor, (0, 1)), chain_db,
+                         delay_probability=probability)
+
+    def test_certain_delay_terminates_exactly(self, ancestor, chain_db):
+        """At 1.0 every tuple takes exactly one extra tick, drawn once
+        at send, so the run still quiesces with the sequential answer."""
+        result = run_parallel(example3_scheme(ancestor, (0, 1, 2)),
+                              chain_db, delay_probability=1.0)
+        expected = evaluate(ancestor, chain_db)
+        assert (result.relation("anc").as_set()
+                == expected.relation("anc").as_set())
+        undelayed = run_parallel(example3_scheme(ancestor, (0, 1, 2)),
+                                 chain_db)
+        assert result.metrics.rounds > undelayed.metrics.rounds
 
 
 class TestSafraDetection:

@@ -96,6 +96,15 @@ class TestParallelCommand:
         assert code == 0
         assert "matches sequential evaluation: True" in output
 
+    def test_delay_prob_out_of_range_is_the_library_error(self,
+                                                          program_file,
+                                                          capsys):
+        code = main(["parallel", program_file, "-n", "2",
+                     "--delay-prob", "1.5"])
+        error = capsys.readouterr().err
+        assert code == 2
+        assert "delay_probability must be in [0, 1], got 1.5" in error
+
     @pytest.mark.mp
     def test_mp_execution(self, program_file, capsys):
         code = main(["parallel", program_file, "-n", "2", "--mp", "--check"])
