@@ -257,7 +257,7 @@ def network_minimality_table(program: Program, v_r: Sequence[Variable],
     Minimality evidence: the fraction of derived remote edges actually
     witnessed by some random input (1.0 = every edge exercised).
     """
-    from ..parallel.rewrite_linear import rewrite_linear_sirup
+    from ..parallel.schemes import rewrite_linear_sirup
 
     derived = derive_network(program, v_r, v_e, h)
     observed: set = set()

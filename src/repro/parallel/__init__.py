@@ -27,7 +27,6 @@ from .metrics import CostModel, ParallelMetrics
 from .plans import FragmentSpec, ParallelProgram, ProcessorProgram
 from .processor import ProcessorRuntime
 from .rewrite_general import RuleSpec, auto_specs, rewrite_general
-from .rewrite_linear import rewrite_linear_family, rewrite_linear_sirup
 from .routing import (
     BROADCAST,
     Route,
@@ -40,6 +39,8 @@ from .schemes import (
     example3_scheme,
     hash_scheme,
     position_scheme,
+    rewrite_linear_family,
+    rewrite_linear_sirup,
     tradeoff_scheme,
     wolfson_scheme,
 )

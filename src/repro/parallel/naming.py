@@ -57,9 +57,10 @@ def channel_name(predicate: str, sender: Hashable, receiver: Hashable) -> str:
             f"@{processor_tag(sender)}@{processor_tag(receiver)}")
 
 
-def fragment_name(predicate: str, rule_index: int) -> str:
-    """Name of the per-rule base fragment ``D_in`` of rule ``rule_index``."""
-    return f"{predicate}{_FRAGMENT_MARK}@{rule_index}"
+def fragment_name(predicate: str, occurrence: int) -> str:
+    """Name of the base fragment first read by base-atom occurrence
+    ``occurrence`` (counted over the program's rule bodies in order)."""
+    return f"{predicate}{_FRAGMENT_MARK}@{occurrence}"
 
 
 def strip_decoration(name: str) -> str:

@@ -1,7 +1,8 @@
 """Data structures describing a rewritten (parallelised) program.
 
-A rewriter (Sections 3, 6 or 7 of the paper) turns a source program
-into a :class:`ParallelProgram`:
+The rewrite (:func:`~.rewrite_general.rewrite_general`, which covers
+Sections 3, 6 and 7 of the paper) turns a source program into a
+:class:`ParallelProgram`:
 
 * one :class:`ProcessorProgram` per processor — its initialisation and
   processing rules (referencing local ``t_in``/``t_out`` relation names

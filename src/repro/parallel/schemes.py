@@ -1,9 +1,14 @@
-"""Named parallelisation schemes (paper, Section 4 and Section 6).
+"""Linear-sirup spec builders and named schemes (paper, Sections 3, 4 and 6).
 
-Each function instantiates the generic rewrites with the specific
-discriminating choices the paper analyses on the ancestor program —
-generalised, where the paper's construction generalises, to arbitrary
-linear sirups:
+:func:`rewrite_linear_sirup` (Section 3's ``Q_i``) and
+:func:`rewrite_linear_family` (Section 6's ``R_i``) map a linear
+sirup's exit rule to ``RuleSpec(v(e), h')`` and its recursive rule to
+``RuleSpec(v(r), h)`` or ``RuleSpec(v(r), {h_i})``, and hand both to
+the one rewrite, :func:`~.rewrite_general.rewrite_general`.
+
+The named schemes instantiate them with the specific discriminating
+choices the paper analyses on the ancestor program — generalised, where
+the paper's construction generalises, to arbitrary linear sirups:
 
 * :func:`example1_scheme` — Wolfson–Silberschatz [19]: discriminate on
   the positions of a dataflow-graph cycle (Theorem 3); zero
@@ -26,21 +31,25 @@ from typing import Hashable, Optional, Sequence, Union
 
 from ..datalog.analysis import LinearSirup, as_linear_sirup
 from ..datalog.program import Program
+from ..datalog.term import Variable
 from ..errors import RewriteError
 from ..facts.database import Database
 from ..facts.fragments import ArbitraryFragmentation
 from ..network.dataflow import zero_communication_positions
 from .discriminating import (
     Discriminator,
+    DiscriminatorFamily,
     HashDiscriminator,
     LocalRetentionFamily,
     ModuloDiscriminator,
     PartitionDiscriminator,
 )
 from .plans import ParallelProgram
-from .rewrite_linear import rewrite_linear_family, rewrite_linear_sirup
+from .rewrite_general import RuleSpec, rewrite_general
 
 __all__ = [
+    "rewrite_linear_sirup",
+    "rewrite_linear_family",
     "position_scheme",
     "example1_scheme",
     "example2_scheme",
@@ -57,6 +66,80 @@ def _coerce(program: Union[Program, LinearSirup]) -> LinearSirup:
     if isinstance(program, LinearSirup):
         return program
     return as_linear_sirup(program)
+
+
+def _rewrite_sirup(sirup: LinearSirup, processors: Sequence[ProcessorId],
+                   exit_spec: RuleSpec, recursive_spec: RuleSpec,
+                   scheme: str) -> ParallelProgram:
+    specs = {index: exit_spec if rule is sirup.exit_rule else recursive_spec
+             for index, rule in enumerate(sirup.program.proper_rules())}
+    return rewrite_general(sirup.program, processors, specs, scheme=scheme)
+
+
+def rewrite_linear_sirup(program: Union[Program, LinearSirup],
+                         processors: Sequence[ProcessorId],
+                         v_r: Sequence[Variable], v_e: Sequence[Variable],
+                         h: Discriminator,
+                         h_prime: Optional[Discriminator] = None,
+                         scheme: str = "section3") -> ParallelProgram:
+    """Rewrite a linear sirup with a shared discriminating function.
+
+    This is the non-redundant scheme of Section 3 (Theorems 1 and 2):
+    all processors use the same ``h``, the processing rule carries the
+    constraint ``h(v(r)) = i``, and base atoms containing all of
+    ``v(r)`` (or ``v(e)``) are fragmented.
+
+    Args:
+        program: the linear sirup (program or decomposition).
+        processors: the processor ids ``P``.
+        v_r: discriminating sequence for the recursive rule.
+        v_e: discriminating sequence for the exit rule.
+        h: discriminating function for the recursive rule.
+        h_prime: discriminating function for the exit rule (default: ``h``).
+        scheme: label used in reports.
+    """
+    return _rewrite_sirup(
+        _coerce(program), processors,
+        RuleSpec(tuple(v_e), h_prime if h_prime is not None else h),
+        RuleSpec(tuple(v_r), h), scheme)
+
+
+def rewrite_linear_family(program: Union[Program, LinearSirup],
+                          processors: Sequence[ProcessorId],
+                          v_e: Sequence[Variable],
+                          family: DiscriminatorFamily,
+                          h_prime: Discriminator,
+                          v_r: Optional[Sequence[Variable]] = None,
+                          scheme: str = "section6") -> ParallelProgram:
+    """Rewrite a linear sirup with per-processor functions ``h_i``.
+
+    This is the trade-off scheme of Section 6 (Theorem 4): processing is
+    unconstrained (a processor works on everything it receives or
+    retains), the recursive rule's base relations are shared, and every
+    variable of ``v(r)`` must occur in ``Ȳ`` so routing is always
+    point-to-point.
+
+    Args:
+        program: the linear sirup (program or decomposition).
+        processors: the processor ids ``P``.
+        v_e: discriminating sequence for the exit rule.
+        family: the per-processor family ``{h_i}``.
+        h_prime: discriminating function for the exit rule.
+        v_r: discriminating sequence for the recursive rule; defaults to
+            the variables of the recursive body atom ``Ȳ``.
+        scheme: label used in reports.
+    """
+    sirup = _coerce(program)
+    if v_r is None:
+        v_r = sirup.recursive_atom.variables()
+    body_atom_vars = set(sirup.recursive_atom.variables())
+    for variable in v_r:
+        if variable not in body_atom_vars:
+            raise RewriteError(
+                "Section 6 requires every variable of v(r) to appear in "
+                f"the recursive atom; {variable} does not")
+    return _rewrite_sirup(sirup, processors, RuleSpec(tuple(v_e), h_prime),
+                          RuleSpec(tuple(v_r), family), scheme)
 
 
 def position_scheme(program: Union[Program, LinearSirup],

@@ -3,15 +3,28 @@
 import pytest
 
 from repro.datalog import Variable, as_linear_sirup, parse_program
+from repro.engine import evaluate
 from repro.errors import RewriteError
+from repro.facts import Database
 from repro.parallel import (
     HashDiscriminator,
     LocalRetentionFamily,
     UniformFamily,
+    example1_scheme,
+    example2_scheme,
+    example3_scheme,
+    hash_scheme,
     rewrite_linear_family,
     rewrite_linear_sirup,
+    run_parallel,
+    wolfson_scheme,
 )
 from repro.parallel.naming import in_name, out_name
+from repro.workloads import (
+    ancestor_program,
+    same_generation_database,
+    same_generation_program,
+)
 
 X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
 
@@ -158,3 +171,117 @@ class TestRewriteFamily:
             rewrite_linear_family(sirup, (0, 1), v_e=(X, Y),
                                   family=UniformFamily(base), h_prime=base,
                                   v_r=(X,))
+
+
+# The Section 3 schemes at two processors, pinned so that building Q_i
+# from per-rule specs keeps every name, kind, position and order:
+# fragments as (local name, kind, positions), then per processor the
+# init rules, the processing rules and the routes as
+# (predicate, pattern, positions).
+SECTION3_STRUCTURE = {
+    ('ancestor', 'example1'): (
+        (('par', 'shared', None),),
+        {
+            0: (('anc@out(X, Y) :- par(X, Y), h(Y) = 0.',),
+                ('anc@out(X, Y) :- par(X, Z), anc@in(Z, Y), h(Y) = 0.',),
+                (('anc', 'anc(Z, Y)', (1,)),)),
+            1: (('anc@out(X, Y) :- par(X, Y), h(Y) = 1.',),
+                ('anc@out(X, Y) :- par(X, Z), anc@in(Z, Y), h(Y) = 1.',),
+                (('anc', 'anc(Z, Y)', (1,)),)),
+        }),
+    ('ancestor', 'example2'): (
+        (('par@frag@0', 'arbitrary', (0, 1)),),
+        {
+            0: (('anc@out(X, Y) :- par@frag@0(X, Y), h(X, Y) = 0.',),
+                ('anc@out(X, Y) :- par@frag@0(X, Z), anc@in(Z, Y), h(X, Z) = 0.',),
+                (('anc', 'anc(Z, Y)', None),)),
+            1: (('anc@out(X, Y) :- par@frag@0(X, Y), h(X, Y) = 1.',),
+                ('anc@out(X, Y) :- par@frag@0(X, Z), anc@in(Z, Y), h(X, Z) = 1.',),
+                (('anc', 'anc(Z, Y)', None),)),
+        }),
+    ('ancestor', 'example3'): (
+        (('par@frag@0', 'hash', (0,)), ('par@frag@1', 'hash', (1,))),
+        {
+            0: (('anc@out(X, Y) :- par@frag@0(X, Y), h(X) = 0.',),
+                ('anc@out(X, Y) :- par@frag@1(X, Z), anc@in(Z, Y), h(Z) = 0.',),
+                (('anc', 'anc(Z, Y)', (0,)),)),
+            1: (('anc@out(X, Y) :- par@frag@0(X, Y), h(X) = 1.',),
+                ('anc@out(X, Y) :- par@frag@1(X, Z), anc@in(Z, Y), h(Z) = 1.',),
+                (('anc', 'anc(Z, Y)', (0,)),)),
+        }),
+    ('ancestor', 'hash'): (
+        (('par', 'shared', None),),
+        {
+            0: (('anc@out(X, Y) :- par(X, Y), h(X, Y) = 0.',),
+                ('anc@out(X, Y) :- par(X, Z), anc@in(Z, Y), h(Z, Y) = 0.',),
+                (('anc', 'anc(Z, Y)', (0, 1)),)),
+            1: (('anc@out(X, Y) :- par(X, Y), h(X, Y) = 1.',),
+                ('anc@out(X, Y) :- par(X, Z), anc@in(Z, Y), h(Z, Y) = 1.',),
+                (('anc', 'anc(Z, Y)', (0, 1)),)),
+        }),
+    ('same_generation', 'example3'): (
+        (('flat@frag@0', 'hash', (0,)), ('up@frag@1', 'hash', (1,)), ('down', 'shared', None)),
+        {
+            0: (('sg@out(X, Y) :- flat@frag@0(X, Y), h(X) = 0.',),
+                ('sg@out(X, Y) :- up@frag@1(X, U), sg@in(U, V), down(V, Y), h(U) = 0.',),
+                (('sg', 'sg(U, V)', (0,)),)),
+            1: (('sg@out(X, Y) :- flat@frag@0(X, Y), h(X) = 1.',),
+                ('sg@out(X, Y) :- up@frag@1(X, U), sg@in(U, V), down(V, Y), h(U) = 1.',),
+                (('sg', 'sg(U, V)', (0,)),)),
+        }),
+    ('same_generation', 'hash'): (
+        (('flat@frag@0', 'hash', (0, 1)), ('up', 'shared', None), ('down', 'shared', None)),
+        {
+            0: (('sg@out(X, Y) :- flat@frag@0(X, Y), h(X, Y) = 0.',),
+                ('sg@out(X, Y) :- up(X, U), sg@in(U, V), down(V, Y), h(U, V) = 0.',),
+                (('sg', 'sg(U, V)', (0, 1)),)),
+            1: (('sg@out(X, Y) :- flat@frag@0(X, Y), h(X, Y) = 1.',),
+                ('sg@out(X, Y) :- up(X, U), sg@in(U, V), down(V, Y), h(U, V) = 1.',),
+                (('sg', 'sg(U, V)', (0, 1)),)),
+        }),
+}
+
+_PROGRAMS = {"ancestor": ancestor_program,
+             "same_generation": same_generation_program}
+_SCHEMES = {
+    "example1": lambda program: example1_scheme(program, (0, 1)),
+    "example2": lambda program: example2_scheme(
+        program, (0, 1),
+        Database.from_facts({"par": [(i, i + 1) for i in range(1, 11)]})),
+    "example3": lambda program: example3_scheme(program, (0, 1)),
+    "hash": lambda program: hash_scheme(program, (0, 1)),
+}
+
+
+class TestSection3Structure:
+    @pytest.mark.parametrize("case", sorted(SECTION3_STRUCTURE))
+    def test_structure_pinned(self, case):
+        program_name, scheme_name = case
+        parallel = _SCHEMES[scheme_name](_PROGRAMS[program_name]())
+        fragments, processors = SECTION3_STRUCTURE[case]
+        assert tuple((f.local_name, f.kind, f.positions)
+                     for f in parallel.fragments) == fragments
+        for proc, (init, processing, routes) in processors.items():
+            program = parallel.program_for(proc)
+            assert tuple(str(r) for r in program.init_rules) == init
+            assert tuple(str(r) for r in program.processing_rules) == processing
+            assert tuple((r.predicate, str(r.pattern), r.positions)
+                         for r in program.routes) == routes
+
+
+class TestSection6Fragmentation:
+    def test_exit_only_base_predicate_is_hash_partitioned(self):
+        # flat occurs only in the exit rule, which keeps its
+        # h'(v(e)) = i constraint, so each processor reads only its own
+        # hash fragment of it; up and down stay shared.  The answer and
+        # the firings are those of the all-shared plan.
+        program = same_generation_program()
+        database = same_generation_database(pairs=8, depth=4, seed=1)
+        parallel = wolfson_scheme(program, (0, 1, 2))
+        assert parallel.fragmentation.requirements == {
+            "flat": "hash-partitioned", "up": "shared", "down": "shared"}
+        result = run_parallel(parallel, database)
+        assert (result.relation("sg").as_set()
+                == evaluate(program, database).relation("sg").as_set())
+        assert len(result.relation("sg")) == 44
+        assert result.metrics.firings == {0: 17, 1: 21, 2: 6}
