@@ -344,8 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
     par.add_argument("--inject-fault", metavar="SPEC", action="append",
                      default=[],
                      help="inject a fault: kill:<tag>@<firings> (e.g. "
-                          "kill:p1@50), drop:<prob>, delay:<prob> or "
-                          "dup:<prob>, optionally @<src>-><dst>; repeatable")
+                          "kill:p1@50), or a simulator-only channel fault "
+                          "drop:<prob>, delay:<prob> or dup:<prob>, "
+                          "optionally @<src>-><dst>; repeatable")
     par.add_argument("--recovery", choices=("fail", "restart", "checkpoint"),
                      default="fail",
                      help="what to do when a worker dies: fail fast with a "

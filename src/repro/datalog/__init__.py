@@ -16,7 +16,6 @@ from .program import Program
 from .rule import Constraint, Rule
 from .substitution import Substitution
 from .term import Constant, Term, Variable, is_constant, is_variable
-from .unify import mgu, unify_atoms, unify_terms
 
 __all__ = [
     "Atom",
@@ -38,13 +37,10 @@ __all__ = [
     "is_linear_sirup",
     "is_recursive_rule",
     "is_variable",
-    "mgu",
     "parse_atom",
     "parse_program",
     "parse_rule",
     "recursion_components",
     "recursive_predicates",
     "tokenize",
-    "unify_atoms",
-    "unify_terms",
 ]

@@ -194,19 +194,8 @@ class TraceReport:
         Matches :meth:`repro.parallel.metrics.ParallelMetrics.makespan`
         for the same run and cost model.
         """
-        from ..parallel.metrics import CostModel
-        cost = cost if cost is not None else CostModel()
-        total = 0.0
-        for round_ in sorted(self.round_loads):
-            work, sent, received = self.round_loads[round_]
-            peak = 0.0
-            for proc in self.processors:
-                load = (float(work.get(proc, 0.0))
-                        + cost.send_cost * float(sent.get(proc, 0))
-                        + cost.recv_cost * float(received.get(proc, 0)))
-                peak = max(peak, load)
-            total += peak + cost.round_overhead
-        return total
+        rows = self.makespan_breakdown(cost)
+        return rows[-1][3] if rows else 0.0
 
     def makespan_breakdown(self, cost: Optional[CostModel] = None
                            ) -> List[Tuple[int, str, float, float]]:

@@ -19,7 +19,6 @@ from .faults import (
     ChannelFault,
     FaultPlan,
     KillFault,
-    WorkerFaults,
     build_fault_plan,
     parse_fault_spec,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "SimulatedCluster",
     "TupleDiscriminator",
     "UniformFamily",
-    "WorkerFaults",
     "auto_specs",
     "binary_g",
     "build_fault_plan",

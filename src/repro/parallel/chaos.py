@@ -1,8 +1,8 @@
 """Chaos soak harness: seeded random fault schedules vs. exactness.
 
 The fault-tolerance contract of the mp executor is absolute — whatever
-combination of worker kills and channel disturbances a run suffers,
-the pooled answer must equal the sequential least model *exactly*.
+combination of worker kills a run suffers, the pooled answer must equal
+the sequential least model *exactly*.
 Individual tests pin single fault shapes; this module soaks the
 cross-product.  Each seed deterministically derives one *case*:
 
@@ -12,8 +12,8 @@ cross-product.  Each seed deterministically derives one *case*:
 * a workload (random tree or diamond-rich DAG under the ancestor
   program, size and shape drawn from the seed);
 * a fault schedule: one or two SIGKILLs at random firing counts on
-  distinct victims, plus up to two channel faults (drop / delay / dup
-  at a random probability).
+  distinct victims.  The mp executor injects no channel faults: its
+  queues are reliable, and lossy channels are a simulator model.
 
 ``random.Random(f"chaos:{seed}")`` derives everything, so a failing
 seed replays exactly (`repro chaos --seeds 1 --start-seed <n>`), and a
@@ -66,7 +66,6 @@ class ChaosCase:
     size: int
     workload_seed: int
     fault_specs: Tuple[str, ...]
-    fault_seed: int
     max_restarts: int = 4
     checkpoint_interval: int = 2
 
@@ -84,13 +83,12 @@ class ChaosOutcome:
     ok: bool
     detail: str = ""
     restarts: int = 0
-    retried: int = 0
     recovery_seconds: float = 0.0
     wall_seconds: float = 0.0
 
     def describe(self) -> str:
         status = "ok  " if self.ok else "FAIL"
-        extra = (f" restarts={self.restarts} retried={self.retried}"
+        extra = (f" restarts={self.restarts}"
                  f" recovery={self.recovery_seconds:.3f}s"
                  f" wall={self.wall_seconds:.2f}s")
         tail = f" — {self.detail}" if self.detail else ""
@@ -121,16 +119,10 @@ def build_case(seed: int, max_restarts: int = 4,
     tags = [processor_tag(proc) for proc in _processors(scheme)]
     kills = rng.choice((1, 1, 2))
     victims = rng.sample(tags, k=min(kills, len(tags)))
-    specs: List[str] = [f"kill:{victim}@{rng.randint(1, 40)}"
-                       for victim in victims]
-    for _ in range(rng.choice((0, 1, 1, 2))):
-        kind = rng.choice(("drop", "delay", "dup"))
-        prob = round(rng.uniform(0.05, 0.30), 2)
-        specs.append(f"{kind}:{prob}")
+    specs = tuple(f"kill:{victim}@{rng.randint(1, 40)}" for victim in victims)
     return ChaosCase(seed=seed, scheme=scheme, recovery=recovery,
                      workload=workload, size=size, workload_seed=workload_seed,
-                     fault_specs=tuple(specs), fault_seed=seed,
-                     max_restarts=max_restarts,
+                     fault_specs=specs, max_restarts=max_restarts,
                      checkpoint_interval=checkpoint_interval)
 
 
@@ -163,7 +155,7 @@ def run_case(case: ChaosCase, timeout: float = 60.0) -> ChaosOutcome:
     database = _build_database(case)
     expected = evaluate(program, database)
     parallel_program = _build_parallel(case, program, database)
-    plan = build_fault_plan(list(case.fault_specs), seed=case.fault_seed)
+    plan = build_fault_plan(list(case.fault_specs))
     try:
         result = run_multiprocessing(
             parallel_program, database, faults=plan, recovery=case.recovery,
@@ -183,11 +175,9 @@ def run_case(case: ChaosCase, timeout: float = 60.0) -> ChaosOutcome:
                 detail=(f"answer mismatch on {predicate!r}: "
                         f"{missing} missing, {extra} extra"),
                 restarts=result.restarts,
-                retried=result.metrics.retried,
                 recovery_seconds=result.metrics.recovery_seconds,
                 wall_seconds=result.wall_seconds)
     return ChaosOutcome(case=case, ok=True, restarts=result.restarts,
-                        retried=result.metrics.retried,
                         recovery_seconds=result.metrics.recovery_seconds,
                         wall_seconds=result.wall_seconds)
 

@@ -16,16 +16,14 @@ is exercised:
   the end of the tick in which the threshold is crossed (once the
   processor is not mid-step).  Kills are one-shot: a restarted worker
   is not re-killed.
-* **channel faults** — for each tuple crossing a remote channel,
-  independently ``drop`` it (it vanishes; the paper assumes reliable
-  channels, so this demonstrates *why*), ``delay`` it (held back and
-  delivered later — one probe interval in the mp executor, two ticks in
-  the simulator), or ``dup``licate it (delivered twice; harmless by
-  monotonicity).  Decisions come from a seeded RNG, so runs are
-  reproducible.
+* **channel faults** — simulator only.  For each tuple crossing a
+  remote channel, independently ``drop`` it (it vanishes; the paper
+  assumes reliable channels, so this demonstrates *why*), ``delay`` it
+  (delivered two ticks late), or ``dup``licate it (delivered twice;
+  harmless by monotonicity).  Decisions come from a seeded RNG, so runs
+  are reproducible.  The mp executor's channels are ``multiprocessing``
+  queues, which are reliable, so it rejects a plan with channel faults.
 
-Both executors consume the same :class:`FaultPlan`; the multiprocessing
-executor hands each worker a picklable :class:`WorkerFaults` slice.
 Specs are parsed from the CLI's ``--inject-fault`` strings by
 :func:`parse_fault_spec` / :func:`build_fault_plan`.
 """
@@ -47,7 +45,6 @@ __all__ = [
     "ChannelFaultState",
     "FaultPlan",
     "KillFault",
-    "WorkerFaults",
     "build_fault_plan",
     "parse_fault_spec",
 ]
@@ -99,41 +96,15 @@ class ChannelFault:
                 and (self.dst is None or self.dst == dst))
 
 
-@dataclass(frozen=True)
-class WorkerFaults:
-    """The picklable slice of a :class:`FaultPlan` one mp worker needs.
-
-    Attributes:
-        tag: this worker's processor tag (also salts its RNG).
-        kill_after: firing count triggering self-``SIGKILL``, or ``None``.
-        channel_faults: channel faults whose ``src`` covers this worker.
-        seed: base seed shared by the whole plan.
-    """
-
-    tag: str
-    kill_after: Optional[int]
-    channel_faults: Tuple[ChannelFault, ...]
-    seed: int
-
-    def channel_state(self) -> Optional["ChannelFaultState"]:
-        """Build this worker's channel-fault decider (``None`` if clean)."""
-        if not self.channel_faults:
-            return None
-        return ChannelFaultState(self.channel_faults, self.seed, salt=self.tag)
-
-
 class ChannelFaultState:
-    """Seeded per-tuple decision maker shared by simulator and workers.
+    """The simulator's seeded per-tuple decision maker.
 
-    The RNG is salted so every (plan seed, owner) pair draws an
-    independent reproducible stream; the simulator owns one global
-    state, each mp worker owns one salted with its tag.
+    One global state draws one reproducible stream per plan seed.
     """
 
-    def __init__(self, faults: Sequence[ChannelFault], seed: int,
-                 salt: str = "") -> None:
+    def __init__(self, faults: Sequence[ChannelFault], seed: int) -> None:
         self.faults = tuple(faults)
-        self._rng = random.Random(f"{seed}:{salt}:channel-faults")
+        self._rng = random.Random(f"{seed}::channel-faults")
         self.dropped = 0
         self.delayed = 0
         self.duplicated = 0
@@ -164,8 +135,8 @@ class FaultPlan:
 
     Attributes:
         kills: kill faults, at most one per processor tag.
-        channel_faults: channel disturbances.
-        seed: RNG seed for the channel-fault streams.
+        channel_faults: channel disturbances (simulator only).
+        seed: RNG seed for the channel-fault stream.
     """
 
     kills: Tuple[KillFault, ...] = ()
@@ -184,23 +155,8 @@ class FaultPlan:
                 return kill
         return None
 
-    def worker_faults(self, tag: str) -> Optional[WorkerFaults]:
-        """The picklable slice for mp worker ``tag`` (``None`` if clean).
-
-        Channel faults are applied sender-side in the mp executor, so a
-        worker receives exactly the faults whose ``src`` covers it.
-        """
-        kill = self.kill_for(tag)
-        channel = tuple(f for f in self.channel_faults
-                        if f.src is None or f.src == tag)
-        if kill is None and not channel:
-            return None
-        return WorkerFaults(tag=tag,
-                            kill_after=kill.after_firings if kill else None,
-                            channel_faults=channel, seed=self.seed)
-
     def channel_state(self) -> Optional[ChannelFaultState]:
-        """A global channel-fault decider (the simulator's mode)."""
+        """The simulator's channel-fault decider (``None`` if clean)."""
         if not self.channel_faults:
             return None
         return ChannelFaultState(self.channel_faults, self.seed)

@@ -187,13 +187,11 @@ class ParallelMetrics:
     # re-sent while serving replays; ``checkpoint_bytes`` the approximate
     # size (deterministic model above) of every checkpoint shipped;
     # ``log_truncated`` the sent-log facts reclaimed by watermark
-    # truncation; ``retried`` the drop-faulted facts healed by the
-    # reliable retry path.
+    # truncation.
     recovery_seconds: float = 0.0
     recovery_replayed_facts: int = 0
     checkpoint_bytes: int = 0
     log_truncated: int = 0
-    retried: int = 0
     per_round_work: List[Dict[ProcessorId, float]] = field(default_factory=list)
     per_round_sent: List[Dict[ProcessorId, int]] = field(default_factory=list)
     per_round_received: List[Dict[ProcessorId, int]] = field(default_factory=list)
@@ -361,5 +359,4 @@ class ParallelMetrics:
             "recovery_replayed_facts": self.recovery_replayed_facts,
             "checkpoint_bytes": self.checkpoint_bytes,
             "log_truncated": self.log_truncated,
-            "retried": self.retried,
         }

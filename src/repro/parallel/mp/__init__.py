@@ -9,7 +9,7 @@ acknowledged watermarks (``recovery="checkpoint"``), under a restart
 budget with per-worker exponential backoff.  The protocol and its
 invariants are documented in :mod:`.protocol`; liveness detection,
 recovery and the derived ack deadlines live in :mod:`.runner`; the
-per-process loop, sent-logs and retry path in :mod:`.worker`; the
+per-process loop, sent-logs and kill injection in :mod:`.worker`; the
 snapshot payload format in :mod:`.checkpoint` (see also
 ``docs/FAULT_TOLERANCE.md``).
 """

@@ -37,7 +37,7 @@ deterministic size model the channel accounting uses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Tuple
 
 from ...facts.packing import ensure_facts, is_packed, maybe_pack
 from ...facts.relation import Fact
@@ -79,8 +79,8 @@ class WorkerCheckpoint:
         duplicates_dropped: cumulative duplicate-drop count.
         received: cumulative received-tuple count (WorkerStats).
         self_delivered: cumulative self-delivery count (WorkerStats).
-        sent_log: per-target per-predicate fact → stamp-or-``None`` map
-            (``None`` = not yet carried by any enqueued message).
+        sent_log: per-target per-predicate fact → stamp map (the stamp
+            of the last message that carried the fact).
         watermarks: per-sender maximum stamp dequeued.
     """
 
@@ -92,7 +92,7 @@ class WorkerCheckpoint:
     duplicates_dropped: int = 0
     received: int = 0
     self_delivered: int = 0
-    sent_log: Dict[ProcessorId, Dict[str, Dict[Fact, Optional[Stamp]]]] = \
+    sent_log: Dict[ProcessorId, Dict[str, Dict[Fact, Stamp]]] = \
         field(default_factory=dict)
     watermarks: Dict[ProcessorId, Stamp] = field(default_factory=dict)
 
@@ -146,9 +146,9 @@ def decode_checkpoint(payload: Dict[str, object]) -> WorkerCheckpoint:
     version = payload.get("version")
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unknown checkpoint version {version!r}")
-    sent_log: Dict[ProcessorId, Dict[str, Dict[Fact, Optional[Stamp]]]] = {}
+    sent_log: Dict[ProcessorId, Dict[str, Dict[Fact, Stamp]]] = {}
     for target, by_pred in payload["sent_log"].items():  # type: ignore[union-attr]
-        decoded_preds: Dict[str, Dict[Fact, Optional[Stamp]]] = {}
+        decoded_preds: Dict[str, Dict[Fact, Stamp]] = {}
         for pred, (facts_payload, stamps) in by_pred.items():
             facts = ensure_facts(facts_payload)
             decoded_preds[pred] = dict(zip(facts, stamps))

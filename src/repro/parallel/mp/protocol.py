@@ -92,12 +92,11 @@ breaks ties across a sender's restarts — a dying worker flushes and
 closes its queues before exiting, so a successor's messages really do
 follow its predecessor's), hence every message with stamp ≤ the
 receiver's watermark was *dequeued* — and therefore staged or ingested
-— before the checkpoint snapshot was cut.  Log entries whose fact has
-not yet been carried by any enqueued message (buffered, delayed or
-dropped by an injected fault) hold no stamp and are never truncated, so
-the retry/replay paths still cover them.  Replay after truncation is
-unchanged code: "re-send the whole remaining log" is exactly "re-send
-the unacknowledged suffix".
+— before the checkpoint snapshot was cut.  A fact enters the sender's
+log only when a message carrying it is enqueued, so every entry has a
+stamp to compare.  Replay after truncation is unchanged code: "re-send
+the whole remaining log" is exactly "re-send the unacknowledged
+suffix".
 
 Quiescence invariant
 --------------------
@@ -230,7 +229,7 @@ class WorkerStats:
         probes: index probes performed by the engine.
         iterations: local semi-naive iterations.
         sent_by_target: per-peer count of tuples actually put on the
-            peer's queue (replays included, dropped-by-fault excluded).
+            peer's queue (replays included).
         messages_by_target: per-peer count of coalesced ``data``
             messages carrying those tuples (each = one queue put and
             one pickle); ``total_sent() / total_messages()`` is the
@@ -242,10 +241,6 @@ class WorkerStats:
         duplicates_dropped: received tuples discarded as duplicates.
         self_delivered: tuples routed to the worker itself (no queue).
         replayed: tuples re-sent while serving ``replay`` requests.
-        retried: tuples re-sent by the reliable retry path after an
-            injected ``drop`` fault swallowed their first transmission
-            (faults apply to first transmissions only, so one retry
-            heals every drop).
         sent_log_facts: total facts held in the deduplicated per-peer
             replay logs at exit (the bounded-memory satellite metric;
             under ``recovery="checkpoint"`` truncation keeps this from
@@ -263,7 +258,7 @@ class WorkerStats:
     __slots__ = ("firings", "probes", "iterations", "sent_by_target",
                  "messages_by_target", "bytes_by_target", "received",
                  "duplicates_dropped", "self_delivered", "replayed",
-                 "retried", "sent_log_facts", "checkpoints",
+                 "sent_log_facts", "checkpoints",
                  "checkpoint_bytes", "log_truncated", "restored_facts")
 
     def __init__(self) -> None:
@@ -277,7 +272,6 @@ class WorkerStats:
         self.duplicates_dropped: int = 0
         self.self_delivered: int = 0
         self.replayed: int = 0
-        self.retried: int = 0
         self.sent_log_facts: int = 0
         self.checkpoints: int = 0
         self.checkpoint_bytes: int = 0

@@ -70,7 +70,6 @@ are the simulator's job.
 
 from __future__ import annotations
 
-import dataclasses
 import multiprocessing
 import queue as queue_module
 import time
@@ -243,9 +242,10 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
             last coordinator-held checkpoint and peers replay only the
             unacknowledged suffix of their sent-logs (same answer,
             strictly less re-derivation and replay).
-        faults: optional :class:`~repro.parallel.faults.FaultPlan` to
-            inject (kills and channel disturbances).  Kill faults are
-            one-shot: restarted workers are spawned unarmed.
+        faults: optional :class:`~repro.parallel.faults.FaultPlan` of
+            kills to inject.  Kill faults are one-shot: restarted
+            workers are spawned unarmed.  Channel faults are a
+            simulator model; a plan with any is rejected.
         max_restarts: total worker restarts allowed before giving up
             (must be ``>= 0``).
         ack_timeout: seconds a live worker may go without acking a
@@ -257,7 +257,8 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
             the other policies.
 
     Raises:
-        ConfigurationError: on an invalid parameter value.
+        ConfigurationError: on an invalid parameter value, or a fault
+            plan with channel faults.
         ExecutionError: on worker crash, unrecovered death, wedged
             worker or timeout.
     """
@@ -281,6 +282,11 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
     if timeout <= 0:
         raise ConfigurationError(
             f"timeout must be positive seconds, got {timeout}")
+    if faults is not None and faults.channel_state() is not None:
+        raise ConfigurationError(
+            "channel faults (drop/delay/dup) are a simulator model; the "
+            "mp executor's queues are reliable and it injects only kill "
+            "faults")
     started = time.perf_counter()
     tracer = ensure_tracer(tracer)
     tracing = tracer.enabled
@@ -304,10 +310,6 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
     coordinator_queue = context.Queue()
     locals_by_proc = {proc: _picklable_local(program, proc, database)
                       for proc in order}
-    worker_faults = {
-        proc: faults.worker_faults(tags[proc]) if faults is not None else None
-        for proc in order
-    }
 
     if tracing:
         tracer.run_start(scheme=program.scheme + "+mp",
@@ -347,17 +349,15 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
         last checkpoint payload as ``restore``, so the newcomer resumes
         from the snapshot instead of the base fragment.
         """
-        injected = worker_faults[proc]
-        if injected is not None and not armed:
-            injected = dataclasses.replace(injected, kill_after=None)
-            if injected.kill_after is None and not injected.channel_faults:
-                injected = None
+        kill = (faults.kill_for(tags[proc])
+                if armed and faults is not None else None)
         interval = checkpoint_interval if recovery == "checkpoint" else None
         process = context.Process(
             target=worker_main,
             args=(program.program_for(proc), locals_by_proc[proc],
                   inboxes[proc], inboxes, coordinator_queue, tracing,
-                  injected, epoch, interval, restore, recovery != "fail"),
+                  kill.after_firings if kill is not None else None, epoch,
+                  interval, restore, recovery != "fail"),
             daemon=True)
         process.start()
         processes[proc] = process
@@ -649,7 +649,6 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
     for proc in order:
         worker_stats = stats[proc]
         metrics.recovery_replayed_facts += worker_stats.replayed
-        metrics.retried += worker_stats.retried
         metrics.log_truncated += worker_stats.log_truncated
         metrics.firings[proc] = worker_stats.firings
         metrics.probes[proc] = worker_stats.probes

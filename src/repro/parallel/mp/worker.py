@@ -30,8 +30,10 @@ Fault tolerance.  Under a recovery policy that can replay
 (``"restart"``, ``"checkpoint"``) a worker keeps a *sent-log*: per peer
 and predicate, the set of facts it has routed there, in first-send order
 (an insertion-ordered dict doubling as the dedup set), each entry
-carrying the channel stamp of the last message that carried the fact
-(``None`` while the fact has not reached the wire).  When the
+carrying the channel stamp of the last message that carried the fact.
+A fact enters the log when its message is put on the queue; every
+reader of the log runs between bursts, when the coalescing buffers are
+empty, so the log always holds exactly what reached the wire.  When the
 coordinator restarts a dead peer it asks the survivors to ``replay``
 their logs to it; combined with the restarted worker re-deriving its
 own outputs from its base fragment (``recovery="restart"``) or
@@ -53,16 +55,9 @@ then drop the acknowledged prefix of their logs, so log memory and
 replay cost stop growing with total derived facts.  A worker spawned
 with a ``restore`` payload loads the snapshot instead of running its
 initialization rules (its init output is already inside the restored
-``t_out``), then re-sends every *unwired* log entry — facts its
-predecessor buffered, delayed or had dropped — through the reliable
-path, healing whatever died with the old incarnation.
-
-Reliable retry.  Injected ``drop`` faults apply to *first*
-transmissions only (the same convention replays always had): dropped
-facts are remembered and re-sent at the next probe through
-:func:`send_now`, so a lossy channel delays a fact by at most one probe
-interval instead of losing it.  This is what lets the chaos harness
-demand exact answers under drop faults for *both* recovery policies.
+``t_out``).  A snapshot is cut right after a flush, so whatever its
+predecessor derived later, buffered or sent, the newcomer derives
+again.
 
 Replay equivalence of the deduplicated log: receivers discard
 duplicates (the difference step of the paper's receiving rules), so
@@ -70,8 +65,8 @@ replaying each logged fact once is indistinguishable to the receiver
 from replaying the raw historical send sequence — any extra copies in
 that sequence would have been dropped on arrival anyway.  Deduplication
 also bounds the log: per peer it can never exceed this worker's own
-``t_out`` sizes (times fan-out), whatever the channel faults or restart
-history did; the bound is reported as ``sent_log_facts`` in
+``t_out`` sizes (times fan-out), whatever the restart history did;
+the bound is reported as ``sent_log_facts`` in
 :class:`~.protocol.WorkerStats`.  ``reset`` messages carry the new
 recovery epoch; see :mod:`.protocol` for why quiescence counters must
 be zeroed at that cut.  A ``data`` message from a *later* epoch than
@@ -79,15 +74,16 @@ the worker's own makes it adopt that epoch on the spot: the newcomer
 that sent it and the coordinator that is about to announce it are
 different producers, and an inbox is FIFO per producer only.
 
-Fault injection.  When a :class:`~repro.parallel.faults.WorkerFaults`
-slice is supplied, the worker disturbs its *own* sends (drop / delay /
-duplicate, seeded per worker) and, if armed with a kill fault, delivers
-a real ``SIGKILL`` to itself once its firing count crosses the
-threshold.  The suicide happens at a step boundary after flushing the
-outbound queue feeders, so the shared queue locks are never torn down
-mid-write — the failure is silent at the protocol level (no ``error``
-message) but clean at the OS level, which is exactly the scenario the
-coordinator's liveness probing exists for.
+Fault injection.  A worker armed with a kill fault (``kill_after``)
+delivers a real ``SIGKILL`` to itself once its firing count crosses the
+threshold.  Kills are the only fault the mp executor injects: its
+channels are ``multiprocessing`` queues, already reliable, so channel
+faults are a simulator model (:mod:`repro.parallel.faults`).  The
+suicide happens at a step boundary after flushing the outbound queue
+feeders, so the shared queue locks are never torn down mid-write — the
+failure is silent at the protocol level (no ``error`` message) but
+clean at the OS level, which is exactly the scenario the coordinator's
+liveness probing exists for.
 """
 
 from __future__ import annotations
@@ -109,7 +105,6 @@ from ...facts.packing import (
 from ...facts.relation import Relation
 from ...obs.sinks import InMemorySink
 from ...obs.tracer import NULL_TRACER, Tracer
-from ..faults import DELAY, DELIVER, DROP, WorkerFaults
 from ..metrics import approx_batch_bytes
 from ..naming import processor_tag
 from ..plans import ProcessorProgram
@@ -170,7 +165,7 @@ def worker_main(program: ProcessorProgram,
                 local_relations: Mapping[str, Tuple[int, List[tuple]]],
                 inbox, peer_queues: Mapping[ProcessorId, object],
                 coordinator_queue, trace: bool = False,
-                faults: Optional[WorkerFaults] = None,
+                kill_after: Optional[int] = None,
                 epoch: int = 0,
                 checkpoint_interval: Optional[int] = None,
                 restore: Optional[Dict[str, object]] = None,
@@ -185,7 +180,8 @@ def worker_main(program: ProcessorProgram,
         coordinator_queue: queue for acks/results to the coordinator.
         trace: when True, buffer typed trace events locally and stream
             them to the coordinator as ``("trace", ...)`` batches.
-        faults: optional injected-fault slice for this worker.
+        kill_after: firing count at which this worker kills itself
+            (an injected kill fault), or ``None``.
         epoch: recovery epoch to start in (non-zero for workers spawned
             as replacements after a failure).
         checkpoint_interval: when set (``recovery="checkpoint"``), ship
@@ -221,23 +217,14 @@ def worker_main(program: ProcessorProgram,
     # replay on a peer's restart.  The inner dict is insertion-ordered
     # and keyed by fact, so it deduplicates while preserving first-send
     # order; the value is the stamp of the last message that carried
-    # the fact (None while it has not reached the wire).  See the
-    # module docstring for why the deduplicated log is
-    # replay-equivalent and memory-bounded.
-    sent_log: Dict[ProcessorId, Dict[str, Dict[tuple, Optional[Stamp]]]] = {}
-    # Facts whose first transmission an injected drop fault swallowed,
-    # re-sent reliably at the next probe (see module docstring).
-    unsent: Dict[ProcessorId, Dict[str, List[tuple]]] = {}
+    # the fact.  See the module docstring for why the deduplicated log
+    # is replay-equivalent and memory-bounded.
+    sent_log: Dict[ProcessorId, Dict[str, Dict[tuple, Stamp]]] = {}
     bursts_since_checkpoint = 0
     # Outbound coalescing buffers: facts per peer per predicate, and a
     # per-peer fact count driving the early-flush threshold.
     outbound: Dict[ProcessorId, Dict[str, List[tuple]]] = {}
     outbound_counts: Dict[ProcessorId, int] = {}
-    # Sends held back by an injected delay fault, flushed at the next
-    # probe (so a delayed tuple is late by at most one probe interval).
-    delayed: List[Tuple[ProcessorId, str, tuple]] = []
-    channel_faults = faults.channel_state() if faults is not None else None
-    kill_after = faults.kill_after if faults is not None else None
     if trace:
         trace_sink = InMemorySink()
         tracer: Tracer = Tracer(trace_sink, clock=time.monotonic)
@@ -297,8 +284,8 @@ def worker_main(program: ProcessorProgram,
             stamp = (incarnation, seq)
             peer_queues[target].put((DATA, me, wire_pairs, epoch, stamp))
             if replayable:
-                # Record the carrying stamp on every logged fact: once
-                # the receiver's watermark passes it, the entry is
+                # Log every fact with its carrying stamp: once the
+                # receiver's watermark passes it, the entry is
                 # truncatable.
                 log_by_pred = sent_log.setdefault(target, {})
                 for predicate, facts in pairs:
@@ -363,37 +350,7 @@ def worker_main(program: ProcessorProgram,
                         stats.self_delivered += len(bucket)
                         activity += len(bucket)
                         continue
-                    if replayable:
-                        # Logged before any fault decision: a dropped
-                        # send must still be replayable.  setdefault-style
-                        # insert keeps an existing stamp if a restored log
-                        # already holds the fact.
-                        log = sent_log.setdefault(target, {}).setdefault(
-                            predicate, {})
-                        for fact in bucket:
-                            if fact not in log:
-                                log[fact] = None
-                    if channel_faults is not None:
-                        target_tag = processor_tag(target)
-                        deliver: List[tuple] = []
-                        for fact in bucket:
-                            verdict = channel_faults.decide(tag, target_tag)
-                            if verdict == DROP:
-                                # Remembered for the reliable retry at
-                                # the next probe; faults only ever hit
-                                # first transmissions.
-                                unsent.setdefault(target, {}).setdefault(
-                                    predicate, []).append(fact)
-                                continue
-                            if verdict == DELAY:
-                                delayed.append((target, predicate, fact))
-                                continue
-                            if verdict != DELIVER:  # duplicate
-                                deliver.append(fact)
-                            deliver.append(fact)
-                        bucket = deliver
-                    if bucket:
-                        enqueue(target, predicate, bucket)
+                    enqueue(target, predicate, bucket)
 
         def report(seq: int) -> None:
             """Put this worker's quiescence counters on the coordinator
@@ -402,33 +359,6 @@ def worker_main(program: ProcessorProgram,
             coordinator_queue.put(
                 (ACK, me, seq, epoch_sent, epoch_received, activity,
                  epoch, runtime.has_pending_input()))
-
-        def flush_delayed() -> None:
-            """Deliver sends an injected delay fault held back."""
-            if not delayed:
-                return
-            held, delayed[:] = list(delayed), []
-            by_target: Dict[ProcessorId, Dict[str, List[tuple]]] = {}
-            for target, predicate, fact in held:
-                by_target.setdefault(target, {}).setdefault(
-                    predicate, []).append(fact)
-            for target, by_pred in by_target.items():
-                send_now(target, list(by_pred.items()))
-
-        def retry_unsent() -> None:
-            """Reliably re-send facts whose first transmission was
-            dropped by an injected fault (drops are transient: the
-            retry path never consults the fault state)."""
-            if not unsent:
-                return
-            held = dict(unsent)
-            unsent.clear()
-            for target, by_pred in held.items():
-                pairs = [(predicate, facts)
-                         for predicate, facts in by_pred.items() if facts]
-                if pairs:
-                    stats.retried += sum(len(facts) for _, facts in pairs)
-                    send_now(target, pairs)
 
         def replay_to(target: ProcessorId) -> None:
             """Re-send the remaining sent-log of ``target`` (its restart).
@@ -455,18 +385,15 @@ def worker_main(program: ProcessorProgram,
         def truncate_log(target: ProcessorId, stamp: Stamp) -> None:
             """Drop log entries for ``target`` acknowledged by ``stamp``.
 
-            Only wired entries at or below the watermark go; unwired
-            entries (stamp ``None``) stay until the retry/replay paths
-            deal with them.  Rebuilding the dict preserves the
-            first-send order of the kept suffix.
+            Entries at or below the watermark go.  Rebuilding the dict
+            preserves the first-send order of the kept suffix.
             """
             log_by_pred = sent_log.get(target)
             if not log_by_pred:
                 return
             removed = 0
             for predicate, log in list(log_by_pred.items()):
-                kept = {fact: s for fact, s in log.items()
-                        if s is None or s > stamp}
+                kept = {fact: s for fact, s in log.items() if s > stamp}
                 removed += len(log) - len(kept)
                 log_by_pred[predicate] = kept
             if removed:
@@ -521,18 +448,6 @@ def worker_main(program: ProcessorProgram,
             watermarks.update(snapshot.watermarks)
             if trace:
                 tracer.restore(tag, stats.restored_facts, epoch)
-            # Heal what died with the predecessor: every unwired log
-            # entry (buffered, delayed or dropped at death) goes out
-            # reliably under the new incarnation's stamps.
-            for target, by_pred in sent_log.items():
-                pairs = []
-                for predicate, entries in by_pred.items():
-                    pending = [fact for fact, s in entries.items()
-                               if s is None]
-                    if pending:
-                        pairs.append((predicate, pending))
-                if pairs:
-                    send_now(target, pairs)
         else:
             route(runtime.initialize_batches())
         flush_outbound()
@@ -590,8 +505,6 @@ def worker_main(program: ProcessorProgram,
                     # epoch_sent counter) before the ack snapshots it,
                     # or coalescing could fake a sent/received balance.
                     flush_outbound()
-                    flush_delayed()
-                    retry_unsent()
                     stats.firings = runtime.counters.total_firings()
                     stats.probes = runtime.counters.probes
                     stats.iterations = runtime.counters.iterations

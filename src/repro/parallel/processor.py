@@ -49,14 +49,12 @@ class ProcessorRuntime:
         local_base: the processor's base fragments (consumed; the
             runtime takes ownership of the database).
         counters: optional externally owned counters.
-        reorder: allow the planner's greedy body reordering.
         tracer: optional :class:`~repro.obs.Tracer`; every firing,
             duplicate drop and staged receive becomes a typed event.
     """
 
     def __init__(self, program: ProcessorProgram, local_base: Database,
                  counters: Optional[EvalCounters] = None,
-                 reorder: bool = True,
                  tracer: Optional[Tracer] = None) -> None:
         self.program = program
         self.tracer = ensure_tracer(tracer)
@@ -85,15 +83,13 @@ class ProcessorRuntime:
             self._out[pred] = self.working.declare(oname, program.arities[pred])
             self._out_to_pred[oname] = pred
 
-        self._init_plans = [compile_plan(rule, label=_plain_label(rule),
-                                         reorder=reorder)
+        self._init_plans = [compile_plan(rule, label=_plain_label(rule))
                             for rule in program.init_rules]
         in_names = set(program.in_names.values())
         self._variant_plans = []
         for rule in program.processing_rules:
             for variant in delta_variants(rule, in_names):
                 plan = compile_plan(variant.rule, label=_plain_label(rule),
-                                    reorder=reorder,
                                     pinned_first=variant.delta_position)
                 self._variant_plans.append(plan)
         # A prev relation exists only where some variant reads it (a

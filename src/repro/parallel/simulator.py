@@ -156,7 +156,6 @@ class SimulatedCluster:
         seed: RNG seed for delay injection.
         detect_termination: additionally run Safra's algorithm and
             record its control-message overhead.
-        reorder: allow the planner's greedy body reordering.
         max_rounds: safety valve against non-terminating executions,
             in ticks.
         network: optional :class:`~repro.network.netgraph.NetworkGraph`
@@ -195,7 +194,7 @@ class SimulatedCluster:
 
     def __init__(self, program: ParallelProgram, database: Database,
                  delay_probability: float = 0.0, seed: int = 0,
-                 detect_termination: bool = False, reorder: bool = True,
+                 detect_termination: bool = False,
                  max_rounds: int = 1_000_000,
                  network: Optional["NetworkGraph"] = None,
                  tracer: Optional[Tracer] = None,
@@ -238,7 +237,6 @@ class SimulatedCluster:
         self.recovery = recovery
         self.sync = sync
         self.staleness = staleness
-        self._reorder = reorder
         self._rng = random.Random(seed)
         self._order = sorted(program.processors, key=processor_tag)
         self._tags = {proc: processor_tag(proc) for proc in self._order}
@@ -257,8 +255,7 @@ class SimulatedCluster:
         for proc in self._order:
             local = program.local_database(proc, database)
             self.runtimes[proc] = ProcessorRuntime(
-                program.program_for(proc), local, reorder=reorder,
-                tracer=self.tracer)
+                program.program_for(proc), local, tracer=self.tracer)
             self._routers[proc] = program.program_for(proc).router_table()
         self.metrics = ParallelMetrics(
             scheme=program.scheme, processors=tuple(self._order),
@@ -431,8 +428,7 @@ class SimulatedCluster:
                     f"{firings} firings (recovery policy is 'fail')")
             local = self.program.local_database(proc, self.database)
             self.runtimes[proc] = ProcessorRuntime(
-                self.program.program_for(proc), local,
-                reorder=self._reorder, tracer=self.tracer)
+                self.program.program_for(proc), local, tracer=self.tracer)
             self.metrics.restarts += 1
             clock[proc] = 0
             if tracing:

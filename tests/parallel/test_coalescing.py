@@ -82,10 +82,12 @@ class TestMpCoalescing:
         for stats in result.stats.values():
             assert stats.sent_log_facts == stats.total_sent()
 
-    def test_duplicate_faults_keep_log_bounded(self, ancestor, tree_db):
-        """Channel duplication inflates ``sent`` but not the dedup'd log."""
+    @pytest.mark.faultinjection
+    def test_replays_keep_log_below_sent(self, ancestor, tree_db):
+        """Replays after a kill re-send logged facts: they inflate
+        ``sent`` but not the dedup'd log."""
         parallel = example3_scheme(ancestor, (0, 1, 2))
-        plan = build_fault_plan(["dup:0.6"], seed=5)
+        plan = build_fault_plan(["kill:1@10"])
         result = run_multiprocessing(parallel, tree_db, faults=plan,
                                      timeout=60, recovery="restart")
         expected = evaluate(ancestor, tree_db)
@@ -95,19 +97,15 @@ class TestMpCoalescing:
         total_sent = sum(s.total_sent() for s in result.stats.values())
         assert 0 < total_log < total_sent
 
-    @pytest.mark.faultinjection
-    def test_fail_policy_keeps_no_log_and_survives_channel_faults(
-            self, ancestor, tree_db):
-        """``recovery="fail"`` can never replay, so it logs nothing; the
-        retry of dropped sends does not depend on the log."""
+    def test_fail_policy_keeps_no_log(self, ancestor, tree_db):
+        """``recovery="fail"`` can never replay, so it logs nothing."""
         parallel = example3_scheme(ancestor, (0, 1, 2))
-        plan = build_fault_plan(["drop:0.3", "dup:0.3"], seed=7)
-        result = run_multiprocessing(parallel, tree_db, faults=plan,
-                                     timeout=60, recovery="fail")
+        result = run_multiprocessing(parallel, tree_db, timeout=60,
+                                     recovery="fail")
         expected = evaluate(ancestor, tree_db)
         assert (result.relation("anc").as_set()
                 == expected.relation("anc").as_set())
-        assert result.metrics.retried > 0
+        assert result.metrics.total_sent() > 0
         assert all(s.sent_log_facts == 0 for s in result.stats.values())
 
     def test_one_message_per_peer_per_burst(self, ancestor, tree_db):

@@ -64,18 +64,6 @@ class TestParsing:
 
 
 class TestFaultPlan:
-    def test_worker_faults_slice(self):
-        plan = build_fault_plan(
-            ["kill:p1@5", "drop:0.5@p0->p2", "dup:0.3"], seed=42)
-        p1 = plan.worker_faults("p1")
-        assert p1.kill_after == 5
-        # p1 only carries channel faults it can apply as a sender.
-        assert all(f.src is None or f.src == "p1"
-                   for f in p1.channel_faults)
-        p0 = plan.worker_faults("p0")
-        assert p0.kill_after is None
-        assert any(f.action == DROP for f in p0.channel_faults)
-
     def test_kill_for(self):
         plan = build_fault_plan(["kill:p1@5"])
         assert plan.kill_for("p1").after_firings == 5

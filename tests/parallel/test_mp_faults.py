@@ -13,14 +13,18 @@ halves of the fault-tolerance contract:
   fragment, peers replay their sent-logs, and the final answer is
   *identical* to an undisturbed sequential evaluation (Theorem 1 under
   failure).
+
+Kills are the only fault the executor injects; a plan with channel
+faults is rejected up front.
 """
 
+import multiprocessing
 import time
 
 import pytest
 
 from repro.engine import evaluate
-from repro.errors import ExecutionError
+from repro.errors import ConfigurationError, ExecutionError
 from repro.obs import REPLAY, WORKER_DOWN, WORKER_RESTART, InMemorySink, Tracer
 from repro.parallel import (
     build_fault_plan,
@@ -138,28 +142,19 @@ class TestRecovery:
                 == expected.relation("anc").as_set())
 
 
-@pytest.mark.mp
 @pytest.mark.faultinjection
-class TestChannelFaults:
-    def test_duplicates_are_harmless(self, ancestor, tree_db):
-        """Monotonicity: duplicated deliveries cannot change the answer."""
-        program = example3_scheme(ancestor, (0, 1, 2))
-        plan = build_fault_plan(["dup:0.5"], seed=3)
-        result = run_multiprocessing(program, tree_db, faults=plan,
-                                     timeout=60)
-        expected = evaluate(ancestor, tree_db)
-        assert (result.relation("anc").as_set()
-                == expected.relation("anc").as_set())
+class TestChannelFaultsRejected:
+    """Channel faults are a simulator model: the mp executor's queues
+    are reliable, so it refuses the plan before spawning anything."""
 
-    def test_delays_are_harmless(self, ancestor, tree_db):
-        """Asynchronous channels: late delivery cannot change the answer."""
+    @pytest.mark.parametrize("spec", ["drop:0.2", "delay:0.2", "dup:0.2"])
+    def test_rejected_before_any_spawn(self, ancestor, tree_db, spec):
         program = example3_scheme(ancestor, (0, 1, 2))
-        plan = build_fault_plan(["delay:0.4"], seed=5)
-        result = run_multiprocessing(program, tree_db, faults=plan,
-                                     timeout=60)
-        expected = evaluate(ancestor, tree_db)
-        assert (result.relation("anc").as_set()
-                == expected.relation("anc").as_set())
+        plan = build_fault_plan(["kill:1@10", spec])
+        with pytest.raises(ConfigurationError, match="simulator model"):
+            run_multiprocessing(program, tree_db, faults=plan,
+                                recovery="restart", timeout=60)
+        assert multiprocessing.active_children() == []
 
 
 @pytest.mark.mp

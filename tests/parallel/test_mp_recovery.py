@@ -134,30 +134,6 @@ class TestCheckpointRecovery:
             replayed[recovery] = result.metrics.recovery_replayed_facts
         assert replayed["checkpoint"] < replayed["restart"], replayed
 
-    def test_drop_faults_healed_by_retry(self, ancestor, tree_db):
-        """Dropped sends are re-driven by the unsent-retry path at probe
-        time — exactness despite a lossy channel, visible in the
-        ``retried`` counter."""
-        program = example3_scheme(ancestor, (0, 1, 2))
-        plan = build_fault_plan(["drop:0.3"], seed=11)
-        result = run_multiprocessing(program, tree_db, faults=plan,
-                                     recovery="checkpoint",
-                                     checkpoint_interval=2, timeout=60)
-        expected = evaluate(ancestor, tree_db)
-        assert (result.relation("anc").as_set()
-                == expected.relation("anc").as_set())
-        assert result.metrics.retried > 0
-
-    def test_kill_plus_drop_compose(self, ancestor, tree_db):
-        program = example3_scheme(ancestor, (0, 1, 2))
-        plan = build_fault_plan(["kill:1@10", "drop:0.2"], seed=4)
-        result = run_multiprocessing(program, tree_db, faults=plan,
-                                     recovery="checkpoint",
-                                     checkpoint_interval=1, timeout=60)
-        expected = evaluate(ancestor, tree_db)
-        assert (result.relation("anc").as_set()
-                == expected.relation("anc").as_set())
-
 
 def _layered_db(width=8, layers=3):
     """Fully connected layers: every routing batch is fat enough to

@@ -113,6 +113,31 @@ class TestSimulatorChannelFaults:
                 == second.relation("anc").as_set())
         assert first.metrics.rounds == second.metrics.rounds
 
+    # (answer size, rounds, sent, firings, duplicates dropped) on the
+    # 60-node tree, recorded when mp workers still drew salted channel
+    # fault streams from the same class: the simulator's stream is keyed
+    # by the plan seed alone and must not move.
+    @pytest.mark.parametrize("spec, seed, expected", [
+        ("drop:0.2", 1, (156, 6, 65, 156, 0)),
+        ("drop:0.2", 2, (157, 5, 60, 157, 0)),
+        ("drop:0.2", 3, (160, 5, 64, 160, 0)),
+        ("delay:0.2", 1, (168, 8, 69, 168, 0)),
+        ("delay:0.2", 2, (168, 8, 69, 168, 0)),
+        ("delay:0.2", 3, (168, 8, 69, 168, 0)),
+        ("dup:0.2", 1, (168, 6, 69, 168, 12)),
+        ("dup:0.2", 2, (168, 6, 69, 168, 13)),
+        ("dup:0.2", 3, (168, 6, 69, 168, 10)),
+    ])
+    def test_fault_streams_pinned(self, ancestor, tree_db, spec, seed,
+                                  expected):
+        program = example3_scheme(ancestor, (0, 1, 2))
+        result = run_parallel(program, tree_db,
+                              faults=build_fault_plan([spec], seed=seed))
+        metrics = result.metrics
+        assert (len(result.relation("anc")), metrics.rounds,
+                metrics.total_sent(), metrics.total_firings(),
+                sum(metrics.duplicates_dropped.values())) == expected
+
 
 def _scheme(name, program, database):
     if name == "example2":

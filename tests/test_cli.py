@@ -217,6 +217,24 @@ class TestRecoveryFlags:
         assert "simulator model" in err
         assert "already run free" in err
 
+    @pytest.mark.faultinjection
+    def test_channel_fault_under_mp_is_the_library_error(self, program_file,
+                                                         capsys):
+        code = main(["parallel", program_file, "-n", "2", "--mp",
+                     "--inject-fault", "dup:0.2"])
+        assert code == 2
+        assert ("channel faults (drop/delay/dup) are a simulator model"
+                in capsys.readouterr().err)
+
+    @pytest.mark.faultinjection
+    def test_channel_fault_in_simulator_still_checks_out(self, program_file,
+                                                         capsys):
+        code = main(["parallel", program_file, "-n", "2", "--check",
+                     "--inject-fault", "dup:0.2"])
+        assert code == 0
+        assert ("matches sequential evaluation: True"
+                in capsys.readouterr().out)
+
     @pytest.mark.mp
     @pytest.mark.faultinjection
     def test_mp_checkpoint_recovery_end_to_end(self, program_file, capsys):
