@@ -280,7 +280,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     cost = CostModel(send_cost=args.send_cost, recv_cost=args.recv_cost,
                      round_overhead=args.round_overhead)
     if args.json:
-        print(json.dumps(report.summary(), indent=2, sort_keys=True))
+        print(json.dumps(report.summary(cost), indent=2, sort_keys=True))
     else:
         print(report.render(cost))
     return 0

@@ -3,7 +3,6 @@
 from .analysis import (
     LinearSirup,
     as_linear_sirup,
-    dependency_graph,
     is_linear_sirup,
     is_recursive_rule,
     recursion_components,
@@ -28,7 +27,6 @@ __all__ = [
     "Term",
     "Variable",
     "as_linear_sirup",
-    "dependency_graph",
     "format_atom",
     "format_program",
     "format_rule",

@@ -9,7 +9,7 @@ paper restrict their schemes to.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 from ..errors import NotASirupError
 from .atom import Atom
@@ -17,11 +17,7 @@ from .program import Program
 from .rule import Rule
 from .term import Variable
 
-if TYPE_CHECKING:  # networkx is an export format here, never a dependency
-    import networkx as nx
-
 __all__ = [
-    "dependency_graph",
     "recursive_predicates",
     "is_recursive_rule",
     "recursion_components",
@@ -38,9 +34,10 @@ _Successors = Dict[str, Dict[str, None]]
 def _successors(program: Program) -> _Successors:
     """The dependency graph as plain adjacency dicts.
 
-    The graph has a handful of nodes; everything the evaluation path
-    asks of it (components, their order, reachability) is computed on
-    this form so that importing the engine never imports networkx.
+    There is an edge ``q -> p`` when predicate ``q`` occurs in the body
+    of a rule whose head predicate is ``p`` (i.e. ``q`` *derives* ``p``,
+    paper Section 2).  The graph has a handful of nodes; components,
+    their order and reachability are all computed on this form.
     """
     graph: _Successors = {predicate: {} for predicate in program.predicates}
     for rule in program.proper_rules():
@@ -95,24 +92,6 @@ def _strongly_connected(graph: _Successors) -> List[FrozenSet[str]]:
                 found |= component
                 components.append(frozenset(component))
     return components
-
-
-def dependency_graph(program: Program) -> "nx.DiGraph":
-    """Return the predicate dependency graph.
-
-    There is an edge ``q -> p`` when predicate ``q`` occurs in the body
-    of a rule whose head predicate is ``p`` (i.e. ``q`` *derives* ``p``,
-    paper Section 2).
-    """
-    import networkx as nx
-
-    successors = _successors(program)
-    graph = nx.DiGraph()
-    graph.add_nodes_from(successors)
-    graph.add_edges_from((source, target)
-                         for source, targets in successors.items()
-                         for target in targets)
-    return graph
 
 
 def recursive_predicates(program: Program) -> FrozenSet[str]:

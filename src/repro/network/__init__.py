@@ -2,7 +2,6 @@
 
 from .dataflow import (
     dataflow_edges,
-    dataflow_graph,
     find_dataflow_cycle,
     format_dataflow,
     zero_communication_positions,
@@ -28,7 +27,6 @@ __all__ = [
     "build_scenarios",
     "complete_topology",
     "dataflow_edges",
-    "dataflow_graph",
     "derive_network",
     "embeds_identity",
     "find_dataflow_cycle",

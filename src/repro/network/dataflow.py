@@ -17,7 +17,7 @@ every tuple self-routes.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..datalog.analysis import LinearSirup, as_linear_sirup
 from ..datalog.program import Program
@@ -25,19 +25,16 @@ from ..datalog.rule import Rule
 from ..datalog.term import Variable
 from ..errors import NotASirupError
 
-# networkx is imported where a graph is built, not at module top: the
-# schemes import this module, and evaluating a program must not pay for
-# a graph library it never calls.
-if TYPE_CHECKING:
-    import networkx as nx
-
 __all__ = [
-    "dataflow_graph",
     "dataflow_edges",
     "find_dataflow_cycle",
     "zero_communication_positions",
     "format_dataflow",
 ]
+
+# Successor lists of a dataflow graph: nodes in first-mention order,
+# each node's successors in the order their edges were found.
+_Successors = Dict[int, List[int]]
 
 
 def _head_body_atoms(rule_or_sirup: Union[Rule, LinearSirup, Program]):
@@ -66,7 +63,8 @@ def _head_body_atoms(rule_or_sirup: Union[Rule, LinearSirup, Program]):
     return tuple(head_vars), tuple(body_vars)
 
 
-def dataflow_graph(rule_or_sirup: Union[Rule, LinearSirup, Program]) -> "nx.DiGraph":
+def _dataflow_successors(rule_or_sirup: Union[Rule, LinearSirup, Program]
+                         ) -> _Successors:
     """Build the dataflow graph (1-based positions) of a linear rule.
 
     Args:
@@ -77,21 +75,47 @@ def dataflow_graph(rule_or_sirup: Union[Rule, LinearSirup, Program]) -> "nx.DiGr
         NotASirupError: if the rule does not have exactly one recursive
             atom or has non-variable arguments.
     """
-    import networkx as nx
-
     head_vars, body_vars = _head_body_atoms(rule_or_sirup)
-    graph = nx.DiGraph()
+    graph: _Successors = {}
     for i, y_var in enumerate(body_vars, start=1):
         for j, x_var in enumerate(head_vars, start=1):
             if y_var == x_var:
-                graph.add_edge(i, j)
+                graph.setdefault(i, []).append(j)
+                graph.setdefault(j, [])
     return graph
+
+
+def _find_cycle(graph: _Successors) -> Optional[Tuple[int, ...]]:
+    """The first cycle a depth-first walk meets, or None.
+
+    Start nodes are tried in node order and successors in edge order;
+    the cycle runs from the node the closing edge re-enters.
+    """
+    done = set()
+    for start in graph:
+        if start in done:
+            continue
+        path = [start]
+        successors = [iter(graph[start])]
+        while path:
+            successor = next(successors[-1], None)
+            if successor is None:
+                done.add(path.pop())
+                successors.pop()
+            elif successor in path:
+                return tuple(path[path.index(successor):])
+            elif successor not in done:
+                path.append(successor)
+                successors.append(iter(graph[successor]))
+    return None
 
 
 def dataflow_edges(rule_or_sirup: Union[Rule, LinearSirup, Program]
                    ) -> Tuple[Tuple[int, int], ...]:
     """The edge set of the dataflow graph, sorted (for figure checks)."""
-    return tuple(sorted(dataflow_graph(rule_or_sirup).edges()))
+    graph = _dataflow_successors(rule_or_sirup)
+    return tuple(sorted((i, j) for i, targets in graph.items()
+                        for j in targets))
 
 
 def find_dataflow_cycle(rule_or_sirup: Union[Rule, LinearSirup, Program]
@@ -101,14 +125,7 @@ def find_dataflow_cycle(rule_or_sirup: Union[Rule, LinearSirup, Program]
     The returned tuple ``(p1, ..., pk)`` satisfies ``Y_{p1} = X_{p2}``,
     ..., ``Y_{pk} = X_{p1}`` (1-based).  A self-loop yields a 1-tuple.
     """
-    import networkx as nx
-
-    graph = dataflow_graph(rule_or_sirup)
-    try:
-        edges = nx.find_cycle(graph)
-    except nx.NetworkXNoCycle:
-        return None
-    return tuple(source for source, _target in edges)
+    return _find_cycle(_dataflow_successors(rule_or_sirup))
 
 
 def zero_communication_positions(program: Union[Program, LinearSirup]
@@ -129,25 +146,19 @@ def format_dataflow(rule_or_sirup: Union[Rule, LinearSirup, Program]) -> str:
 
     Chains are rendered inline; anything else falls back to an edge list.
     """
-    import networkx as nx
-
-    graph = dataflow_graph(rule_or_sirup)
-    edges = sorted(graph.edges())
+    graph = _dataflow_successors(rule_or_sirup)
+    edges = sorted((i, j) for i, targets in graph.items() for j in targets)
     if not edges:
         return "(empty)"
-    # Try to render a simple path.
-    out_degrees = dict(graph.out_degree())
-    in_degrees = dict(graph.in_degree())
-    starts = [n for n in graph.nodes()
-              if in_degrees.get(n, 0) == 0 and out_degrees.get(n, 0) == 1]
-    if (len(starts) == 1 and nx.is_directed_acyclic_graph(graph)
-            and all(d <= 1 for d in out_degrees.values())
-            and all(d <= 1 for d in in_degrees.values())):
+    # A simple path: every degree at most 1, one start, no cycle.
+    heads = [j for _, j in edges]
+    starts = [node for node, targets in graph.items()
+              if node not in heads and len(targets) == 1]
+    if (len(starts) == 1 and len(set(heads)) == len(heads)
+            and all(len(targets) <= 1 for targets in graph.values())
+            and _find_cycle(graph) is None):
         chain = [starts[0]]
-        while True:
-            successors = list(graph.successors(chain[-1]))
-            if not successors:
-                break
-            chain.append(successors[0])
+        while graph[chain[-1]]:
+            chain.append(graph[chain[-1]][0])
         return " -> ".join(str(node) for node in chain)
     return ", ".join(f"{i} -> {j}" for i, j in edges)

@@ -217,12 +217,14 @@ class TraceReport:
             rows.append((round_, critical, peak, cumulative))
         return rows
 
-    def summary(self) -> Dict[str, object]:
+    def summary(self, cost: Optional[CostModel] = None) -> Dict[str, object]:
         """A flat, JSON-compatible summary (``repro trace --json``).
 
         Keys mirror :meth:`~repro.parallel.metrics.ParallelMetrics.
         summary` where both exist, so traced and live numbers can be
-        diffed directly.
+        diffed directly.  ``makespan`` is priced with ``cost`` (default
+        :class:`~repro.parallel.metrics.CostModel`), as in
+        :meth:`render`.
         """
         return {
             "scheme": self.scheme,
@@ -246,7 +248,7 @@ class TraceReport:
             "checkpoint_bytes": sum(self.checkpoint_bytes.values()),
             "restores": sum(self.restores.values()),
             "log_truncated": sum(self.log_truncated.values()),
-            "makespan": self.makespan(),
+            "makespan": self.makespan(cost),
         }
 
     # ------------------------------------------------------------------

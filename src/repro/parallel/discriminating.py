@@ -25,8 +25,8 @@ hashed once per process.  Three rules keep the memo invisible:
   on the raw value alone would make the target depend on which of the
   equal values a process touched first, and sender and receiver
   processes touch them in different orders;
-* it never travels: pickling a discriminator drops it, so shipped
-  programs and checkpoints do not grow with how warm the sender was;
+* it never travels: pickling a discriminator drops it, so a pickled
+  program does not grow with how warm the process was;
 * it is bounded: each table stops growing at
   :data:`_MEMO_MAX_ENTRIES`, past which values are hashed directly.
 """

@@ -183,13 +183,11 @@ class ParallelMetrics:
     # Recovery accounting (mp executor, recovery="restart"/"checkpoint").
     # ``recovery_seconds`` is wall time from each death detection to the
     # first fully-acked probe wave of the new epoch, summed over
-    # recoveries; ``recovery_replayed_facts`` is the total facts peers
-    # re-sent while serving replays; ``checkpoint_bytes`` the approximate
+    # recoveries; ``checkpoint_bytes`` the approximate
     # size (deterministic model above) of every checkpoint shipped;
     # ``log_truncated`` the sent-log facts reclaimed by watermark
     # truncation.
     recovery_seconds: float = 0.0
-    recovery_replayed_facts: int = 0
     checkpoint_bytes: int = 0
     log_truncated: int = 0
     per_round_work: List[Dict[ProcessorId, float]] = field(default_factory=list)
@@ -210,6 +208,11 @@ class ParallelMetrics:
     def total_sent(self) -> int:
         """Tuples crossing processor boundaries (self-deliveries excluded)."""
         return sum(self.sent.values())
+
+    @property
+    def recovery_replayed_facts(self) -> int:
+        """Facts peers re-sent while serving replays, over all recoveries."""
+        return sum(self.replayed.values())
 
     def total_self_delivered(self) -> int:
         """Tuples a processor routed to itself (free of communication)."""
@@ -356,7 +359,6 @@ class ParallelMetrics:
             "restarts": self.restarts,
             "replayed": sum(self.replayed.values()),
             "recovery_seconds": round(self.recovery_seconds, 4),
-            "recovery_replayed_facts": self.recovery_replayed_facts,
             "checkpoint_bytes": self.checkpoint_bytes,
             "log_truncated": self.log_truncated,
         }

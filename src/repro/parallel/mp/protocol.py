@@ -232,8 +232,7 @@ class WorkerStats:
             peer's queue (replays included).
         messages_by_target: per-peer count of coalesced ``data``
             messages carrying those tuples (each = one queue put and
-            one pickle); ``total_sent() / total_messages()`` is the
-            achieved batching factor.
+            one pickle).
         bytes_by_target: per-peer approximate payload bytes (the
             deterministic size model of
             :func:`repro.parallel.metrics.approx_batch_bytes`).
@@ -246,20 +245,14 @@ class WorkerStats:
             under ``recovery="checkpoint"`` truncation keeps this from
             growing with total derived facts, and under
             ``recovery="fail"`` no log is kept, so it reads 0).
-        checkpoints: checkpoint payloads shipped to the coordinator.
-        checkpoint_bytes: approximate bytes of those payloads under the
-            deterministic size model.
         log_truncated: sent-log facts dropped after a peer's checkpoint
             watermark covered them.
-        restored_facts: facts loaded from a checkpoint at restore time
-            (0 unless this worker is a checkpoint-restored incarnation).
     """
 
     __slots__ = ("firings", "probes", "iterations", "sent_by_target",
                  "messages_by_target", "bytes_by_target", "received",
                  "duplicates_dropped", "self_delivered", "replayed",
-                 "sent_log_facts", "checkpoints",
-                 "checkpoint_bytes", "log_truncated", "restored_facts")
+                 "sent_log_facts", "log_truncated")
 
     def __init__(self) -> None:
         self.firings: int = 0
@@ -273,15 +266,8 @@ class WorkerStats:
         self.self_delivered: int = 0
         self.replayed: int = 0
         self.sent_log_facts: int = 0
-        self.checkpoints: int = 0
-        self.checkpoint_bytes: int = 0
         self.log_truncated: int = 0
-        self.restored_facts: int = 0
 
     def total_sent(self) -> int:
         """Tuples this worker put on remote channels."""
         return sum(self.sent_by_target.values())
-
-    def total_messages(self) -> int:
-        """Coalesced data messages this worker put on remote channels."""
-        return sum(self.messages_by_target.values())

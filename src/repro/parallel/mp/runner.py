@@ -1,6 +1,6 @@
 """Coordinator of the multiprocessing executor.
 
-Spawns one OS process per processor of a rewritten program, wires a
+Forks one OS process per processor of a rewritten program, wires a
 queue per channel, and detects global quiescence with a counting
 double-probe (Mattern-style): two consecutive probe waves in which no
 worker's activity counter moved, the global sent/received counters
@@ -61,6 +61,14 @@ is not a constant: :func:`default_ack_deadline` scales it with the
 processor count, and the resolved value is logged on the trace's
 ``run_start`` event.
 
+Worker start.  Before the first fork the coordinator builds each
+processor's :class:`~repro.parallel.processor.ProcessorRuntime` — its
+base fragment (paper, Section 3), its compiled plans and, on a traced
+run, a buffering tracer — and never steps it.  A worker's first process
+and every restart are ``fork``s of that same object, so the child
+inherits the runtime and nothing is packed, pickled or rebuilt.  The
+executor therefore needs the ``fork`` start method (Linux, macOS).
+
 Python's GIL makes *thread*-level parallelism useless for this
 workload; separate processes sidestep it, at the cost of pickling
 tuples across queues.  The executor demonstrates that the rewritten
@@ -78,13 +86,15 @@ from typing import Dict, Hashable, List, Optional, Tuple
 
 from ...errors import ConfigurationError, ExecutionError
 from ...facts.database import Database
-from ...facts.packing import ensure_facts, maybe_pack
+from ...facts.packing import ensure_facts
 from ...facts.relation import Relation
+from ...obs.sinks import InMemorySink
 from ...obs.tracer import Tracer, ensure_tracer
 from ..faults import FaultPlan
 from ..metrics import ParallelMetrics
 from ..naming import processor_tag
 from ..plans import ParallelProgram
+from ..processor import ProcessorRuntime
 from .checkpoint import approx_checkpoint_bytes
 from .protocol import (
     ACK,
@@ -135,15 +145,17 @@ class MPResult:
         stats: raw per-worker counter snapshots.
         wall_seconds: end-to-end wall-clock time including process
             start-up and termination detection.
-        restarts: workers restarted by the ``"restart"`` recovery
-            policy (0 for an undisturbed run).
     """
 
     output: Database
     metrics: ParallelMetrics
     stats: Dict[ProcessorId, WorkerStats]
     wall_seconds: float
-    restarts: int = 0
+
+    @property
+    def restarts(self) -> int:
+        """Workers restarted by the recovery policy (0 if undisturbed)."""
+        return self.metrics.restarts
 
     def relation(self, predicate: str) -> Relation:
         """Convenience accessor for a pooled output relation."""
@@ -193,29 +205,17 @@ def _describe_acks(tags: Dict[ProcessorId, str],
             + "; ".join(clauses))
 
 
-def _picklable_local(program: ParallelProgram, processor: ProcessorId,
-                     database: Database) -> Dict[str, Tuple[int, object]]:
-    """The picklable base fragments of one worker.
-
-    All but the smallest fragments ship as packed column payloads
-    (:mod:`repro.facts.packing`) rather than tuple lists, so the
-    spawn-time pickle cost shrinks the same way DATA messages do.
-    """
-    local = program.local_database(processor, database)
-    return {rel.name: (rel.arity, maybe_pack(list(rel))) for rel in local}
-
-
 def run_multiprocessing(program: ParallelProgram, database: Database,
                         probe_interval: float = 0.02,
                         timeout: float = 120.0,
-                        start_method: Optional[str] = None,
                         tracer: Optional[Tracer] = None,
                         recovery: str = "fail",
                         faults: Optional[FaultPlan] = None,
                         max_restarts: int = 3,
                         ack_timeout: Optional[float] = None,
                         checkpoint_interval: int = 4) -> MPResult:
-    """Execute a rewritten program on real OS processes.
+    """Execute a rewritten program on real OS processes, each a ``fork``
+    of a runtime built here once (see the module docstring).
 
     Args:
         program: the rewritten program.
@@ -228,8 +228,6 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
             does.  It also bounds failure-detection latency (a dead
             worker is noticed within about two intervals).
         timeout: overall wall-clock limit (must be ``> 0``).
-        start_method: multiprocessing start method (default: ``fork``
-            when available, else the platform default).
         tracer: optional :class:`~repro.obs.Tracer`.  Workers buffer
             typed events and stream them back as ``("trace", ...)``
             batches; the coordinator forwards them into the tracer's
@@ -257,8 +255,9 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
             the other policies.
 
     Raises:
-        ConfigurationError: on an invalid parameter value, or a fault
-            plan with channel faults.
+        ConfigurationError: on an invalid parameter value, a fault
+            plan with channel faults, or a platform without the
+            ``fork`` start method.
         ExecutionError: on worker crash, unrecovered death, wedged
             worker or timeout.
     """
@@ -287,13 +286,15 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
             "channel faults (drop/delay/dup) are a simulator model; the "
             "mp executor's queues are reliable and it injects only kill "
             "faults")
+    if "fork" not in multiprocessing.get_all_start_methods():
+        raise ConfigurationError(
+            "the mp executor forks its workers from runtimes the "
+            "coordinator builds, and this platform has no 'fork' start "
+            "method")
     started = time.perf_counter()
     tracer = ensure_tracer(tracer)
     tracing = tracer.enabled
-    if start_method is None:
-        methods = multiprocessing.get_all_start_methods()
-        start_method = "fork" if "fork" in methods else methods[0]
-    context = multiprocessing.get_context(start_method)
+    context = multiprocessing.get_context("fork")
 
     order = sorted(program.processors, key=processor_tag)
     tags = {proc: processor_tag(proc) for proc in order}
@@ -306,10 +307,15 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
                 raise ExecutionError(
                     f"kill fault names unknown processor "
                     f"{kill.processor!r}; known: {sorted(known)}")
+    # Never stepped here: a worker and all its restarts fork this one.
+    runtimes = {
+        proc: ProcessorRuntime(
+            program.program_for(proc), program.local_database(proc, database),
+            tracer=(Tracer(InMemorySink(), clock=time.monotonic)
+                    if tracing else None))
+        for proc in order}
     inboxes = {proc: context.Queue() for proc in order}
     coordinator_queue = context.Queue()
-    locals_by_proc = {proc: _picklable_local(program, proc, database)
-                      for proc in order}
 
     if tracing:
         tracer.run_start(scheme=program.scheme + "+mp",
@@ -354,8 +360,7 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
         interval = checkpoint_interval if recovery == "checkpoint" else None
         process = context.Process(
             target=worker_main,
-            args=(program.program_for(proc), locals_by_proc[proc],
-                  inboxes[proc], inboxes, coordinator_queue, tracing,
+            args=(runtimes[proc], inboxes[proc], inboxes, coordinator_queue,
                   kill.after_firings if kill is not None else None, epoch,
                   interval, restore, recovery != "fail"),
             daemon=True)
@@ -648,7 +653,6 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
     metrics.checkpoint_bytes = checkpoint_bytes_total
     for proc in order:
         worker_stats = stats[proc]
-        metrics.recovery_replayed_facts += worker_stats.replayed
         metrics.log_truncated += worker_stats.log_truncated
         metrics.firings[proc] = worker_stats.firings
         metrics.probes[proc] = worker_stats.probes
@@ -671,4 +675,4 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
                        restarts=restarts,
                        wall_seconds=wall_seconds)
     return MPResult(output=output, metrics=metrics, stats=stats,
-                    wall_seconds=wall_seconds, restarts=restarts)
+                    wall_seconds=wall_seconds)

@@ -91,23 +91,12 @@ from __future__ import annotations
 import os
 import queue as queue_module
 import signal
-import time
 import traceback
 from typing import Dict, Hashable, List, Mapping, Optional, Tuple
 
-from ...facts.database import Database
-from ...facts.packing import (
-    is_packed,
-    maybe_pack,
-    packed_fact_count,
-    unpack_facts,
-)
-from ...facts.relation import Relation
-from ...obs.sinks import InMemorySink
-from ...obs.tracer import NULL_TRACER, Tracer
+from ...facts.packing import is_packed, maybe_pack, packed_fact_count
 from ..metrics import approx_batch_bytes
 from ..naming import processor_tag
-from ..plans import ProcessorProgram
 from ..processor import EmissionBatch, ProcessorRuntime
 from .checkpoint import (
     Stamp,
@@ -148,38 +137,24 @@ _POLL_MAX_SECONDS = 0.04
 # size (pickling cost, peer latency) inside very productive bursts.
 _COALESCE_MAX_FACTS = 512
 
-def _rebuild_database(relations: Mapping[str, Tuple[int, object]]) -> Database:
-    """Reconstruct a local database from its picklable form.
-
-    Each value is ``(arity, payload)`` where the payload is a fact list
-    or, for all but the smallest fragments, a packed column payload.
-    """
-    database = Database()
-    for name, (arity, payload) in relations.items():
-        facts = unpack_facts(payload) if is_packed(payload) else payload
-        database.attach(Relation(name, arity, facts))
-    return database
-
-
-def worker_main(program: ProcessorProgram,
-                local_relations: Mapping[str, Tuple[int, List[tuple]]],
-                inbox, peer_queues: Mapping[ProcessorId, object],
-                coordinator_queue, trace: bool = False,
+def worker_main(runtime: ProcessorRuntime, inbox,
+                peer_queues: Mapping[ProcessorId, object],
+                coordinator_queue,
                 kill_after: Optional[int] = None,
                 epoch: int = 0,
                 checkpoint_interval: Optional[int] = None,
                 restore: Optional[Dict[str, object]] = None,
                 replayable: bool = True) -> None:
-    """Entry point of a worker process.
+    """Entry point of a worker process, forked from the coordinator.
 
     Args:
-        program: this processor's rewritten program.
-        local_relations: picklable base fragments ``{name: (arity, facts)}``.
+        runtime: this processor's runtime, built by the coordinator and
+            never stepped.  On a traced run its tracer buffers events in
+            an :class:`~repro.obs.sinks.InMemorySink`; the worker streams
+            them to the coordinator as ``("trace", ...)`` batches.
         inbox: this worker's receive queue.
         peer_queues: send queues of every processor (self included).
         coordinator_queue: queue for acks/results to the coordinator.
-        trace: when True, buffer typed trace events locally and stream
-            them to the coordinator as ``("trace", ...)`` batches.
         kill_after: firing count at which this worker kills itself
             (an injected kill fault), or ``None``.
         epoch: recovery epoch to start in (non-zero for workers spawned
@@ -196,8 +171,11 @@ def worker_main(program: ProcessorProgram,
             When False the worker keeps no sent-log and no per-fact
             stamps.
     """
+    program = runtime.program
     me = program.processor
-    tag = processor_tag(me)
+    tag = runtime.tag
+    tracer = runtime.tracer
+    trace = tracer.enabled
     stats = WorkerStats()
     activity = 0
     # Per-epoch quiescence counters: zeroed on RESET so the global
@@ -225,22 +203,14 @@ def worker_main(program: ProcessorProgram,
     # per-peer fact count driving the early-flush threshold.
     outbound: Dict[ProcessorId, Dict[str, List[tuple]]] = {}
     outbound_counts: Dict[ProcessorId, int] = {}
-    if trace:
-        trace_sink = InMemorySink()
-        tracer: Tracer = Tracer(trace_sink, clock=time.monotonic)
-    else:
-        trace_sink = None  # type: ignore[assignment]
-        tracer = NULL_TRACER
 
     def flush_trace() -> None:
-        if trace and trace_sink.events:
+        if trace and tracer.sink.events:
             coordinator_queue.put(
                 (TRACE, me,
-                 [event.to_dict() for event in trace_sink.drain()]))
+                 [event.to_dict() for event in tracer.sink.drain()]))
 
     try:
-        runtime = ProcessorRuntime(program, _rebuild_database(local_relations),
-                                   tracer=tracer)
         router = program.router_table()
 
         def maybe_die() -> None:
@@ -423,11 +393,9 @@ def worker_main(program: ProcessorProgram,
             )
             payload = encode_checkpoint(snapshot)
             coordinator_queue.put((CHECKPOINT, me, payload))
-            nbytes = approx_checkpoint_bytes(payload)
-            stats.checkpoints += 1
-            stats.checkpoint_bytes += nbytes
             if trace:
-                tracer.checkpoint(tag, snapshot.fact_count(), nbytes, epoch)
+                tracer.checkpoint(tag, snapshot.fact_count(),
+                                  approx_checkpoint_bytes(payload), epoch)
 
         if restore is not None:
             # Resume from the predecessor's checkpoint: load state and
@@ -441,13 +409,12 @@ def worker_main(program: ProcessorProgram,
                                  duplicates_dropped=snapshot.duplicates_dropped)
             stats.received = snapshot.received
             stats.self_delivered = snapshot.self_delivered
-            stats.restored_facts = snapshot.fact_count()
             for target, by_pred in snapshot.sent_log.items():
                 sent_log[target] = {predicate: dict(entries)
                                     for predicate, entries in by_pred.items()}
             watermarks.update(snapshot.watermarks)
             if trace:
-                tracer.restore(tag, stats.restored_facts, epoch)
+                tracer.restore(tag, snapshot.fact_count(), epoch)
         else:
             route(runtime.initialize_batches())
         flush_outbound()

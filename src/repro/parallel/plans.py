@@ -119,7 +119,7 @@ class ProcessorProgram:
         Compiled once per program instance and cached; the cache is a
         plain ``__dict__`` entry so ``dataclasses.replace`` and field
         mutation in tests build fresh tables, and it is dropped on
-        pickling (mp workers recompile from the routes they receive).
+        pickling (an unpickled program recompiles from its routes).
         """
         cached = self.__dict__.get("_router_table")
         if cached is not None and cached[0] == self.routes:

@@ -1,12 +1,12 @@
 """Tests for dataflow graphs (Definition 2, Figures 1 and 2, Theorem 3)."""
 
+import networkx as nx
 import pytest
 
-from repro.datalog import parse_program, parse_rule
+from repro.datalog import Atom, Rule, Variable, parse_program, parse_rule
 from repro.errors import NotASirupError
 from repro.network import (
     dataflow_edges,
-    dataflow_graph,
     find_dataflow_cycle,
     format_dataflow,
     zero_communication_positions,
@@ -44,12 +44,12 @@ class TestDataflowGraph:
     def test_rejects_nonlinear_rule(self):
         rule = parse_rule("p(X, Y) :- p(X, Z), p(Z, Y).")
         with pytest.raises(NotASirupError):
-            dataflow_graph(rule)
+            dataflow_edges(rule)
 
     def test_rejects_constant_arguments(self):
         rule = parse_rule("p(X, 1) :- p(X, Y), q(Y).")
         with pytest.raises(NotASirupError):
-            dataflow_graph(rule)
+            dataflow_edges(rule)
 
 
 class TestCycles:
@@ -78,3 +78,57 @@ class TestCycles:
         cycle = find_dataflow_cycle(program)
         assert cycle is not None
         assert sorted(cycle) == [1, 2, 3]
+
+
+def _variable_patterns(size):
+    """Every equality pattern of ``size`` variables, as restricted
+    growth strings: variable ``k`` is new exactly when it is one past
+    the largest so far."""
+    patterns = [()]
+    for _ in range(size):
+        patterns = [pattern + (variable,) for pattern in patterns
+                    for variable in range(max(pattern, default=-1) + 2)]
+    return patterns
+
+
+def _networkx_oracle(rule):
+    """Cycle and rendering computed by networkx on the same graph."""
+    head = rule.head.terms
+    (body,) = [atom.terms for atom in rule.body
+               if atom.predicate == rule.head.predicate]
+    graph = nx.DiGraph()
+    for i, y_var in enumerate(body, start=1):
+        for j, x_var in enumerate(head, start=1):
+            if y_var == x_var:
+                graph.add_edge(i, j)
+    try:
+        cycle = tuple(source for source, _ in nx.find_cycle(graph))
+    except nx.NetworkXNoCycle:
+        cycle = None
+    edges = sorted(graph.edges())
+    if not edges:
+        return cycle, "(empty)"
+    starts = [node for node in graph.nodes()
+              if graph.in_degree(node) == 0 and graph.out_degree(node) == 1]
+    if (len(starts) == 1 and nx.is_directed_acyclic_graph(graph)
+            and max(degree for _, degree in graph.out_degree()) <= 1
+            and max(degree for _, degree in graph.in_degree()) <= 1):
+        path = nx.dfs_preorder_nodes(graph, starts[0])
+        return cycle, " -> ".join(str(node) for node in path)
+    return cycle, ", ".join(f"{i} -> {j}" for i, j in edges)
+
+
+class TestAgainstNetworkx:
+    """The cycle search and the rendering need no graph library;
+    networkx stays the oracle.  Which cycle is found matters: the
+    example1 scheme routes on its positions."""
+
+    @pytest.mark.parametrize("arity", [1, 2, 3])
+    def test_every_variable_pattern(self, arity):
+        for pattern in _variable_patterns(2 * arity):
+            names = [Variable(f"V{k}") for k in pattern]
+            head = Atom("p", tuple(names[:arity]))
+            body = Atom("p", tuple(names[arity:]))
+            rule = Rule(head, (body, Atom("q", tuple(names))))
+            assert (find_dataflow_cycle(rule), format_dataflow(rule)) \
+                == _networkx_oracle(rule), pattern

@@ -48,6 +48,25 @@ class TestCrashHandling:
             run_multiprocessing(parallel, chain_db, timeout=0.000001)
 
 
+class TestForkOnly:
+    def test_platform_without_fork_is_refused_before_any_process(
+            self, chain_db, monkeypatch):
+        """Workers are forks of runtimes the coordinator built; where
+        there is no ``fork`` the run is refused up front."""
+        import multiprocessing
+
+        from repro.errors import ConfigurationError
+
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+        parallel = example3_scheme(ancestor_program(), (0, 1))
+        # Workers an earlier test terminated may not be reaped yet.
+        before = set(multiprocessing.active_children())
+        with pytest.raises(ConfigurationError, match="'fork'"):
+            run_multiprocessing(parallel, chain_db, timeout=30)
+        assert set(multiprocessing.active_children()) <= before
+
+
 @pytest.mark.mp
 class TestMetricsRegime:
     def test_mp_reports_bsp(self, ancestor, chain_db):
@@ -59,8 +78,8 @@ class TestMetricsRegime:
         assert result.metrics.staleness is None
 
 
-def _stub_worker(program, _local, inbox, _peers, coordinator_queue,
-                 *_options, script):
+def _stub_worker(runtime, inbox, _peers, coordinator_queue, *_options,
+                 script):
     """A worker that follows ``script`` instead of evaluating anything.
 
     ``script(wave)`` returns the ``(sent, received, activity, pending)``
@@ -81,8 +100,8 @@ def _stub_worker(program, _local, inbox, _peers, coordinator_queue,
         if reply is None:
             time.sleep(3600)
         sent, received, activity, pending = reply
-        coordinator_queue.put((ACK, program.processor, message[1], sent,
-                               received, activity, 0, pending))
+        coordinator_queue.put((ACK, runtime.program.processor, message[1],
+                               sent, received, activity, 0, pending))
 
 
 @pytest.mark.mp
@@ -108,8 +127,8 @@ class TestDeadlineStateDump:
                 _stub_worker, script=script))
             parallel = example3_scheme(ancestor_program(), (0, 1))
             with pytest.raises(ExecutionError) as info:
-                run_multiprocessing(parallel, chain_db, start_method="fork",
-                                    probe_interval=0.01, **options)
+                run_multiprocessing(parallel, chain_db, probe_interval=0.01,
+                                    **options)
             return str(info.value)
         return run
 

@@ -16,8 +16,8 @@ from repro.facts import Database
 from repro.facts.packing import ensure_facts
 from repro.parallel import hash_scheme
 from repro.parallel.mp.protocol import ACK, DATA, PROBE, RESET, RESULT, STOP
-from repro.parallel.mp.runner import _picklable_local
 from repro.parallel.mp.worker import worker_main
+from repro.parallel.processor import ProcessorRuntime
 from repro.workloads import ancestor_program
 
 
@@ -25,18 +25,19 @@ class _InProcessWorker:
     """Drive ``worker_main`` in a thread over plain ``queue.Queue``s.
 
     Single-processor programs route every derivation to themselves, so
-    no real peer or process machinery is needed.
+    no real peer or process machinery is needed.  The runtime is built
+    the way the coordinator builds it before forking.
     """
 
     def __init__(self, parallel, database):
         proc = parallel.processors[0]
+        runtime = ProcessorRuntime(parallel.program_for(proc),
+                                   parallel.local_database(proc, database))
         self.inbox = queue.Queue()
         self.coordinator = queue.Queue()
         self.thread = threading.Thread(
             target=worker_main,
-            args=(parallel.program_for(proc),
-                  _picklable_local(parallel, proc, database),
-                  self.inbox, {proc: self.inbox}, self.coordinator),
+            args=(runtime, self.inbox, {proc: self.inbox}, self.coordinator),
             daemon=True)
 
     def start(self):

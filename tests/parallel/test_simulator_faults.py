@@ -52,6 +52,18 @@ class TestSimulatorKills:
         assert sum(result.metrics.replayed.values()) > 0
         assert result.metrics.summary()["restarts"] == 1
 
+    def test_replayed_facts_are_one_counter(self, ancestor, tree_db):
+        """``recovery_replayed_facts`` is the per-processor ``replayed``
+        counter summed, not a second store that the simulator leaves
+        at 0."""
+        program = example3_scheme(ancestor, (0, 1, 2))
+        plan = build_fault_plan(["kill:1@10"])
+        metrics = run_parallel(program, tree_db, faults=plan,
+                               recovery="restart").metrics
+        assert metrics.recovery_replayed_facts == sum(
+            metrics.replayed.values()) > 0
+        assert metrics.summary()["replayed"] == metrics.recovery_replayed_facts
+
     def test_unknown_kill_tag_rejected(self, ancestor, tree_db):
         program = example3_scheme(ancestor, (0, 1))
         plan = build_fault_plan(["kill:nosuch@3"])

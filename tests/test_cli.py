@@ -156,6 +156,22 @@ class TestTraceCommand:
                      "--round-overhead", "1.0"]) == 0
         assert "makespan" in capsys.readouterr().out
 
+    def test_trace_json_makespan_uses_the_cost_knobs(self, trace_file,
+                                                    capsys):
+        import json
+        import re
+
+        knobs = ["--send-cost", "10", "--recv-cost", "3",
+                 "--round-overhead", "2"]
+        assert main(["trace", trace_file, "--json"]) == 0
+        default = json.loads(capsys.readouterr().out)["makespan"]
+        assert main(["trace", trace_file, "--json", *knobs]) == 0
+        priced = json.loads(capsys.readouterr().out)["makespan"]
+        assert main(["trace", trace_file, *knobs]) == 0
+        rendered = re.search(r"makespan: ([0-9.]+) work units",
+                             capsys.readouterr().out)
+        assert priced == float(rendered.group(1)) > default
+
     def test_trace_missing_file(self, capsys):
         assert main(["trace", "/nonexistent/run.jsonl"]) == 2
         assert "error:" in capsys.readouterr().err

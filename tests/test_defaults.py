@@ -2,10 +2,9 @@
 
 No ``REPRO_*`` environment variable selects an implementation: the
 package reads none, so every run takes the one data plane.  And
-``import repro`` stays light: the graph and array libraries are
-conveniences of ``repro network`` and the test suite, never a cost of
-evaluating a program — a property of a *fresh* process, so that test
-starts one.
+``import repro`` stays light: the graph and array libraries are test
+oracles, never a dependency of the package — a property of a *fresh*
+process, so those tests start one.
 """
 
 import json
@@ -53,3 +52,27 @@ def test_import_budget_excludes_networkx_and_numpy():
         "    {name.split('.')[0] for name in sys.modules}\n"
         "    & {'networkx', 'numpy'})))\n")
     assert loaded == []
+
+
+def test_network_analysis_runs_without_networkx(tmp_path):
+    # With networkx unimportable, ``repro network`` and the example1
+    # scheme (which routes on a dataflow cycle) still work.
+    program = tmp_path / "anc.dl"
+    program.write_text("anc(X, Y) :- par(X, Y).\n"
+                       "anc(X, Y) :- par(X, Z), anc(Z, Y).\n")
+    report = _fresh_python(
+        "import contextlib, io, json, sys\n"
+        "sys.modules['networkx'] = None\n"
+        "from repro.cli import main\n"
+        "from repro.parallel import example1_scheme\n"
+        "from repro.workloads import ancestor_program\n"
+        "output = io.StringIO()\n"
+        "with contextlib.redirect_stdout(output):\n"
+        f"    code = main(['network', {str(program)!r}])\n"
+        "scheme = example1_scheme(ancestor_program(), (0, 1))\n"
+        "print(json.dumps([code, output.getvalue(), scheme.scheme]))\n")
+    code, output, scheme = report
+    assert code == 0
+    assert "dataflow graph: 2 -> 2" in output
+    assert "cycle at positions (2,)" in output
+    assert scheme.startswith("example1")
