@@ -9,6 +9,7 @@ from ..datalog.program import Program
 from ..errors import EvaluationError
 from ..facts.database import Database
 from ..obs.tracer import Tracer, ensure_tracer
+from .collector import collector_paused
 from .counters import EvalCounters
 from .naive import naive_evaluate
 from .seminaive import seminaive_evaluate
@@ -40,6 +41,7 @@ class EvaluationResult:
         return self.counters.total_firings()
 
 
+@collector_paused()
 def evaluate(program: Program, database: Database, method: str = "seminaive",
              reorder: bool = True,
              counters: Optional[EvalCounters] = None,

@@ -68,6 +68,8 @@ run, a buffering tracer — and never steps it.  A worker's first process
 and every restart are ``fork``s of that same object, so the child
 inherits the runtime and nothing is packed, pickled or rebuilt.  The
 executor therefore needs the ``fork`` start method (Linux, macOS).
+Every fork happens inside :func:`run_multiprocessing`'s pause of the cyclic
+collector (:mod:`repro.engine.collector`), so each worker inherits it.
 
 Python's GIL makes *thread*-level parallelism useless for this
 workload; separate processes sidestep it, at the cost of pickling
@@ -84,6 +86,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Tuple
 
+from ...engine.collector import collector_paused
 from ...errors import ConfigurationError, ExecutionError
 from ...facts.database import Database
 from ...facts.packing import ensure_facts
@@ -205,6 +208,7 @@ def _describe_acks(tags: Dict[ProcessorId, str],
             + "; ".join(clauses))
 
 
+@collector_paused()
 def run_multiprocessing(program: ParallelProgram, database: Database,
                         probe_interval: float = 0.02,
                         timeout: float = 120.0,

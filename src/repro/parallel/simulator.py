@@ -50,6 +50,7 @@ from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Dict, Hashable, Iterable, List, Mapping,
                     Optional, Sequence, Set, Tuple)
 
+from ..engine.collector import collector_paused
 from ..engine.counters import EvalCounters
 from ..errors import ConfigurationError, ExecutionError
 from ..facts.database import Database
@@ -465,6 +466,7 @@ class SimulatedCluster:
         speed = self._capacity.get(self._tags[proc], 1.0)
         return max(1, int(math.ceil(max(work, 1.0) / speed)))
 
+    @collector_paused()
     def run(self) -> ParallelResult:
         """Execute to quiescence and pool the answers.
 

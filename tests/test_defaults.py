@@ -4,7 +4,9 @@ No ``REPRO_*`` environment variable selects an implementation: the
 package reads none, so every run takes the one data plane.  And
 ``import repro`` stays light: the graph and array libraries are test
 oracles, never a dependency of the package — a property of a *fresh*
-process, so those tests start one.
+process, so those tests start one.  Nor does the import touch the cyclic
+collector: the executors pause it for the length of a run, never as a
+side effect of loading a module.
 """
 
 import json
@@ -76,3 +78,16 @@ def test_network_analysis_runs_without_networkx(tmp_path):
     assert "dataflow graph: 2 -> 2" in output
     assert "cycle at positions (2,)" in output
     assert scheme.startswith("example1")
+
+
+def test_import_leaves_the_collector_alone():
+    # The executors pause the cyclic collector only for the length of a
+    # run; importing the package, the mp executor included, must not
+    # touch it.
+    before, after = _fresh_python(
+        "import gc, json\n"
+        "before = [gc.isenabled(), gc.get_threshold()]\n"
+        "import repro, repro.parallel.mp\n"
+        "print(json.dumps([before, [gc.isenabled(), gc.get_threshold()]]))\n")
+    assert after == before
+    assert before[0] is True
