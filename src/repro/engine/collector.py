@@ -1,4 +1,5 @@
-"""CPython's cyclic collector, paused for the length of a fixpoint run.
+"""CPython's cyclic collector: paused for a fixpoint run, and run young
+at each round boundary.
 
 A run allocates its fact tuples by the hundred thousand, so the
 collector's young generation fills hundreds of times per run and now
@@ -6,9 +7,16 @@ and then a full collection walks the whole heap — yet a run builds no
 reference cycles, so every collection frees nothing (the invariant
 ``tests/test_collector.py`` pins).  Each executor's entry point
 therefore runs under :func:`collector_paused`; reference counting still
-frees everything a run drops.  The price is paid once, when the pause
-ends: the first allocation after it runs a young collection over all
-that the run kept (docs/PERFORMANCE.md, "The cyclic collector").
+frees everything a run drops.
+
+What a young collection does do is untrack: each tuple of constants it
+meets leaves the collector's lists for good.  Every kept fact must pay
+that once, and it is cheapest while the fact is still in cache.  So
+each executor calls :func:`collect_young` at its round boundary — after
+a sequential round closes, after a simulated processor's step, after
+the mp coordinator pools a RESULT — once the round's duplicates are
+dropped, so the collection walks what the round kept and little else
+(docs/PERFORMANCE.md, "The cyclic collector").
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ import gc
 from contextlib import contextmanager
 from typing import Iterator
 
-__all__ = ["collector_paused"]
+__all__ = ["collect_young", "collector_paused"]
 
 
 @contextmanager
@@ -36,3 +44,14 @@ def collector_paused() -> Iterator[None]:
     finally:
         if was_enabled:
             gc.enable()
+
+
+def collect_young() -> None:
+    """Collect the young generation now, paused or not.
+
+    It walks every object allocated and still alive since the last
+    collection, untracks the tuples of constants among them, and moves
+    the rest to the middle generation, which no collection reaches
+    while the pause lasts.
+    """
+    gc.collect(0)

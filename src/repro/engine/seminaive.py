@@ -11,6 +11,12 @@ previous relation at positions after ``pl``.  Each new derivation is
 then enumerated exactly once — at the largest position that uses a new
 tuple.
 
+A delta is not a relation but a batch
+(:class:`~repro.facts.batch.FactBatch`): the list of fresh facts the
+last round close returned.  Every variant pins its delta atom first, so
+the join only scans it — it indexes it only for a delta atom that
+carries a constant — and ``#prev`` catches up from it.
+
 The delta-variant generator is public because the parallel processors
 (Sections 3, 6 and 7 of the paper) reuse it over their ``t_in``
 relations.
@@ -23,9 +29,11 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set
 from ..datalog.atom import Atom
 from ..datalog.program import Program
 from ..datalog.rule import Rule
+from ..facts.batch import FactBatch
 from ..facts.database import Database
 from ..facts.relation import Fact, Relation
 from ..obs.tracer import Tracer, ensure_tracer
+from .collector import collect_young
 from .counters import EvalCounters
 from .plan import RulePlan
 from .planner import compile_plan
@@ -143,67 +151,72 @@ def _evaluate_stratum(stratum: Stratum, working: Database,
                 for variant in delta_variants(rule, set(predicates))]
 
     # Relations for the stratum's predicates already exist in `working`
-    # (declared by the caller); create the delta companions, and a prev
-    # companion where some variant reads one.
-    deltas: Dict[str, Relation] = {}
-    for predicate in predicates:
-        full = working.relation(predicate)
-        deltas[predicate] = working.declare(predicate + DELTA_SUFFIX, full.arity)
-        deltas[predicate].clear()
+    # (declared by the caller); create a prev companion where some
+    # variant reads one.  The deltas are batches, attached each round.
     prevs: Dict[str, Relation] = {}
     for predicate in prev_predicates(variant.rule for _, variant in variants):
         prevs[predicate] = working.declare(
             predicate + PREV_SUFFIX, working.relation(predicate).arity)
         prevs[predicate].clear()
+    deltas: Dict[str, FactBatch] = {}
 
-    def close_round(produced: Dict[str, List[Fact]]) -> int:
-        """Dedup each head's batch into its relation; the fresh facts
-        (first-occurrence order, see Relation.add_new_many) are the
-        next delta.  Returns how many there were."""
-        new = 0
+    def set_deltas(fresh_of: Dict[str, List[Fact]]) -> None:
+        """Attach each predicate's next delta: its fresh facts, if any."""
+        for predicate in predicates:
+            deltas[predicate] = FactBatch(
+                predicate + DELTA_SUFFIX, working.relation(predicate).arity,
+                fresh_of.get(predicate, ()))
+            working.attach(deltas[predicate])
+
+    def close_round(produced: Dict[str, List[Fact]]) -> Dict[str, List[Fact]]:
+        """Dedup each head's batch into its relation; return the fresh
+        facts per head (first-occurrence order, see
+        Relation.add_new_many)."""
+        fresh_of: Dict[str, List[Fact]] = {}
         for head, facts in produced.items():
             fresh = working.relation(head).add_new_many(facts)
             if fresh:
                 counters.record_new(head, len(fresh))
-                deltas[head].update(fresh)
-                new += len(fresh)
-        return new
+                fresh_of[head] = fresh
+        return fresh_of
 
-    # Exit rules run once; their results seed the deltas together with
-    # any facts the stratum predicates already hold (program facts).
+    # Exit rules run once.  Each round boundary collects the young
+    # generation once the round's produced batch is dropped, so the
+    # collection untracks the kept facts while they are in cache and
+    # walks no duplicate (repro.engine.collector).
     exit_plans = [compile_plan(rule, reorder=reorder)
                   for rule in stratum.exit_rules()]
-    produced = _run_plans(exit_plans, working, counters, tracer)
-    for predicate in predicates:
-        deltas[predicate].update(working.relation(predicate))
-    close_round(produced)
-
+    close_round(_run_plans(exit_plans, working, counters, tracer))
+    collect_young()
     if not stratum.recursive:
-        for predicate in predicates:
-            deltas[predicate].clear()
         return
 
+    # The first deltas are everything the stratum's predicates hold:
+    # the exit rules' facts and any program facts.
+    set_deltas({predicate: list(working.relation(predicate))
+                for predicate in predicates})
     variant_plans = [
         compile_plan(variant.rule, label=str(rule), reorder=reorder,
                      pinned_first=variant.delta_position)
         for rule, variant in variants]
 
-    while any(deltas[p] for p in predicates):
+    while any(deltas.values()):
         counters.iterations += 1
         if tracing:
             tracer.round_start(counters.iterations)
         produced = _run_plans(variant_plans, working, counters, tracer)
-        # Close the round: prev catches up with full, deltas become the
-        # genuinely new facts.
+        # Close the round: prev catches up with full, and the genuinely
+        # new facts become the next deltas.
         for predicate, prev in prevs.items():
-            prev.update(deltas[predicate])
-        for predicate in predicates:
-            deltas[predicate].clear()
-        new_this_round = close_round(produced)
+            prev.update(deltas[predicate].facts())
+        fresh_of = close_round(produced)
+        set_deltas(fresh_of)
         if tracing:
             tracer.round_end(counters.iterations,
                              produced=sum(map(len, produced.values())),
-                             new=new_this_round)
+                             new=sum(map(len, fresh_of.values())))
+        del produced
+        collect_young()
 
 
 def seminaive_evaluate(program: Program, database: Database,

@@ -1,9 +1,12 @@
 """Storage layer: relations, hash indexes, databases and fragmentation.
 
 Every fact lives in a :class:`Relation` — a set of plain tuples with
-lazily built :class:`HashIndex` indexes (see docs/DATA_PLANE.md).
+lazily built :class:`HashIndex` indexes (see docs/DATA_PLANE.md).  A
+round's delta is a :class:`FactBatch`: the fresh facts, read but never
+stored twice.
 """
 
+from .batch import FactBatch
 from .database import Database
 from .fragments import (
     SHARED,
@@ -32,6 +35,7 @@ __all__ = [
     "ArbitraryFragmentation",
     "Database",
     "Fact",
+    "FactBatch",
     "FragmentationPlan",
     "FragmentationPolicy",
     "HashFragmentation",

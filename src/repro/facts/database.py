@@ -8,16 +8,23 @@ relation per derived predicate (Section 2).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import (Dict, Iterable, Iterator, Mapping, Optional, Sequence,
+                    Tuple, Union)
 
 from ..datalog.atom import Atom
+from .batch import FactBatch
 from .relation import Relation
 
 __all__ = ["Database"]
 
 
 class Database:
-    """A mutable mapping from predicate symbols to :class:`Relation`."""
+    """A mutable mapping from predicate symbols to :class:`Relation`.
+
+    An evaluation may also :meth:`attach` a
+    :class:`~repro.facts.batch.FactBatch` (a round's delta) under its
+    ``#delta`` name, for its join plans to read.
+    """
 
     __slots__ = ("_relations",)
 
@@ -66,7 +73,7 @@ class Database:
                 f"relation {name} exists with arity {relation.arity}, not {arity}")
         return relation
 
-    def attach(self, relation: Relation) -> None:
+    def attach(self, relation: Union[Relation, FactBatch]) -> None:
         """Register ``relation`` under its own name, replacing any previous one."""
         self._relations[relation.name] = relation
 

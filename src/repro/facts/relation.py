@@ -78,8 +78,8 @@ class Relation:
         arity = self.arity
         present = self._facts
         if type(facts) is Relation:
-            # Simulator pooling and the engines' prev/delta catch-up
-            # pass whole relations: scan the backing set directly.
+            # Simulator pooling passes whole relations: scan the
+            # backing set directly.
             facts = facts._facts
         if (type(facts) in _SIZED and set(map(type, facts)) <= _TUPLE
                 and set(map(len, facts)) <= {arity}):
@@ -113,22 +113,29 @@ class Relation:
 
         Batch-dedup primitive for the engines' round-close loops: the
         returned list preserves first-occurrence order of the input (so
-        delta relations and emission buffers see facts in the same
-        order a per-fact :meth:`add` loop would produce) and duplicates
-        within the batch collapse to their first occurrence.
+        delta batches and emission buffers see facts in the same order
+        a per-fact :meth:`add` loop would produce) and duplicates
+        within the batch collapse to their first occurrence.  A fact
+        that cannot be stored (wrong arity, unhashable) raises, and the
+        relation is left as it was before the call.
         """
         arity = self.arity
         present = self._facts
         fresh: list = []
-        for fact in facts:
-            tup = tuple(fact)
-            if len(tup) != arity:
-                raise ValueError(
-                    f"relation {self.name}/{self.arity} cannot store {tup!r}")
-            if tup in present:
-                continue
-            present.add(tup)
-            fresh.append(tup)
+        try:
+            for fact in facts:
+                tup = tuple(fact)
+                if len(tup) != arity:
+                    raise ValueError(f"relation {self.name}/{self.arity} "
+                                     f"cannot store {tup!r}")
+                if tup in present:
+                    continue
+                present.add(tup)
+                fresh.append(tup)
+        except BaseException:
+            # The indexes have not seen this call's facts yet.
+            present.difference_update(fresh)
+            raise
         if fresh:
             for index in self._indexes.values():
                 index.add_many(fresh)

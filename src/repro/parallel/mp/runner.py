@@ -86,7 +86,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Tuple
 
-from ...engine.collector import collector_paused
+from ...engine.collector import collect_young, collector_paused
 from ...errors import ConfigurationError, ExecutionError
 from ...facts.database import Database
 from ...facts.packing import ensure_facts
@@ -632,7 +632,12 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
                     facts = ensure_facts(worker_outputs.pop(predicate, ()))
                     relation.update(facts)
                     pooled_tuples += len(facts)
+                    # Drop the payload's duplicates before the collection.
+                    del facts
                 stats[proc] = worker_stats
+                # What the RESULT added leaves the collector while in
+                # cache (repro.engine.collector).
+                collect_young()
                 if tracing:
                     tracer.worker_exit(tags[proc],
                                        firings=worker_stats.firings,

@@ -1,12 +1,14 @@
 """Per-processor runtime: the semi-naive loop of one ``Q_i``.
 
 A :class:`ProcessorRuntime` owns the local database of one processor —
-its base fragments, the ``t_in``/``t_out`` relations and their
-delta/prev companions — and exposes the two operations the abstract
-architecture of Section 3 needs: *initialize* (fire the initialization
-rules once) and *step* (ingest received tuples, fire the processing
-rules semi-naively on the new ones, and emit the newly generated output
-tuples for the sending rules to route).
+its base fragments, the ``t_in``/``t_out`` relations, the ``t_in``
+delta batches (:class:`~repro.facts.batch.FactBatch`: a step's freshly
+ingested facts, scanned but not stored twice) and, where a variant
+reads one, a ``t_in#prev`` relation — and exposes the two operations
+the abstract architecture of Section 3 needs: *initialize* (fire the
+initialization rules once) and *step* (ingest received tuples, fire the
+processing rules semi-naively on the new ones, and emit the newly
+generated output tuples for the sending rules to route).
 
 Receives are asynchronous (the paper stresses this): a step simply
 consumes whatever has been staged so far and never waits for any
@@ -27,6 +29,7 @@ from ..engine.seminaive import (
     delta_variants,
     prev_predicates,
 )
+from ..facts.batch import FactBatch
 from ..facts.database import Database
 from ..facts.packing import packed_fact_count, unpack_columns, unpack_facts
 from ..facts.relation import Fact, Relation
@@ -67,7 +70,7 @@ class ProcessorRuntime:
 
         self._out_to_pred: Dict[str, str] = {}
         self._in_full: Dict[str, Relation] = {}
-        self._in_delta: Dict[str, Relation] = {}
+        self._in_delta: Dict[str, FactBatch] = {}
         self._in_prev: Dict[str, Relation] = {}
         self._out: Dict[str, Relation] = {}
         self._staged: Dict[str, List[Fact]] = {}
@@ -76,12 +79,12 @@ class ProcessorRuntime:
         for pred, iname in program.in_names.items():
             arity = program.arities[pred]
             self._in_full[pred] = self.working.declare(iname, arity)
-            self._in_delta[pred] = self.working.declare(iname + DELTA_SUFFIX, arity)
             self._staged[pred] = []
             self._staged_packed[pred] = []
         for pred, oname in program.out_names.items():
             self._out[pred] = self.working.declare(oname, program.arities[pred])
             self._out_to_pred[oname] = pred
+        self._set_deltas({})
 
         self._init_plans = [compile_plan(rule, label=_plain_label(rule))
                             for rule in program.init_rules]
@@ -164,7 +167,7 @@ class ProcessorRuntime:
         form and decoded columnwise at the next :meth:`step`, where the
         whole batch is ingested through one ``add_new_many`` — the mp
         workers hand large DATA batches straight here so no per-fact
-        tuple loop runs between the channel and the delta relation.
+        tuple loop runs between the channel and the delta batch.
         """
         count = packed_fact_count(payload)
         self._staged_packed[predicate].append(payload)
@@ -202,11 +205,9 @@ class ProcessorRuntime:
         predicate (what the executors route)."""
         # Close the previous round: prev (where kept) catches up with full.
         for pred, prev in self._in_prev.items():
-            prev.update(self._in_delta[pred])
-        for delta in self._in_delta.values():
-            delta.clear()
+            prev.update(self._in_delta[pred].facts())
 
-        # Ingest: new tuples feed the deltas, duplicates are discarded
+        # Ingest: new tuples are the next deltas, duplicates are discarded
         # by the difference operation of the paper's receiving step.
         # Bulk path: plain staged rows and packed payloads (decoded
         # columnwise, one zip per batch) combine into a single
@@ -215,7 +216,7 @@ class ProcessorRuntime:
         # accounting.
         tracer = self.tracer
         tracing = tracer.enabled
-        fired = False
+        fresh_of: Dict[str, List[Fact]] = {}
         for pred, staged in self._staged.items():
             payloads = self._staged_packed[pred]
             if not staged and not payloads:
@@ -236,19 +237,27 @@ class ProcessorRuntime:
             fresh = self._in_full[pred].add_new_many(rows)
             dropped = total - len(fresh)
             if fresh:
-                self._in_delta[pred].update(fresh)
-                fired = True
+                fresh_of[pred] = fresh
             if dropped:
                 self.duplicates_dropped += dropped
                 if tracing:
                     tracer.tuple_dropped(self.tag, pred, count=dropped)
             staged.clear()
             payloads.clear()
-        if not fired:
+        self._set_deltas(fresh_of)
+        if not fresh_of:
             return []
 
         self.counters.iterations += 1
         return self._fire(self._variant_plans)
+
+    def _set_deltas(self, fresh_of: Dict[str, List[Fact]]) -> None:
+        """Attach each ``t_in``'s next delta: its fresh facts, if any."""
+        for pred, iname in self.program.in_names.items():
+            self._in_delta[pred] = FactBatch(
+                iname + DELTA_SUFFIX, self.program.arities[pred],
+                fresh_of.get(pred, ()))
+            self.working.attach(self._in_delta[pred])
 
     # ------------------------------------------------------------------
     # Checkpoint support

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Dict, Hashable, Iterable, List, Mapping,
                     Optional, Sequence, Set, Tuple)
 
-from ..engine.collector import collector_paused
+from ..engine.collector import collect_young, collector_paused
 from ..engine.counters import EvalCounters
 from ..errors import ConfigurationError, ExecutionError
 from ..facts.database import Database
@@ -577,6 +577,8 @@ class SimulatedCluster:
                 tick_sent[proc] = sum(
                     len(facts) for destination, _, _, facts in messages
                     if destination != proc)
+                # The step's facts leave the collector while in cache.
+                collect_young()
             if per_round:
                 self._record_round(tick, tick_work, tick_sent, received)
 

@@ -27,6 +27,22 @@ class TestRelation:
         with pytest.raises(ValueError):
             relation.add_new_many([(1, 2)])
 
+    @pytest.mark.parametrize("bad", [(3,), (3, [4])],
+                             ids=["wrong-arity", "unhashable"])
+    def test_add_new_many_raising_mid_batch_changes_nothing(self, bad):
+        """A fact that cannot be stored rolls back the facts before it,
+        so the relation and its index still agree and a retry adds
+        them."""
+        relation = Relation("p", 2, [(0, 0)])
+        index = relation.index_on((0,))
+        with pytest.raises((ValueError, TypeError)):
+            relation.add_new_many([(1, 2), (0, 0), (5, 6), bad])
+        assert relation.as_set() == {(0, 0)}
+        assert len(index) == 1
+        assert relation.add_new_many([(1, 2), (5, 6)]) == [(1, 2), (5, 6)]
+        assert list(relation.lookup((0,), (1,))) == [(1, 2)]
+        assert len(index) == 3
+
     def test_negative_arity_rejected(self):
         with pytest.raises(ValueError):
             Relation("p", -1)

@@ -230,3 +230,26 @@ class TestBatchesAndPrev:
             for restore_at in range(1, rounds + 1):
                 assert self._drive(parallel, dag_db, restore_at) == (
                     answer, rounds, firings), restore_at
+
+    def test_restore_matches_naive_with_a_constant_delta_atom(self, dag_db):
+        """A restored runtime starts from empty delta batches; its first
+        step's batch must still be looked up where a delta atom carries
+        a constant (``anc(5, Y)``) — at every restore point, the answer
+        is naive evaluation's."""
+        from repro.datalog.parser import parse_program
+        from repro.engine import evaluate
+        from repro.parallel import rewrite_general
+
+        program = parse_program("""
+            anc(X, Y) :- par(X, Y).
+            anc(X, Y) :- par(X, Z), anc(Z, Y).
+            anc(0, Y) :- anc(5, Y).
+        """)
+        parallel = rewrite_general(program, (0, 1))
+        naive = evaluate(program, dag_db, method="naive")
+        answer, rounds, firings = self._drive(parallel, dag_db)
+        assert answer == naive.relation("anc").as_set()
+        assert rounds >= 3
+        for restore_at in range(1, rounds + 1):
+            assert self._drive(parallel, dag_db, restore_at) == (
+                answer, rounds, firings), restore_at

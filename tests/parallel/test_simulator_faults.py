@@ -21,6 +21,7 @@ from repro.parallel import (
     run_parallel,
     wolfson_scheme,
 )
+from repro.parallel.faults import DELAY, DELIVER, DROP, DUPLICATE
 from repro.workloads import ancestor_program, random_tree_edges
 
 
@@ -125,15 +126,34 @@ class TestSimulatorChannelFaults:
                 == second.relation("anc").as_set())
         assert first.metrics.rounds == second.metrics.rounds
 
+    # The indices of the draws that hit among the first 64 verdicts of
+    # each seed's stream, recorded when mp workers still drew salted
+    # channel fault streams from the same class: the stream is keyed by
+    # the plan seed alone, the same for every action, and must not move.
+    @pytest.mark.parametrize("spec, action", [
+        ("drop:0.2", DROP), ("delay:0.2", DELAY), ("dup:0.2", DUPLICATE)])
+    @pytest.mark.parametrize("seed, hits", [
+        (1, (1, 10, 11, 19, 20, 21, 28, 32, 49, 57, 60)),
+        (2, (5, 12, 15, 23, 25, 30, 45, 54, 55, 57, 59, 63)),
+        (3, (10, 15, 25, 26, 40, 45, 55, 59, 61, 63)),
+    ])
+    def test_fault_draws_pinned(self, spec, action, seed, hits):
+        state = build_fault_plan([spec], seed=seed).channel_state()
+        verdicts = [state.decide("0", "1") for _ in range(64)]
+        assert tuple(i for i, verdict in enumerate(verdicts)
+                     if verdict != DELIVER) == hits
+        assert set(verdicts) == {DELIVER, action}
+
     # (answer size, rounds, sent, firings, duplicates dropped) on the
-    # 60-node tree, recorded when mp workers still drew salted channel
-    # fault streams from the same class: the simulator's stream is keyed
-    # by the plan seed alone and must not move.
+    # 60-node tree.  Which tuple meets which draw of the pinned stream
+    # follows the order in which a step emits its facts, and that order
+    # is unspecified (RulePlan.execute), so these figures move with it;
+    # they were last re-recorded when deltas became batches.
     @pytest.mark.parametrize("spec, seed, expected", [
         ("drop:0.2", 1, (156, 6, 65, 156, 0)),
-        ("drop:0.2", 2, (157, 5, 60, 157, 0)),
-        ("drop:0.2", 3, (160, 5, 64, 160, 0)),
-        ("delay:0.2", 1, (168, 8, 69, 168, 0)),
+        ("drop:0.2", 2, (159, 6, 62, 159, 0)),
+        ("drop:0.2", 3, (159, 5, 63, 159, 0)),
+        ("delay:0.2", 1, (168, 7, 69, 168, 0)),
         ("delay:0.2", 2, (168, 8, 69, 168, 0)),
         ("delay:0.2", 3, (168, 8, 69, 168, 0)),
         ("dup:0.2", 1, (168, 6, 69, 168, 12)),

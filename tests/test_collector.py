@@ -4,9 +4,14 @@
 run under :func:`repro.engine.collector.collector_paused`, and every mp
 worker is forked inside the pause.  That is safe only because a run
 builds no reference cycles: :class:`TestNoCycles` and
-:class:`TestMultiprocessing` pin that a run leaves ``gc.collect()``
-nothing to free.  The rest pin that the pause is scoped: the caller's
-collector state survives every return and every raise.
+:class:`TestMultiprocessing` pin that no collection during a run, nor
+``gc.collect()`` after it, frees anything.  Inside the pause each
+executor collects the young generation at its round boundary
+(:func:`repro.engine.collector.collect_young`), so
+:class:`TestRoundBoundary` pins that every answer tuple is untracked by
+the time the call returns, and :class:`TestMultiprocessing` that mp
+workers never collect.  The rest pin that the pause is scoped: the
+caller's collector state survives every return and every raise.
 """
 
 import functools
@@ -50,18 +55,31 @@ def _tracer(traced):
 
 
 def _left_behind(run):
-    """What ``gc.collect()`` frees after ``run()`` with the collector off.
+    """What every collection frees during ``run()``, run with the
+    collector off, plus what ``gc.collect()`` frees after it.
 
-    The inputs are built before the call and outlive it — a scheme's
-    discriminator memo is a cycle of the scheme's own, not of a run's.
+    The run's own young collections would free a cycle built mid-run
+    before the final one could see it, so ``gc.callbacks`` sums all of
+    them.  The inputs are built before the call and outlive it — a
+    scheme's discriminator memo is a cycle of the scheme's own, not of
+    a run's.
     """
+    collected = []
+
+    def note(phase, info):
+        if phase == "stop":
+            collected.append(info["collected"])
+
     gc.collect()
     gc.disable()
+    gc.callbacks.append(note)
     try:
         run()
-        return gc.collect()
+        gc.collect()
     finally:
+        gc.callbacks.remove(note)
         gc.enable()
+    return sum(collected)
 
 
 @pytest.fixture
@@ -132,6 +150,19 @@ def _raising_executors():
     }
 
 
+class TestRoundBoundary:
+    """Each kept fact leaves the collector at its own round boundary."""
+
+    @pytest.mark.parametrize("name", ["evaluate", "simulator", "mp"])
+    def test_answer_untracked_on_return(self, collector_off, name):
+        """Under a caller's pause no collection runs after the call, so
+        only the executor's own young collections can have untracked
+        the answer's tuples."""
+        answer = list(_executors()[name]().relation("anc"))
+        assert answer
+        assert sum(map(gc.is_tracked, answer)) == 0
+
+
 class TestPauseIsScoped:
     def test_nested_pauses_keep_the_outer_one(self):
         assert gc.isenabled()
@@ -166,14 +197,23 @@ class TestPauseIsScoped:
 
 
 def _reporting_worker(*arguments, report, worker):
-    """Report ``(tag, epoch, collector on?)``, then run the real worker.
+    """Report ``("start", tag, epoch, collector on?)``, then run the
+    real worker, reporting ``("collect", tag, epoch, generation)`` for
+    each collection it starts.
 
     ``arguments`` are ``worker_main``'s: the runtime first, the epoch
     sixth.
     """
     import gc
 
-    report.put((arguments[0].tag, arguments[5], gc.isenabled()))
+    tag, epoch = arguments[0].tag, arguments[5]
+
+    def note(phase, info):
+        if phase == "start":
+            report.put(("collect", tag, epoch, info["generation"]))
+
+    gc.callbacks.append(note)
+    report.put(("start", tag, epoch, gc.isenabled()))
     worker(*arguments)
 
 
@@ -181,7 +221,8 @@ def _reporting_worker(*arguments, report, worker):
 @pytest.mark.faultinjection
 class TestMultiprocessing:
     """The coordinator's run leaves no cycles, and its workers — first
-    processes and restarts alike — run with the collector off."""
+    processes and restarts alike — run with the collector off and
+    never collect."""
 
     @pytest.mark.parametrize("traced", [False, True],
                              ids=["untraced", "traced"])
@@ -224,5 +265,6 @@ class TestMultiprocessing:
         reports = []
         while not report.empty():
             reports.append(report.get())
-        assert sorted(reports) == [("0", 0, False), ("1", 0, False),
-                                   ("1", 1, False), ("2", 0, False)]
+        assert sorted(reports) == [
+            ("start", "0", 0, False), ("start", "1", 0, False),
+            ("start", "1", 1, False), ("start", "2", 0, False)]
