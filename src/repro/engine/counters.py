@@ -1,4 +1,4 @@
-"""Counters for firings, probes and derived tuples.
+"""Counters for firings, probes and rounds.
 
 The paper's redundancy results (Definition 1, Theorems 2 and 6) are
 statements about the *number of successful ground substitutions* —
@@ -21,27 +21,20 @@ class EvalCounters:
     Attributes:
         firings: per rule label, the number of successful ground
             substitutions (head tuples produced, duplicates included).
-        new_facts: per rule label, the number of produced tuples that
-            were genuinely new when inserted.
         probes: number of index lookups performed.
         iterations: number of semi-naive rounds executed.
     """
 
-    __slots__ = ("firings", "new_facts", "probes", "iterations")
+    __slots__ = ("firings", "probes", "iterations")
 
     def __init__(self) -> None:
         self.firings: Counter = Counter()
-        self.new_facts: Counter = Counter()
         self.probes: int = 0
         self.iterations: int = 0
 
     def record_firing(self, rule_label: str, count: int = 1) -> None:
         """Record ``count`` successful ground substitutions of a rule."""
         self.firings[rule_label] += count
-
-    def record_new(self, rule_label: str, count: int = 1) -> None:
-        """Record ``count`` newly inserted tuples attributed to a rule."""
-        self.new_facts[rule_label] += count
 
     def record_probe(self, count: int = 1) -> None:
         """Record ``count`` index lookups."""
@@ -51,15 +44,10 @@ class EvalCounters:
         """Total firings across all rules."""
         return sum(self.firings.values())
 
-    def total_new(self) -> int:
-        """Total new facts across all rules."""
-        return sum(self.new_facts.values())
-
     def merged_with(self, other: "EvalCounters") -> "EvalCounters":
         """Return a new counter combining self and ``other``."""
         merged = EvalCounters()
         merged.firings = self.firings + other.firings
-        merged.new_facts = self.new_facts + other.new_facts
         merged.probes = self.probes + other.probes
         merged.iterations = max(self.iterations, other.iterations)
         return merged
@@ -76,7 +64,6 @@ class EvalCounters:
         """Return a plain-dict snapshot (for reports and serialisation)."""
         return {
             "firings": dict(self.firings),
-            "new_facts": dict(self.new_facts),
             "probes": self.probes,
             "iterations": self.iterations,
             "total_firings": self.total_firings(),
@@ -93,12 +80,11 @@ class EvalCounters:
         """
         counters = EvalCounters()
         counters.firings = Counter(payload.get("firings", {}))
-        counters.new_facts = Counter(payload.get("new_facts", {}))
         counters.probes = int(payload.get("probes", 0))
         counters.iterations = int(payload.get("iterations", 0))
         return counters
 
     def __repr__(self) -> str:
         return (f"EvalCounters(firings={self.total_firings()}, "
-                f"new={self.total_new()}, probes={self.probes}, "
+                f"probes={self.probes}, "
                 f"iterations={self.iterations})")

@@ -24,7 +24,7 @@ class EvaluationResult:
     Attributes:
         output: database with one relation per derived predicate (plus
             the input base relations, by reference).
-        counters: firings, probes, new facts and iteration counts.
+        counters: firings, probes and iteration counts.
         method: the strategy used (``"seminaive"`` or ``"naive"``).
     """
 

@@ -82,7 +82,6 @@ def naive_evaluate(program: Program, database: Database,
         for head, facts in by_head.items():
             fresh = working.relation(head).add_new_many(facts)
             if fresh:
-                counters.record_new(head, len(fresh))
                 changed = True
                 new_this_round += len(fresh)
         if tracing:

@@ -17,9 +17,12 @@ last round close returned.  Every variant pins its delta atom first, so
 the join only scans it — it indexes it only for a delta atom that
 carries a constant — and ``#prev`` catches up from it.
 
-The delta-variant generator is public because the parallel processors
-(Sections 3, 6 and 7 of the paper) reuse it over their ``t_in``
-relations.
+One semi-naive loop serves every evaluator: :class:`DeltaLoop` owns
+the full, delta and ``#prev`` relations and the variant plans, and
+:func:`run_plans` runs them.  The sequential engine feeds the loop its
+own round output; each parallel processor (Sections 3, 6 and 7 of the
+paper) feeds it the facts it receives over its ``t_in`` relations, so
+``Q_i`` and ``L`` run the same round.
 """
 
 from __future__ import annotations
@@ -42,9 +45,11 @@ from .stratify import Stratum, build_strata
 __all__ = [
     "DELTA_SUFFIX",
     "PREV_SUFFIX",
+    "DeltaLoop",
     "DeltaVariant",
     "delta_variants",
     "prev_predicates",
+    "run_plans",
     "seminaive_evaluate",
 ]
 
@@ -70,18 +75,14 @@ class DeltaVariant:
         return f"DeltaVariant({self.rule}, delta at {self.delta_position})"
 
 
-def delta_variants(rule: Rule, target_predicates: Set[str],
-                   delta_suffix: str = DELTA_SUFFIX,
-                   prev_suffix: str = PREV_SUFFIX) -> List[DeltaVariant]:
+def delta_variants(rule: Rule,
+                   target_predicates: Set[str]) -> List[DeltaVariant]:
     """Return the semi-naive delta variants of ``rule``.
 
     Args:
         rule: a rule whose body mentions at least one target predicate.
         target_predicates: the recursive predicates of the current
             stratum (or the ``_in`` predicates of a parallel processor).
-        delta_suffix: appended to a predicate name to name its delta.
-        prev_suffix: appended to a predicate name to name its previous
-            (pre-round) relation.
 
     Returns:
         One variant per occurrence of a target predicate in the body.
@@ -94,34 +95,84 @@ def delta_variants(rule: Rule, target_predicates: Set[str],
         body: List[Atom] = []
         for index, atom in enumerate(rule.body):
             if index == delta_at:
-                body.append(atom.with_predicate(atom.predicate + delta_suffix))
+                body.append(atom.with_predicate(atom.predicate + DELTA_SUFFIX))
             elif (atom.predicate in target_predicates and index > delta_at):
-                body.append(atom.with_predicate(atom.predicate + prev_suffix))
+                body.append(atom.with_predicate(atom.predicate + PREV_SUFFIX))
             else:
                 body.append(atom)
         variants.append(DeltaVariant(rule.with_body(body), delta_at))
     return variants
 
 
-def prev_predicates(variant_rules: Iterable[Rule],
-                    prev_suffix: str = PREV_SUFFIX) -> Set[str]:
+def prev_predicates(variant_rules: Iterable[Rule]) -> Set[str]:
     """The target predicates whose previous relation some variant reads.
 
     :func:`delta_variants` names a ``#prev`` relation only for a second
     recursive occurrence in one body, so a linear rule reads none — and
     a relation nothing reads need not be kept, let alone indexed.
     """
-    return {atom.predicate[:-len(prev_suffix)]
+    return {atom.predicate[:-len(PREV_SUFFIX)]
             for rule in variant_rules for atom in rule.body
-            if atom.predicate.endswith(prev_suffix)}
+            if atom.predicate.endswith(PREV_SUFFIX)}
 
 
-def _run_plans(plans: Sequence[RulePlan], working: Database,
-               counters: EvalCounters, tracer: Tracer) -> Dict[str, List[Fact]]:
+class DeltaLoop:
+    """The semi-naive state of ``rules`` over their target relations.
+
+    Per target (a stratum's recursive predicates, or a processor's
+    ``t_in`` relations, all already in ``working``) it holds the full
+    relation (:attr:`full`), the delta batch and, only where some
+    variant reads one, the ``#prev`` relation (:attr:`prevs`); and it
+    holds the delta-variant :attr:`plans`.  A round runs the plans
+    (:func:`run_plans`), adds the facts the round brings to the full
+    relations and hands the fresh ones to :meth:`advance`.  Where those
+    facts come from is the caller's: the sequential engine feeds back
+    its own output, a processor its receive stage.
+    """
+
+    def __init__(self, working: Database, targets: Iterable[str],
+                 rules: Iterable[Rule], reorder: bool = True) -> None:
+        self._working = working
+        self.full: Dict[str, Relation] = {
+            name: working.relation(name) for name in targets}
+        self.plans: List[RulePlan] = [
+            compile_plan(variant.rule, label=str(rule), reorder=reorder,
+                         pinned_first=variant.delta_position)
+            for rule in rules
+            for variant in delta_variants(rule, set(self.full))]
+        self.prevs: Dict[str, Relation] = {}  # none to catch up yet
+        self._deltas: Dict[str, FactBatch] = {}
+        self.advance({})  # the empty first deltas
+        # A prev relation exists only where some variant reads it: for a
+        # linear rule it would be a full, indexed, never-read copy.
+        self.prevs = {
+            name: working.declare(name + PREV_SUFFIX, self.full[name].arity)
+            for name in prev_predicates(plan.rule for plan in self.plans)}
+
+    def advance(self, fresh_of: Dict[str, List[Fact]]) -> None:
+        """Close a round: each prev catches up with its last delta, and
+        each target's fresh facts (none if absent) become its next."""
+        for name, prev in self.prevs.items():
+            prev.update(self._deltas[name].facts())
+        for name, full in self.full.items():
+            delta = FactBatch(name + DELTA_SUFFIX, full.arity,
+                              fresh_of.get(name, ()))
+            self._deltas[name] = delta
+            self._working.attach(delta)
+
+    def pending(self) -> bool:
+        """True iff some delta holds a fact: the next round has work."""
+        return any(self._deltas.values())
+
+
+def run_plans(plans: Sequence[RulePlan], working: Database,
+              counters: EvalCounters, tracer: Tracer,
+              tag: Optional[str] = None) -> Dict[str, List[Fact]]:
     """Execute ``plans``; return the produced batch per head predicate.
 
     Each plan hands back its whole batch; batches of one head are
-    concatenated, never re-walked fact by fact.
+    concatenated, never re-walked fact by fact.  ``tag`` names the
+    processor in ``rule_fired`` events (``None``: sequential).
     """
     tracing = tracer.enabled
     by_head: Dict[str, List[Fact]] = {}
@@ -131,7 +182,7 @@ def _run_plans(plans: Sequence[RulePlan], working: Database,
             continue
         if tracing:
             for fact in facts:
-                tracer.rule_fired(None, plan.label, fact)
+                tracer.rule_fired(tag, plan.label, fact)
         head = plan.rule.head.predicate
         if head in by_head:
             by_head[head].extend(facts)
@@ -144,29 +195,7 @@ def _evaluate_stratum(stratum: Stratum, working: Database,
                       counters: EvalCounters, reorder: bool,
                       tracer: Tracer) -> None:
     """Run semi-naive iteration for one stratum, updating ``working``."""
-    predicates = stratum.predicates
     tracing = tracer.enabled
-
-    variants = [(rule, variant) for rule in stratum.recursive_rules()
-                for variant in delta_variants(rule, set(predicates))]
-
-    # Relations for the stratum's predicates already exist in `working`
-    # (declared by the caller); create a prev companion where some
-    # variant reads one.  The deltas are batches, attached each round.
-    prevs: Dict[str, Relation] = {}
-    for predicate in prev_predicates(variant.rule for _, variant in variants):
-        prevs[predicate] = working.declare(
-            predicate + PREV_SUFFIX, working.relation(predicate).arity)
-        prevs[predicate].clear()
-    deltas: Dict[str, FactBatch] = {}
-
-    def set_deltas(fresh_of: Dict[str, List[Fact]]) -> None:
-        """Attach each predicate's next delta: its fresh facts, if any."""
-        for predicate in predicates:
-            deltas[predicate] = FactBatch(
-                predicate + DELTA_SUFFIX, working.relation(predicate).arity,
-                fresh_of.get(predicate, ()))
-            working.attach(deltas[predicate])
 
     def close_round(produced: Dict[str, List[Fact]]) -> Dict[str, List[Fact]]:
         """Dedup each head's batch into its relation; return the fresh
@@ -176,7 +205,6 @@ def _evaluate_stratum(stratum: Stratum, working: Database,
         for head, facts in produced.items():
             fresh = working.relation(head).add_new_many(facts)
             if fresh:
-                counters.record_new(head, len(fresh))
                 fresh_of[head] = fresh
         return fresh_of
 
@@ -186,31 +214,27 @@ def _evaluate_stratum(stratum: Stratum, working: Database,
     # walks no duplicate (repro.engine.collector).
     exit_plans = [compile_plan(rule, reorder=reorder)
                   for rule in stratum.exit_rules()]
-    close_round(_run_plans(exit_plans, working, counters, tracer))
+    close_round(run_plans(exit_plans, working, counters, tracer))
     collect_young()
     if not stratum.recursive:
         return
 
     # The first deltas are everything the stratum's predicates hold:
     # the exit rules' facts and any program facts.
-    set_deltas({predicate: list(working.relation(predicate))
-                for predicate in predicates})
-    variant_plans = [
-        compile_plan(variant.rule, label=str(rule), reorder=reorder,
-                     pinned_first=variant.delta_position)
-        for rule, variant in variants]
+    loop = DeltaLoop(working, stratum.predicates, stratum.recursive_rules(),
+                     reorder=reorder)
+    loop.advance({predicate: list(working.relation(predicate))
+                  for predicate in stratum.predicates})
 
-    while any(deltas.values()):
+    while loop.pending():
         counters.iterations += 1
         if tracing:
             tracer.round_start(counters.iterations)
-        produced = _run_plans(variant_plans, working, counters, tracer)
-        # Close the round: prev catches up with full, and the genuinely
-        # new facts become the next deltas.
-        for predicate, prev in prevs.items():
-            prev.update(deltas[predicate].facts())
+        produced = run_plans(loop.plans, working, counters, tracer)
+        # Close the round: the genuinely new facts become the next
+        # deltas, and prev catches up with full.
         fresh_of = close_round(produced)
-        set_deltas(fresh_of)
+        loop.advance(fresh_of)
         if tracing:
             tracer.round_end(counters.iterations,
                              produced=sum(map(len, produced.values())),

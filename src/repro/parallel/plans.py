@@ -178,11 +178,18 @@ class ParallelProgram:
 
     def local_database(self, processor: ProcessorId,
                        database: Database) -> Database:
-        """Build the local base data of ``processor`` from the global input.
+        """Build the local database of ``processor`` from the global input.
 
         Every fragment spec contributes one relation under its local
         name; base predicates without facts in ``database`` come up
         empty rather than failing, so partial inputs remain runnable.
+
+        The facts a derived predicate starts with — its program facts
+        and any input relation of its name — are seeded into the
+        ``t_out`` of the first processor only, which emits them with its
+        initialization output so the sending rules route them like any
+        derived fact
+        (:meth:`.processor.ProcessorRuntime.initialize_batches`).
         """
         local = Database()
         for spec in self.fragments:
@@ -191,6 +198,13 @@ class ParallelProgram:
                 local.attach(Relation(spec.local_name, spec.arity))
                 continue
             local.attach(spec.local_fragment(source, processor))
+        if processor == self.processors[0]:
+            program = self.programs[processor]
+            for pred, oname in program.out_names.items():
+                seeds = local.declare(oname, program.arities[pred])
+                seeds.update(database.get(pred) or ())
+                seeds.update(atom.to_fact() for atom in self.source.facts()
+                             if atom.predicate == pred)
         return local
 
     def replication_factor(self, database: Database) -> float:

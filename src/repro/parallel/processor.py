@@ -1,14 +1,14 @@
 """Per-processor runtime: the semi-naive loop of one ``Q_i``.
 
 A :class:`ProcessorRuntime` owns the local database of one processor —
-its base fragments, the ``t_in``/``t_out`` relations, the ``t_in``
-delta batches (:class:`~repro.facts.batch.FactBatch`: a step's freshly
-ingested facts, scanned but not stored twice) and, where a variant
-reads one, a ``t_in#prev`` relation — and exposes the two operations
-the abstract architecture of Section 3 needs: *initialize* (fire the
-initialization rules once) and *step* (ingest received tuples, fire the
-processing rules semi-naively on the new ones, and emit the newly
-generated output tuples for the sending rules to route).
+its base fragments and its ``t_in``/``t_out`` relations — and exposes
+the two operations the abstract architecture of Section 3 needs:
+*initialize* (fire the initialization rules once) and *step* (ingest
+received tuples, fire the processing rules semi-naively on the new
+ones, and emit the newly generated output tuples for the sending rules
+to route).  The semi-naive state over ``t_in`` is the sequential
+engine's own :class:`~repro.engine.seminaive.DeltaLoop`, fed by the
+receive stage; the runtime keeps ``t_out``, staging and routing.
 
 Receives are asynchronous (the paper stresses this): a step simply
 consumes whatever has been staged so far and never waits for any
@@ -19,17 +19,9 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
-from ..datalog.rule import Rule
 from ..engine.counters import EvalCounters
 from ..engine.planner import compile_plan
-from ..engine.plan import RulePlan
-from ..engine.seminaive import (
-    DELTA_SUFFIX,
-    PREV_SUFFIX,
-    delta_variants,
-    prev_predicates,
-)
-from ..facts.batch import FactBatch
+from ..engine.seminaive import DeltaLoop, run_plans
 from ..facts.database import Database
 from ..facts.packing import packed_fact_count, unpack_columns, unpack_facts
 from ..facts.relation import Fact, Relation
@@ -49,8 +41,9 @@ class ProcessorRuntime:
 
     Args:
         program: the processor's rewritten program.
-        local_base: the processor's base fragments (consumed; the
-            runtime takes ownership of the database).
+        local_base: the processor's local database
+            (:meth:`~.plans.ParallelProgram.local_database`; consumed:
+            the runtime takes ownership of it).
         counters: optional externally owned counters.
         tracer: optional :class:`~repro.obs.Tracer`; every firing,
             duplicate drop and staged receive becomes a typed event.
@@ -69,40 +62,21 @@ class ProcessorRuntime:
         self.received_remote = 0
 
         self._out_to_pred: Dict[str, str] = {}
-        self._in_full: Dict[str, Relation] = {}
-        self._in_delta: Dict[str, FactBatch] = {}
-        self._in_prev: Dict[str, Relation] = {}
         self._out: Dict[str, Relation] = {}
         self._staged: Dict[str, List[Fact]] = {}
         self._staged_packed: Dict[str, List[Tuple]] = {}
 
         for pred, iname in program.in_names.items():
-            arity = program.arities[pred]
-            self._in_full[pred] = self.working.declare(iname, arity)
+            self.working.declare(iname, program.arities[pred])
             self._staged[pred] = []
             self._staged_packed[pred] = []
         for pred, oname in program.out_names.items():
             self._out[pred] = self.working.declare(oname, program.arities[pred])
             self._out_to_pred[oname] = pred
-        self._set_deltas({})
 
-        self._init_plans = [compile_plan(rule, label=_plain_label(rule))
-                            for rule in program.init_rules]
-        in_names = set(program.in_names.values())
-        self._variant_plans = []
-        for rule in program.processing_rules:
-            for variant in delta_variants(rule, in_names):
-                plan = compile_plan(variant.rule, label=_plain_label(rule),
-                                    pinned_first=variant.delta_position)
-                self._variant_plans.append(plan)
-        # A prev relation exists only where some variant reads it (a
-        # second ``t_in`` occurrence in one body): for a linear rule it
-        # would be a full, indexed, never-read copy of ``t_in``.
-        read = prev_predicates(plan.rule for plan in self._variant_plans)
-        for pred, iname in program.in_names.items():
-            if iname in read:
-                self._in_prev[pred] = self.working.declare(
-                    iname + PREV_SUFFIX, program.arities[pred])
+        self._init_plans = [compile_plan(rule) for rule in program.init_rules]
+        self._loop = DeltaLoop(self.working, program.in_names.values(),
+                               program.processing_rules)
 
     # ------------------------------------------------------------------
     # The five execution steps (operational form)
@@ -113,35 +87,28 @@ class ProcessorRuntime:
 
     def initialize_batches(self) -> List[EmissionBatch]:
         """:meth:`initialize`, the new tuples kept as one list per
-        derived predicate (what the executors route)."""
-        return self._fire(self._init_plans)
+        derived predicate (what the executors route).
 
-    def _fire(self, plans: Sequence[RulePlan]) -> List[EmissionBatch]:
-        """Execute ``plans``; return the new output tuples per predicate.
-
-        Every plan's batch is deduplicated whole against its output
-        relation; the fresh facts (first-occurrence order) are exactly
-        what gets routed.  Predicates keep first-emission order.
+        Whatever ``t_out`` starts with goes out first: the facts a
+        derived predicate starts with, at the one processor
+        :meth:`~.plans.ParallelProgram.local_database` seeds them into.
+        They count no firing, as in sequential evaluation.
         """
-        tracer = self.tracer
-        tracing = tracer.enabled
-        emitted: Dict[str, List[Fact]] = {}
-        for plan in plans:
-            produced = plan.execute(self.working, self.counters)
-            if not produced:
-                continue
-            if tracing:
-                for fact in produced:
-                    tracer.rule_fired(self.tag, plan.label, fact)
-            pred = self._out_to_pred[plan.rule.head.predicate]
-            fresh = self._out[pred].add_new_many(produced)
+        seeds = [(pred, list(out)) for pred, out in self._out.items() if out]
+        return seeds + self._emit(run_plans(
+            self._init_plans, self.working, self.counters, self.tracer,
+            self.tag))
+
+    def _emit(self, produced: Dict[str, List[Fact]]) -> List[EmissionBatch]:
+        """Dedup each head's batch into its ``t_out``; the fresh facts
+        (first-occurrence order) are exactly what gets routed."""
+        emitted: List[EmissionBatch] = []
+        for head, facts in produced.items():
+            pred = self._out_to_pred[head]
+            fresh = self._out[pred].add_new_many(facts)
             if fresh:
-                self.counters.record_new(plan.label, len(fresh))
-                if pred in emitted:
-                    emitted[pred].extend(fresh)
-                else:
-                    emitted[pred] = fresh
-        return list(emitted.items())
+                emitted.append((pred, fresh))
+        return emitted
 
     def receive(self, predicate: str, facts: Sequence[Fact],
                 remote: bool = True) -> None:
@@ -203,10 +170,6 @@ class ProcessorRuntime:
     def step_batches(self) -> List[EmissionBatch]:
         """:meth:`step`, the new tuples kept as one list per derived
         predicate (what the executors route)."""
-        # Close the previous round: prev (where kept) catches up with full.
-        for pred, prev in self._in_prev.items():
-            prev.update(self._in_delta[pred].facts())
-
         # Ingest: new tuples are the next deltas, duplicates are discarded
         # by the difference operation of the paper's receiving step.
         # Bulk path: plain staged rows and packed payloads (decoded
@@ -216,6 +179,8 @@ class ProcessorRuntime:
         # accounting.
         tracer = self.tracer
         tracing = tracer.enabled
+        in_names = self.program.in_names
+        full = self._loop.full
         fresh_of: Dict[str, List[Fact]] = {}
         for pred, staged in self._staged.items():
             payloads = self._staged_packed[pred]
@@ -234,30 +199,23 @@ class ProcessorRuntime:
                     rows.extend((value,) for value in columns[0])
                 else:
                     rows.extend(() for _ in range(count))
-            fresh = self._in_full[pred].add_new_many(rows)
+            fresh = full[in_names[pred]].add_new_many(rows)
             dropped = total - len(fresh)
             if fresh:
-                fresh_of[pred] = fresh
+                fresh_of[in_names[pred]] = fresh
             if dropped:
                 self.duplicates_dropped += dropped
                 if tracing:
                     tracer.tuple_dropped(self.tag, pred, count=dropped)
             staged.clear()
             payloads.clear()
-        self._set_deltas(fresh_of)
+        self._loop.advance(fresh_of)
         if not fresh_of:
             return []
 
         self.counters.iterations += 1
-        return self._fire(self._variant_plans)
-
-    def _set_deltas(self, fresh_of: Dict[str, List[Fact]]) -> None:
-        """Attach each ``t_in``'s next delta: its fresh facts, if any."""
-        for pred, iname in self.program.in_names.items():
-            self._in_delta[pred] = FactBatch(
-                iname + DELTA_SUFFIX, self.program.arities[pred],
-                fresh_of.get(pred, ()))
-            self.working.attach(self._in_delta[pred])
+        return self._emit(run_plans(self._loop.plans, self.working,
+                                    self.counters, tracer, self.tag))
 
     # ------------------------------------------------------------------
     # Checkpoint support
@@ -282,7 +240,9 @@ class ProcessorRuntime:
                 rows = staged.setdefault(pred, [])
                 for payload in payloads:
                     rows.extend(unpack_facts(payload))
-        return ({pred: list(rel) for pred, rel in self._in_full.items()},
+        full = self._loop.full
+        return ({pred: list(full[iname])
+                 for pred, iname in self.program.in_names.items()},
                 {pred: list(rel) for pred, rel in self._out.items()},
                 staged)
 
@@ -310,9 +270,10 @@ class ProcessorRuntime:
         already inside ``out_facts``.
         """
         for pred, facts in in_facts.items():
-            self._in_full[pred].update(facts)
-            if pred in self._in_prev:
-                self._in_prev[pred].update(facts)
+            iname = self.program.in_names[pred]
+            self._loop.full[iname].update(facts)
+            if iname in self._loop.prevs:
+                self._loop.prevs[iname].update(facts)
         for pred, facts in out_facts.items():
             self._out[pred].update(facts)
         for pred, facts in staged.items():
@@ -341,8 +302,3 @@ class ProcessorRuntime:
 def _flatten(batches: Sequence[EmissionBatch]) -> List[Emission]:
     """Per-predicate batches as the flat ``(predicate, tuple)`` list."""
     return [(pred, fact) for pred, facts in batches for fact in facts]
-
-
-def _plain_label(rule: Rule) -> str:
-    """A stable counter label for a rewritten rule."""
-    return str(rule)

@@ -84,7 +84,6 @@ class TestCounters:
     def test_as_dict(self):
         counters = EvalCounters()
         counters.record_firing("r")
-        counters.record_new("r")
         snapshot = counters.as_dict()
         assert snapshot["total_firings"] == 1
         assert snapshot["firings"] == {"r": 1}

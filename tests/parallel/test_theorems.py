@@ -3,7 +3,8 @@
 * Theorem 1 — the union program ``∪ Q_i`` has the same least model as
   the source sirup (checked by evaluating the union sequentially) and
   the operational parallel execution pools the same answer.
-* Theorem 2 — the Section 3 scheme is semi-naive non-redundant.
+* Theorem 2 — the Section 3 scheme is semi-naive non-redundant; at
+  n = 1, ``Q_1`` does exactly the work of ``L``.
 * Theorem 3 — the dataflow-cycle choice yields zero communication.
 * Theorem 4 — the Section 6 family rewriting is correct for any choice.
 * Theorem 5 — the Section 7 general rewriting is correct.
@@ -14,6 +15,7 @@ All are checked over random databases and random discriminating
 choices via hypothesis.
 """
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -32,8 +34,13 @@ from repro.parallel import (
 )
 from repro.workloads import (
     ancestor_program,
+    example6_program,
     nonlinear_ancestor_program,
+    random_dag_edges,
+    reverse_chain_program,
+    same_generation_database,
     same_generation_program,
+    transitive_closure_program,
 )
 
 edge_lists = st.lists(
@@ -114,6 +121,29 @@ class TestTheorem2:
         sequential = evaluate(program, database)
         assert (result.metrics.total_firings()
                 <= sequential.counters.total_firings())
+
+    @pytest.mark.parametrize("make", [
+        ancestor_program, transitive_closure_program,
+        nonlinear_ancestor_program, same_generation_program,
+        example6_program, reverse_chain_program,
+    ], ids=lambda make: make.__name__)
+    def test_q1_is_l(self, make):
+        """At n = 1, ``Q_1`` is ``L`` up to renaming and both run one
+        semi-naive loop, so it fires, probes and iterates exactly what
+        sequential semi-naive evaluation does."""
+        program = make()
+        if make is same_generation_program:
+            database = same_generation_database(pairs=3, depth=3, seed=5)
+        else:
+            database = Database.from_facts({
+                predicate: random_dag_edges(40, seed=index)
+                for index, predicate in enumerate(program.base_predicates)})
+        sequential = evaluate(program, database).counters
+        q1 = run_parallel(rewrite_general(program, (0,)),
+                          database).counters[0]
+        assert ((q1.total_firings(), q1.probes, q1.iterations)
+                == (sequential.total_firings(), sequential.probes,
+                    sequential.iterations))
 
 
 class TestTheorem3:

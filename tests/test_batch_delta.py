@@ -1,19 +1,22 @@
 """Deltas are batches (:class:`repro.facts.FactBatch`).
 
-Both semi-naive loops — the sequential one and each processor's — read
-a round's delta as the list of fresh facts its round close kept.  Each
-edge case a batch meets is checked here against naive evaluation,
-through ``seminaive_evaluate`` and through ``run_parallel``.  The
-checkpoint restore (``import_state``) is checked in
-``tests/parallel/test_processor.py``.
+The one semi-naive loop (``DeltaLoop``), which the sequential engine
+and each processor run, reads a round's delta as the list of fresh
+facts its round close kept.  Each edge case a batch meets is checked
+here against naive evaluation, through ``seminaive_evaluate`` and
+through ``run_parallel`` (and, for the facts a derived predicate starts
+with, ``run_multiprocessing``).  The checkpoint restore
+(``import_state``) is checked in ``tests/parallel/test_processor.py``.
 """
 
 import pytest
 
 from repro.datalog.parser import parse_program
-from repro.engine import evaluate, seminaive_evaluate
+from repro.datalog.program import Program
+from repro.engine import EvalCounters, evaluate, seminaive_evaluate
 from repro.facts import Database, FactBatch
 from repro.parallel import rewrite_general, run_parallel
+from repro.parallel.mp import run_multiprocessing
 from repro.workloads import nonlinear_ancestor_program, random_dag_edges
 
 # The last rule's delta atom carries a constant, so step 0 of its
@@ -81,10 +84,29 @@ class TestBatchDeltas:
 
 
 def test_program_facts_seed_the_first_delta(dag):
-    """The parallel rewrite reads proper rules only (a derived
-    predicate's program facts never reach a processor), so this case is
-    sequential."""
+    """A derived predicate's start facts — program facts, or an input
+    relation of its name — seed the first delta: sequentially, and in
+    the parallel executors through the one processor that seeds them
+    into its ``t_out`` (``ParallelProgram.local_database``).  Seeding
+    counts no firing, so ``Q_1`` still fires what ``L`` fires."""
     program = parse_program(PROGRAM_FACTS)
     answer = _sequential(program, dag)
     assert answer == _naive(program, dag)
     assert {x for x, y in answer if y not in (1, 3)} >= {100, 101}
+
+    rules = Program(program.proper_rules())
+    as_input = Database.from_facts({"par": list(dag.relation("par")),
+                                    "anc": [(100, 1), (101, 3)]})
+    assert _sequential(rules, as_input) == answer
+    for executor in (run_parallel, run_multiprocessing):
+        for n in (1, 2):
+            for source, database in ((program, dag), (rules, as_input)):
+                result = executor(rewrite_general(source, tuple(range(n))),
+                                  database)
+                case = (executor.__name__, n, source is program)
+                assert result.relation("anc").as_set() == answer, case
+
+    counters = EvalCounters()
+    seminaive_evaluate(program, dag, counters)
+    q1 = run_parallel(rewrite_general(program, (0,)), dag).counters[0]
+    assert q1.total_firings() == counters.total_firings()
