@@ -117,16 +117,10 @@ def _cmd_parallel(args: argparse.Namespace) -> int:
         raise ReproError(
             "--recovery checkpoint needs real worker processes to "
             "snapshot; add --mp (the simulator supports fail/restart)")
-    if args.sync == "ssp" and args.mp:
-        raise ReproError(
-            "--sync ssp is a simulator model of barrier relaxation; "
-            "--mp workers already run free (drop --mp to simulate it)")
     program, database = _load(args.program, args.facts)
     parallel_program = _build_scheme(args, program, database)
-    mode = (f"{args.sync}(staleness={args.staleness})"
-            if args.sync == "ssp" else args.sync)
     print(f"scheme: {parallel_program.scheme} on "
-          f"{len(parallel_program.processors)} processors [{mode}]")
+          f"{len(parallel_program.processors)} processors")
     print("base-relation storage:")
     for line in parallel_program.fragmentation.describe().splitlines():
         print(f"  {line}")
@@ -170,8 +164,7 @@ def _cmd_parallel(args: argparse.Namespace) -> int:
                                   detect_termination=args.detect_termination,
                                   delay_probability=args.delay_prob,
                                   seed=args.seed, tracer=tracer,
-                                  recovery=args.recovery, faults=faults,
-                                  sync=args.sync, staleness=args.staleness)
+                                  recovery=args.recovery, faults=faults)
             if result.metrics.restarts:
                 print(f"processors restarted after injected faults: "
                       f"{result.metrics.restarts}")
@@ -325,14 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="retention fraction for --scheme tradeoff")
     par.add_argument("--mp", action="store_true",
                      help="use real OS processes instead of the simulator")
-    par.add_argument("--sync", choices=("bsp", "ssp"), default="bsp",
-                     help="synchronisation regime (simulator only): bsp = "
-                          "barriered rounds, ssp = stale-synchronous with a "
-                          "bounded staleness lead (docs/EXECUTION_MODES.md)")
-    par.add_argument("--staleness", type=int, default=2,
-                     help="SSP lead bound (simulator only): max steps a "
-                          "processor may run ahead of the slowest one still "
-                          "holding work (>= 1; ignored under --sync bsp)")
     par.add_argument("--detect-termination", action="store_true",
                      help="run Safra's detector (simulator only)")
     par.add_argument("--delay-prob", type=float, default=0.0,

@@ -37,7 +37,6 @@ from .events import (
     WORKER_EXIT,
     WORKER_RESTART,
     WORKER_SPAWN,
-    WORKER_STALLED,
 )
 from .report import TraceReport, load_trace
 from .sinks import (
@@ -78,7 +77,6 @@ __all__ = [
     "WORKER_EXIT",
     "WORKER_RESTART",
     "WORKER_SPAWN",
-    "WORKER_STALLED",
     "ensure_tracer",
     "event_to_json",
     "load_trace",

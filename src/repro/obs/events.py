@@ -36,7 +36,6 @@ __all__ = [
     "WORKER_EXIT",
     "WORKER_RESTART",
     "WORKER_SPAWN",
-    "WORKER_STALLED",
 ]
 
 RUN_START = "run_start"
@@ -52,7 +51,6 @@ WORKER_SPAWN = "worker_spawn"
 WORKER_EXIT = "worker_exit"
 WORKER_DOWN = "worker_down"
 WORKER_RESTART = "worker_restart"
-WORKER_STALLED = "worker_stalled"
 REPLAY = "replay"
 CHECKPOINT = "checkpoint"
 RESTORE = "restore"
@@ -62,7 +60,7 @@ EVENT_KINDS = frozenset({
     RUN_START, RUN_END, ROUND_START, ROUND_END, RULE_FIRED,
     TUPLE_SENT, TUPLE_RECEIVED, TUPLE_DROPPED, PROBE,
     WORKER_SPAWN, WORKER_EXIT, WORKER_DOWN, WORKER_RESTART,
-    WORKER_STALLED, REPLAY, CHECKPOINT, RESTORE, LOG_TRUNCATE,
+    REPLAY, CHECKPOINT, RESTORE, LOG_TRUNCATE,
 })
 
 # Keys of the flat dict form that are *not* payload entries.

@@ -40,7 +40,6 @@ from .events import (
     WORKER_EXIT,
     WORKER_RESTART,
     WORKER_SPAWN,
-    WORKER_STALLED,
 )
 from .sinks import TraceSink
 
@@ -169,12 +168,6 @@ class Tracer:
     def worker_restart(self, proc: str, **data: object) -> None:
         """A dead processor was restarted from its base fragment."""
         self.emit(WORKER_RESTART, proc=proc, **data)
-
-    def worker_stalled(self, proc: str, lag: int, **data: object) -> None:
-        """A processor with pending input was throttled by the SSP
-        staleness bound (emitted on entry to the stalled state, not per
-        stalled tick — keeps traces small)."""
-        self.emit(WORKER_STALLED, proc=proc, lag=lag, **data)
 
     def replay(self, proc: str, dst: str, count: int) -> None:
         """``proc`` re-sent its logged tuples to a restarted ``dst``."""

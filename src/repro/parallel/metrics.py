@@ -141,31 +141,15 @@ class CostModel:
 class ParallelMetrics:
     """Counters observed during one parallel execution.
 
-    The synchronisation fields describe the execution regime (see
-    ``docs/EXECUTION_MODES.md``): ``sync`` is ``"bsp"`` (barriered
-    rounds) or ``"ssp"`` (stale-synchronous, bounded staleness) and
-    ``staleness`` is the SSP lead bound.  ``busy``/``idle``/``stalled``
-    split each processor's modelled time into productive work, waiting
-    for input or a barrier, and being throttled by the staleness bound;
-    all three are measured in the same work-unit currency (one unit ≈
-    one engine operation), so BSP and SSP runs are directly comparable.
-    ``ticks`` is the modelled end-to-end time in those units and
-    ``max_staleness_lag`` the largest clock lead any processor ever had
-    over the slowest processor that still held pending work.  The mp
-    executor's workers run free, with no tick model and no throttle: it
-    reports ``sync="bsp"`` and leaves these fields empty.
+    The simulator records its rounds' per-processor loads in the
+    ``per_round_*`` lists, which price :meth:`makespan`.  The mp
+    executor's workers run free, with no global rounds, so it leaves
+    those lists empty.
     """
 
     scheme: str
     processors: Tuple[ProcessorId, ...]
-    sync: str = "bsp"
-    staleness: Optional[int] = None
     rounds: int = 0
-    ticks: int = 0
-    busy: Counter = field(default_factory=Counter)     # i -> work-units working
-    idle: Counter = field(default_factory=Counter)     # i -> work-units waiting
-    stalled: Counter = field(default_factory=Counter)  # i -> work-units throttled
-    max_staleness_lag: int = 0
     firings: Dict[ProcessorId, int] = field(default_factory=dict)
     probes: Dict[ProcessorId, int] = field(default_factory=dict)
     sent: Counter = field(default_factory=Counter)            # (i, j) -> tuples, i != j
@@ -300,51 +284,13 @@ class ParallelMetrics:
             ratios.append(mean / peak)
         return sum(ratios) / len(ratios) if ratios else 1.0
 
-    # ------------------------------------------------------------------
-    # Busy/idle accounting (BSP and SSP share this currency)
-    # ------------------------------------------------------------------
-    def worker_utilisation(self) -> Dict[ProcessorId, float]:
-        """Per-processor fraction of modelled time spent doing work.
-
-        ``busy / (busy + idle + stalled)`` per processor; 1.0 when a
-        processor was never observed (nothing to divide).
-        """
-        utilisation: Dict[ProcessorId, float] = {}
-        for proc in self.processors:
-            total = (self.busy.get(proc, 0) + self.idle.get(proc, 0)
-                     + self.stalled.get(proc, 0))
-            utilisation[proc] = (self.busy.get(proc, 0) / total
-                                 if total else 1.0)
-        return utilisation
-
-    def mean_utilisation(self) -> float:
-        """Mean of :meth:`worker_utilisation` over all processors."""
-        per_worker = self.worker_utilisation()
-        if not per_worker:
-            return 1.0
-        return sum(per_worker.values()) / len(per_worker)
-
-    def total_idle(self) -> int:
-        """Work-units all processors spent waiting (barrier or input)."""
-        return sum(self.idle.values())
-
-    def total_stalled(self) -> int:
-        """Work-units all processors spent throttled by the staleness bound."""
-        return sum(self.stalled.values())
-
     def summary(self) -> Dict[str, object]:
         """A flat summary dict for tables and reports."""
         return {
             "scheme": self.scheme,
-            "sync": (self.sync if self.staleness is None
-                     else f"{self.sync}({self.staleness})"),
             "processors": len(self.processors),
             "rounds": self.rounds,
-            "ticks": self.ticks,
-            "utilisation": round(self.mean_utilisation(), 4),
-            "idle": self.total_idle(),
-            "stalled": self.total_stalled(),
-            "max_lag": self.max_staleness_lag,
+            "utilisation": round(self.utilisation(), 4),
             "firings": self.total_firings(),
             "work": self.total_work(),
             "sent": self.total_sent(),

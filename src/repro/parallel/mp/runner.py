@@ -15,9 +15,9 @@ balanced, pending-free cluster, or — the fallback — for
 its last firing rather than one to two sleeps after it.  Each worker's
 RESULT is unioned into the output as soon as it is dequeued.
 
-Workers run free: Theorem 2 bounds total firings under any schedule,
-so holding one back cannot save work (barrier relaxation is modelled
-in the simulator).
+Workers run free, with no barrier and no throttle: Theorem 2 bounds
+total firings under any schedule, so holding one back cannot save
+work.
 
 Fault tolerance.  The coordinator polls ``Process.is_alive`` inside the
 ack-collection loop, so a worker that dies *silently* (``SIGKILL``, OOM

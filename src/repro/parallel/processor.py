@@ -147,18 +147,6 @@ class ProcessorRuntime:
         return (any(self._staged.values())
                 or any(self._staged_packed.values()))
 
-    def staged_size(self) -> int:
-        """Staged tuples awaiting the next step (duplicates included).
-
-        The simulator's SSP engine reports this when a processor is
-        throttled, so traces show how much work the staleness bound is
-        holding back.
-        """
-        return (sum(len(staged) for staged in self._staged.values())
-                + sum(packed_fact_count(payload)
-                      for payloads in self._staged_packed.values()
-                      for payload in payloads))
-
     def step(self) -> List[Emission]:
         """Run one semi-naive round over the staged input.
 

@@ -295,14 +295,19 @@ def _build_union(program: Program, processors: Tuple[ProcessorId, ...],
     """The literal union ``∪_i T_i`` as one Datalog program.
 
     Its least model restricted to the source predicates must equal the
-    source program's (Theorems 1, 4 and 5).
+    source program's (Theorems 1, 4 and 5).  A derived predicate's
+    program facts go into the first processor's ``t_out``, as in
+    :meth:`~.plans.ParallelProgram.local_database`, so the sending rules
+    route them; base facts stay as they are.
     """
     derived_set = set(derived)
     avoid = {v.name for rule in rules for v in rule.variables()}
     pool_vars = {pred: _fresh_variables(arities[pred], avoid)
                  for pred in derived}
-    union_rules: List[Rule] = list(
-        Rule(head) for head in program.facts())
+    union_rules: List[Rule] = [
+        Rule(head.with_predicate(out_name(head.predicate, processors[0]))
+             if head.predicate in derived_set else head)
+        for head in program.facts()]
 
     for i in processors:
         for index, rule in enumerate(rules):

@@ -1,32 +1,21 @@
 """A deterministic simulated cluster for rewritten programs.
 
 The abstract architecture of Section 3: a set of processors, a reliable
-channel ``ij`` for every ordered pair, asynchronous receives.  One tick
-engine runs it: at every tick each processor ingests whatever reached
-it and, unless it is inside a step or throttled, fires its processing
-rules semi-naively on the new tuples; the outputs are routed for
-delivery at the tick after the step ends.  Ticks make every metric
-exactly reproducible; message *delay* can be injected (a tuple is held
-back one extra tick, drawn once at send) to exercise the asynchrony
-the paper claims the schemes tolerate.
-
-Two synchronisation regimes run on that engine (see
-``docs/EXECUTION_MODES.md``).  Under ``sync="bsp"`` every step lasts
-one tick and nothing is throttled, so every tick is one barriered
-round.  Under ``sync="ssp"`` (stale-synchronous) a step costs ticks
-proportional to its work divided by the processor's modelled
-``capacity``, and a processor may run ahead of the slowest processor
-that still holds work by at most ``staleness`` steps before it is
-throttled.  Because the discriminating-function partition makes every
-derivation set-monotone and non-redundant, firing on stale deltas can
-only delay tuples, never corrupt them — the pooled answer is identical
-to BSP and to sequential evaluation (Theorem 1), while skewed workloads
-keep fast processors busy instead of idling at barriers.
+channel ``ij`` for every ordered pair, asynchronous receives.  The
+simulator runs it in the paper's rounds: at every tick each processor
+ingests whatever reached it and, if it has new tuples, fires its
+processing rules semi-naively on them once; the outputs are routed for
+delivery at the next tick.  So every tick is one barriered round, and
+its per-processor loads feed the makespan model of
+:class:`~.metrics.ParallelMetrics`.  Ticks make every metric exactly
+reproducible; message *delay* can be injected (a tuple is held back one
+extra tick, drawn once at send) to exercise the asynchrony the paper
+claims the schemes tolerate.
 
 Termination is the condition that all processors are idle and all
-channels empty.  The simulator sees this globally; optionally (BSP
-only) it also runs Safra's token-ring termination-detection algorithm —
-the "standard algorithm of Distributed Computing" the paper defers to
+channels empty.  The simulator sees this globally; optionally it also
+runs Safra's token-ring termination-detection algorithm — the
+"standard algorithm of Distributed Computing" the paper defers to
 [5, 7] — and reports its control-message overhead and detection delay.
 
 Fault injection (see :mod:`repro.parallel.faults`) shares its spec
@@ -43,12 +32,11 @@ exactly.
 
 from __future__ import annotations
 
-import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Dict, Hashable, Iterable, List, Mapping,
-                    Optional, Sequence, Set, Tuple)
+from typing import (TYPE_CHECKING, Dict, Hashable, Iterable, List, Optional,
+                    Sequence, Set, Tuple)
 
 from ..engine.collector import collect_young, collector_paused
 from ..engine.counters import EvalCounters
@@ -177,20 +165,6 @@ class SimulatedCluster:
             :class:`~repro.errors.ExecutionError`; ``"restart"`` — the
             killed processor is rebuilt from its base fragment and its
             peers replay their sent-logs to it.
-        sync: ``"bsp"`` (default) — one-tick steps, no throttle, so
-            every tick is a barriered round; ``"ssp"`` — work-priced
-            steps under the staleness bound (see the module docstring
-            and ``docs/EXECUTION_MODES.md``).
-        staleness: SSP lead bound — a processor may start a step only
-            while its clock is less than ``staleness`` ahead of the
-            slowest processor that still holds work.  Must be ``>= 1``
-            (the slowest work-holder itself always has lag 0 and can
-            step, which is what makes SSP live).  Ignored under BSP.
-        capacity: optional per-processor speed map (processor *tag* ->
-            work-units per tick, default 1.0) for the SSP cost model; a
-            step performing ``w`` work occupies ``ceil(max(w, 1) /
-            capacity)`` ticks.  Lets experiments model deliberately
-            slow processors.  SSP only.
     """
 
     def __init__(self, program: ParallelProgram, database: Database,
@@ -200,10 +174,7 @@ class SimulatedCluster:
                  network: Optional["NetworkGraph"] = None,
                  tracer: Optional[Tracer] = None,
                  faults: Optional[FaultPlan] = None,
-                 recovery: str = "fail",
-                 sync: str = "bsp",
-                 staleness: int = 2,
-                 capacity: Optional[Mapping[str, float]] = None) -> None:
+                 recovery: str = "fail") -> None:
         if recovery not in ("fail", "restart"):
             raise ExecutionError(
                 f"unknown recovery policy {recovery!r}: expected 'fail' or "
@@ -212,22 +183,6 @@ class SimulatedCluster:
             raise ConfigurationError(
                 f"delay_probability must be in [0, 1], got "
                 f"{delay_probability!r}")
-        if sync not in ("bsp", "ssp"):
-            raise ExecutionError(
-                f"unknown sync mode {sync!r}: expected 'bsp' or 'ssp'")
-        if sync == "ssp":
-            if staleness < 1:
-                raise ExecutionError(
-                    "ssp requires staleness >= 1: the slowest work-holding "
-                    "processor has lag 0 and must always be allowed to step")
-            if detect_termination:
-                raise ExecutionError(
-                    "Safra's detector is defined over barriered rounds; "
-                    "detect_termination requires sync='bsp'")
-        elif capacity:
-            raise ExecutionError(
-                "per-processor capacity modelling is part of the SSP cost "
-                "model; pass sync='ssp' to use it")
         self.program = program
         self.database = database
         self.delay_probability = delay_probability
@@ -236,21 +191,9 @@ class SimulatedCluster:
         self.network = network
         self.tracer = ensure_tracer(tracer)
         self.recovery = recovery
-        self.sync = sync
-        self.staleness = staleness
         self._rng = random.Random(seed)
         self._order = sorted(program.processors, key=processor_tag)
         self._tags = {proc: processor_tag(proc) for proc in self._order}
-        self._capacity: Dict[str, float] = dict(capacity) if capacity else {}
-        known_tags = set(self._tags.values())
-        for tag, speed in self._capacity.items():
-            if tag not in known_tags:
-                raise ExecutionError(
-                    f"capacity names unknown processor {tag!r}; known: "
-                    f"{sorted(known_tags)}")
-            if speed <= 0:
-                raise ExecutionError(
-                    f"capacity of {tag!r} must be positive, got {speed!r}")
         self.runtimes: Dict[ProcessorId, ProcessorRuntime] = {}
         self._routers = {}
         for proc in self._order:
@@ -259,8 +202,7 @@ class SimulatedCluster:
                 program.program_for(proc), local, tracer=self.tracer)
             self._routers[proc] = program.program_for(proc).router_table()
         self.metrics = ParallelMetrics(
-            scheme=program.scheme, processors=tuple(self._order),
-            sync=sync, staleness=staleness if sync == "ssp" else None)
+            scheme=program.scheme, processors=tuple(self._order))
         self._detector = (_SafraDetector(self._order)
                           if detect_termination else None)
         # Fault injection state: kill thresholds by processor (one-shot),
@@ -400,24 +342,20 @@ class SimulatedCluster:
         return remote_received
 
     def _apply_kills(self, tick: int, deliveries: Dict[int, List[Message]],
-                     inflight_to: Counter, clock: Dict[ProcessorId, int],
-                     busy_until: Dict[ProcessorId, int]) -> None:
+                     inflight_to: Counter) -> None:
         """Fire armed kills whose firing threshold was crossed.
 
-        Called at the end of each tick, for processors not inside a
-        step.  Under ``recovery="fail"`` the first kill aborts the run;
-        under ``"restart"`` the runtime is rebuilt from its base
-        fragment (all derived state is lost, modelling a process death),
-        and the peers' sent-log replay and the re-fired initialization
-        rules arrive at the next tick.  The rebuilt clock restarts at 0,
-        which can only *lower* the SSP horizon: peers over-throttle
-        rather than race ahead of a recovering processor.  Kills are
-        one-shot.
+        Called at the end of each tick.  Under ``recovery="fail"`` the
+        first kill aborts the run; under ``"restart"`` the runtime is
+        rebuilt from its base fragment (all derived state is lost,
+        modelling a process death), and the peers' sent-log replay and
+        the re-fired initialization rules arrive at the next tick.
+        Kills are one-shot.
         """
         tracing = self.tracer.enabled
         for proc, threshold in list(self._kill_after.items()):
             firings = self.runtimes[proc].counters.total_firings()
-            if busy_until[proc] > tick + 1 or firings < threshold:
+            if firings < threshold:
                 continue
             del self._kill_after[proc]
             tag = self._tags[proc]
@@ -431,7 +369,6 @@ class SimulatedCluster:
             self.runtimes[proc] = ProcessorRuntime(
                 self.program.program_for(proc), local, tracer=self.tracer)
             self.metrics.restarts += 1
-            clock[proc] = 0
             if tracing:
                 self.tracer.worker_restart(tag, tick=tick)
             for src in self._order:
@@ -459,26 +396,15 @@ class SimulatedCluster:
                 self._route(proc, self.runtimes[proc].initialize_batches()),
                 tick, deliveries, inflight_to)
 
-    def _duration(self, proc: ProcessorId, work: float) -> int:
-        """Ticks a step performing ``work`` occupies ``proc`` for."""
-        if self.sync == "bsp":
-            return 1
-        speed = self._capacity.get(self._tags[proc], 1.0)
-        return max(1, int(math.ceil(max(work, 1.0) / speed)))
-
     @collector_paused()
     def run(self) -> ParallelResult:
         """Execute to quiescence and pool the answers.
 
-        At every tick each processor is *busy* (inside a step of
-        :meth:`_duration` ticks), *idle* (no staged input), *stalled*
-        (throttled by the SSP staleness bound), or starts a step.  The
-        horizon is the minimum clock over processors that still hold
-        work — staged input, a step in progress, or in-flight messages
-        headed their way — so a finished processor never throttles the
-        rest.  Under SSP a processor may start a step only while
-        ``clock - horizon < staleness``; under BSP every step lasts one
-        tick and nothing is throttled, so a tick is a barriered round.
+        Tick 0 fires the initialization rules.  At every later tick the
+        due messages are delivered, and each processor with staged input
+        takes one step; the others are idle.  The run ends at the first
+        tick at which no processor has staged input and no message is in
+        flight (and, with Safra's detector, once it has detected that).
 
         Raises:
             ExecutionError: if ``max_rounds`` ticks pass without
@@ -487,39 +413,27 @@ class SimulatedCluster:
         """
         tracer = self.tracer
         tracing = tracer.enabled
-        metrics = self.metrics
-        # BSP records per-round loads and prices each round at its
-        # barrier; SSP counts busy/idle/stalled per tick.
-        per_round = self.sync == "bsp"
         if tracing:
             tracer.run_start(scheme=self.program.scheme,
                              processors=[self._tags[p] for p in self._order],
                              executor="simulator")
-            if per_round:
-                tracer.current_round = 0
+            tracer.current_round = 0
             for proc in self._order:
                 tracer.worker_spawn(self._tags[proc])
 
         deliveries: Dict[int, List[Message]] = {}
         inflight_to: Counter = Counter()
-        clock: Dict[ProcessorId, int] = {p: 0 for p in self._order}
-        busy_until: Dict[ProcessorId, int] = {p: 1 for p in self._order}
-        stalled_now: Set[ProcessorId] = set()
         for proc in self._order:
-            # Initialization rules fire at tick 0 and occupy it.
             emissions = self.runtimes[proc].initialize_batches()
             self._schedule(self._route(proc, emissions), 0, deliveries,
                            inflight_to)
-            if not per_round:
-                metrics.busy[proc] += 1
 
         quiescent_tick: Optional[int] = None
         tick = 1
         while True:
-            holders = [p for p in self._order
-                       if busy_until[p] > tick or inflight_to[p] > 0
-                       or self.runtimes[p].has_pending_input()]
-            if not holders:
+            if not any(inflight_to[p] > 0
+                       or self.runtimes[p].has_pending_input()
+                       for p in self._order):
                 if quiescent_tick is None:
                     quiescent_tick = tick - 1
                 if self._detector is None or self._detector.detected:
@@ -527,64 +441,33 @@ class SimulatedCluster:
             if tick > self.max_rounds:
                 raise ExecutionError(
                     f"no quiescence after {self.max_rounds} ticks")
-            if per_round and tracing:
+            if tracing:
                 tracer.round_start(tick)
             received = self._deliver(deliveries.pop(tick, []), inflight_to)
-            horizon = min((clock[p] for p in holders), default=0)
 
             tick_work: Dict[ProcessorId, float] = {}
             tick_sent: Dict[ProcessorId, int] = {}
             idle: Dict[ProcessorId, bool] = {}
             for proc in self._order:
-                if busy_until[proc] > tick:
-                    metrics.busy[proc] += 1
-                    continue
                 runtime = self.runtimes[proc]
                 if not runtime.has_pending_input():
                     idle[proc] = True
-                    stalled_now.discard(proc)
-                    if not per_round:
-                        metrics.idle[proc] += 1
                     continue
-                lag = clock[proc] - horizon
-                if self.sync == "ssp" and lag >= self.staleness:
-                    metrics.stalled[proc] += 1
-                    if proc not in stalled_now:
-                        stalled_now.add(proc)
-                        if tracing:
-                            tracer.worker_stalled(
-                                self._tags[proc], lag,
-                                staged=runtime.staged_size(), tick=tick)
-                    continue
-                stalled_now.discard(proc)
-                if not per_round:
-                    metrics.busy[proc] += 1
-                    metrics.max_staleness_lag = max(
-                        metrics.max_staleness_lag, lag + 1)
                 before = runtime.work_done()
                 emissions = runtime.step_batches()
-                work = runtime.work_done() - before
-                duration = self._duration(proc, work)
-                clock[proc] += 1
-                busy_until[proc] = tick + duration
+                tick_work[proc] = runtime.work_done() - before
                 idle[proc] = not emissions and not runtime.has_pending_input()
                 messages = self._route(proc, emissions)
-                # Emissions travel once the step completes: schedule
-                # against the step's last busy tick.
-                self._schedule(messages, tick + duration - 1, deliveries,
-                               inflight_to)
-                tick_work[proc] = work
+                self._schedule(messages, tick, deliveries, inflight_to)
                 tick_sent[proc] = sum(
                     len(facts) for destination, _, _, facts in messages
                     if destination != proc)
                 # The step's facts leave the collector while in cache.
                 collect_young()
-            if per_round:
-                self._record_round(tick, tick_work, tick_sent, received)
+            self._record_round(tick, tick_work, tick_sent, received)
 
             if self._kill_after:
-                self._apply_kills(tick, deliveries, inflight_to, clock,
-                                  busy_until)
+                self._apply_kills(tick, deliveries, inflight_to)
             if self._detector is not None:
                 hops_before = self._detector.hops
                 self._detector.advance(idle)
@@ -595,25 +478,15 @@ class SimulatedCluster:
             tick += 1
 
         if self._detector is not None:
-            metrics.control_messages = self._detector.hops
-            metrics.detection_rounds = tick - 1 - quiescent_tick
-        if per_round:
-            metrics.rounds = tick - 1
-        else:
-            metrics.ticks = tick
-            metrics.rounds = max(clock.values(), default=0)
+            self.metrics.control_messages = self._detector.hops
+            self.metrics.detection_rounds = tick - 1 - quiescent_tick
+        self.metrics.rounds = tick - 1
         return self._finish()
 
     def _record_round(self, tick: int, work: Dict[ProcessorId, float],
                       sent: Dict[ProcessorId, int],
                       received: Dict[ProcessorId, int]) -> None:
-        """Record one barriered round: per-processor loads and cost.
-
-        A round lasts as long as its most loaded processor; everyone
-        else waits at the barrier for the difference.  This puts BSP in
-        the busy/idle/ticks currency SSP counts per tick, so
-        utilisation is comparable across regimes.
-        """
+        """Record one round's per-processor loads for the cost model."""
         metrics = self.metrics
         round_work = {p: work.get(p, 0) for p in self._order}
         round_sent = {p: sent.get(p, 0) for p in self._order}
@@ -621,12 +494,6 @@ class SimulatedCluster:
         metrics.per_round_work.append(round_work)
         metrics.per_round_sent.append(round_sent)
         metrics.per_round_received.append(round_received)
-        peak = int(math.ceil(max(round_work.values(), default=0)))
-        if peak > 0:
-            metrics.ticks += peak
-            for proc, load in round_work.items():
-                metrics.busy[proc] += int(load)
-                metrics.idle[proc] += peak - int(load)
         if self.tracer.enabled:
             tags = self._tags
             self.tracer.round_end(

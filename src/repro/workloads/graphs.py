@@ -89,8 +89,7 @@ def powerlaw_dag_edges(nodes: int, parents: int = 2, exponent: float = 1.2,
     a hash partition of the recursive attribute this concentrates the
     derived tuples (and hence the firings) on the processors owning the
     hubs — the skewed load-balancing workload the paper's future-work
-    section asks about, and the one where stale-synchronous execution
-    visibly beats barriered rounds (``docs/EXECUTION_MODES.md``).
+    section asks about (``EXPERIMENTS.md`` T8 and T11).
     """
     rng = random.Random(seed)
     edges = set()

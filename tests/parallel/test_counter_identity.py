@@ -15,16 +15,12 @@ every delta row carries its own join key, so the batch join expands it
 without grouping, where the DAG and the non-linear rule share buckets
 across rows.
 
-The stale-synchronous case pins the simulator's modelled time: the
-power-law ``skewed`` workload under ``hash_scheme`` with a staleness
-bound of 2, where ``ticks`` and ``stalled`` measure how far processors
-run ahead of the slowest one.
-
-The remaining literals pin what the simulator's one tick engine must
-reproduce in both regimes: the barrier cost model BSP derives from its
-per-round loads (``ticks``, busy and idle work-units), Safra's detector
-overhead, the SSP engine's busy/idle/lead accounting and a BSP
-restart-and-replay run.
+The remaining literals pin what the simulator's rounds must
+reproduce: the barrier cost model derived from its per-round loads,
+Safra's detector overhead and a restart-and-replay run.  The cost-model
+literals were recorded as ``ticks``, ``busy`` and ``idle`` counters,
+which the simulator no longer keeps; they are read here from
+``per_round_work`` through the identities those counters satisfied.
 """
 
 import random
@@ -33,17 +29,13 @@ import pytest
 
 from repro.facts import Database
 from repro.parallel import (
+    CostModel,
     build_fault_plan,
     example3_scheme,
-    hash_scheme,
     rewrite_general,
     run_parallel,
 )
-from repro.workloads import (
-    ancestor_program,
-    make_workload,
-    nonlinear_ancestor_program,
-)
+from repro.workloads import ancestor_program, nonlinear_ancestor_program
 
 PROCESSORS = (0, 1, 2)
 
@@ -75,13 +67,8 @@ PINNED = {
         channel_messages=42, channel_bytes=558110, duplicates_dropped=4008),
 }
 
-# ``skewed``, 48 nodes, seed 3; hash_scheme on four processors, SSP with
-# staleness 2 -> counters recorded at the parent commit.
-PINNED_SSP = dict(ticks=130, stalled=33, rounds=8, firings=314,
-                  tuples_sent=145, facts_out=187)
-
-# The same cases under BSP: the barrier cost model derived from the
-# per-round loads -> counters recorded at the parent commit.
+# The same cases: the barrier cost model derived from the per-round
+# loads -> counters recorded at the parent commit.
 PINNED_BSP_COST = {
     ("example3", "tree_db"): dict(ticks=137, busy=291, idle=120),
     ("example3", "dag_db"): dict(ticks=509, busy=1078, idle=449),
@@ -94,9 +81,6 @@ PINNED_BSP_COST = {
 
 # example3 on ``dag_db`` with Safra's detector running.
 PINNED_SAFRA = dict(rounds=15, control_messages=9, detection_rounds=7)
-
-# The PINNED_SSP run's remaining cost-model counters.
-PINNED_SSP_COST = dict(busy=447, idle=40, max_staleness_lag=2)
 
 # example3 on ``tree_db``, processor 1 killed after 40 firings and
 # restarted with sent-log replay.
@@ -137,31 +121,16 @@ def test_reference_join_gives_the_same_counters(scheme, fixture,
     assert _counters(scheme, database) == PINNED[scheme, fixture]
 
 
-def test_ssp_counters_equal_parent_commit():
-    workload = make_workload("skewed", 48, seed=3)
-    parallel = hash_scheme(workload.program, (0, 1, 2, 3))
-    result = run_parallel(parallel, workload.database, sync="ssp",
-                          staleness=2)
-    metrics = result.metrics
-    assert dict(
-        ticks=metrics.ticks,
-        stalled=metrics.total_stalled(),
-        rounds=metrics.rounds,
-        firings=metrics.total_firings(),
-        tuples_sent=metrics.total_sent(),
-        facts_out=sum(len(result.relation(predicate))
-                      for predicate in parallel.derived),
-    ) == PINNED_SSP
-
-
 @pytest.mark.parametrize("scheme,fixture", sorted(PINNED_BSP_COST))
 def test_bsp_barrier_cost_equals_parent_commit(scheme, fixture, request):
     database = request.getfixturevalue(fixture)
     metrics = run_parallel(SCHEMES[scheme](), database).metrics
+    ticks = metrics.makespan(CostModel(0, 0, 0))
+    busy = sum(sum(work.values()) for work in metrics.per_round_work)
     assert dict(
-        ticks=metrics.ticks,
-        busy=sum(metrics.busy.values()),
-        idle=metrics.total_idle(),
+        ticks=ticks,
+        busy=busy,
+        idle=ticks * len(metrics.processors) - busy,
     ) == PINNED_BSP_COST[scheme, fixture]
 
 
@@ -173,18 +142,6 @@ def test_safra_overhead_equals_parent_commit(dag_db):
         control_messages=metrics.control_messages,
         detection_rounds=metrics.detection_rounds,
     ) == PINNED_SAFRA
-
-
-def test_ssp_cost_model_equals_parent_commit():
-    workload = make_workload("skewed", 48, seed=3)
-    parallel = hash_scheme(workload.program, (0, 1, 2, 3))
-    metrics = run_parallel(parallel, workload.database, sync="ssp",
-                           staleness=2).metrics
-    assert dict(
-        busy=sum(metrics.busy.values()),
-        idle=metrics.total_idle(),
-        max_staleness_lag=metrics.max_staleness_lag,
-    ) == PINNED_SSP_COST
 
 
 def test_bsp_restart_equals_parent_commit(tree_db):

@@ -67,17 +67,6 @@ class TestForkOnly:
         assert set(multiprocessing.active_children()) <= before
 
 
-@pytest.mark.mp
-class TestMetricsRegime:
-    def test_mp_reports_bsp(self, ancestor, chain_db):
-        """Free-running workers report the barrier-free regime: ``bsp``
-        with no staleness bound."""
-        program = example3_scheme(ancestor, (0, 1))
-        result = run_multiprocessing(program, chain_db, timeout=60)
-        assert result.metrics.sync == "bsp"
-        assert result.metrics.staleness is None
-
-
 def _stub_worker(runtime, inbox, _peers, coordinator_queue, *_options,
                  script):
     """A worker that follows ``script`` instead of evaluating anything.

@@ -7,7 +7,7 @@ points and schemes, including a Hypothesis property test.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.engine import evaluate
@@ -184,7 +184,7 @@ def _scheme(name, program, database):
 @pytest.mark.faultinjection
 @settings(max_examples=25, deadline=None)
 @given(scheme=st.sampled_from(["example2", "example3", "hash", "wolfson"]),
-       victim=st.integers(min_value=0, max_value=1),
+       victim=st.integers(min_value=0, max_value=2),
        kill_at=st.integers(min_value=0, max_value=80),
        tree_seed=st.integers(min_value=0, max_value=5))
 def test_theorem1_under_single_kill_property(scheme, victim, kill_at,
@@ -196,6 +196,7 @@ def test_theorem1_under_single_kill_property(scheme, victim, kill_at,
     database = Database.from_facts(
         {"par": random_tree_edges(40, seed=tree_seed)})
     parallel_program = _scheme(scheme, program, database)
+    assume(victim < len(parallel_program.processors))
     from repro.parallel.naming import processor_tag
     tag = processor_tag(parallel_program.processors[victim])
     plan = build_fault_plan([f"kill:{tag}@{kill_at}"])

@@ -225,14 +225,6 @@ class TestRecoveryFlags:
         assert code == 2
         assert "--mp" in capsys.readouterr().err
 
-    def test_ssp_with_mp_rejected(self, program_file, capsys):
-        code = main(["parallel", program_file, "-n", "2", "--mp",
-                     "--sync", "ssp"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "simulator model" in err
-        assert "already run free" in err
-
     @pytest.mark.faultinjection
     def test_channel_fault_under_mp_is_the_library_error(self, program_file,
                                                          capsys):
