@@ -182,6 +182,17 @@ def _cmd_parallel(args: argparse.Namespace) -> int:
         print()
         for key, value in summary.items():
             print(f"  {key}: {value}")
+        if args.mp:
+            from .parallel.naming import processor_tag
+
+            # Seconds each worker spent blocked on its inbox, in steps
+            # and routing the steps' output.
+            for proc, stats in result.stats.items():
+                print(f"  worker {processor_tag(proc)}: "
+                      f"inbox_wait_s={stats.inbox_wait_s:.4f} "
+                      f"step_s={stats.step_s:.4f} "
+                      f"send_s={stats.send_s:.4f} "
+                      f"longest_step_s={stats.longest_step_s:.4f}")
     if args.check:
         sequential = evaluate(program, database)
         matches = all(
@@ -344,7 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "recovery policy gives up (>= 0)")
     par.add_argument("--checkpoint-interval", type=int, default=4,
                      help="bursts between worker checkpoints under "
-                          "--recovery checkpoint (>= 1; ignored otherwise)")
+                          "--recovery checkpoint (>= 1; ignored otherwise); "
+                          "a burst is a run of steps that ends when the "
+                          "worker has no staged input left")
     par.add_argument("--ack-deadline", type=float, default=None,
                      help="seconds a live worker may go without acking a "
                           "probe before the run is declared wedged "
@@ -399,8 +412,9 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--max-restarts", type=int, default=4,
                        help="per-case worker restart budget")
     chaos.add_argument("--checkpoint-interval", type=int, default=2,
-                       help="bursts between checkpoints on the checkpoint-"
-                            "recovery cases")
+                       help="bursts (runs of steps that end when a worker "
+                            "has no staged input left) between checkpoints "
+                            "on the checkpoint-recovery cases")
     chaos.set_defaults(func=_cmd_chaos)
     return parser
 

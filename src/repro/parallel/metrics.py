@@ -95,7 +95,7 @@ def approx_packed_bytes(payload) -> int:
 def approx_batch_bytes(pairs) -> int:
     """Approximate wire size of one DATA message.
 
-    ``pairs`` is the coalesced payload ``[(predicate, payload), ...]``
+    ``pairs`` is the multi-predicate payload ``[(predicate, payload), ...]``
     where each payload is either a list of fact tuples or a packed
     column payload (:func:`repro.facts.packing.pack_facts`); the model
     charges one message envelope, one group overhead per predicate and
@@ -203,10 +203,10 @@ class ParallelMetrics:
         return sum(self.self_delivered.values())
 
     def total_channel_messages(self) -> int:
-        """DATA messages (coalesced batches) put on remote channels.
+        """DATA messages (multi-predicate batches) put on remote channels.
 
         ``total_sent() / total_channel_messages()`` is the mean batch
-        size — the quantity send coalescing exists to raise.
+        size.
         """
         return sum(self.channel_messages.values())
 

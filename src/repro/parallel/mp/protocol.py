@@ -5,9 +5,9 @@ Messages are plain picklable tuples; the first element is a tag.
 Data plane (worker → worker):
 
 * ``("data", sender, pairs, epoch, stamp)`` — tuples on a channel (the
-  paper's ``t_ij`` predicates), coalesced: ``pairs`` is a list of
+  paper's ``t_ij`` predicates): ``pairs`` is a list of
   ``(predicate, facts)`` groups, so one message (one queue put, one
-  pickle) can carry a whole step burst's output for the peer across
+  pickle) carries one step's whole output for the peer across
   several predicates.  ``facts`` is a packed column payload
   (``repro.facts.packing``; detected with ``is_packed`` and decoded
   with ``unpack_facts``) when the group holds at least
@@ -15,7 +15,8 @@ Data plane (worker → worker):
   that — self-contained either way, and all
   protocol accounting below counts *unpacked facts*, so the wire
   format never affects quiescence or replay.  ``epoch`` is the
-  *recovery epoch* the sender was in when it *flushed* (see below);
+  *recovery epoch* the sender was in when it *enqueued* the message
+  (see below);
   receivers always ingest the facts (monotonicity makes stale
   deliveries harmless) but count them toward quiescence only when the
   epochs match.  ``stamp`` is the channel watermark stamp
@@ -113,14 +114,14 @@ are idle, because:
    enqueue time) and one ``received`` at the receiver (at dequeue
    time), so ``Σ sent − Σ received`` equals the number of in-flight
    tuples — *provided both ends count in the same epoch*, which the
-   epoch stamp guarantees.  Send coalescing does not weaken this:
-   tuples sitting in a worker's outbound buffer are counted by
-   *neither* end, but every buffer is flushed (and counted) before the
-   worker acks a probe, so at every snapshot the coordinator compares,
-   "in flight" still means exactly "enqueued and not yet dequeued".
-   Buffered tuples that straddle a ``reset`` are stamped and counted in
-   the epoch at flush time, symmetric with the receiver's
-   dequeue-time epoch check;
+   epoch stamp guarantees.  No derived tuple waits in its sender
+   uncounted: a worker reads its inbox (and so its probes) only
+   between steps, and every step's remote output is enqueued — and
+   counted — before the next read.  So at every snapshot the
+   coordinator compares, "in flight" means exactly "enqueued and not
+   yet dequeued", and a message is stamped and counted in the epoch
+   its sender is in when it enqueues it, symmetric with the
+   receiver's dequeue-time epoch check;
 2. a worker bumps ``activity`` for every tuple it stages, emits or
    re-sends, and a clear ack holds no unstepped input — so two equal
    snapshots, the second clear, bracket a window with no work in it;
@@ -247,12 +248,20 @@ class WorkerStats:
             ``recovery="fail"`` no log is kept, so it reads 0).
         log_truncated: sent-log facts dropped after a peer's checkpoint
             watermark covered them.
+        inbox_wait_s: seconds spent in ``inbox.get`` calls that may
+            block (the worker had nothing to step), including the
+            unpickling of what they returned.
+        step_s: seconds spent in semi-naive steps.
+        send_s: seconds spent routing steps' output: partitioning,
+            staging self-deliveries, packing and putting on peer queues.
+        longest_step_s: the longest single step, in seconds.
     """
 
     __slots__ = ("firings", "probes", "iterations", "sent_by_target",
                  "messages_by_target", "bytes_by_target", "received",
                  "duplicates_dropped", "self_delivered", "replayed",
-                 "sent_log_facts", "log_truncated")
+                 "sent_log_facts", "log_truncated", "inbox_wait_s",
+                 "step_s", "send_s", "longest_step_s")
 
     def __init__(self) -> None:
         self.firings: int = 0
@@ -267,6 +276,10 @@ class WorkerStats:
         self.replayed: int = 0
         self.sent_log_facts: int = 0
         self.log_truncated: int = 0
+        self.inbox_wait_s: float = 0.0
+        self.step_s: float = 0.0
+        self.send_s: float = 0.0
+        self.longest_step_s: float = 0.0
 
     def total_sent(self) -> int:
         """Tuples this worker put on remote channels."""

@@ -36,7 +36,9 @@ the ``recovery`` policy:
   one exactly;
 * ``"checkpoint"`` — like ``"restart"``, but workers additionally ship
   a consistent snapshot of their derived state to the coordinator every
-  ``checkpoint_interval`` bursts (see :mod:`.checkpoint`).  A dead
+  ``checkpoint_interval`` bursts — runs of steps, each ending when the
+  worker has no staged input left (see :mod:`.worker` and
+  :mod:`.checkpoint`).  A dead
   worker respawns *from its last checkpoint* instead of its base
   fragment, so it re-derives only the work since the snapshot; the
   checkpoint's per-sender watermarks let every peer truncate its
@@ -256,7 +258,8 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
             :func:`default_ack_deadline`.
         checkpoint_interval: bursts between worker checkpoints under
             ``recovery="checkpoint"`` (must be ``>= 1``); ignored by
-            the other policies.
+            the other policies.  A burst is a run of steps that ends
+            when the worker has no staged input left.
 
     Raises:
         ConfigurationError: on an invalid parameter value, a fault

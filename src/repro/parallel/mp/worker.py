@@ -11,29 +11,32 @@ same counters as a *passive notice* whenever a pass of its loop did
 work and left no staged input, so the coordinator can send the next
 probe wave the moment the cluster may be idle instead of on a timer.
 
-Send coalescing.  Outbound tuples are not put on peer queues as they
-are routed: they accumulate in a per-peer buffer across the steps of
-one burst (the inner ``while has_pending_input()`` loop) and are
-flushed as a single multi-predicate ``data`` message — one queue put
-and one pickle per peer per burst — when the burst ends, when a
-buffer crosses :data:`_COALESCE_MAX_FACTS`, at every probe (before the
-ack, so buffered tuples can never hide from the quiescence balance),
-and before an injected kill.  On the wire every ``(predicate, facts)``
-pair of :data:`~repro.facts.packing.PACK_MIN_FACTS` or more facts
-travels as packed column buffers (:mod:`repro.facts.packing`); all
-accounting counts the unpacked facts.
-The quiescence counters are incremented at flush time, symmetric with
-the receiver counting at dequeue time, so Theorem-2 accounting is
-untouched (see :mod:`.protocol`).
+The step loop.  Each pass of the worker's loop takes at most one step.
+It drains the inbox first — without blocking while staged input
+remains, so whatever peers sent meanwhile joins the next step's batch
+— then runs one semi-naive step and routes its emissions before the
+next drain: self-deliveries are staged at once, and each peer's share
+of the step goes on the peer's queue as one multi-predicate ``data``
+message (one queue put, one pickle).  No tuple waits in this worker
+for a later step, so a peer can work on a step's output while this
+worker computes the next, and there is no outbound buffer to flush at
+a probe, a checkpoint or a kill.  A *burst* is a run of passes that
+step; it ends at a pass that steps and leaves no staged input.  On the
+wire every ``(predicate, facts)`` pair of
+:data:`~repro.facts.packing.PACK_MIN_FACTS` or more facts travels as
+packed column buffers (:mod:`repro.facts.packing`); all accounting
+counts the unpacked facts.  The quiescence counters are incremented at
+enqueue time, symmetric with the receiver counting at dequeue time
+(see :mod:`.protocol`).
 
 Fault tolerance.  Under a recovery policy that can replay
 (``"restart"``, ``"checkpoint"``) a worker keeps a *sent-log*: per peer
 and predicate, the set of facts it has routed there, in first-send order
 (an insertion-ordered dict doubling as the dedup set), each entry
 carrying the channel stamp of the last message that carried the fact.
-A fact enters the log when its message is put on the queue; every
-reader of the log runs between bursts, when the coalescing buffers are
-empty, so the log always holds exactly what reached the wire.  When the
+A fact enters the log when its message is put on the queue, and a
+step's output is on the queue before the next message is read, so
+every reader of the log sees exactly what reached the wire.  When the
 coordinator restarts a dead peer it asks the survivors to ``replay``
 their logs to it; combined with the restarted worker re-deriving its
 own outputs from its base fragment (``recovery="restart"``) or
@@ -46,7 +49,7 @@ replayed: the worker writes no log and no per-fact stamps
 cannot happen.
 
 Checkpointing (``recovery="checkpoint"``).  Every
-``checkpoint_interval`` productive step bursts the worker snapshots its
+``checkpoint_interval`` bursts the worker snapshots its
 runtime (:meth:`~repro.parallel.processor.ProcessorRuntime.
 export_state`), counters, sent-log and per-sender watermarks into a
 :class:`~.checkpoint.WorkerCheckpoint` and ships it to the coordinator,
@@ -55,9 +58,9 @@ then drop the acknowledged prefix of their logs, so log memory and
 replay cost stop growing with total derived facts.  A worker spawned
 with a ``restore`` payload loads the snapshot instead of running its
 initialization rules (its init output is already inside the restored
-``t_out``).  A snapshot is cut right after a flush, so whatever its
-predecessor derived later, buffered or sent, the newcomer derives
-again.
+``t_out``).  A snapshot is cut at the end of a burst, after its last
+step's output is on the wire, so whatever its predecessor derived
+later the newcomer derives again.
 
 Replay equivalence of the deduplicated log: receivers discard
 duplicates (the difference step of the paper's receiving rules), so
@@ -79,8 +82,8 @@ delivers a real ``SIGKILL`` to itself once its firing count crosses the
 threshold.  Kills are the only fault the mp executor injects: its
 channels are ``multiprocessing`` queues, already reliable, so channel
 faults are a simulator model (:mod:`repro.parallel.faults`).  The
-suicide happens at a step boundary after flushing the outbound queue
-feeders, so the shared queue locks are never torn down mid-write — the
+suicide happens at a step boundary after flushing the queue feeder
+threads, so the shared queue locks are never torn down mid-write — the
 failure is silent at the protocol level (no ``error`` message) but
 clean at the OS level, which is exactly the scenario the coordinator's
 liveness probing exists for.
@@ -92,6 +95,7 @@ import os
 import queue as queue_module
 import signal
 import traceback
+from time import perf_counter
 from typing import Dict, Hashable, List, Mapping, Optional, Tuple
 
 from ...facts.packing import is_packed, maybe_pack, packed_fact_count
@@ -132,11 +136,6 @@ ProcessorId = Hashable
 _POLL_MIN_SECONDS = 0.0005
 _POLL_MAX_SECONDS = 0.04
 
-# Outbound facts buffered per peer before an early flush.  The normal
-# flush point is the end of a step burst; the cap only bounds message
-# size (pickling cost, peer latency) inside very productive bursts.
-_COALESCE_MAX_FACTS = 512
-
 def worker_main(runtime: ProcessorRuntime, inbox,
                 peer_queues: Mapping[ProcessorId, object],
                 coordinator_queue,
@@ -160,8 +159,8 @@ def worker_main(runtime: ProcessorRuntime, inbox,
         epoch: recovery epoch to start in (non-zero for workers spawned
             as replacements after a failure).
         checkpoint_interval: when set (``recovery="checkpoint"``), ship
-            a checkpoint to the coordinator every this many productive
-            step bursts.
+            a checkpoint to the coordinator every this many bursts
+            (see the module docstring).
         restore: optional encoded checkpoint payload
             (:func:`~.checkpoint.encode_checkpoint`); when given, the
             worker resumes from the snapshot instead of firing its
@@ -199,10 +198,6 @@ def worker_main(runtime: ProcessorRuntime, inbox,
     # is replay-equivalent and memory-bounded.
     sent_log: Dict[ProcessorId, Dict[str, Dict[tuple, Stamp]]] = {}
     bursts_since_checkpoint = 0
-    # Outbound coalescing buffers: facts per peer per predicate, and a
-    # per-peer fact count driving the early-flush threshold.
-    outbound: Dict[ProcessorId, Dict[str, List[tuple]]] = {}
-    outbound_counts: Dict[ProcessorId, int] = {}
 
     def flush_trace() -> None:
         if trace and tracer.sink.events:
@@ -216,17 +211,15 @@ def worker_main(runtime: ProcessorRuntime, inbox,
         def maybe_die() -> None:
             """Carry out an armed kill fault (a genuine self-SIGKILL).
 
-            Called only at step boundaries; flushes the coalescing
-            buffers and this process's buffered queue writes first so no
-            peer is left blocked on a lock the dying feeder thread held
-            (and so the sent-log matches what actually reached the
-            wire).
+            Called only at step boundaries; flushes this process's
+            buffered queue writes first so no peer is left blocked on a
+            lock the dying feeder thread held (and so the sent-log
+            matches what actually reached the wire).
             """
             if kill_after is None:
                 return
             if runtime.counters.total_firings() < kill_after:
                 return
-            flush_outbound()
             for peer_queue in peer_queues.values():
                 peer_queue.close()
                 peer_queue.join_thread()
@@ -237,7 +230,7 @@ def worker_main(runtime: ProcessorRuntime, inbox,
         def send_now(target: ProcessorId,
                      pairs: List[Tuple[str, List[tuple]]],
                      replay: bool = False) -> None:
-            """Put one coalesced data message on ``target``'s queue.
+            """Put one data message on ``target``'s queue.
 
             ``pairs`` is the multi-predicate payload
             ``[(predicate, facts), ...]``; batches worth packing cross
@@ -280,38 +273,12 @@ def worker_main(runtime: ProcessorRuntime, inbox,
                     tracer.tuple_sent(tag, target_tag, predicate,
                                       count=len(facts))
 
-        def flush_target(target: ProcessorId) -> None:
-            by_pred = outbound.get(target)
-            if not by_pred:
-                return
-            outbound[target] = {}
-            outbound_counts[target] = 0
-            send_now(target, list(by_pred.items()))
-
-        def flush_outbound() -> None:
-            """Flush every non-empty coalescing buffer."""
-            for target in outbound:
-                flush_target(target)
-
-        def enqueue(target: ProcessorId, predicate: str,
-                    facts: List[tuple]) -> None:
-            """Buffer facts for ``target``; flush early past the cap."""
-            by_pred = outbound.get(target)
-            if by_pred is None:
-                by_pred = outbound[target] = {}
-            group = by_pred.get(predicate)
-            if group is None:
-                by_pred[predicate] = list(facts)
-            else:
-                group.extend(facts)
-            total = outbound_counts.get(target, 0) + len(facts)
-            outbound_counts[target] = total
-            if total >= _COALESCE_MAX_FACTS:
-                flush_target(target)
-
         def route(emissions: List[EmissionBatch]) -> None:
-            """Partition a step's emissions and buffer the remote ones."""
+            """Partition a step's emissions: stage this worker's share
+            and put each peer's share on its queue as one message."""
             nonlocal activity
+            started = perf_counter()
+            remote: Dict[ProcessorId, List[Tuple[str, List[tuple]]]] = {}
             for predicate, facts in emissions:
                 buckets, _ = router.partition(predicate, facts)
                 for target, bucket in buckets.items():
@@ -319,8 +286,12 @@ def worker_main(runtime: ProcessorRuntime, inbox,
                         runtime.receive(predicate, bucket, remote=False)
                         stats.self_delivered += len(bucket)
                         activity += len(bucket)
-                        continue
-                    enqueue(target, predicate, bucket)
+                    else:
+                        remote.setdefault(target, []).append(
+                            (predicate, bucket))
+            for target, pairs in remote.items():
+                send_now(target, pairs)
+            stats.send_s += perf_counter() - started
 
         def report(seq: int) -> None:
             """Put this worker's quiescence counters on the coordinator
@@ -335,10 +306,7 @@ def worker_main(runtime: ProcessorRuntime, inbox,
 
             Under ``recovery="checkpoint"`` truncation has already
             removed the acknowledged prefix, so "the remaining log" is
-            exactly the unacknowledged suffix.  Replays bypass the
-            coalescing buffer: they already ship as one message per
-            peer, and keeping them out of ``outbound`` keeps the
-            replayed/sent counter split exact.
+            exactly the unacknowledged suffix, sent as one message.
             """
             log = sent_log.get(target)
             if not log:
@@ -374,8 +342,8 @@ def worker_main(runtime: ProcessorRuntime, inbox,
         def take_checkpoint() -> None:
             """Snapshot and ship recoverable state to the coordinator.
 
-            Called only at burst boundaries with flushed outbound
-            buffers, so the snapshot is the consistent cut
+            Called only at the end of a burst, with every step's output
+            already on the wire, so the snapshot is the consistent cut
             :mod:`.checkpoint` documents.
             """
             in_facts, out_facts, staged = runtime.export_state()
@@ -417,19 +385,25 @@ def worker_main(runtime: ProcessorRuntime, inbox,
                 tracer.restore(tag, snapshot.fact_count(), epoch)
         else:
             route(runtime.initialize_batches())
-        flush_outbound()
         maybe_die()
         running = True
         idle_poll = _POLL_MIN_SECONDS
+        pending = runtime.has_pending_input()
         while running:
-            # Drain everything currently queued, blocking briefly when idle.
+            # Drain everything currently queued.  Block briefly only
+            # when there is nothing to step: with staged input left, what
+            # has arrived joins the next step and nothing is waited for.
             drained_any = False
             while True:
+                timeout = 0.0 if drained_any or pending else idle_poll
+                waited = perf_counter()
                 try:
-                    message = inbox.get(timeout=0.0 if drained_any
-                                        else idle_poll)
+                    message = inbox.get(timeout=timeout)
                 except queue_module.Empty:
                     break
+                finally:
+                    if timeout:
+                        stats.inbox_wait_s += perf_counter() - waited
                 kind = message[0]
                 if kind == DATA:
                     _, sender, pairs, msg_epoch, stamp = message
@@ -468,10 +442,6 @@ def worker_main(runtime: ProcessorRuntime, inbox,
                     drained_any = True
                 elif kind == PROBE:
                     _, seq = message
-                    # Buffered tuples must hit the wire (and the
-                    # epoch_sent counter) before the ack snapshots it,
-                    # or coalescing could fake a sent/received balance.
-                    flush_outbound()
                     stats.firings = runtime.counters.total_firings()
                     stats.probes = runtime.counters.probes
                     stats.iterations = runtime.counters.iterations
@@ -504,33 +474,33 @@ def worker_main(runtime: ProcessorRuntime, inbox,
                     raise ValueError(f"unknown message tag {kind!r}")
             if not running:
                 break
-            # Step as long as staged input remains (self-deliveries from
-            # route() can immediately enable further steps).  Events of a
-            # step are labelled with the worker-local iteration number —
-            # real execution has no global rounds.  The whole burst
-            # accumulates into the coalescing buffers, flushed once at
-            # the end so peers see the burst's output before this worker
-            # blocks on its inbox again.
-            stepped = False
-            while runtime.has_pending_input():
-                stepped = True
+            # One step, its output routed before the next drain.  Events
+            # of a step are labelled with the worker-local iteration
+            # number — real execution has no global rounds.
+            stepped = runtime.has_pending_input()
+            if stepped:
                 if trace:
                     tracer.current_round = runtime.counters.iterations + 1
+                started = perf_counter()
                 emissions = runtime.step_batches()
+                elapsed = perf_counter() - started
+                stats.step_s += elapsed
+                stats.longest_step_s = max(stats.longest_step_s, elapsed)
                 activity += sum(len(facts) for _, facts in emissions)
                 route(emissions)
                 maybe_die()
-            flush_outbound()
-            # Periodic checkpoint at the burst boundary: buffers are
-            # flushed, no step is in progress — the consistent cut the
-            # restore semantics rely on.
-            if checkpoint_interval is not None and stepped:
-                bursts_since_checkpoint += 1
-                if bursts_since_checkpoint >= checkpoint_interval:
-                    bursts_since_checkpoint = 0
-                    take_checkpoint()
+            pending = stepped and runtime.has_pending_input()
+            if stepped and not pending:
+                # The burst ended: no step is in progress and every
+                # step's output is on the wire — the consistent cut the
+                # restore semantics rely on.
+                if checkpoint_interval is not None:
+                    bursts_since_checkpoint += 1
+                    if bursts_since_checkpoint >= checkpoint_interval:
+                        bursts_since_checkpoint = 0
+                        take_checkpoint()
             if drained_any or stepped:
-                if not runtime.has_pending_input():
+                if not pending:
                     # Idle after doing work: a passive notice lets the
                     # coordinator start its next probe wave now instead
                     # of at its fallback period (a hint, never a wave

@@ -1,15 +1,15 @@
 """Send coalescing and channel accounting in the communication path.
 
-The mp worker buffers outbound tuples across inner-loop steps and
-flushes whole multi-predicate batches — one queue put, one pickle per
-peer — while the simulator partitions emission lists per channel.  Both
+The mp worker puts each step's output for a peer on the wire as one
+multi-predicate batch — one queue put, one pickle per peer per step —
+while the simulator partitions emission lists per channel.  Both
 report the new channel counters (``channel_messages`` /
 ``channel_bytes``); these tests assert the batching actually happens,
 that it is invisible to answers and tuple-level cost counters, and that
 the deduplicated sent-log stays bounded.
 
 ``channel_messages`` is deterministic in the simulator but
-timing-dependent in the mp executor (burst boundaries move), so mp
+timing-dependent in the mp executor (step batches move), so mp
 assertions use wide margins (observed batching factor ~12 on the
 broadcast-heavy example2 scenario; we require >= 2).
 """
@@ -30,7 +30,6 @@ from repro.parallel.metrics import (
     approx_fact_bytes,
 )
 from repro.parallel.mp import run_multiprocessing
-from repro.parallel.mp.worker import _COALESCE_MAX_FACTS
 from repro.workloads import ancestor_program
 
 
@@ -111,11 +110,10 @@ class TestMpCoalescing:
     def test_one_message_per_peer_per_burst(self, ancestor, tree_db):
         """The coalesced invariants, checked on the run itself.
 
-        A worker flushes a peer's buffer when a step burst ends or the
-        buffer crosses the cap, so a channel carries at most one
-        message per step of its sender (plus the initialization flush
-        and the cap flushes), however many routing batches the steps
-        produced.  Batching is invisible to the tuple-level counters:
+        A worker puts a step's output for a peer on the wire as one
+        message, so a channel carries at most one message per step of
+        its sender plus one for the initialization rules, however many
+        predicates the steps produced.  Batching is invisible to the tuple-level counters:
         they equal the simulator's, which never coalesces.
         """
         parallel = example2_scheme(ancestor, (0, 1, 2), tree_db)
@@ -130,8 +128,7 @@ class TestMpCoalescing:
             for target, messages in stats.messages_by_target.items():
                 sent = stats.sent_by_target[target]
                 assert 0 < messages <= sent
-                assert messages <= (stats.iterations + 1
-                                    + sent // _COALESCE_MAX_FACTS)
+                assert messages <= stats.iterations + 1
 
     def test_packed_wire_shrinks_channel_bytes(self, ancestor):
         """Batches worth packing cross as column buffers, so the

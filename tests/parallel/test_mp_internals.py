@@ -158,3 +158,78 @@ class TestDeadlineStateDump:
         assert "workers did not report within 0.5 seconds" in message
         assert "no result from '0', '1'" in message
         assert "acked wave 2 (epoch 0): sent=0 received=0" in message
+
+
+def _mortal_stub(runtime, inbox, _peers, coordinator_queue, _kill_after,
+                 epoch, *_options, dies_on):
+    """A worker that evaluates nothing but answers like an idle one,
+    and whose first incarnation dies on reading the message kind
+    ``dies_on[processor]``.
+
+    It acks every probe in its current epoch, follows ``reset``s and
+    reports an empty result on ``stop``.  Workers of the first
+    incarnation spawn in epoch 0; restarts spawn later and never die.
+    A death is a self-``SIGKILL`` after flushing the coordinator queue,
+    as an injected kill is in the real worker.
+    """
+    import os
+    import signal
+
+    from repro.parallel.mp.protocol import (
+        ACK,
+        PROBE,
+        RESET,
+        RESULT,
+        STOP,
+        WorkerStats,
+    )
+
+    me = runtime.program.processor
+    mortal = epoch == 0
+    while True:
+        message = inbox.get()
+        kind = message[0]
+        if mortal and kind == dies_on.get(me):
+            coordinator_queue.close()
+            coordinator_queue.join_thread()
+            os.kill(os.getpid(), signal.SIGKILL)
+        if kind == RESET:
+            epoch = max(epoch, message[1])
+        elif kind == PROBE:
+            coordinator_queue.put((ACK, me, message[1], 0, 0, 0, epoch,
+                                   False))
+        elif kind == STOP:
+            coordinator_queue.put((RESULT, me, {}, WorkerStats()))
+            return
+
+
+@pytest.mark.mp
+@pytest.mark.faultinjection
+class TestCascadingFailureByConstruction:
+    def test_death_on_reset_is_a_cascading_failure(self, monkeypatch,
+                                                   chain_db):
+        """Worker 0 dies at the first probe wave.  Worker 1 dies when it
+        reads the ``reset`` of that recovery, which the coordinator puts
+        before the next wave's probes, so worker 1's death is detected
+        while the first recovery is still pending: a cascading failure,
+        whatever the timing."""
+        import functools
+        import multiprocessing
+
+        from repro.obs import WORKER_DOWN, InMemorySink, Tracer
+        from repro.parallel.mp import runner
+        from repro.parallel.mp.protocol import PROBE, RESET
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("stub workers need the fork start method")
+        monkeypatch.setattr(runner, "worker_main", functools.partial(
+            _mortal_stub, dies_on={0: PROBE, 1: RESET}))
+        sink = InMemorySink()
+        result = run_multiprocessing(
+            example3_scheme(ancestor_program(), (0, 1)), chain_db,
+            recovery="restart", tracer=Tracer(sink), probe_interval=0.01,
+            timeout=30)
+        assert result.restarts == 2
+        downs = [(event.proc, event.data["cascading"])
+                 for event in sink.events if event.kind == WORKER_DOWN]
+        assert downs == [("0", False), ("1", True)]

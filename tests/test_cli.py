@@ -120,6 +120,22 @@ class TestParallelCommand:
         assert code == 0
         assert "wall_seconds:" in output
 
+    @pytest.mark.mp
+    def test_mp_stats_include_worker_timings(self, program_file, capsys):
+        code = main(["parallel", program_file, "-n", "2", "--mp", "--stats"])
+        output = capsys.readouterr().out
+        assert code == 0
+        lines = [line.split(": ", 1)[1] for line in output.splitlines()
+                 if line.startswith("  worker ")]
+        assert len(lines) == 2
+        for line in lines:
+            timings = {key: float(value) for key, value in
+                       (field.split("=") for field in line.split())}
+            assert set(timings) == {"inbox_wait_s", "step_s", "send_s",
+                                    "longest_step_s"}
+            assert min(timings.values()) >= 0.0
+            assert timings["longest_step_s"] <= timings["step_s"]
+
 
 class TestTraceCommand:
     @pytest.fixture
