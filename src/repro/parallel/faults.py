@@ -32,9 +32,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Hashable, Mapping, Optional, Sequence, Tuple
 
-from ..errors import ReproError
+from ..errors import ConfigurationError, ReproError
 
 __all__ = [
     "DELAY",
@@ -148,12 +148,26 @@ class FaultPlan:
         if len(tags) != len(set(tags)):
             raise ReproError("at most one kill fault per processor")
 
-    def kill_for(self, tag: str) -> Optional[KillFault]:
-        """The kill fault of processor ``tag``, if any."""
+    def kill_thresholds(self, tags: Mapping[Hashable, str]
+                        ) -> Dict[Hashable, int]:
+        """The firing threshold of every processor a kill fault names.
+
+        Args:
+            tags: the run's processors, each mapped to its tag.
+
+        Raises:
+            ConfigurationError: if a kill fault names no processor of
+                the run.
+        """
+        by_tag = {tag: proc for proc, tag in tags.items()}
+        thresholds: Dict[Hashable, int] = {}
         for kill in self.kills:
-            if kill.processor == tag:
-                return kill
-        return None
+            if kill.processor not in by_tag:
+                raise ConfigurationError(
+                    f"kill fault names unknown processor "
+                    f"{kill.processor!r}; known: {sorted(by_tag)}")
+            thresholds[by_tag[kill.processor]] = kill.after_firings
+        return thresholds
 
     def channel_state(self) -> Optional[ChannelFaultState]:
         """The simulator's channel-fault decider (``None`` if clean)."""

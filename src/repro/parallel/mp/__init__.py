@@ -7,10 +7,10 @@ from the base fragment (``recovery="restart"``) or from periodic
 coordinator-held snapshots with sent-log truncation at the
 acknowledged watermarks (``recovery="checkpoint"``), under a restart
 budget with per-worker exponential backoff.  The protocol and its
-invariants are documented in :mod:`.protocol`; liveness detection,
-recovery and the derived ack deadlines live in :mod:`.runner`; the
-per-process loop, sent-logs and kill injection in :mod:`.worker`; the
-snapshot payload format in :mod:`.checkpoint` (see also
+invariants are documented in :mod:`.protocol`; every decision it
+describes is made by the two state machines of :mod:`.machines`, which
+the I/O loops of :mod:`.worker` and :mod:`.runner` drive; the snapshot
+payload format is in :mod:`.checkpoint` (see also
 ``docs/FAULT_TOLERANCE.md``).
 """
 

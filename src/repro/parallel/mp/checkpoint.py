@@ -4,7 +4,7 @@ Under ``recovery="checkpoint"`` each worker periodically snapshots its
 derived state and ships it to the coordinator (one ``("checkpoint",
 processor, payload)`` message; the coordinator keeps only the latest
 payload per processor).  The snapshot is cut at the end of a *burst*
-(see :mod:`.worker`) — every step's output already on the wire, no
+(see :mod:`.protocol`) — every step's output already on the wire, no
 step in progress — which makes it a consistent local cut:
 
 * the input relations travel as full facts only (every fact in full has

@@ -1,4 +1,11 @@
-"""Wire protocol of the multiprocessing executor.
+"""Wire protocol of the multiprocessing executor, and its invariants.
+
+This is the one full statement of the protocol.  Every decision it
+describes is made by one of the two machines of :mod:`.machines` —
+:class:`~.machines.WorkerMachine` or
+:class:`~.machines.CoordinatorMachine` — and the method that makes it
+is named in brackets; the I/O loops of :mod:`.worker` and :mod:`.runner`
+only carry the messages.
 
 Messages are plain picklable tuples; the first element is a tag.
 
@@ -12,45 +19,45 @@ Data plane (worker → worker):
   (``repro.facts.packing``; detected with ``is_packed`` and decoded
   with ``unpack_facts``) when the group holds at least
   ``PACK_MIN_FACTS`` facts, and a plain list of fact tuples below
-  that — self-contained either way, and all
-  protocol accounting below counts *unpacked facts*, so the wire
-  format never affects quiescence or replay.  ``epoch`` is the
-  *recovery epoch* the sender was in when it *enqueued* the message
-  (see below);
-  receivers always ingest the facts (monotonicity makes stale
-  deliveries harmless) but count them toward quiescence only when the
-  epochs match.  ``stamp`` is the channel watermark stamp
-  ``(incarnation, seq)``: ``incarnation`` is the epoch the sending
-  worker was *spawned* in (strictly increasing over a processor's
-  successive incarnations) and ``seq`` a per-channel message counter,
-  so stamps are lexicographically monotone per channel; receivers keep
-  the maximum stamp dequeued per sender and publish it in their
-  checkpoints (see the checkpoint plane below).
+  that — self-contained either way, and all protocol accounting below
+  counts *unpacked facts*, so the wire format never affects quiescence
+  or replay.  ``epoch`` is the *recovery epoch* the sender was in when
+  it *enqueued* the message (see below); receivers always ingest the
+  facts (monotonicity makes stale deliveries harmless) but count them
+  toward quiescence only when the epochs match.  ``stamp`` is the
+  channel watermark stamp ``(incarnation, seq)``: ``incarnation`` is
+  the epoch the sending worker was *spawned* in (strictly increasing
+  over a processor's successive incarnations) and ``seq`` a
+  per-channel message counter, so stamps are lexicographically
+  monotone per channel; receivers keep the maximum stamp dequeued per
+  sender and publish it in their checkpoints (see the checkpoint plane
+  below).  A message with no ``pairs`` is an *epoch marker* and counts
+  as one unit where a data message counts its facts (see "Epoch
+  markers" below).
 
 Control plane (coordinator ↔ worker):
 
 * ``("probe", seq)`` — coordinator → worker, a quiescence probe.
 * ``("ack", processor, seq, sent, received, activity, epoch,
   pending)`` — worker → coordinator, counters at probe time.
-  ``sent``/``received`` count only current-epoch data tuples;
-  ``activity`` is a monotone counter of tuples ingested, emitted and
-  re-sent; ``pending`` is True iff the worker holds staged input it
-  has not yet processed (see below).
+  ``sent``/``received`` count only current-epoch data tuples (and
+  markers); ``activity`` is a monotone counter of tuples ingested,
+  emitted and re-sent; ``pending`` is True iff the worker holds staged
+  input it has not yet processed (see below).
 * ``("ack", processor, 0, sent, received, activity, epoch, False)`` —
-  worker → coordinator, a *passive notice*: the same
-  counters, sent unprompted when a pass of the worker loop that did
-  work (stepped, or served a replay) ends with no staged input left.
-  Probe waves are numbered from 1, so ``seq == 0`` marks the notice and
-  one parser reads both.  A notice is a hint that ends the
-  coordinator's wait for the next wave early; it is never a wave member
-  (see "Passive notices" below).
+  worker → coordinator, a *passive notice*: the same counters, sent
+  unprompted when a pass of the worker loop that did work (stepped,
+  or drained data, a replay or a truncation) ends with no staged input
+  left [``WorkerMachine.step``].  Probe waves are numbered from 1, so
+  ``seq == 0`` marks the notice and one parser reads both.  A notice
+  is a hint that ends the coordinator's wait for the next wave early;
+  it is never a wave member (see "Passive notices" below).
 * ``("stop",)`` — coordinator → worker, terminate and report.
 * ``("result", processor, outputs, stats)`` — worker → coordinator,
   final output relations and cumulative counters.  ``outputs`` maps
   each derived predicate to the worker's ``t_out`` facts in the same
-  two payload forms as ``data`` (packed columns from
-  ``PACK_MIN_FACTS`` facts up, a plain list below), in no particular
-  order: the coordinator pools them into a set.
+  two payload forms as ``data``, in no particular order: the
+  coordinator pools them into a set.
 * ``("error", processor, text)`` — worker → coordinator, crash report
   (only reachable when the worker's Python level survives to format a
   traceback — a ``SIGKILL`` produces no message at all, which is why
@@ -59,7 +66,7 @@ Control plane (coordinator ↔ worker):
   trace events in flat dict form (see :mod:`repro.obs`); sent only when
   the run is traced, flushed at probe time and before the final result.
 
-Recovery plane (coordinator → worker, see :mod:`.runner`):
+Recovery plane (coordinator → worker):
 
 * ``("reset", epoch)`` — a worker died and was restarted; survivors
   enter recovery epoch ``epoch`` and zero their quiescence counters.
@@ -68,19 +75,24 @@ Recovery plane (coordinator → worker, see :mod:`.runner`):
 * ``("replay", target)`` — re-send every tuple still held in the
   per-target sent-log for ``target`` under the current epoch (the full
   history under ``recovery="restart"``; the post-truncation suffix
-  under ``recovery="checkpoint"``).
+  under ``recovery="checkpoint"``) [``WorkerMachine._replay``].
 
 Checkpoint plane (``recovery="checkpoint"``, see :mod:`.checkpoint`):
 
 * ``("checkpoint", processor, payload)`` — worker → coordinator, a
   self-contained snapshot of the worker's derived state (packed with
   the column wire format), its cumulative counters, its own sent-log,
-  and its per-sender watermarks.  The coordinator keeps only the
-  latest payload per processor (checkpoints are cumulative, not
-  incremental) and fans the watermarks out as ``truncate`` messages.
+  and its per-sender watermarks, cut at the end of every
+  ``checkpoint_interval``-th burst — a run of steps that ends when the
+  worker has no staged input left — with every step's output on the
+  wire [``WorkerMachine.step``].  The coordinator keeps only the latest
+  payload per processor (checkpoints are cumulative, not incremental)
+  and fans the watermarks out as ``truncate`` messages
+  [``CoordinatorMachine._store_checkpoint``].
 * ``("truncate", target, stamp)`` — coordinator → worker: ``target``'s
   checkpoint acknowledged everything you sent it up to ``stamp``; drop
-  those facts from your sent-log for ``target``.
+  those facts from your sent-log for ``target``
+  [``WorkerMachine._truncate``].
 
 Watermark/truncation invariant
 ------------------------------
@@ -94,21 +106,35 @@ closes its queues before exiting, so a successor's messages really do
 follow its predecessor's), hence every message with stamp ≤ the
 receiver's watermark was *dequeued* — and therefore staged or ingested
 — before the checkpoint snapshot was cut.  A fact enters the sender's
-log only when a message carrying it is enqueued, so every entry has a
-stamp to compare.  Replay after truncation is unchanged code: "re-send
-the whole remaining log" is exactly "re-send the unacknowledged
-suffix".
+log when the message carrying it is returned for the put
+[``WorkerMachine._data``], and the loop puts every message before it
+reads another, so every entry has a stamp to compare.  Replay after
+truncation is unchanged code: "re-send the whole remaining log" is
+exactly "re-send the unacknowledged suffix".  When several workers die
+in one detection, every newcomer — a restored one holds its
+predecessor's log — also replays to every *other* casualty
+[``CoordinatorMachine._on_deaths``]: a fellow casualty may have
+dequeued those facts after its own last checkpoint, and neither side
+will derive them again.
+
+Replay equivalence of the deduplicated log: receivers discard
+duplicates (the difference step of the paper's receiving rules), so
+replaying each logged fact once is indistinguishable to the receiver
+from replaying the raw historical send sequence.  Deduplication also
+bounds the log: per peer it can never exceed the worker's own ``t_out``
+sizes (times fan-out), reported as ``sent_log_facts``.  Under
+``recovery="fail"`` nothing is ever replayed, so no log is kept.
 
 Quiescence invariant
 --------------------
 
 The coordinator detects termination with a counting double probe
-(Mattern-style).  A wave is *balanced* when ``Σ sent == Σ received``
-over all acks of the wave, *unchanged* when no worker's ``activity``
-moved since the previous wave, and *clear* when no ack of the wave
-reports ``pending``.  A wave that is balanced, clear and unchanged
-from the one before it implies all channels are empty and all workers
-are idle, because:
+(Mattern-style) [``CoordinatorMachine._wave_done``].  A wave is
+*balanced* when ``Σ sent == Σ received`` over all acks of the wave,
+*unchanged* when no worker's ``activity`` moved since the previous
+wave, and *clear* when no ack of the wave reports ``pending``.  A wave
+that is balanced, clear and unchanged from the one before it implies
+all channels are empty and all workers are idle, because:
 
 1. every data tuple increments exactly one ``sent`` at the sender (at
    enqueue time) and one ``received`` at the receiver (at dequeue
@@ -121,7 +147,8 @@ are idle, because:
    coordinator compares, "in flight" means exactly "enqueued and not
    yet dequeued", and a message is stamped and counted in the epoch
    its sender is in when it enqueues it, symmetric with the
-   receiver's dequeue-time epoch check;
+   receiver's dequeue-time epoch check [``WorkerMachine._data``,
+   ``WorkerMachine._ingest``];
 2. a worker bumps ``activity`` for every tuple it stages, emits or
    re-sends, and a clear ack holds no unstepped input — so two equal
    snapshots, the second clear, bracket a window with no work in it;
@@ -137,30 +164,33 @@ run and lose what the input derives.  It delays detection only until
 the drain pass ends and the worker steps.
 
 Passive notices.  Between waves the coordinator keeps a *view*: the
-latest current-epoch ack or notice from each worker.  It starts the
-next wave as soon as the view is balanced with no ``pending`` flag —
-at once when the wave that just completed was itself balanced and
-clear, otherwise when the notice that makes it so arrives — and only
-falls back to waiting ``probe_interval`` when neither happens (a
-replayed peer whose counters moved without a burst, a worker that
-never reports).  The view decides *when* a wave is sent, never
-*whether* termination holds: a notice is not a wave member, so the
-test above still needs two consecutive real waves, and a stale or
-crossing notice can at worst start a wave that fails it.
-Nor does the confirming wave need a pause after the first: the
-argument above uses only that every snapshot of wave two is taken
-after every snapshot of wave one, which holds because the coordinator
-sends wave two once every ack of wave one is in hand.  A sleep between
-them adds no ordering the argument relies on; it only delays
-detection.
+latest current-epoch ack or notice from each worker
+[``CoordinatorMachine.on_message``].  It starts the next wave as soon
+as the view is balanced with no ``pending`` flag — at once when the
+wave that just completed was itself balanced and clear, otherwise when
+the notice that makes it so arrives — and only falls back to waiting
+``probe_interval`` when neither happens [``CoordinatorMachine.tick``].
+The view decides *when* a wave is sent, never *whether* termination
+holds: a notice is not a wave member, so the test above still needs
+two consecutive real waves, and a stale or crossing notice can at
+worst start a wave that fails it.  Nor does the confirming wave need a
+pause after the first: the argument above uses only that every
+snapshot of wave two is taken after every snapshot of wave one, which
+holds because the coordinator sends wave two once every ack of wave
+one is in hand.
 
 Recovery epochs exist to protect invariant (1) across a restart: the
 counters of a dead worker vanish with it, so the global sums would
 never balance again.  Bumping the epoch and zeroing every survivor's
-``sent``/``received`` restarts the accounting from a consistent cut —
-tuples from the old epoch that are still in flight are ingested but
-not counted (their send-side count was zeroed too), and every replayed
-or newly derived tuple is counted symmetrically in the new epoch.
+``sent``/``received`` restarts the accounting from a consistent cut
+[``CoordinatorMachine._on_deaths``]: tuples from the old epoch that
+are still in flight are ingested but not counted (their send-side
+count was zeroed too), and every replayed or newly derived tuple is
+counted symmetrically in the new epoch.  An ack or notice from an
+older epoch is ignored.  The RESETs go out before the next wave's
+probes and before the REPLAYs, on queues the coordinator alone feeds
+per worker, so each survivor zeroes its counters before it answers a
+probe or replays.
 
 Epoch adoption.  "Counted symmetrically" needs the receiver to be in
 the sender's epoch when it dequeues, and the ``reset`` alone cannot
@@ -177,13 +207,29 @@ never detected.  So a worker that dequeues ``data`` with an epoch
 later than its own adopts that epoch first (zeroing ``sent`` and
 ``received``, exactly what the in-flight ``reset`` would do) and then
 counts the message; the ``reset`` arrives as a no-op, because epochs
-only move forward.  Adopting early is safe for the same reason the
-reset itself is: everything the survivor counted in the old epoch is
-discarded either way, and whatever it sends from now on is stamped
-with the new epoch, which every receiver reaches by the same rule.
-Messages the coordinator sends to one worker (``reset``, ``replay``,
-``truncate``, ``probe``) share a producer and do stay in order, which
-is all the truncation and replay arguments above rely on.
+only move forward [``WorkerMachine._adopt``].  Adopting early is safe
+for the same reason the reset itself is: everything the survivor
+counted in the old epoch is discarded either way, and whatever it
+sends from now on is stamped with the new epoch, which every receiver
+reaches by the same rule.
+
+Epoch markers.  "Ingested but not counted" leaves one gap: an
+old-epoch message still in flight when the new epoch's double probe
+completes is on no counter, so nothing stops the coordinator from
+declaring quiescence — and sending STOP, which another producer's
+queue can deliver first — before the message is read; what it would
+have derived is lost.  A survivor's data put just before it read the
+``reset`` can be that message.  So a worker that enters an epoch —
+by adoption, or by being spawned in one — first puts an *epoch
+marker* on every peer channel [``WorkerMachine._markers``]: a
+``data`` message with no facts, stamped like any other, counted as
+one unit in ``sent`` at the put and in ``received`` at the dequeue.
+Each channel is FIFO per producer, and a respawned worker's messages
+follow its predecessor's (the flush before ``SIGKILL``), so the
+marker reaches the peer after everything put on that channel before
+it; no wave of the new epoch balances until every marker, and so
+every old-epoch message, has been dequeued.  Markers cost ``n − 1``
+messages per worker per recovery, and none in an undisturbed run.
 """
 
 from __future__ import annotations
@@ -252,8 +298,9 @@ class WorkerStats:
             block (the worker had nothing to step), including the
             unpickling of what they returned.
         step_s: seconds spent in semi-naive steps.
-        send_s: seconds spent routing steps' output: partitioning,
-            staging self-deliveries, packing and putting on peer queues.
+        send_s: seconds spent routing steps' output (partitioning,
+            staging self-deliveries, packing) and putting data messages,
+            replays and epoch markers included, on peer queues.
         longest_step_s: the longest single step, in seconds.
     """
 

@@ -1,67 +1,16 @@
 """Coordinator of the multiprocessing executor.
 
-Forks one OS process per processor of a rewritten program, wires a
-queue per channel, and detects global quiescence with a counting
-double-probe (Mattern-style): two consecutive probe waves in which no
-worker's activity counter moved, the global sent/received counters
-balance, and no worker reports staged-but-unprocessed input imply that
-no data message can be in flight and no work remains, i.e. the paper's
-termination condition — all processors idle and all channels empty.
-The full invariant argument lives in :mod:`.protocol`.  Waves are
-event-driven: between two of them the coordinator waits only until the
-workers' passive notices (sent when a worker goes idle) show a
-balanced, pending-free cluster, or — the fallback — for
-``probe_interval``; so a run ends a couple of queue round trips after
-its last firing rather than one to two sleeps after it.  Each worker's
-RESULT is unioned into the output as soon as it is dequeued.
-
-Workers run free, with no barrier and no throttle: Theorem 2 bounds
-total firings under any schedule, so holding one back cannot save
-work.
-
-Fault tolerance.  The coordinator polls ``Process.is_alive`` inside the
-ack-collection loop, so a worker that dies *silently* (``SIGKILL``, OOM
-kill, an injected fault) is detected within about one probe interval
-instead of hanging the run to the global timeout.  What happens next is
-the ``recovery`` policy:
-
-* ``"fail"`` (default) — raise :class:`~repro.errors.ExecutionError`
-  naming the dead worker and its exit code;
-* ``"restart"`` — exploit Theorem 1 plus monotonicity: respawn the
-  worker from its base fragment, bump the *recovery epoch* (survivors
-  zero their quiescence counters — see :mod:`.protocol` for why), and
-  ask every survivor to replay its per-target sent-log to the newcomer.
-  Re-derivation is idempotent and duplicates are discarded by the
-  receiving step, so the recovered run's answer equals an undisturbed
-  one exactly;
-* ``"checkpoint"`` — like ``"restart"``, but workers additionally ship
-  a consistent snapshot of their derived state to the coordinator every
-  ``checkpoint_interval`` bursts — runs of steps, each ending when the
-  worker has no staged input left (see :mod:`.worker` and
-  :mod:`.checkpoint`).  A dead
-  worker respawns *from its last checkpoint* instead of its base
-  fragment, so it re-derives only the work since the snapshot; the
-  checkpoint's per-sender watermarks let every peer truncate its
-  sent-log down to the unacknowledged suffix, so replays shrink the
-  same way.  When several workers die at once, each restored newcomer
-  also replays its restored log to the others.  Answers and total
-  firings still equal an undisturbed run.
-
-Every restart of the same worker after the first is preceded by an
-exponentially growing backoff sleep (base :data:`_BACKOFF_BASE`, cap
-:data:`_BACKOFF_CAP`), so a flapping processor cannot hot-loop the
-spawn path; the global ``max_restarts`` budget still bounds the total.
-
-A worker that is alive but fails to ack for the ack deadline is
-reported as wedged (that is a bug or a deadlock, not a crash — restart
-cannot be assumed safe, so this always raises).  Every error raised on
-a deadline — wedged worker, no quiescence, missing final reports —
-ends with the protocol state it expired in: the epoch, the probe wave
-and each worker's freshest ack (:func:`_describe_acks`), so a hang
-names its own cause.  The default deadline
-is not a constant: :func:`default_ack_deadline` scales it with the
-processor count, and the resolved value is logged on the trace's
-``run_start`` event.
+An I/O loop around one :class:`~.machines.CoordinatorMachine`, which
+makes every protocol decision — probe waves and termination, epochs,
+recovery, checkpoint slots and deadlines; the invariants are stated in
+:mod:`.protocol` and the recovery policies in
+``docs/FAULT_TOLERANCE.md``.  The loop forks the workers, polls the
+liveness of the ones the machine watches, takes messages off the
+coordinator queue, puts what the machine returns on the workers'
+inboxes, and pools each worker's RESULT into the output as soon as it
+is dequeued.  Workers run free, with no barrier and no throttle:
+Theorem 2 bounds total firings under any schedule, so holding one back
+cannot save work.
 
 Worker start.  Before the first fork the coordinator builds each
 processor's :class:`~repro.parallel.processor.ProcessorRuntime` — its
@@ -75,9 +24,7 @@ collector (:mod:`repro.engine.collector`), so each worker inherits it.
 
 Python's GIL makes *thread*-level parallelism useless for this
 workload; separate processes sidestep it, at the cost of pickling
-tuples across queues.  The executor demonstrates that the rewritten
-programs really run asynchronously and terminate; throughput studies
-are the simulator's job.
+tuples across queues.
 """
 
 from __future__ import annotations
@@ -86,10 +33,10 @@ import multiprocessing
 import queue as queue_module
 import time
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional
 
 from ...engine.collector import collect_young, collector_paused
-from ...errors import ConfigurationError, ExecutionError
+from ...errors import ConfigurationError
 from ...facts.database import Database
 from ...facts.packing import ensure_facts
 from ...facts.relation import Relation
@@ -100,32 +47,13 @@ from ..metrics import ParallelMetrics
 from ..naming import processor_tag
 from ..plans import ParallelProgram
 from ..processor import ProcessorRuntime
-from .checkpoint import approx_checkpoint_bytes
-from .protocol import (
-    ACK,
-    CHECKPOINT,
-    ERROR,
-    PROBE,
-    REPLAY,
-    RESET,
-    RESULT,
-    STOP,
-    TRACE,
-    TRUNCATE,
-    WorkerStats,
-)
+from .machines import DONE, SPAWN, CoordinatorMachine
+from .protocol import RESULT, WorkerStats
 from .worker import worker_main
 
 __all__ = ["MPResult", "default_ack_deadline", "run_multiprocessing"]
 
 ProcessorId = Hashable
-
-# Restart backoff: before the n-th respawn of the same worker (n >= 2)
-# the coordinator sleeps min(base * 2**(n-2), cap) seconds.  The first
-# restart is immediate — one-shot injected kills and isolated crashes
-# should recover as fast as the detector allows.
-_BACKOFF_BASE = 0.05
-_BACKOFF_CAP = 1.0
 
 
 def default_ack_deadline(processors: int) -> float:
@@ -165,49 +93,6 @@ class MPResult:
     def relation(self, predicate: str) -> Relation:
         """Convenience accessor for a pooled output relation."""
         return self.output.relation(predicate)
-
-
-# A worker's quiescence counters as an ack or notice reports them:
-# (sent, received, activity, pending).
-_Counters = Tuple[int, int, int, bool]
-
-# One accepted ack: the epoch and probe wave it answered, then the
-# worker's counters.
-_Ack = Tuple[int, int, _Counters]
-
-
-def _quiet(counters: Dict[ProcessorId, _Counters], workers: int) -> bool:
-    """One entry per worker, ``Σ sent == Σ received``, no ``pending``."""
-    return (len(counters) == workers
-            and sum(entry[0] for entry in counters.values())
-            == sum(entry[1] for entry in counters.values())
-            and not any(entry[3] for entry in counters.values()))
-
-
-def _describe_acks(tags: Dict[ProcessorId, str],
-                   last_acks: Dict[ProcessorId, _Ack],
-                   epoch: int, wave: int) -> str:
-    """The protocol state a deadline expired in, for its error message.
-
-    One clause per worker with the freshest ack the coordinator
-    accepted from it: a worker whose ack is older than ``wave`` stopped
-    answering there, unequal ``sent``/``received`` totals mean tuples
-    in flight (or lost), ``pending`` means staged input nobody stepped
-    on.
-    """
-    clauses = []
-    for proc, tag in tags.items():
-        ack = last_acks.get(proc)
-        if ack is None:
-            clauses.append(f"{tag!r} never acked")
-            continue
-        ack_epoch, ack_wave, (sent, received, activity, pending) = ack
-        clauses.append(
-            f"{tag!r} acked wave {ack_wave} (epoch {ack_epoch}): "
-            f"sent={sent} received={received} activity={activity} "
-            f"pending={pending}")
-    return (f"state at expiry: epoch {epoch}, probe wave {wave}; "
-            + "; ".join(clauses))
 
 
 @collector_paused()
@@ -263,8 +148,8 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
 
     Raises:
         ConfigurationError: on an invalid parameter value, a fault
-            plan with channel faults, or a platform without the
-            ``fork`` start method.
+            plan with channel faults or a kill naming no processor, or
+            a platform without the ``fork`` start method.
         ExecutionError: on worker crash, unrecovered death, wedged
             worker or timeout.
     """
@@ -307,13 +192,12 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
     tags = {proc: processor_tag(proc) for proc in order}
     if ack_timeout is None:
         ack_timeout = default_ack_deadline(len(order))
-    if faults is not None:
-        known = set(tags.values())
-        for kill in faults.kills:
-            if kill.processor not in known:
-                raise ExecutionError(
-                    f"kill fault names unknown processor "
-                    f"{kill.processor!r}; known: {sorted(known)}")
+    machine = CoordinatorMachine(
+        order, recovery=recovery, max_restarts=max_restarts,
+        probe_interval=probe_interval, timeout=timeout,
+        ack_timeout=ack_timeout,
+        kill_after=faults.kill_thresholds(tags) if faults is not None else {},
+        tracer=tracer, started=started)
     # Never stepped here: a worker and all its restarts fork this one.
     runtimes = {
         proc: ProcessorRuntime(
@@ -323,6 +207,14 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
         for proc in order}
     inboxes = {proc: context.Queue() for proc in order}
     coordinator_queue = context.Queue()
+    interval = checkpoint_interval if recovery == "checkpoint" else None
+    output = Database()
+    pooled: Dict[str, Relation] = {}
+    for predicate in program.derived:
+        arity = program.program_for(order[0]).arities[predicate]
+        pooled[predicate] = Relation(predicate, arity)
+        output.attach(pooled[predicate])
+    pooled_tuples = 0
 
     if tracing:
         tracer.run_start(scheme=program.scheme + "+mp",
@@ -331,338 +223,95 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
                          ack_deadline=round(ack_timeout, 3))
 
     processes: Dict[ProcessorId, multiprocessing.Process] = {}
-    epoch = 0
-    restarts = 0
-    restart_counts: Dict[ProcessorId, int] = {}
-    checkpoints: Dict[ProcessorId, Dict[str, object]] = {}
-    checkpoint_bytes_total = 0
-    # recovery_seconds: death detection -> the next fully-acked probe
-    # wave (every worker back in the protocol).  A death while recovery
-    # is still pending (cascading failure) extends the same window.
-    recovery_pending = False
-    recovery_started = 0.0
-    recovery_seconds_total = 0.0
-    sequence = 0
-    last_acks: Dict[ProcessorId, _Ack] = {}
 
-    def expired(what: str) -> ExecutionError:
-        """The error for a deadline that ran out, state dump included."""
-        return ExecutionError(
-            f"{what}; {_describe_acks(tags, last_acks, epoch, sequence)}")
+    def carry_out(actions: List[tuple]) -> None:
+        """Put the machine's messages; fork the workers it spawns.
 
-    def spawn(proc: ProcessorId, armed: bool,
-              restore: Optional[Dict[str, object]] = None) -> None:
-        """Start (or restart) the worker of ``proc``.
-
-        Restarted workers reuse their original inbox queue — messages
-        already enqueued for the dead predecessor are still valid input
-        (monotonicity) — and are spawned with ``armed=False`` so an
-        injected kill fires at most once per processor.  Under
-        ``recovery="checkpoint"`` a restart passes the dead worker's
-        last checkpoint payload as ``restore``, so the newcomer resumes
-        from the snapshot instead of the base fragment.
+        A restart reuses its predecessor's inbox: what was queued for
+        the dead worker is still valid input (monotonicity).
         """
-        kill = (faults.kill_for(tags[proc])
-                if armed and faults is not None else None)
-        interval = checkpoint_interval if recovery == "checkpoint" else None
-        process = context.Process(
-            target=worker_main,
-            args=(runtimes[proc], inboxes[proc], inboxes, coordinator_queue,
-                  kill.after_firings if kill is not None else None, epoch,
-                  interval, restore, recovery != "fail"),
-            daemon=True)
-        process.start()
-        processes[proc] = process
-
-    def absorb_checkpoint(message: tuple, fanout: bool = True) -> None:
-        """Store a worker's latest checkpoint; fan out truncations.
-
-        Each watermark in the payload tells one peer how far its
-        sent-log toward the checkpointing worker is already covered by
-        the snapshot; a ``(TRUNCATE, proc, stamp)`` lets that peer drop
-        the covered prefix.  Inbox FIFO order guarantees the peer sees
-        the TRUNCATE before any later REPLAY request for ``proc``, so
-        replays are exactly the post-truncation suffix.
-        """
-        nonlocal checkpoint_bytes_total
-        _, proc, payload = message
-        checkpoints[proc] = payload
-        checkpoint_bytes_total += approx_checkpoint_bytes(payload)
-        if not fanout:
-            return
-        for sender, stamp in payload["watermarks"].items():
-            inbox = inboxes.get(sender)
-            if inbox is not None:
-                inbox.put((TRUNCATE, proc, stamp))
-
-    def absorb_control(message: tuple, fanout: bool = True) -> bool:
-        """Handle an ERROR, TRACE or CHECKPOINT the same way in every
-        coordinator loop; False for any other message."""
-        tag = message[0]
-        if tag == ERROR:
-            raise ExecutionError(
-                f"worker {tags[message[1]]!r} crashed:\n{message[2]}")
-        if tag == TRACE:
-            for payload in message[2]:
-                tracer.ingest(payload)
-            return True
-        if tag == CHECKPOINT:
-            absorb_checkpoint(message, fanout)
-            return True
-        return False
-
-    def fail_dead(dead: List[ProcessorId], reason: str) -> None:
-        names = ", ".join(
-            f"{tags[proc]!r} (exit code {processes[proc].exitcode})"
-            for proc in dead)
-        raise ExecutionError(
-            f"worker{'s' if len(dead) > 1 else ''} {names} died without "
-            f"reporting an error; {reason}")
-
-    def handle_dead(dead: List[ProcessorId]) -> None:
-        """Apply the recovery policy to silently-dead workers."""
-        nonlocal epoch, restarts, recovery_pending, recovery_started
-        # A death detected while a previous recovery is still pending
-        # (peers mid-replay, newcomer mid-catch-up) is a *cascading*
-        # failure; the trace marks it so soak runs can tell the two
-        # apart.
-        cascading = recovery_pending
-        if tracing:
-            for proc in dead:
-                tracer.worker_down(tags[proc],
-                                   exitcode=processes[proc].exitcode,
-                                   epoch=epoch, cascading=cascading)
-        if recovery == "fail":
-            fail_dead(dead, "recovery policy is 'fail'")
-        if restarts + len(dead) > max_restarts:
-            fail_dead(dead, f"max_restarts={max_restarts} exhausted")
-        restarts += len(dead)
-        if not recovery_pending:
-            recovery_pending = True
-            recovery_started = time.perf_counter()
-        epoch += 1
-        # Survivors first zero their quiescence counters at the new
-        # epoch, then replay their sent-logs to every newcomer; inbox
-        # FIFO order (per producer: all of these come from this
-        # coordinator) guarantees each survivor processes its RESET
-        # before the probes of the next wave and before the REPLAY
-        # below.  It does not order the RESET against the newcomer's
-        # first DATA — a different producer — which is why a worker
-        # adopts a later epoch from DATA as well (see .protocol).
-        survivors = [proc for proc in order if proc not in dead]
-        for proc in survivors:
-            inboxes[proc].put((RESET, epoch))
-        for proc in dead:
-            processes[proc].join(timeout=1.0)
-            count = restart_counts.get(proc, 0) + 1
-            restart_counts[proc] = count
-            if count > 1:
-                # Per-worker exponential backoff: a flapping processor
-                # cannot hot-loop the spawn path, and repeated deaths
-                # burn wall-clock instead of churning the cluster.
-                time.sleep(min(_BACKOFF_BASE * 2.0 ** (count - 2),
-                               _BACKOFF_CAP))
-            restore = (checkpoints.get(proc)
-                       if recovery == "checkpoint" else None)
-            spawn(proc, armed=False, restore=restore)
-            if tracing:
+        for proc, message in actions:
+            if message[0] != SPAWN:
+                inboxes[proc].put(message)
+                continue
+            _, kill_after, epoch, restore, delay = message
+            if proc in processes:
+                processes[proc].join(timeout=1.0)
+            if delay:
+                time.sleep(delay)
+            process = context.Process(
+                target=worker_main,
+                args=(runtimes[proc], inboxes[proc], inboxes,
+                      coordinator_queue, kill_after, epoch, interval, restore,
+                      recovery != "fail"),
+                daemon=True)
+            process.start()
+            processes[proc] = process
+            if not tracing:
+                continue
+            if epoch:
                 tracer.worker_restart(tags[proc], epoch=epoch,
                                       restored=restore is not None)
-        # Newcomers replay too, to every *other* casualty: one restored
-        # from a checkpoint holds its predecessor's sent-log, whose
-        # entries past a fellow casualty's own checkpoint neither side
-        # will derive again (both restored ``t_out``s hold them).  A
-        # newcomer from its base fragment has an empty log and re-derives.
-        for proc in order:
-            for casualty in dead:
-                if casualty != proc:
-                    inboxes[proc].put((REPLAY, casualty))
-
-    workers_started = False
-    try:
-        for proc in order:
-            spawn(proc, armed=True)
-            if tracing:
+            else:
                 tracer.worker_spawn(tags[proc])
-        workers_started = True
 
-        probes_sent = 0
-        previous: Optional[Dict[ProcessorId, _Counters]] = None
-        # The coordinator's view between waves: the latest current-epoch
-        # ack or passive notice from each worker.  It only decides when
-        # the next wave goes out (see .protocol, "Passive notices").
-        view: Dict[ProcessorId, _Counters] = {}
+    def pool(message: tuple) -> tuple:
+        """Union a RESULT's rows into the output as it is dequeued, so
+        one worker's rows go in while another still packs its own."""
+        nonlocal pooled_tuples
+        if message[0] == RESULT:
+            for predicate, relation in pooled.items():
+                facts = ensure_facts(message[2].pop(predicate, ()))
+                relation.update(facts)
+                pooled_tuples += len(facts)
+                # Drop the payload's duplicates before the collection.
+                del facts
+            # What the RESULT added leaves the collector while in cache
+            # (repro.engine.collector).
+            collect_young()
+        return message
 
-        def note(message: tuple) -> bool:
-            """Absorb ``message``; True iff it was a current-epoch ack
-            or notice, now folded into ``view``."""
-            if absorb_control(message) or message[0] != ACK:
-                return False
-            # (ACK, proc, seq, sent, received, activity, epoch, pending)
-            if message[6] != epoch:
-                return False
-            view[message[1]] = message[3:6] + message[7:]
-            return True
-
-        deadline = started + timeout
+    def drain() -> List[tuple]:
+        backlog = []
         while True:
-            if time.perf_counter() > deadline:
-                raise expired(f"no quiescence within {timeout} seconds")
-            sequence += 1
-            for proc in order:
-                inboxes[proc].put((PROBE, sequence))
-                probes_sent += 1
-            if tracing:
-                tracer.probe(seq=sequence, wave=len(order))
-            snapshot: Dict[ProcessorId, _Counters] = {}
-            wave_started = time.perf_counter()
-            recovered = False
-            while len(snapshot) < len(order):
-                now = time.perf_counter()
-                if now > deadline:
-                    raise expired(f"no quiescence within {timeout} seconds")
-                dead = [proc for proc in order
-                        if proc not in snapshot
-                        and not processes[proc].is_alive()]
-                if dead:
-                    # Prefer a worker's own crash report when one is
-                    # already queued (a polite crash exits 0 after
-                    # posting ERROR; only truly silent deaths recover).
-                    # A checkpoint that raced the death is still the
-                    # latest one: absorbing it (and letting peers
-                    # truncate) comes before deciding how to respawn.
-                    while True:
-                        try:
-                            absorb_control(coordinator_queue.get_nowait())
-                        except queue_module.Empty:
-                            break
-                    handle_dead(dead)
-                    recovered = True
-                    break
-                if now - wave_started > ack_timeout:
-                    missing = ", ".join(repr(tags[proc]) for proc in order
-                                        if proc not in snapshot)
-                    raise expired(
-                        f"worker(s) {missing} alive but did not ack probe "
-                        f"{sequence} within {ack_timeout} seconds (wedged?)")
+            try:
+                backlog.append(pool(coordinator_queue.get_nowait()))
+            except queue_module.Empty:
+                return backlog
+
+    try:
+        carry_out(machine.start())
+        while machine.phase != DONE:
+            now = time.perf_counter()
+            dead = {proc: processes[proc].exitcode
+                    for proc in machine.watched()
+                    if not processes[proc].is_alive()}
+            actions = machine.tick(now, dead, drain() if dead else ())
+            if not actions and machine.phase != DONE:
                 try:
                     message = coordinator_queue.get(
-                        timeout=min(probe_interval, deadline - now))
+                        timeout=machine.wait(now))
                 except queue_module.Empty:
                     continue
-                if note(message) and message[2] == sequence:
-                    proc = message[1]
-                    snapshot[proc] = view[proc]
-                    last_acks[proc] = (epoch, sequence, snapshot[proc])
-            if recovered:
-                # The aborted wave's counters are meaningless across the
-                # epoch change; restart the double-probe from scratch.
-                previous = None
-                view.clear()
-                continue
-            if recovery_pending:
-                # First fully-acked wave after a death: every worker
-                # (newcomers included) is back in the protocol, so the
-                # recovery window closes here.
-                recovery_seconds_total += time.perf_counter() - recovery_started
-                recovery_pending = False
-            unchanged = previous is not None and all(
-                snapshot[p][2] == previous[p][2] for p in order)
-            # ``pending`` must be clear too (inside _quiet): two waves
-            # can be acked from one drain pass, before a step (.protocol).
-            if unchanged and _quiet(snapshot, len(order)):
-                break
-            previous = snapshot
-            # Send the next wave as soon as the view is quiet: at once
-            # when this wave was (no notice has superseded its acks),
-            # else on the notice that makes it so.  ``probe_interval``
-            # is only the fallback when no such notice comes.
-            wait_until = min(time.perf_counter() + probe_interval, deadline)
-            while not _quiet(view, len(order)):
-                remaining = wait_until - time.perf_counter()
-                if remaining <= 0:
-                    break
-                try:
-                    message = coordinator_queue.get(timeout=remaining)
-                except queue_module.Empty:
-                    break
-                note(message)
-
-        for proc in order:
-            inboxes[proc].put((STOP,))
-        # Results are pooled as they are dequeued, so one worker's rows
-        # are unioned in while the other is still packing its own.
-        output = Database()
-        pooled: Dict[str, Relation] = {}
-        for predicate in program.derived:
-            arity = program.program_for(order[0]).arities[predicate]
-            pooled[predicate] = Relation(predicate, arity)
-            output.attach(pooled[predicate])
-        pooled_tuples = 0
-        stats: Dict[ProcessorId, WorkerStats] = {}
-        while len(stats) < len(order):
-            now = time.perf_counter()
-            if now > deadline:
-                silent = ", ".join(repr(tags[proc]) for proc in order
-                                   if proc not in stats)
-                raise expired(
-                    f"workers did not report within {timeout} seconds "
-                    f"(no result from {silent})")
-            # A worker that exits non-zero here died between quiescence
-            # and its final report; its peers have already been told to
-            # stop, so replay targets are gone and restart is no longer
-            # possible — fail precisely instead.
-            dead = [proc for proc in order
-                    if proc not in stats
-                    and not processes[proc].is_alive()
-                    and processes[proc].exitcode not in (None, 0)]
-            if dead:
-                fail_dead(dead, "death during result collection is not "
-                                "recoverable")
-            try:
-                message = coordinator_queue.get(
-                    timeout=min(0.1, deadline - now))
-            except queue_module.Empty:
-                continue
-            # Workers have been told to stop; a late checkpoint keeps its
-            # slot current but skips the truncation fan-out (nobody will
-            # read it).
-            if absorb_control(message, fanout=False):
-                continue
-            if message[0] == RESULT:
-                _, proc, worker_outputs, worker_stats = message
-                for predicate, relation in pooled.items():
-                    facts = ensure_facts(worker_outputs.pop(predicate, ()))
-                    relation.update(facts)
-                    pooled_tuples += len(facts)
-                    # Drop the payload's duplicates before the collection.
-                    del facts
-                stats[proc] = worker_stats
-                # What the RESULT added leaves the collector while in
-                # cache (repro.engine.collector).
-                collect_young()
-                if tracing:
-                    tracer.worker_exit(tags[proc],
-                                       firings=worker_stats.firings,
-                                       probes=worker_stats.probes,
-                                       received=worker_stats.received)
+                actions = machine.on_message(pool(message), now)
+            carry_out(actions)
         for process in processes.values():
             process.join(timeout=5.0)
     finally:
-        if workers_started or processes:
-            for process in processes.values():
-                if process.is_alive():
-                    process.terminate()
+        for process in processes.values():
+            if process.is_alive():
+                process.terminate()
 
     metrics = ParallelMetrics(scheme=program.scheme + "+mp",
                               processors=tuple(order))
-    metrics.control_messages = probes_sent
+    metrics.control_messages = machine.probes_sent
     metrics.pooled_tuples = pooled_tuples
-    metrics.restarts = restarts
-    metrics.recovery_seconds = recovery_seconds_total
+    metrics.restarts = machine.restarts
+    metrics.recovery_seconds = machine.recovery_seconds
     # Coordinator-side total: a worker's own checkpoint_bytes counter
     # dies with it, the slot ledger does not.
-    metrics.checkpoint_bytes = checkpoint_bytes_total
+    metrics.checkpoint_bytes = machine.checkpoint_bytes
+    stats = machine.results
     for proc in order:
         worker_stats = stats[proc]
         metrics.log_truncated += worker_stats.log_truncated
@@ -683,8 +332,8 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
     if tracing:
         tracer.run_end(firings=metrics.total_firings(),
                        sent=metrics.total_sent(),
-                       control_messages=probes_sent,
-                       restarts=restarts,
+                       control_messages=machine.probes_sent,
+                       restarts=machine.restarts,
                        wall_seconds=wall_seconds)
     return MPResult(output=output, metrics=metrics, stats=stats,
                     wall_seconds=wall_seconds)

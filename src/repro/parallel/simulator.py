@@ -165,6 +165,11 @@ class SimulatedCluster:
             :class:`~repro.errors.ExecutionError`; ``"restart"`` — the
             killed processor is rebuilt from its base fragment and its
             peers replay their sent-logs to it.
+
+    Raises:
+        ConfigurationError: on an unknown recovery policy, a delay
+            probability outside ``[0, 1]``, or a kill fault naming no
+            processor of the program.
     """
 
     def __init__(self, program: ParallelProgram, database: Database,
@@ -176,7 +181,7 @@ class SimulatedCluster:
                  faults: Optional[FaultPlan] = None,
                  recovery: str = "fail") -> None:
         if recovery not in ("fail", "restart"):
-            raise ExecutionError(
+            raise ConfigurationError(
                 f"unknown recovery policy {recovery!r}: expected 'fail' or "
                 "'restart'")
         if not 0.0 <= delay_probability <= 1.0:
@@ -212,13 +217,7 @@ class SimulatedCluster:
         self._sent_log: Dict[Tuple[ProcessorId, ProcessorId],
                              List[EmissionBatch]] = {}
         if faults is not None:
-            known = {tag: proc for proc, tag in self._tags.items()}
-            for kill in faults.kills:
-                if kill.processor not in known:
-                    raise ExecutionError(
-                        f"kill fault names unknown processor "
-                        f"{kill.processor!r}; known: {sorted(known)}")
-                self._kill_after[known[kill.processor]] = kill.after_firings
+            self._kill_after = faults.kill_thresholds(self._tags)
             self._channel_faults = faults.channel_state()
 
     # ------------------------------------------------------------------

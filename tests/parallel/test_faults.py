@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
 from repro.parallel.faults import (
     DELAY,
     DELIVER,
@@ -64,10 +64,14 @@ class TestParsing:
 
 
 class TestFaultPlan:
-    def test_kill_for(self):
+    def test_kill_thresholds(self):
         plan = build_fault_plan(["kill:p1@5"])
-        assert plan.kill_for("p1").after_firings == 5
-        assert plan.kill_for("p0") is None
+        assert plan.kill_thresholds({0: "p0", 1: "p1"}) == {1: 5}
+
+    def test_kill_naming_no_processor_is_a_configuration_error(self):
+        plan = build_fault_plan(["kill:p1@5", "kill:nosuch@3"])
+        with pytest.raises(ConfigurationError, match="'nosuch'"):
+            plan.kill_thresholds({0: "p0", 1: "p1"})
 
     def test_bool(self):
         assert not FaultPlan()

@@ -58,10 +58,15 @@ class TestFailFast:
         assert "-9" in str(excinfo.value)  # SIGKILL exit code
 
     def test_unknown_kill_tag_rejected(self, ancestor, tree_db):
+        """The same configuration error as the simulator's, raised
+        before any worker is forked."""
         program = example3_scheme(ancestor, (0, 1))
         plan = build_fault_plan(["kill:nosuch@3"])
-        with pytest.raises(ExecutionError):
+        # Workers an earlier test terminated may not be reaped yet.
+        before = set(multiprocessing.active_children())
+        with pytest.raises(ConfigurationError, match="'nosuch'"):
             run_multiprocessing(program, tree_db, faults=plan, timeout=60)
+        assert set(multiprocessing.active_children()) <= before
 
     def test_max_restarts_exhausted(self, ancestor, tree_db):
         """With max_restarts=0 even the restart policy fails fast."""

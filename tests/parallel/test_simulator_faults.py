@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.engine import evaluate
-from repro.errors import ExecutionError
+from repro.errors import ConfigurationError, ExecutionError
 from repro.facts import Database
 from repro.parallel import (
     build_fault_plan,
@@ -68,12 +68,13 @@ class TestSimulatorKills:
     def test_unknown_kill_tag_rejected(self, ancestor, tree_db):
         program = example3_scheme(ancestor, (0, 1))
         plan = build_fault_plan(["kill:nosuch@3"])
-        with pytest.raises(ExecutionError):
+        with pytest.raises(ConfigurationError, match="'nosuch'"):
             run_parallel(program, tree_db, faults=plan)
 
     def test_invalid_recovery_policy_rejected(self, ancestor, tree_db):
+        # The same error type the mp executor raises for a bad policy.
         program = example3_scheme(ancestor, (0, 1))
-        with pytest.raises(ExecutionError):
+        with pytest.raises(ConfigurationError, match="recovery"):
             run_parallel(program, tree_db, recovery="shrug")
 
 
