@@ -9,8 +9,6 @@ Usage (also available as ``python -m repro``)::
                    [--inject-fault kill:p1@50] [--recovery checkpoint]
                    [--max-restarts 3] [--checkpoint-interval 4]
                    [--ack-deadline 20]
-    repro chaos [--seeds 20] [--start-seed 0] [--timeout 60]
-                   [--max-restarts 4] [--checkpoint-interval 2]
     repro trace run.jsonl [--json] [--send-cost 1.0] [--recv-cost 1.0]
     repro network program.dl [--positions 1,2] [--linear 1,-1,1]
                    [--g-range 2]
@@ -110,13 +108,22 @@ def _build_scheme(args: argparse.Namespace, program: Program,
 
 
 def _cmd_parallel(args: argparse.Namespace) -> int:
-    from .parallel import run_parallel
+    from .parallel import build_fault_plan, run_parallel
     from .parallel.mp import run_multiprocessing
 
-    if args.recovery == "checkpoint" and not args.mp:
-        raise ReproError(
-            "--recovery checkpoint needs real worker processes to "
-            "snapshot; add --mp (the simulator supports fail/restart)")
+    faults = (build_fault_plan(args.inject_fault, seed=args.seed)
+              if args.inject_fault else None)
+    # Kills and their recovery need worker processes to kill: refuse
+    # them before anything is evaluated.
+    if not args.mp:
+        if faults is not None and faults.kills:
+            raise ReproError("kill faults need real worker processes; add "
+                             "--mp (the simulator injects channel faults "
+                             "only)")
+        if args.recovery != "fail":
+            raise ReproError(f"--recovery {args.recovery} recovers killed "
+                             "worker processes; add --mp (the simulator "
+                             "kills none)")
     program, database = _load(args.program, args.facts)
     parallel_program = _build_scheme(args, program, database)
     print(f"scheme: {parallel_program.scheme} on "
@@ -125,11 +132,7 @@ def _cmd_parallel(args: argparse.Namespace) -> int:
     for line in parallel_program.fragmentation.describe().splitlines():
         print(f"  {line}")
 
-    faults = None
-    if args.inject_fault:
-        from .parallel.faults import build_fault_plan
-
-        faults = build_fault_plan(args.inject_fault, seed=args.seed)
+    if faults is not None:
         specs = ", ".join(args.inject_fault)
         print(f"fault injection: {specs} (recovery={args.recovery}, "
               f"seed={args.seed})")
@@ -164,10 +167,7 @@ def _cmd_parallel(args: argparse.Namespace) -> int:
                                   detect_termination=args.detect_termination,
                                   delay_probability=args.delay_prob,
                                   seed=args.seed, tracer=tracer,
-                                  recovery=args.recovery, faults=faults)
-            if result.metrics.restarts:
-                print(f"processors restarted after injected faults: "
-                      f"{result.metrics.restarts}")
+                                  faults=faults)
     finally:
         if tracer is not None:
             tracer.close()
@@ -203,21 +203,6 @@ def _cmd_parallel(args: argparse.Namespace) -> int:
         if not matches:
             return 1
     return 0
-
-
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    from .parallel.chaos import run_chaos, summarize
-
-    if args.seeds < 1:
-        raise ReproError(f"--seeds must be >= 1, got {args.seeds}")
-    outcomes = run_chaos(seeds=args.seeds, start_seed=args.start_seed,
-                         timeout=args.timeout,
-                         max_restarts=args.max_restarts,
-                         checkpoint_interval=args.checkpoint_interval,
-                         progress=lambda line: print(line, flush=True))
-    print()
-    print(summarize(outcomes))
-    return 0 if all(outcome.ok for outcome in outcomes) else 1
 
 
 def _parse_int_list(text: str) -> Tuple[int, ...]:
@@ -340,16 +325,17 @@ def build_parser() -> argparse.ArgumentParser:
     par.add_argument("--inject-fault", metavar="SPEC", action="append",
                      default=[],
                      help="inject a fault: kill:<tag>@<firings> (e.g. "
-                          "kill:p1@50), or a simulator-only channel fault "
-                          "drop:<prob>, delay:<prob> or dup:<prob>, "
-                          "optionally @<src>-><dst>; repeatable")
+                          "kill:p1@50; --mp only), or a simulator-only "
+                          "channel fault drop:<prob>, delay:<prob> or "
+                          "dup:<prob>, optionally @<src>-><dst>; repeatable")
     par.add_argument("--recovery", choices=("fail", "restart", "checkpoint"),
                      default="fail",
-                     help="what to do when a worker dies: fail fast with a "
-                          "precise error, restart it from its base fragment "
-                          "and replay peer sent-logs, or (--mp only) resume "
-                          "it from its last coordinator-held checkpoint and "
-                          "replay only unacknowledged suffixes")
+                     help="what to do when a worker process dies (--mp "
+                          "only): fail fast with a precise error, restart it "
+                          "from its base fragment and replay peer sent-logs, "
+                          "or resume it from its last coordinator-held "
+                          "checkpoint and replay only unacknowledged "
+                          "suffixes")
     par.add_argument("--max-restarts", type=int, default=3,
                      help="total worker restarts allowed per run before the "
                           "recovery policy gives up (>= 0)")
@@ -398,24 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     wl = commands.add_parser("workloads", help="list built-in workloads")
     wl.set_defaults(func=_cmd_workloads)
 
-    chaos = commands.add_parser(
-        "chaos", help="soak the mp executor under seeded random fault "
-                      "schedules; every case must match sequential "
-                      "evaluation exactly")
-    chaos.add_argument("--seeds", type=int, default=20,
-                       help="number of consecutive seeds to soak")
-    chaos.add_argument("--start-seed", type=int, default=0,
-                       help="first seed (replay a failure by pinning it "
-                            "here with --seeds 1)")
-    chaos.add_argument("--timeout", type=float, default=60.0,
-                       help="per-case wall-clock budget in seconds")
-    chaos.add_argument("--max-restarts", type=int, default=4,
-                       help="per-case worker restart budget")
-    chaos.add_argument("--checkpoint-interval", type=int, default=2,
-                       help="bursts (runs of steps that end when a worker "
-                            "has no staged input left) between checkpoints "
-                            "on the checkpoint-recovery cases")
-    chaos.set_defaults(func=_cmd_chaos)
     return parser
 
 

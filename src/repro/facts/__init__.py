@@ -21,7 +21,6 @@ from .packing import (
     is_packed,
     pack_facts,
     packed_fact_count,
-    unpack_columns,
     unpack_facts,
 )
 from .relation import Fact, Relation
@@ -46,6 +45,5 @@ __all__ = [
     "make_relation",
     "pack_facts",
     "packed_fact_count",
-    "unpack_columns",
     "unpack_facts",
 ]

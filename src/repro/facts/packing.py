@@ -28,7 +28,7 @@ two wire formats stay meaningful.
 from __future__ import annotations
 
 from array import array
-from typing import List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from .relation import Fact
 
@@ -40,13 +40,13 @@ __all__ = [
     "maybe_pack",
     "pack_facts",
     "packed_fact_count",
-    "unpack_columns",
+    "packed_rows",
     "unpack_facts",
 ]
 
-# First element of every packed payload.  A packed payload is a tuple,
-# a legacy payload is a list of fact tuples, so ``is_packed`` is cheap
-# and old/new workers can share a queue during rolling changes.
+# First element of every packed payload.  A packed payload is a tuple
+# and a plain payload a list of fact tuples, so ``is_packed`` is one
+# type check and a tag comparison.
 PACKED_TAG = "__cols__"
 
 _INT = {int}
@@ -140,29 +140,17 @@ def ensure_facts(payload) -> List[Fact]:
     return list(payload)
 
 
-def unpack_facts(payload: Tuple) -> List[Fact]:
-    """Reconstruct the exact fact tuples of a packed payload."""
+def packed_rows(payload: Tuple) -> Iterable[Fact]:
+    """The fact tuples of a packed payload, transposed lazily from its
+    decoded columns (consume once)."""
     _, count, arity, columns = payload
     if count == 0:
-        return []
+        return ()
     if arity == 0:
-        return [() for _ in range(count)]
-    decoded = [_decode_column(column) for column in columns]
-    if arity == 1:
-        return [(value,) for value in decoded[0]]
-    return list(zip(*decoded))
+        return [()] * count
+    return zip(*[_decode_column(column) for column in columns])
 
 
-def unpack_columns(payload: Tuple) -> Tuple[int, int, List[List[object]]]:
-    """Decode a packed payload to ``(count, arity, value columns)``.
-
-    The column-shaped sibling of :func:`unpack_facts`: receivers that
-    ingest batches columnwise (an mp worker handing a DATA batch to the
-    batch join) decode each attribute column once and skip
-    the transpose back to row tuples entirely.  Column ``p`` holds the
-    position-``p`` values of every fact, row-aligned across columns.
-    """
-    _, count, arity, columns = payload
-    if count == 0 or arity == 0:
-        return count, arity, []
-    return count, arity, [_decode_column(column) for column in columns]
+def unpack_facts(payload: Tuple) -> List[Fact]:
+    """Reconstruct the exact fact tuples of a packed payload."""
+    return list(packed_rows(payload))

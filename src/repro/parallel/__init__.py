@@ -45,23 +45,8 @@ from .schemes import (
 )
 from .simulator import ParallelResult, SimulatedCluster, run_parallel
 
-# The chaos harness drags in the workload generators and the engine
-# front end; nothing on the evaluation path needs it, so it loads on
-# first access (PEP 562).
-_CHAOS_NAMES = frozenset({"ChaosCase", "ChaosOutcome", "run_chaos"})
-
-
-def __getattr__(name: str) -> object:
-    if name in _CHAOS_NAMES:
-        from . import chaos
-        return getattr(chaos, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "BROADCAST",
-    "ChaosCase",
-    "ChaosOutcome",
     "ConstantDiscriminator",
     "CostModel",
     "ChannelFault",
@@ -100,7 +85,6 @@ __all__ = [
     "rewrite_linear_family",
     "rewrite_linear_sirup",
     "route_positions",
-    "run_chaos",
     "run_parallel",
     "stable_hash",
     "tradeoff_scheme",

@@ -8,14 +8,15 @@ answer, with duplicates discarded by the receiving step's difference
 operation.  This module supplies the *faults* against which that claim
 is exercised:
 
-* **kill faults** — terminate processor *p* once its cumulative firing
-  count reaches *N* (``kill:p1@50``).  The multiprocessing executor
-  delivers a real ``SIGKILL`` to the worker process, after flushing its
-  outbound queue buffers so the shared-queue locks are never torn down
-  mid-write; the simulator discards the processor's runtime state at
-  the end of the tick in which the threshold is crossed (once the
-  processor is not mid-step).  Kills are one-shot: a restarted worker
-  is not re-killed.
+* **kill faults** — multiprocessing executor only.  Terminate
+  processor *p* once its cumulative firing count reaches *N*
+  (``kill:p1@50``): the worker flushes its outbound queue buffers, so
+  the shared-queue locks are never torn down mid-write, and delivers a
+  real ``SIGKILL`` to itself at the first step boundary past the
+  threshold.  Kills are one-shot: a restarted worker is not re-killed.
+  The simulator has no processes to kill and rejects a plan with a
+  kill; the schedule explorer (``tests/parallel/test_protocol_explorer.py``)
+  kills the mp protocol's machines at every step boundary instead.
 * **channel faults** — simulator only.  For each tuple crossing a
   remote channel, independently ``drop`` it (it vanishes; the paper
   assumes reliable channels, so this demonstrates *why*), ``delay`` it
@@ -134,7 +135,7 @@ class FaultPlan:
     """Everything to inject into one run.
 
     Attributes:
-        kills: kill faults, at most one per processor tag.
+        kills: kill faults, at most one per processor tag (mp only).
         channel_faults: channel disturbances (simulator only).
         seed: RNG seed for the channel-fault stream.
     """

@@ -302,8 +302,6 @@ class WorkerMachine:
         out = self._adopt(epoch)
         count = 0
         for predicate, payload in pairs:
-            # Packed batches stay in wire form: the runtime decodes them
-            # columnwise at the next step.
             if is_packed(payload):
                 self.runtime.receive_packed(predicate, payload, remote=True)
                 received = packed_fact_count(payload)

@@ -23,7 +23,7 @@ from ..engine.counters import EvalCounters
 from ..engine.planner import compile_plan
 from ..engine.seminaive import DeltaLoop, run_plans
 from ..facts.database import Database
-from ..facts.packing import packed_fact_count, unpack_columns, unpack_facts
+from ..facts.packing import packed_fact_count, packed_rows
 from ..facts.relation import Fact, Relation
 from ..obs.tracer import Tracer, ensure_tracer
 from .naming import processor_tag
@@ -64,12 +64,10 @@ class ProcessorRuntime:
         self._out_to_pred: Dict[str, str] = {}
         self._out: Dict[str, Relation] = {}
         self._staged: Dict[str, List[Fact]] = {}
-        self._staged_packed: Dict[str, List[Tuple]] = {}
 
         for pred, iname in program.in_names.items():
             self.working.declare(iname, program.arities[pred])
             self._staged[pred] = []
-            self._staged_packed[pred] = []
         for pred, oname in program.out_names.items():
             self._out[pred] = self.working.declare(oname, program.arities[pred])
             self._out_to_pred[oname] = pred
@@ -128,24 +126,19 @@ class ProcessorRuntime:
 
     def receive_packed(self, predicate: str, payload: Tuple,
                        remote: bool = True) -> None:
-        """Stage a packed-column DATA payload without row reconstruction.
-
-        The payload (see :mod:`repro.facts.packing`) is held in wire
-        form and decoded columnwise at the next :meth:`step`, where the
-        whole batch is ingested through one ``add_new_many`` — the mp
-        workers hand large DATA batches straight here so no per-fact
-        tuple loop runs between the channel and the delta batch.
+        """:meth:`receive` for a packed-column DATA payload (see
+        :mod:`repro.facts.packing`): its columns are decoded and
+        transposed straight onto the staged rows, with no list between.
         """
         count = packed_fact_count(payload)
-        self._staged_packed[predicate].append(payload)
+        self._staged[predicate].extend(packed_rows(payload))
         self.received_total += count
         if remote:
             self.received_remote += count
 
     def has_pending_input(self) -> bool:
         """True iff staged tuples await the next step."""
-        return (any(self._staged.values())
-                or any(self._staged_packed.values()))
+        return any(self._staged.values())
 
     def step(self) -> List[Emission]:
         """Run one semi-naive round over the staged input.
@@ -159,10 +152,8 @@ class ProcessorRuntime:
         """:meth:`step`, the new tuples kept as one list per derived
         predicate (what the executors route)."""
         # Ingest: new tuples are the next deltas, duplicates are discarded
-        # by the difference operation of the paper's receiving step.
-        # Bulk path: plain staged rows and packed payloads (decoded
-        # columnwise, one zip per batch) combine into a single
-        # ``add_new_many`` per predicate — first occurrence wins, every
+        # by the difference operation of the paper's receiving step.  One
+        # ``add_new_many`` per predicate: first occurrence wins, every
         # later occurrence is a drop, exactly the per-fact ``add``
         # accounting.
         tracer = self.tracer
@@ -171,24 +162,10 @@ class ProcessorRuntime:
         full = self._loop.full
         fresh_of: Dict[str, List[Fact]] = {}
         for pred, staged in self._staged.items():
-            payloads = self._staged_packed[pred]
-            if not staged and not payloads:
+            if not staged:
                 continue
-            total = len(staged)
-            rows: List[Fact] = staged if not payloads else list(staged)
-            for payload in payloads:
-                count, arity, columns = unpack_columns(payload)
-                total += count
-                if not count:
-                    continue
-                if arity > 1:
-                    rows.extend(zip(*columns))
-                elif arity == 1:
-                    rows.extend((value,) for value in columns[0])
-                else:
-                    rows.extend(() for _ in range(count))
-            fresh = full[in_names[pred]].add_new_many(rows)
-            dropped = total - len(fresh)
+            fresh = full[in_names[pred]].add_new_many(staged)
+            dropped = len(staged) - len(fresh)
             if fresh:
                 fresh_of[in_names[pred]] = fresh
             if dropped:
@@ -196,7 +173,6 @@ class ProcessorRuntime:
                 if tracing:
                     tracer.tuple_dropped(self.tag, pred, count=dropped)
             staged.clear()
-            payloads.clear()
         self._loop.advance(fresh_of)
         if not fresh_of:
             return []
@@ -221,13 +197,6 @@ class ProcessorRuntime:
         """
         staged: Dict[str, List[Fact]] = {
             pred: list(rows) for pred, rows in self._staged.items() if rows}
-        # Packed payloads snapshot as plain rows: checkpoints stay
-        # independent of the wire format a batch happened to arrive in.
-        for pred, payloads in self._staged_packed.items():
-            if payloads:
-                rows = staged.setdefault(pred, [])
-                for payload in payloads:
-                    rows.extend(unpack_facts(payload))
         full = self._loop.full
         return ({pred: list(full[iname])
                  for pred, iname in self.program.in_names.items()},

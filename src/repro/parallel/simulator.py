@@ -18,16 +18,12 @@ runs Safra's token-ring termination-detection algorithm — the
 "standard algorithm of Distributed Computing" the paper defers to
 [5, 7] — and reports its control-message overhead and detection delay.
 
-Fault injection (see :mod:`repro.parallel.faults`) shares its spec
-language with the multiprocessing executor: kill faults discard a
-processor's runtime state once its firing count crosses the threshold
-(at the end of a tick here, step granularity in mp), and channel faults
-drop/delay/duplicate individual tuples at send time from a seeded RNG.
-Under ``recovery="restart"`` a killed processor is rebuilt from its
-base fragment and its peers replay their per-target sent-logs to it,
-both arriving at the next tick — the same monotonicity-backed protocol
-the mp executor uses, so recovered outputs match undisturbed ones
-exactly.
+Fault injection (see :mod:`repro.parallel.faults`) is per-tuple
+channel faults only: drop, delay or duplicate a tuple at send time, from
+a seeded RNG.  Worker kills and their recovery belong to the
+multiprocessing executor, whose protocol machines the schedule explorer
+checks (``tests/parallel/test_protocol_explorer.py``); a plan holding a
+kill is a :class:`~repro.errors.ConfigurationError` here.
 """
 
 from __future__ import annotations
@@ -36,7 +32,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Dict, Hashable, Iterable, List, Optional,
-                    Sequence, Set, Tuple)
+                    Sequence, Tuple)
 
 from ..engine.collector import collect_young, collector_paused
 from ..engine.counters import EvalCounters
@@ -158,18 +154,13 @@ class SimulatedCluster:
             tick-based and fully deterministic, so the tracer should
             carry no clock: equal seeds then yield byte-identical
             event streams.
-        faults: optional :class:`~repro.parallel.faults.FaultPlan` to
-            inject (kills at the end of a tick, per-tuple channel
-            drop/delay/duplicate from the plan's own seeded RNG).
-        recovery: ``"fail"`` — an injected kill aborts the run with
-            :class:`~repro.errors.ExecutionError`; ``"restart"`` — the
-            killed processor is rebuilt from its base fragment and its
-            peers replay their sent-logs to it.
+        faults: optional :class:`~repro.parallel.faults.FaultPlan` of
+            channel faults to inject (per-tuple drop/delay/duplicate
+            from the plan's own seeded RNG).
 
     Raises:
-        ConfigurationError: on an unknown recovery policy, a delay
-            probability outside ``[0, 1]``, or a kill fault naming no
-            processor of the program.
+        ConfigurationError: on a delay probability outside ``[0, 1]``,
+            or a fault plan holding a kill (an mp-only fault).
     """
 
     def __init__(self, program: ParallelProgram, database: Database,
@@ -178,24 +169,22 @@ class SimulatedCluster:
                  max_rounds: int = 1_000_000,
                  network: Optional["NetworkGraph"] = None,
                  tracer: Optional[Tracer] = None,
-                 faults: Optional[FaultPlan] = None,
-                 recovery: str = "fail") -> None:
-        if recovery not in ("fail", "restart"):
+                 faults: Optional[FaultPlan] = None) -> None:
+        if faults is not None and faults.kills:
             raise ConfigurationError(
-                f"unknown recovery policy {recovery!r}: expected 'fail' or "
-                "'restart'")
+                "the simulator injects channel faults only: a kill fault "
+                "needs real worker processes "
+                "(repro.parallel.mp.run_multiprocessing)")
         if not 0.0 <= delay_probability <= 1.0:
             raise ConfigurationError(
                 f"delay_probability must be in [0, 1], got "
                 f"{delay_probability!r}")
         self.program = program
-        self.database = database
         self.delay_probability = delay_probability
         self.detect_termination = detect_termination
         self.max_rounds = max_rounds
         self.network = network
         self.tracer = ensure_tracer(tracer)
-        self.recovery = recovery
         self._rng = random.Random(seed)
         self._order = sorted(program.processors, key=processor_tag)
         self._tags = {proc: processor_tag(proc) for proc in self._order}
@@ -210,15 +199,8 @@ class SimulatedCluster:
             scheme=program.scheme, processors=tuple(self._order))
         self._detector = (_SafraDetector(self._order)
                           if detect_termination else None)
-        # Fault injection state: kill thresholds by processor (one-shot),
-        # the channel-fault decider, and per-channel sent-logs for replay.
-        self._kill_after: Dict[ProcessorId, int] = {}
-        self._channel_faults = None
-        self._sent_log: Dict[Tuple[ProcessorId, ProcessorId],
-                             List[EmissionBatch]] = {}
-        if faults is not None:
-            self._kill_after = faults.kill_thresholds(self._tags)
-            self._channel_faults = faults.channel_state()
+        self._channel_faults = (faults.channel_state()
+                                if faults is not None else None)
 
     # ------------------------------------------------------------------
     def _route(self, sender: ProcessorId,
@@ -259,11 +241,6 @@ class SimulatedCluster:
                     metrics.channel_bytes[channel] += approx_batch_bytes(
                         ((predicate, bucket),))
                     total_remote += count
-                    if self._kill_after:
-                        # Sent-logs only accumulate while a kill fault is
-                        # armed; replay needs them, undisturbed runs don't.
-                        self._sent_log.setdefault(channel, []).append(
-                            (predicate, bucket))
                     if tracing:
                         self.tracer.tuple_sent(self._tags[sender],
                                                self._tags[target], predicate,
@@ -340,61 +317,6 @@ class SimulatedCluster:
                 self._detector.on_receive(proc, count)
         return remote_received
 
-    def _apply_kills(self, tick: int, deliveries: Dict[int, List[Message]],
-                     inflight_to: Counter) -> None:
-        """Fire armed kills whose firing threshold was crossed.
-
-        Called at the end of each tick.  Under ``recovery="fail"`` the
-        first kill aborts the run; under ``"restart"`` the runtime is
-        rebuilt from its base fragment (all derived state is lost,
-        modelling a process death), and the peers' sent-log replay and
-        the re-fired initialization rules arrive at the next tick.
-        Kills are one-shot.
-        """
-        tracing = self.tracer.enabled
-        for proc, threshold in list(self._kill_after.items()):
-            firings = self.runtimes[proc].counters.total_firings()
-            if firings < threshold:
-                continue
-            del self._kill_after[proc]
-            tag = self._tags[proc]
-            if tracing:
-                self.tracer.worker_down(tag, firings=firings, tick=tick)
-            if self.recovery != "restart":
-                raise ExecutionError(
-                    f"processor {tag!r} killed by injected fault after "
-                    f"{firings} firings (recovery policy is 'fail')")
-            local = self.program.local_database(proc, self.database)
-            self.runtimes[proc] = ProcessorRuntime(
-                self.program.program_for(proc), local, tracer=self.tracer)
-            self.metrics.restarts += 1
-            if tracing:
-                self.tracer.worker_restart(tag, tick=tick)
-            for src in self._order:
-                if src == proc:
-                    continue
-                log = self._sent_log.get((src, proc), [])
-                if not log:
-                    continue
-                replay_pairs = _merged(log)
-                deliveries.setdefault(tick + 1, []).extend(
-                    (proc, src, predicate, facts) for predicate, facts in log)
-                count = sum(len(facts) for _, facts in log)
-                inflight_to[proc] += count
-                self.metrics.sent[(src, proc)] += count
-                # A replay burst travels as one coalesced message.
-                self.metrics.channel_messages[(src, proc)] += 1
-                self.metrics.channel_bytes[(src, proc)] += approx_batch_bytes(
-                    replay_pairs.items())
-                self.metrics.replayed[src] += count
-                if self._detector is not None:
-                    self._detector.on_send(src, count)
-                if tracing:
-                    self.tracer.replay(self._tags[src], tag, count)
-            self._schedule(
-                self._route(proc, self.runtimes[proc].initialize_batches()),
-                tick, deliveries, inflight_to)
-
     @collector_paused()
     def run(self) -> ParallelResult:
         """Execute to quiescence and pool the answers.
@@ -407,8 +329,7 @@ class SimulatedCluster:
 
         Raises:
             ExecutionError: if ``max_rounds`` ticks pass without
-                quiescence, or an injected kill fires under
-                ``recovery="fail"``.
+                quiescence.
         """
         tracer = self.tracer
         tracing = tracer.enabled
@@ -465,8 +386,6 @@ class SimulatedCluster:
                 collect_young()
             self._record_round(tick, tick_work, tick_sent, received)
 
-            if self._kill_after:
-                self._apply_kills(tick, deliveries, inflight_to)
             if self._detector is not None:
                 hops_before = self._detector.hops
                 self._detector.advance(idle)
@@ -539,21 +458,17 @@ def _merged(batches: Iterable[Tuple[Hashable, List[Fact]]]
             ) -> Dict[Hashable, List[Fact]]:
     """Batches concatenated per key, keys and tuples in arrival order.
 
-    A lone batch is passed through as it is; two under one key (a
-    replay beside a routing call) merge into a new list, never in
-    place — a batch may also sit in a sent-log.
+    A lone batch is passed through as it is; a later batch under the
+    same key (a delayed batch beside an undelayed one) is appended to
+    the first, a list built for this delivery alone.
     """
     merged: Dict[Hashable, List[Fact]] = {}
-    copied: Set[Hashable] = set()
     for key, facts in batches:
         group = merged.get(key)
         if group is None:
             merged[key] = facts
-        elif key in copied:
-            group.extend(facts)
         else:
-            merged[key] = group + facts
-            copied.add(key)
+            group.extend(facts)
     return merged
 
 

@@ -15,7 +15,6 @@ from repro.facts import (
     is_packed,
     pack_facts,
     packed_fact_count,
-    unpack_columns,
     unpack_facts,
 )
 from repro.facts.packing import _encode_column
@@ -51,17 +50,6 @@ class TestPackRoundTrip:
 
     def test_zero_arity(self):
         _round_trip([(), (), ()])
-
-    def test_unpack_columns_matches_rows(self):
-        facts = [(1, "a"), (2, "b"), (1, "a")]
-        count, arity, columns = unpack_columns(pack_facts(facts))
-        assert (count, arity) == (3, 2)
-        assert columns == [[1, 2, 1], ["a", "b", "a"]]
-        assert list(zip(*columns)) == unpack_facts(pack_facts(facts))
-
-    def test_unpack_columns_degenerate_shapes(self):
-        assert unpack_columns(pack_facts([])) == (0, 0, [])
-        assert unpack_columns(pack_facts([(), ()])) == (2, 0, [])
 
     def test_unary(self):
         _round_trip([(7,), (8,)])

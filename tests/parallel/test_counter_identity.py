@@ -16,8 +16,8 @@ without grouping, where the DAG and the non-linear rule share buckets
 across rows.
 
 The remaining literals pin what the simulator's rounds must
-reproduce: the barrier cost model derived from its per-round loads,
-Safra's detector overhead and a restart-and-replay run.  The cost-model
+reproduce: the barrier cost model derived from its per-round loads and
+Safra's detector overhead.  The cost-model
 literals were recorded as ``ticks``, ``busy`` and ``idle`` counters,
 which the simulator no longer keeps; they are read here from
 ``per_round_work`` through the identities those counters satisfied.
@@ -30,7 +30,6 @@ import pytest
 from repro.facts import Database
 from repro.parallel import (
     CostModel,
-    build_fault_plan,
     example3_scheme,
     rewrite_general,
     run_parallel,
@@ -81,12 +80,6 @@ PINNED_BSP_COST = {
 
 # example3 on ``dag_db`` with Safra's detector running.
 PINNED_SAFRA = dict(rounds=15, control_messages=9, detection_rounds=7)
-
-# example3 on ``tree_db``, processor 1 killed after 40 firings and
-# restarted with sent-log replay.
-PINNED_BSP_KILL = dict(rounds=6, tuples_sent=95, replayed=18, firings=168,
-                       restarts=1)
-
 
 @pytest.fixture
 def shuffled_chain_db():
@@ -142,16 +135,3 @@ def test_safra_overhead_equals_parent_commit(dag_db):
         control_messages=metrics.control_messages,
         detection_rounds=metrics.detection_rounds,
     ) == PINNED_SAFRA
-
-
-def test_bsp_restart_equals_parent_commit(tree_db):
-    metrics = run_parallel(SCHEMES["example3"](), tree_db,
-                           faults=build_fault_plan(["kill:1@40"]),
-                           recovery="restart").metrics
-    assert dict(
-        rounds=metrics.rounds,
-        tuples_sent=metrics.total_sent(),
-        replayed=sum(metrics.replayed.values()),
-        firings=metrics.total_firings(),
-        restarts=metrics.restarts,
-    ) == PINNED_BSP_KILL

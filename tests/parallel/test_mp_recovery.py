@@ -29,7 +29,6 @@ from repro.facts.database import Database
 from repro.obs import (
     CHECKPOINT,
     LOG_TRUNCATE,
-    RESTORE,
     RUN_START,
     InMemorySink,
     Tracer,
@@ -94,8 +93,11 @@ class TestCheckpointRecovery:
 
     def test_truncation_and_restore_happen(self, ancestor, tree_db):
         """A late kill with frequent checkpoints actually exercises the
-        machinery: snapshots shipped, sent-logs truncated at the
-        watermarks, and the respawn resumes from a checkpoint."""
+        machinery: snapshots shipped and sent-logs truncated at the
+        watermarks.  Whether worker 1 holds a checkpoint when it dies
+        depends on how its peers' messages batch into its steps, so the
+        restore itself is pinned by schedule in
+        ``test_protocol_explorer.py::test_checkpoint_recovery_restores_the_stored_checkpoint``."""
         sink = InMemorySink()
         program = example3_scheme(ancestor, (0, 1, 2))
         plan = build_fault_plan(["kill:1@60"])
@@ -111,7 +113,6 @@ class TestCheckpointRecovery:
         kinds = {event.kind for event in sink.events}
         assert CHECKPOINT in kinds
         assert LOG_TRUNCATE in kinds
-        assert RESTORE in kinds
 
     def test_replays_fewer_than_restart(self, ancestor):
         """The headline claim, as a strict inequality on one seeded
@@ -205,6 +206,8 @@ class TestPackedWireRecovery:
 @pytest.mark.faultinjection
 class TestRecoveryTracing:
     def test_report_renders_checkpoint_lifecycle(self, ancestor, tree_db):
+        """The RESTORE line and ``restores`` count are rendered from the
+        explorer's checkpoint case, where the restore is certain."""
         from repro.obs.report import TraceReport
         sink = InMemorySink()
         program = example3_scheme(ancestor, (0, 1, 2))
@@ -216,11 +219,9 @@ class TestRecoveryTracing:
         text = report.render()
         assert "failures and recovery:" in text
         assert "CHECKPT" in text
-        assert "RESTORE" in text
         assert "TRUNCATE" in text
         summary = report.summary()
         assert summary["checkpoints"] > 0
-        assert summary["restores"] == 1
         assert summary["log_truncated"] > 0
 
     def test_run_start_logs_policy_and_derived_deadline(self, ancestor,

@@ -6,17 +6,20 @@ consumer) pair: a real inbox is a ``multiprocessing.Queue`` with
 several producers, FIFO per producer and in no fixed order across
 them, so which FIFO delivers next is the schedule's choice.  Workers
 run real :class:`~repro.parallel.processor.ProcessorRuntime`\\ s on
-small ancestor inputs.  A kill happens between two machine calls — a
-step boundary — and leaves what the worker already put in flight, as
-the flush before ``SIGKILL`` guarantees; a respawn reads the dead
-worker's inbox, as a restart reuses its queue.
+small ancestor inputs: random trees and DAGs under Examples 2 and 3,
+``hash`` and Wolfson's scheme.  A kill happens between two machine
+calls — a step boundary — and leaves what the worker already put in
+flight, as the flush before ``SIGKILL`` guarantees; a respawn reads the
+dead worker's inbox, as a restart reuses its queue.
 
 Two properties are checked on every schedule: the coordinator never
 sends STOP while a DATA message is in flight or a live worker holds
 staged input, and every run ends with exactly the sequential answer or
-with an :class:`~repro.errors.ExecutionError` naming its cause.  The
-explicit cases below pin six interleavings that real processes reach
-only by luck.
+with an :class:`~repro.errors.ExecutionError` naming its cause.  With
+at most two kills per schedule, under each recovery policy, that is
+Theorem 1 under failure checked on the machines the executor runs.  The
+explicit cases below pin interleavings that real processes reach only
+by luck.
 """
 
 import collections
@@ -34,9 +37,15 @@ from repro.engine import evaluate
 from repro.errors import ExecutionError
 from repro.facts import Database
 from repro.facts.packing import ensure_facts
-from repro.obs import WORKER_DOWN, InMemorySink, Tracer
+from repro.obs import RESTORE, WORKER_DOWN, InMemorySink, Tracer
+from repro.obs.report import TraceReport
 from repro.obs.tracer import ensure_tracer
-from repro.parallel import example3_scheme, hash_scheme
+from repro.parallel import (
+    example2_scheme,
+    example3_scheme,
+    hash_scheme,
+    wolfson_scheme,
+)
 from repro.parallel.mp.machines import (
     COLLECT,
     COORDINATOR,
@@ -52,10 +61,15 @@ from repro.parallel.mp.protocol import (
     REPLAY,
     RESET,
     RESULT,
+    TRUNCATE,
 )
 from repro.parallel.naming import processor_tag
 from repro.parallel.processor import ProcessorRuntime
-from repro.workloads import ancestor_program, random_tree_edges
+from repro.workloads import (
+    ancestor_program,
+    random_dag_edges,
+    random_tree_edges,
+)
 
 PROBE_INTERVAL = 0.02
 ACK_TIMEOUT = 1.0
@@ -89,6 +103,14 @@ class Cluster:
         self.exits = {}
         self.answer = collections.defaultdict(set)
         self.error = None
+        # Every SPAWN order carried out, as (proc, epoch, restore), and
+        # every message a worker took off its inbox, as (consumer,
+        # message).
+        self.spawns = []
+        self.delivered = []
+        # A traced run gives each worker a buffering tracer, as the
+        # executor does; its events reach ``tracer`` in TRACE batches.
+        self._traced = tracer is not None
         self.coordinator = CoordinatorMachine(
             self.order, recovery=recovery, max_restarts=max_restarts,
             probe_interval=PROBE_INTERVAL, timeout=1e9,
@@ -109,6 +131,7 @@ class Cluster:
             self._coordinate(
                 lambda: self.coordinator.on_message(message, self.clock))
         else:
+            self.delivered.append((consumer, message))
             worker = self.workers[consumer]
             self._work(consumer, lambda: worker.on_message(message))
 
@@ -198,9 +221,11 @@ class Cluster:
     def _spawn(self, proc, kill_after, epoch, restore, delay):
         self.clock += delay
         self.exits.pop(proc, None)
+        self.spawns.append((proc, epoch, restore))
         runtime = ProcessorRuntime(
             self.parallel.program_for(proc),
-            self.parallel.local_database(proc, self.database))
+            self.parallel.local_database(proc, self.database),
+            tracer=Tracer(InMemorySink()) if self._traced else None)
         self.workers[proc] = WorkerMachine(
             runtime, lambda: self.clock,
             [peer for peer in self.order if peer != proc],
@@ -245,13 +270,23 @@ class Cluster:
         return message
 
 
-def _cluster(scheme="example3", processors=3, nodes=12, seed=7, **options):
+def _cluster(scheme="example3", processors=3, nodes=12, seed=7,
+             shape="tree", **options):
+    """Ancestor over a random tree or DAG of ``nodes`` nodes under one
+    scheme; Wolfson's is defined for two processors only."""
     program = ancestor_program()
+    edges = (random_dag_edges(nodes, parents=2, seed=seed) if shape == "dag"
+             else random_tree_edges(nodes, seed=seed))
+    database = Database.from_facts({"par": edges})
     procs = tuple(range(processors))
-    parallel = (example3_scheme(program, procs) if scheme == "example3"
-                else hash_scheme(program, procs))
-    database = Database.from_facts(
-        {"par": random_tree_edges(nodes, seed=seed)})
+    if scheme == "example2":
+        parallel = example2_scheme(program, procs, database)
+    elif scheme == "hash":
+        parallel = hash_scheme(program, procs)
+    elif scheme == "wolfson":
+        parallel = wolfson_scheme(program, (0, 1))
+    else:
+        parallel = example3_scheme(program, procs)
     return Cluster(parallel, database, **options), program
 
 
@@ -260,13 +295,15 @@ class ProtocolExplorer(RuleBasedStateMachine):
     steps or dies, when deaths are noticed and how far the clock
     moves."""
 
-    @initialize(scheme=st.sampled_from(["example3", "hash"]),
+    @initialize(scheme=st.sampled_from(
+                    ["example3", "hash", "example2", "wolfson"]),
                 processors=st.sampled_from([2, 3]),
+                shape=st.sampled_from(["tree", "dag"]),
                 nodes=st.integers(4, 12), seed=st.integers(0, 50),
                 recovery=st.sampled_from(["restart", "checkpoint", "fail"]))
-    def build(self, scheme, processors, nodes, seed, recovery):
+    def build(self, scheme, processors, shape, nodes, seed, recovery):
         self.cluster, self.program = _cluster(
-            scheme, processors, nodes, seed, recovery=recovery)
+            scheme, processors, nodes, seed, shape, recovery=recovery)
         self.kills = 0
 
     def _live(self):
@@ -305,6 +342,13 @@ class ProtocolExplorer(RuleBasedStateMachine):
     def advance_clock(self, seconds):
         if self._live():
             self.cluster.tick(seconds)
+
+    @precondition(lambda self: self._live())
+    @rule()
+    def fair_round(self):
+        """Everything moves once: lets a schedule reach deep into a run
+        (past checkpoints, into later waves) before its kills."""
+        self.cluster.fair_round()
 
     def teardown(self):
         cluster = getattr(self, "cluster", None)
@@ -495,6 +539,37 @@ def test_kill_during_recovery_is_a_cascading_failure():
     downs = [(event.proc, event.data["cascading"])
              for event in sink.events if event.kind == WORKER_DOWN]
     assert downs == [("0", False), ("2", True)]
+
+
+def test_checkpoint_recovery_restores_the_stored_checkpoint():
+    """Worker 1 dies right after the coordinator stored its first
+    checkpoint: the respawn resumes from exactly that payload, emits
+    ``restore``, and the run still ends exact, with sent-logs truncated
+    at the checkpoints' watermarks along the way.  The trace report
+    renders the whole lifecycle."""
+    sink = InMemorySink()
+    cluster, program = _cluster(recovery="checkpoint", tracer=Tracer(sink))
+    cluster.run_until(lambda: 1 in cluster.coordinator.checkpoints)
+    stored = cluster.coordinator.checkpoints[1]
+    cluster.kill(1)
+    cluster.run_until(lambda: cluster.coordinator.restarts == 1)
+    proc, epoch, restore = cluster.spawns[-1]
+    assert (proc, epoch) == (1, 1) and restore is stored
+    restored = cluster.workers[1].runtime.tracer.sink.events
+    assert [event.kind for event in restored] == [RESTORE]
+    cluster.finish()
+    cluster.check_outcome(program)
+    assert cluster.error is None
+    assert any(message[0] == TRUNCATE
+               for _, message in cluster.delivered)
+    assert [event.proc for event in sink.events
+            if event.kind == RESTORE] == ["1"]
+    report = TraceReport(sink.events)
+    assert report.summary()["restores"] == 1
+    text = report.render()
+    assert "failures and recovery:" in text
+    for line in ("  CHECKPT  ", "  RESTORE  1  ", "  TRUNCATE "):
+        assert line in text, line
 
 
 def test_step_outlasting_the_ack_deadline_is_wedged():

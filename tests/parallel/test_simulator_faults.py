@@ -1,81 +1,40 @@
-"""Fault injection against the round-synchronous simulator.
+"""Channel-fault injection against the round-synchronous simulator.
 
 The simulator and the mp executor consume the same
-:class:`~repro.parallel.faults.FaultPlan`, so Theorem-1-under-failure
-can be exercised cheaply here (no process spawns) across many kill
-points and schemes, including a Hypothesis property test.
+:class:`~repro.parallel.faults.FaultPlan`, each its own half: the
+simulator drops, delays and duplicates tuples, and refuses kills, which
+belong to real worker processes (Theorem 1 under kills is checked on the
+mp protocol machines by ``test_protocol_explorer.py``).
 """
 
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 
 from repro.engine import evaluate
-from repro.errors import ConfigurationError, ExecutionError
-from repro.facts import Database
+from repro.errors import ConfigurationError
 from repro.parallel import (
+    SimulatedCluster,
     build_fault_plan,
-    example2_scheme,
     example3_scheme,
-    hash_scheme,
     run_parallel,
-    wolfson_scheme,
 )
 from repro.parallel.faults import DELAY, DELIVER, DROP, DUPLICATE
-from repro.workloads import ancestor_program, random_tree_edges
 
 
-@pytest.mark.faultinjection
-class TestSimulatorKills:
-    def test_fail_policy_raises_naming_processor(self, ancestor, tree_db):
+class TestKillsAreMpOnly:
+    @pytest.mark.parametrize("specs", [
+        ["kill:1@3"], ["kill:1@100000"], ["dup:0.2", "kill:nosuch@3"]],
+        ids=["kill", "kill-never-reached", "unknown-kill-beside-dup"])
+    def test_a_plan_holding_a_kill_is_rejected_before_the_first_tick(
+            self, ancestor, tree_db, specs):
+        """Kills and their recovery are the mp executor's, checked on its
+        protocol machines by the schedule explorer; the simulator
+        refuses a kill whether or not it would ever fire."""
         program = example3_scheme(ancestor, (0, 1, 2))
-        plan = build_fault_plan(["kill:1@3"])
-        with pytest.raises(ExecutionError) as excinfo:
-            run_parallel(program, tree_db, faults=plan, recovery="fail")
-        assert "'1'" in str(excinfo.value)
-        assert "injected" in str(excinfo.value)
-
-    def test_restart_matches_sequential(self, ancestor, tree_db):
-        program = example3_scheme(ancestor, (0, 1, 2))
-        plan = build_fault_plan(["kill:1@10"])
-        result = run_parallel(program, tree_db, faults=plan,
-                              recovery="restart")
-        expected = evaluate(ancestor, tree_db)
-        assert (result.relation("anc").as_set()
-                == expected.relation("anc").as_set())
-        assert result.metrics.restarts == 1
-
-    def test_restart_counts_replayed_tuples(self, ancestor, tree_db):
-        program = example3_scheme(ancestor, (0, 1, 2))
-        plan = build_fault_plan(["kill:1@40"])
-        result = run_parallel(program, tree_db, faults=plan,
-                              recovery="restart")
-        assert sum(result.metrics.replayed.values()) > 0
-        assert result.metrics.summary()["restarts"] == 1
-
-    def test_replayed_facts_are_one_counter(self, ancestor, tree_db):
-        """``recovery_replayed_facts`` is the per-processor ``replayed``
-        counter summed, not a second store that the simulator leaves
-        at 0."""
-        program = example3_scheme(ancestor, (0, 1, 2))
-        plan = build_fault_plan(["kill:1@10"])
-        metrics = run_parallel(program, tree_db, faults=plan,
-                               recovery="restart").metrics
-        assert metrics.recovery_replayed_facts == sum(
-            metrics.replayed.values()) > 0
-        assert metrics.summary()["replayed"] == metrics.recovery_replayed_facts
-
-    def test_unknown_kill_tag_rejected(self, ancestor, tree_db):
-        program = example3_scheme(ancestor, (0, 1))
-        plan = build_fault_plan(["kill:nosuch@3"])
-        with pytest.raises(ConfigurationError, match="'nosuch'"):
+        plan = build_fault_plan(specs)
+        with pytest.raises(ConfigurationError, match="kill fault"):
+            SimulatedCluster(program, tree_db, faults=plan)
+        with pytest.raises(ConfigurationError, match="run_multiprocessing"):
             run_parallel(program, tree_db, faults=plan)
-
-    def test_invalid_recovery_policy_rejected(self, ancestor, tree_db):
-        # The same error type the mp executor raises for a bad policy.
-        program = example3_scheme(ancestor, (0, 1))
-        with pytest.raises(ConfigurationError, match="recovery"):
-            run_parallel(program, tree_db, recovery="shrug")
 
 
 @pytest.mark.faultinjection
@@ -170,39 +129,3 @@ class TestSimulatorChannelFaults:
         assert (len(result.relation("anc")), metrics.rounds,
                 metrics.total_sent(), metrics.total_firings(),
                 sum(metrics.duplicates_dropped.values())) == expected
-
-
-def _scheme(name, program, database):
-    if name == "example2":
-        return example2_scheme(program, (0, 1, 2), database)
-    if name == "example3":
-        return example3_scheme(program, (0, 1, 2))
-    if name == "hash":
-        return hash_scheme(program, (0, 1, 2))
-    return wolfson_scheme(program, (0, 1))
-
-
-@pytest.mark.faultinjection
-@settings(max_examples=25, deadline=None)
-@given(scheme=st.sampled_from(["example2", "example3", "hash", "wolfson"]),
-       victim=st.integers(min_value=0, max_value=2),
-       kill_at=st.integers(min_value=0, max_value=80),
-       tree_seed=st.integers(min_value=0, max_value=5))
-def test_theorem1_under_single_kill_property(scheme, victim, kill_at,
-                                             tree_seed):
-    """Property: for any scheme, victim, kill point and input tree, a
-    single injected kill with restart recovery yields exactly the
-    sequential least model."""
-    program = ancestor_program()
-    database = Database.from_facts(
-        {"par": random_tree_edges(40, seed=tree_seed)})
-    parallel_program = _scheme(scheme, program, database)
-    assume(victim < len(parallel_program.processors))
-    from repro.parallel.naming import processor_tag
-    tag = processor_tag(parallel_program.processors[victim])
-    plan = build_fault_plan([f"kill:{tag}@{kill_at}"])
-    result = run_parallel(parallel_program, database, faults=plan,
-                          recovery="restart")
-    expected = evaluate(program, database)
-    assert (result.relation("anc").as_set()
-            == expected.relation("anc").as_set())

@@ -241,6 +241,21 @@ class TestRecoveryFlags:
         assert code == 2
         assert "--mp" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [
+        ["--inject-fault", "kill:1@2"],
+        ["--recovery", "restart"],
+        ["--inject-fault", "dup:0.2", "--inject-fault", "kill:1@100000"],
+    ], ids=["kill", "restart", "kill-beside-channel-fault"])
+    def test_kills_and_recovery_need_mp(self, program_file, capsys, flags):
+        """The simulator kills no processor: one error naming ``--mp``,
+        before the program is even loaded."""
+        code = main(["parallel", program_file, "-n", "2", *flags])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.count("error:") == 1
+        assert "--mp" in captured.err
+
     @pytest.mark.faultinjection
     def test_channel_fault_under_mp_is_the_library_error(self, program_file,
                                                          capsys):
@@ -275,17 +290,3 @@ class TestRecoveryFlags:
                      "--ack-deadline", "0"])
         assert code == 2
         assert "ack deadline" in capsys.readouterr().err
-
-
-class TestChaosCommand:
-    @pytest.mark.mp
-    @pytest.mark.faultinjection
-    def test_soak_two_seeds(self, capsys):
-        assert main(["chaos", "--seeds", "2"]) == 0
-        output = capsys.readouterr().out
-        assert "2 case(s)" in output
-        assert "0 failure(s)" in output
-
-    def test_zero_seeds_rejected(self, capsys):
-        assert main(["chaos", "--seeds", "0"]) == 2
-        assert "error:" in capsys.readouterr().err

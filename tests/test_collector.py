@@ -113,17 +113,6 @@ class TestNoCycles:
         assert _left_behind(lambda: run_parallel(
             scheme, database, tracer=tracer)) == 0
 
-    @pytest.mark.faultinjection
-    def test_simulator_kill_restart(self, traced):
-        scheme = example3_scheme(ancestor_program(), (0, 1, 2))
-        database, plan, tracer = _tree(), build_fault_plan([KILL]), _tracer(
-            traced)
-        restarts = []
-        assert _left_behind(lambda: restarts.append(run_parallel(
-            scheme, database, faults=plan, recovery="restart",
-            tracer=tracer).metrics.restarts)) == 0
-        assert restarts == [1]
-
 
 def _executors():
     """Each executor as a no-argument call on a small input."""
@@ -144,7 +133,7 @@ def _raising_executors():
         "evaluate": (EvaluationError,
                      lambda: evaluate(program, _tree(), method="nosuch")),
         "simulator": (ExecutionError, lambda: run_parallel(
-            scheme, _tree(), faults=build_fault_plan([KILL]))),
+            scheme, _tree(), max_rounds=1)),
         "mp": (ConfigurationError, lambda: run_multiprocessing(
             scheme, _tree(), faults=build_fault_plan(["dup:0.5"]))),
     }
