@@ -66,21 +66,36 @@ class Relation:
         Bulk path: new facts are determined with one set difference and
         handed to each index's :meth:`~repro.facts.index.HashIndex.add_many`,
         so index keys are derived once per fact instead of once per
-        fact per :meth:`add` call.  When ``facts`` is a list, tuple,
-        set or relation of plain tuples of this arity —
-        what the engines and the executors' pooling pass — the insert
-        is a single C-level
-        ``set.update`` (no ``fresh`` set at all without indexes);
-        anything else takes the per-fact loop, which converts each fact
-        and raises :class:`ValueError` on a wrong arity before the
-        relation changes.
+        fact per :meth:`add` call.  A relation of this arity (what the
+        executors' pooling passes) is a set union with no per-fact scan,
+        and another arity raises :class:`ValueError` before the relation
+        changes.  When ``facts`` is a list, tuple or set of plain tuples
+        of this arity — what the engines pass — the insert is a single
+        C-level ``set.update`` (no ``fresh`` set at all without
+        indexes); anything else takes the per-fact loop, which converts
+        each fact and raises :class:`ValueError` on a wrong arity before
+        the relation changes.
         """
         arity = self.arity
         present = self._facts
         if type(facts) is Relation:
-            # Simulator pooling passes whole relations: scan the
-            # backing set directly.
+            # Pooling passes whole relations.  A relation only holds
+            # tuples of its arity, so there is nothing to scan: the
+            # insert is a set union over the stored hashes.
+            if facts.arity != arity:
+                raise ValueError(
+                    f"relation {self.name}/{arity} cannot store the facts "
+                    f"of {facts.name}/{facts.arity}")
             facts = facts._facts
+            if not self._indexes:
+                before = len(present)
+                present |= facts
+                return len(present) - before
+            fresh = facts - present
+            present |= fresh
+            for index in self._indexes.values():
+                index.add_many(fresh)
+            return len(fresh)
         if (type(facts) in _SIZED and set(map(type, facts)) <= _TUPLE
                 and set(map(len, facts)) <= {arity}):
             if not self._indexes:

@@ -145,6 +145,15 @@ class ParallelMetrics:
     ``per_round_*`` lists, which price :meth:`makespan`.  The mp
     executor's workers run free, with no global rounds, so it leaves
     those lists empty.
+
+    ``duplicates_dropped`` counts, per processor, the tuples that
+    arrived over a channel when its ``t_in`` already held them (or an
+    earlier arrival in the same ingest did); duplicates in a
+    processor's own share never crossed a channel and are not counted.
+    ``pooled_tuples`` is the summed size of the processors' parts of the
+    answer (each its ``t_in`` plus the facts no route took): the answer
+    size when each fact has one owner, more where parts overlap
+    (a broadcast, or Wolfson's scheme).
     """
 
     scheme: str

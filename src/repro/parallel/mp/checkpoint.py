@@ -10,8 +10,11 @@ step in progress — which makes it a consistent local cut:
 * the input relations travel as full facts only (every fact in full has
   already fired as a delta, so the restored runtime loads them into
   full *and* prev with empty deltas and never re-fires on them);
-* the output relations travel so the restored worker dedups new
-  derivations against everything its predecessor already routed;
+* the output relations (the facts already sent) travel so the
+  restored worker dedups new derivations against everything its
+  predecessor already sent;
+* the facts no route took (``kept``) travel, so the restored worker's
+  part of the answer is complete;
 * the cumulative :class:`~repro.engine.counters.EvalCounters` travel so
   restored-plus-new firings equal an undisturbed run (the
   firings-identical-to-sequential property survives recovery);
@@ -57,7 +60,7 @@ __all__ = [
     "encode_checkpoint",
 ]
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 ProcessorId = Hashable
 # (incarnation, per-channel message seq); lexicographically monotone
@@ -74,6 +77,7 @@ class WorkerCheckpoint:
         epoch: recovery epoch the worker was in when it snapshot.
         in_facts: full input relations per derived predicate.
         out_facts: output relations per derived predicate.
+        kept: facts no route took, per derived predicate.
         staged: received-but-unprocessed tuples per predicate.
         counters: :meth:`EvalCounters.as_dict` snapshot.
         duplicates_dropped: cumulative duplicate-drop count.
@@ -87,6 +91,7 @@ class WorkerCheckpoint:
     epoch: int = 0
     in_facts: Dict[str, List[Fact]] = field(default_factory=dict)
     out_facts: Dict[str, List[Fact]] = field(default_factory=dict)
+    kept: Dict[str, List[Fact]] = field(default_factory=dict)
     staged: Dict[str, List[Fact]] = field(default_factory=dict)
     counters: Dict[str, object] = field(default_factory=dict)
     duplicates_dropped: int = 0
@@ -97,9 +102,11 @@ class WorkerCheckpoint:
     watermarks: Dict[ProcessorId, Stamp] = field(default_factory=dict)
 
     def fact_count(self) -> int:
-        """Derived facts in the snapshot (inputs + outputs + staged)."""
+        """Derived facts in the snapshot (inputs + outputs + kept +
+        staged)."""
         return (sum(len(facts) for facts in self.in_facts.values())
                 + sum(len(facts) for facts in self.out_facts.values())
+                + sum(len(facts) for facts in self.kept.values())
                 + sum(len(facts) for facts in self.staged.values()))
 
 
@@ -131,6 +138,7 @@ def encode_checkpoint(checkpoint: WorkerCheckpoint) -> Dict[str, object]:
         "epoch": checkpoint.epoch,
         "in": _encode_relations(checkpoint.in_facts),
         "out": _encode_relations(checkpoint.out_facts),
+        "kept": _encode_relations(checkpoint.kept),
         "staged": _encode_relations(checkpoint.staged),
         "counters": checkpoint.counters,
         "duplicates_dropped": checkpoint.duplicates_dropped,
@@ -157,6 +165,7 @@ def decode_checkpoint(payload: Dict[str, object]) -> WorkerCheckpoint:
         epoch=int(payload["epoch"]),  # type: ignore[arg-type]
         in_facts=_decode_relations(payload["in"]),  # type: ignore[arg-type]
         out_facts=_decode_relations(payload["out"]),  # type: ignore[arg-type]
+        kept=_decode_relations(payload["kept"]),  # type: ignore[arg-type]
         staged=_decode_relations(payload["staged"]),  # type: ignore[arg-type]
         counters=dict(payload["counters"]),  # type: ignore[call-overload]
         duplicates_dropped=int(payload["duplicates_dropped"]),  # type: ignore[arg-type]
@@ -181,7 +190,7 @@ def approx_checkpoint_bytes(payload: Dict[str, object]) -> int:
     metrics is comparable across runs and platforms.
     """
     total = MESSAGE_OVERHEAD_BYTES
-    for key in ("in", "out", "staged"):
+    for key in ("in", "out", "kept", "staged"):
         for pred, encoded in payload[key].items():  # type: ignore[union-attr]
             total += BATCH_OVERHEAD_BYTES + len(pred)
             total += _approx_payload_bytes(encoded)

@@ -127,7 +127,6 @@ class WorkerMachine:
         self._checkpoint_interval = checkpoint_interval
         self._restore = restore
         self._replayable = replayable
-        self._router = runtime.program.router_table()
         self._tracer = runtime.tracer
         self._trace = self._tracer.enabled
         # Channel stamps: the incarnation is the epoch this worker was
@@ -285,8 +284,10 @@ class WorkerMachine:
         self.stats.sent_log_facts = sum(
             len(facts) for log in self._sent_log.values()
             for facts in log.values())
-        # A relation is a set and the coordinator pools into one: no
-        # order to establish, and the packed columns pickle far smaller.
+        # The worker's part of the answer: its ``t_in`` plus the facts
+        # no route took.  A relation is a set and the coordinator pools
+        # into one: no order to establish, and the packed columns pickle
+        # far smaller.
         outputs = {pred: maybe_pack(list(self.runtime.output_relation(pred)))
                    for pred in self.runtime.program.out_names}
         return self._flush_trace() + [
@@ -327,12 +328,12 @@ class WorkerMachine:
 
     def _route(self, emissions: List[EmissionBatch]) -> List[Output]:
         """Stage this worker's share of a step's emissions and address
-        each peer's share to it as one message."""
+        each peer's share to it as one message (the runtime has already
+        split them by target)."""
         started = self._clock()
         remote: Dict[ProcessorId, List[Tuple[str, List[tuple]]]] = {}
-        for predicate, facts in emissions:
-            buckets, _ = self._router.partition(predicate, facts)
-            for target, bucket in buckets.items():
+        for predicate, routed in emissions:
+            for target, bucket in routed.buckets.items():
                 if target == self.me:
                     self.runtime.receive(predicate, bucket, remote=False)
                     self.stats.self_delivered += len(bucket)
@@ -409,7 +410,8 @@ class WorkerMachine:
         in_facts, out_facts, staged = self.runtime.export_state()
         snapshot = WorkerCheckpoint(
             epoch=self.epoch, in_facts=in_facts, out_facts=out_facts,
-            staged=staged, counters=self.runtime.counters.as_dict(),
+            staged=staged, kept=self.runtime.kept_facts(),
+            counters=self.runtime.counters.as_dict(),
             duplicates_dropped=self.runtime.duplicates_dropped,
             received=self.stats.received,
             self_delivered=self.stats.self_delivered,
@@ -423,12 +425,13 @@ class WorkerMachine:
 
     def _load(self, snapshot: WorkerCheckpoint) -> None:
         """Resume from a predecessor's checkpoint instead of firing the
-        init rules, whose output is already inside the restored
-        ``t_out`` (and was already routed)."""
+        init rules, whose output was already routed and is inside the
+        restored state."""
         self.runtime.import_state(
             snapshot.in_facts, snapshot.out_facts, snapshot.staged,
             counters=snapshot.counters,
-            duplicates_dropped=snapshot.duplicates_dropped)
+            duplicates_dropped=snapshot.duplicates_dropped,
+            kept=snapshot.kept)
         self.stats.received = snapshot.received
         self.stats.self_delivered = snapshot.self_delivered
         for target, by_pred in snapshot.sent_log.items():

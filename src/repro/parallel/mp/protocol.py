@@ -284,8 +284,12 @@ class WorkerStats:
             deterministic size model of
             :func:`repro.parallel.metrics.approx_batch_bytes`).
         received: data tuples taken off the inbox.
-        duplicates_dropped: received tuples discarded as duplicates.
-        self_delivered: tuples routed to the worker itself (no queue).
+        duplicates_dropped: tuples taken off the inbox that ``t_in``
+            already held (duplicates in the worker's own share are not
+            counted: they never crossed a channel).
+        self_delivered: tuples routed to the worker itself (no queue),
+            as produced: the own share is deduplicated only when
+            ``t_in`` ingests it, so copies are counted.
         replayed: tuples re-sent while serving ``replay`` requests.
         sent_log_facts: total facts held in the deduplicated per-peer
             replay logs at exit (the bounded-memory satellite metric;
@@ -297,9 +301,11 @@ class WorkerStats:
         inbox_wait_s: seconds spent in ``inbox.get`` calls that may
             block (the worker had nothing to step), including the
             unpickling of what they returned.
-        step_s: seconds spent in semi-naive steps.
-        send_s: seconds spent routing steps' output (partitioning,
-            staging self-deliveries, packing) and putting data messages,
+        step_s: seconds spent in semi-naive steps, including the
+            runtime's routing of each step's output (splitting by
+            target and deduplicating the remote shares).
+        send_s: seconds spent sending steps' output (staging
+            self-deliveries, packing) and putting data messages,
             replays and epoch markers included, on peer queues.
         longest_step_s: the longest single step, in seconds.
     """

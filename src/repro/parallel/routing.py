@@ -14,12 +14,13 @@ Two regimes exist (paper, Examples 2 and 3):
 
 :class:`Route` states the sending rule per fact (:meth:`Route.targets`);
 :class:`RouterTable` is its batch form, precompiled per route, and the
-only one the executors call.
+only one the processor runtime calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..datalog.atom import Atom
@@ -174,7 +175,7 @@ class _CompiledRoute:
             except RoutingError:
                 return [None] * len(facts)
         return self.discriminator.map_columns(
-            [[fact[position] for fact in facts]
+            [list(map(itemgetter(position), facts))
              for position in self.positions])
 
     def matches(self, fact: Fact) -> bool:
@@ -196,12 +197,12 @@ class RouterTable:
     """Batch partitioner over one processor's routes.
 
     ``partition`` takes every fact a step emitted for one predicate and
-    splits the whole list into per-target buffers in a single pass —
-    replacing the per-fact walk over ``routes_for()`` that the simulator
-    and the mp worker used to do.  Targets keep first-seen order and
-    each bucket keeps emission order, so downstream accounting
-    (metrics, sent-logs, traces) sees the same tuples it always did,
-    just grouped.
+    splits the whole list into per-target buffers in a single pass, and
+    ``split`` also returns the facts no route takes (the processor
+    runtime keeps those in its part of the answer).  Targets keep
+    first-seen order and each bucket keeps emission order, so
+    downstream accounting (metrics, sent-logs, traces) sees the same
+    tuples it always did, just grouped.
 
     Each route dispatches through its :class:`_CompiledRoute`, and the
     result equals aggregating per-fact :meth:`Route.targets` calls: a
@@ -225,6 +226,13 @@ class RouterTable:
     def routes_for(self, predicate: str) -> Tuple[Route, ...]:
         return self._routes.get(predicate, ())
 
+    def single_target(self, predicate: str) -> bool:
+        """True iff a fact of ``predicate`` goes to at most one processor:
+        no route, or one point-to-point route."""
+        compiled = self._compiled.get(predicate, ())
+        return len(compiled) == 0 or (len(compiled) == 1
+                                      and not compiled[0].broadcast)
+
     def partition(self, predicate: str,
                   facts: Sequence[Fact]) -> Tuple[Buckets, int]:
         """Split ``facts`` of ``predicate`` into per-target buffers.
@@ -234,28 +242,43 @@ class RouterTable:
         appear in no bucket.  A fact matched by several routes is
         deduplicated across targets exactly as the per-fact path did.
         """
+        buckets, broadcasts, _unrouted = self.split(predicate, facts)
+        return buckets, broadcasts
+
+    def split(self, predicate: str,
+              facts: Sequence[Fact]) -> Tuple[Buckets, int, List[Fact]]:
+        """:meth:`partition`, plus the facts that no route takes, in
+        order: ``(buckets, broadcast_count, unrouted)``."""
         compiled = self._compiled.get(predicate)
         if not compiled:
-            return {}, 0
+            return {}, 0, list(facts)
         buckets: Buckets = {}
+        unrouted: List[Fact] = []
         broadcasts = 0
         # Routes of one predicate share its arity; a fact of another
         # length matches none of them.
         arity = compiled[0].arity
-        if any(len(fact) != arity for fact in facts):
+        if set(map(len, facts)) - {arity}:
             facts = [fact for fact in facts if len(fact) == arity]
         if len(compiled) == 1:
             kernel = compiled[0]
             if kernel.broadcast:
                 # Broadcast fast path: every matching fact goes to the
                 # full processor set.
-                matching = (facts if kernel.unchecked else
-                            [fact for fact in facts if kernel.matches(fact)])
-                if matching and kernel.processors:
+                if kernel.unchecked:
+                    matching = facts
+                else:
+                    matching = []
+                    for fact in facts:
+                        (matching if kernel.matches(fact)
+                         else unrouted).append(fact)
+                if not kernel.processors:
+                    unrouted.extend(matching)
+                elif matching:
                     broadcasts = len(matching)
                     for target in kernel.processors:
                         buckets[target] = list(matching)
-                return buckets, broadcasts
+                return buckets, broadcasts, unrouted
             if kernel.unchecked:
                 # Point-to-point fast path: no pattern constraints (the
                 # common hash-partitioned case, e.g. Example 3).  The
@@ -267,13 +290,14 @@ class RouterTable:
                 # dispatch.
                 for fact, target in zip(facts, kernel.targets_of(facts)):
                     if target is None:
+                        unrouted.append(fact)
                         continue
                     bucket = buckets.get(target)
                     if bucket is None:
                         buckets[target] = [fact]
                     else:
                         bucket.append(fact)
-                return buckets, 0
+                return buckets, 0, unrouted
         # General form: several routes, or one with pattern checks.
         # Each route still decides the whole batch column-wise — a
         # match mask where the pattern has checks, one target column
@@ -306,4 +330,6 @@ class RouterTable:
                         if target not in seen:
                             seen.add(target)
                             buckets.setdefault(target, []).append(fact)
-        return buckets, broadcasts
+            if not seen:
+                unrouted.append(fact)
+        return buckets, broadcasts, unrouted

@@ -189,12 +189,10 @@ class SimulatedCluster:
         self._order = sorted(program.processors, key=processor_tag)
         self._tags = {proc: processor_tag(proc) for proc in self._order}
         self.runtimes: Dict[ProcessorId, ProcessorRuntime] = {}
-        self._routers = {}
         for proc in self._order:
             local = program.local_database(proc, database)
             self.runtimes[proc] = ProcessorRuntime(
                 program.program_for(proc), local, tracer=self.tracer)
-            self._routers[proc] = program.program_for(proc).router_table()
         self.metrics = ParallelMetrics(
             scheme=program.scheme, processors=tuple(self._order))
         self._detector = (_SafraDetector(self._order)
@@ -205,25 +203,22 @@ class SimulatedCluster:
     # ------------------------------------------------------------------
     def _route(self, sender: ProcessorId,
                emissions: Sequence[EmissionBatch]) -> List[Message]:
-        """Apply the sending rules of ``sender`` to its new outputs.
+        """Put the per-target buckets of ``sender``'s new outputs on
+        their channels.
 
-        Each predicate's batch is partitioned into per-target buffers
-        by the sender's compiled :class:`~.routing.RouterTable` in one
-        pass; ``sent``, ``self_delivered`` and ``broadcast_tuples`` are
-        bumped by bucket size.  Each ``(sender, target, predicate)``
+        The runtime has already split each predicate's batch by target
+        (:class:`~.processor.Routed`); ``sent`` and ``self_delivered``
+        are bumped by bucket size.  Each ``(sender, target, predicate)``
         bucket travels as one message, counts as one in the
         ``channel_messages``/``channel_bytes`` accounting and becomes
         one counted ``tuple_sent`` event.
         """
         messages: List[Message] = []
-        router = self._routers[sender]
         metrics = self.metrics
         tracing = self.tracer.enabled
         total_remote = 0
-        for predicate, facts in emissions:
-            buckets, broadcasts = router.partition(predicate, facts)
-            metrics.broadcast_tuples += broadcasts
-            for target, bucket in buckets.items():
+        for predicate, routed in emissions:
+            for target, bucket in routed.buckets.items():
                 count = len(bucket)
                 if target == sender:
                     metrics.self_delivered[sender] += count
@@ -258,9 +253,10 @@ class SimulatedCluster:
         Arrival is ``base_tick + 1`` (a channel hop costs one tick).
         Injected delay and channel faults are decided here, once per
         tuple: ``delay_probability`` adds one tick, a channel ``delay``
-        two, a drop discards (so a scheduled tuple is always delivered)
-        and a duplicate schedules two copies.  A batch splits only by
-        arrival tick.
+        two, a drop discards (so a scheduled tuple is always delivered;
+        the lost tuple joins its sender's part of the answer) and a
+        duplicate schedules two copies.  A batch splits only by arrival
+        tick.
         """
         undisturbed = (self.delay_probability <= 0.0
                        and self._channel_faults is None)
@@ -271,6 +267,7 @@ class SimulatedCluster:
                 inflight_to[destination] += len(facts)
                 continue
             by_arrival: Dict[int, List[Fact]] = {}
+            dropped: List[Fact] = []
             for fact in facts:
                 arrival = base_tick + 1
                 if (self.delay_probability > 0.0
@@ -281,12 +278,15 @@ class SimulatedCluster:
                     verdict = self._channel_faults.decide(
                         self._tags[sender], self._tags[destination])
                     if verdict == DROP:
+                        dropped.append(fact)
                         continue
                     if verdict == DELAY:
                         arrival += 2
                     elif verdict == DUPLICATE:
                         copies = 2
                 by_arrival.setdefault(arrival, []).extend([fact] * copies)
+            if dropped:
+                self.runtimes[sender].keep(predicate, dropped)
             for arrival, due in by_arrival.items():
                 deliveries.setdefault(arrival, []).append(
                     (destination, sender, predicate, due))
@@ -426,6 +426,7 @@ class SimulatedCluster:
         tracing = tracer.enabled
         counters = {p: self.runtimes[p].counters for p in self._order}
         for proc in self._order:
+            self.metrics.broadcast_tuples += self.runtimes[proc].broadcast_tuples
             self.metrics.firings[proc] = counters[proc].total_firings()
             self.metrics.probes[proc] = counters[proc].probes
             self.metrics.received[proc] = self.runtimes[proc].received_remote
@@ -436,14 +437,16 @@ class SimulatedCluster:
                                    firings=self.metrics.firings[proc],
                                    probes=self.metrics.probes[proc],
                                    received=self.metrics.received[proc])
+        # Final pooling: the union of the processors' parts, each its
+        # ``t_in`` plus the facts no route took.
         output = Database()
         for predicate in self.program.derived:
             arity = self.program.program_for(self._order[0]).arities[predicate]
             pooled = Relation(predicate, arity)
             for proc in self._order:
-                pooled.update(self.runtimes[proc].output_relation(predicate))
-                self.metrics.pooled_tuples += len(
-                    self.runtimes[proc].output_relation(predicate))
+                part = self.runtimes[proc].output_relation(predicate)
+                pooled.update(part)
+                self.metrics.pooled_tuples += len(part)
             output.attach(pooled)
         if tracing:
             tracer.run_end(rounds=self.metrics.rounds,

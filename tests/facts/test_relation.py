@@ -184,3 +184,33 @@ class TestUpdateMatchesAddLoop:
         with pytest.raises(ValueError):
             relation.update(Relation("q", 3, [(1, 2, 3)]))
         assert relation.as_set() == {(1, 2)}
+
+
+class TestUpdateFromRelation:
+    """``update(Relation)`` of the same arity is a set union over the
+    stored facts, with no per-fact scan."""
+
+    def test_same_arity_is_the_union(self):
+        relation = Relation("p", 2, [(1, 2), (2, 3)])
+        other = Relation("q", 2, [(2, 3), (3, 4), (4, 5)])
+        assert relation.update(other) == 2
+        assert relation.as_set() == {(1, 2), (2, 3), (3, 4), (4, 5)}
+        assert other.as_set() == {(2, 3), (3, 4), (4, 5)}
+
+    def test_other_arity_raises_and_changes_nothing(self):
+        relation = Relation("p", 2, [(1, 2)])
+        relation.index_on((0,))
+        for other in (Relation("q", 3, [(1, 2, 3)]), Relation("q", 1)):
+            with pytest.raises(ValueError, match="q/"):
+                relation.update(other)
+            assert relation.as_set() == {(1, 2)}
+            assert list(relation.lookup((0,), (1,))) == [(1, 2)]
+
+    def test_indexes_receive_the_new_facts(self):
+        relation = Relation("p", 2, [(1, 2)])
+        relation.index_on((0,))
+        relation.index_on((1,))
+        assert relation.update(Relation("q", 2, [(1, 2), (1, 3), (5, 3)])) == 2
+        assert sorted(relation.lookup((0,), (1,))) == [(1, 2), (1, 3)]
+        assert sorted(relation.lookup((1,), (3,))) == [(1, 3), (5, 3)]
+        assert list(relation.lookup((0,), (5,))) == [(5, 3)]

@@ -69,9 +69,7 @@ _CASES = [
     ("hash", "restart", "tree", 41, 7517, ("kill:2@3",), 1),
     ("hash", "checkpoint", "dag", 45, 2743, ("kill:2@22",), 1),
     ("example2", "restart", "dag", 29, 3617, ("kill:1@30", "kill:0@2"), 2),
-    # Worker 1 fires 29 times here: the kill never lands, and the case
-    # checks a fault-free checkpointing run.
-    ("example2", "checkpoint", "tree", 41, 1487, ("kill:1@30",), 0),
+    ("example2", "checkpoint", "tree", 41, 1487, ("kill:1@15",), 1),
     ("wolfson", "restart", "dag", 40, 5978, ("kill:0@19", "kill:1@4"), 2),
     ("wolfson", "checkpoint", "tree", 41, 9078, ("kill:0@4",), 1),
 ]

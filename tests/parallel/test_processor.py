@@ -1,6 +1,8 @@
 """Unit tests for the per-processor runtime."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datalog import as_linear_sirup
 from repro.facts import Database, pack_facts
@@ -252,3 +254,83 @@ class TestBatchesAndPrev:
         for restore_at in range(1, rounds + 1):
             assert self._drive(parallel, dag_db, restore_at) == (
                 answer, rounds, firings), restore_at
+
+
+class TestRouteFirst:
+    """A single-target predicate is routed before any dedup: the own
+    share is ingested (and deduplicated) once, into ``t_in``, and
+    ``t_out`` holds only what was sent."""
+
+    def test_own_share_as_produced_remote_share_deduplicated(self):
+        from repro.parallel import example3_scheme
+
+        parallel = example3_scheme(ancestor_program(), (0, 1))
+        h = parallel.program_for(0).routes[0].discriminator
+        # Processor 0 joins anc(Z, 9) with par(X, Z) for h(Z) = 0 and
+        # routes anc(X, 9) to h(X): two Z per X make two copies of each.
+        zs = [v for v in range(20) if h((v,)) == 0][:2]
+        own = next(v for v in range(20, 40) if h((v,)) == 0)
+        remote = next(v for v in range(20, 40) if h((v,)) == 1)
+        database = Database.from_facts(
+            {"par": [(x, z) for x in (own, remote) for z in zs]})
+        runtime = ProcessorRuntime(parallel.program_for(0),
+                                   parallel.local_database(0, database))
+        runtime.receive("anc", [(z, 9) for z in zs])
+        [(predicate, routed)] = runtime.step_batches()
+        assert predicate == "anc"
+        assert routed.buckets == {0: [(own, 9), (own, 9)], 1: [(remote, 9)]}
+        _ins, outs, _staged = runtime.export_state()
+        assert outs == {"anc": [(remote, 9)]}
+        # The own share's duplicate never crossed a channel.
+        runtime.receive("anc", routed.buckets[0], remote=False)
+        runtime.step_batches()
+        assert runtime.duplicates_dropped == 0
+        assert set(runtime.output_relation("anc")) == {
+            (z, 9) for z in zs} | {(own, 9)}
+
+
+_PARTS_SCHEMES = ("example1", "example2", "example3", "hash", "wolfson",
+                  "general")
+# A fact has one owner under these, whoever derives it; Wolfson's
+# scheme keeps each derivation where it was made, so its parts overlap.
+_DISJOINT = ("example1", "example3", "hash")
+
+
+def _scheme(name, program, processors, database):
+    from repro.parallel import (example1_scheme, example2_scheme,
+                                example3_scheme, rewrite_general,
+                                wolfson_scheme)
+
+    if name == "example2":
+        return example2_scheme(program, processors, database)
+    return {"example1": example1_scheme, "example3": example3_scheme,
+            "hash": hash_scheme, "wolfson": wolfson_scheme,
+            "general": rewrite_general}[name](program, processors)
+
+
+@given(name=st.sampled_from(_PARTS_SCHEMES), processors=st.integers(1, 3),
+       nodes=st.integers(2, 24), seed=st.integers(0, 1000),
+       shape=st.sampled_from(["tree", "dag"]))
+@settings(max_examples=60, deadline=None)
+def test_parts_pool_to_the_answer(name, processors, nodes, seed, shape):
+    """The union of the processors' parts is the sequential answer; where
+    a fact has one owner the parts are disjoint, so pooling meets no
+    duplicate."""
+    from repro.engine import evaluate
+    from repro.parallel.simulator import SimulatedCluster
+    from repro.workloads import random_dag_edges, random_tree_edges
+
+    program = ancestor_program()
+    edges = (random_dag_edges(nodes, parents=2, seed=seed) if shape == "dag"
+             else random_tree_edges(nodes, seed=seed))
+    database = Database.from_facts({"par": edges})
+    cluster = SimulatedCluster(
+        _scheme(name, program, tuple(range(processors)), database), database)
+    result = cluster.run()
+    answer = evaluate(program, database).relation("anc").as_set()
+    parts = [set(runtime.output_relation("anc"))
+             for runtime in cluster.runtimes.values()]
+    assert set().union(*parts) == answer == result.relation("anc").as_set()
+    assert result.metrics.pooled_tuples == sum(map(len, parts))
+    if name in _DISJOINT:
+        assert result.metrics.pooled_tuples == len(answer)

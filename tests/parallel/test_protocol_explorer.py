@@ -305,6 +305,7 @@ class ProtocolExplorer(RuleBasedStateMachine):
         self.cluster, self.program = _cluster(
             scheme, processors, nodes, seed, shape, recovery=recovery)
         self.kills = 0
+        self.advanced = 0.0
 
     def _live(self):
         return not self.cluster.finished
@@ -340,7 +341,11 @@ class ProtocolExplorer(RuleBasedStateMachine):
 
     @rule(seconds=st.sampled_from([0.0, PROBE_INTERVAL / 2, PROBE_INTERVAL]))
     def advance_clock(self, seconds):
-        if self._live():
+        """Move the clock, but in all by less than ``ACK_TIMEOUT``: a
+        schedule of nothing else starves every worker, and past the ack
+        deadline the coordinator rightly reports them wedged."""
+        if self._live() and self.advanced + seconds < ACK_TIMEOUT:
+            self.advanced += seconds
             self.cluster.tick(seconds)
 
     @precondition(lambda self: self._live())

@@ -116,6 +116,25 @@ class TestKernelEquivalence:
         # look at it; message order in the executors does).
         assert list(compiled[0]) == list(reference[0])
 
+    @settings(max_examples=80, deadline=None)
+    @given(case=_case())
+    def test_split_returns_the_facts_no_route_takes(self, case):
+        """``split`` is ``partition`` plus, in order, the facts of the
+        routes' arity that no route takes; a single-target table puts
+        each fact in at most one bucket."""
+        routes, facts = case
+        table = RouterTable(routes)
+        buckets, broadcasts, unrouted = table.split("t", facts)
+        assert (buckets, broadcasts) == table.partition("t", facts)
+        arity = routes[0].pattern.arity
+        assert unrouted == [
+            fact for fact in facts if len(fact) == arity
+            and not any(route.targets(fact) for route in routes)]
+        if table.single_target("t"):
+            routed = [fact for bucket in buckets.values() for fact in bucket]
+            assert len(routed) + len(unrouted) == sum(
+                len(fact) == arity for fact in facts)
+
     def test_empty_sequence_routes_every_fact_to_one_target(self):
         """``v(r) = ()`` (rewrite_general admits it): ``h(())`` is the
         target of every fact, alone or beside a broadcast route."""
