@@ -185,14 +185,16 @@ def _cmd_parallel(args: argparse.Namespace) -> int:
         if args.mp:
             from .parallel.naming import processor_tag
 
-            # Seconds each worker spent blocked on its inbox, in steps
-            # and routing the steps' output.
+            # Seconds each worker spent blocked on its inbox, draining
+            # it, in steps and sending the steps' output, and its CPU.
             for proc, stats in result.stats.items():
                 print(f"  worker {processor_tag(proc)}: "
                       f"inbox_wait_s={stats.inbox_wait_s:.4f} "
+                      f"drain_s={stats.drain_s:.4f} "
                       f"step_s={stats.step_s:.4f} "
                       f"send_s={stats.send_s:.4f} "
-                      f"longest_step_s={stats.longest_step_s:.4f}")
+                      f"longest_step_s={stats.longest_step_s:.4f} "
+                      f"cpu_s={stats.cpu_s:.4f}")
     if args.check:
         sequential = evaluate(program, database)
         matches = all(

@@ -14,7 +14,7 @@ no-ops guarded by a single ``enabled`` attribute check — untraced runs
 pay nothing.  The simulator traces without timestamps, so equal seeds
 yield byte-identical JSONL streams; the multiprocessing executor
 timestamps events and streams worker-side batches back over its
-existing queue protocol.
+existing channel protocol.
 """
 
 from .events import (

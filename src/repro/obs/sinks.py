@@ -3,7 +3,7 @@
 Three shapes cover the use cases:
 
 * :class:`InMemorySink` — a plain list, for tests and for workers that
-  batch events before shipping them over a queue;
+  batch events before shipping them over a channel;
 * :class:`JsonlSink` — one JSON object per line, the interchange format
   consumed by ``repro trace`` and :mod:`repro.obs.report`.  Keys are
   sorted and separators fixed, so a deterministic event stream yields a

@@ -150,8 +150,12 @@ class Discriminator:
 
     A discriminator is a callable from value tuples (ground instances of
     the discriminating sequence) to processor ids, together with the
-    processor set it ranges over.
+    processor set it ranges over.  :attr:`total` is True on the classes
+    that map every value tuple to a processor (never raising
+    :class:`~repro.errors.RoutingError`).
     """
+
+    total = False
 
     def __init__(self, processors: Sequence[ProcessorId]) -> None:
         if not processors:
@@ -279,6 +283,8 @@ class HashDiscriminator(_HashedDiscriminator):
     instances over the processor set.
     """
 
+    total = True
+
     def __init__(self, processors: Sequence[ProcessorId], salt: int = 0) -> None:
         super().__init__(processors)
         self.salt = salt
@@ -309,6 +315,8 @@ class ModuloDiscriminator(Discriminator):
     arguments, invariant under the cyclic shifts that Theorem 3's
     zero-communication construction relies on.
     """
+
+    total = True
 
     def _new_memo(self) -> object:
         return _TypedMemo(stable_hash)  # for the non-integer values

@@ -10,8 +10,8 @@ is exercised:
 
 * **kill faults** — multiprocessing executor only.  Terminate
   processor *p* once its cumulative firing count reaches *N*
-  (``kill:p1@50``): the worker flushes its outbound queue buffers, so
-  the shared-queue locks are never torn down mid-write, and delivers a
+  (``kill:p1@50``): the worker writes out what its channels could not
+  take yet, so every message it put is on the wire, and delivers a
   real ``SIGKILL`` to itself at the first step boundary past the
   threshold.  Kills are one-shot: a restarted worker is not re-killed.
   The simulator has no processes to kill and rejects a plan with a
@@ -22,8 +22,8 @@ is exercised:
   assumes reliable channels, so this demonstrates *why*), ``delay`` it
   (delivered two ticks late), or ``dup``licate it (delivered twice;
   harmless by monotonicity).  Decisions come from a seeded RNG, so runs
-  are reproducible.  The mp executor's channels are ``multiprocessing``
-  queues, which are reliable, so it rejects a plan with channel faults.
+  are reproducible.  The mp executor's channels are local socket
+  pairs, which are reliable, so it rejects a plan with channel faults.
 
 Specs are parsed from the CLI's ``--inject-fault`` strings by
 :func:`parse_fault_spec` / :func:`build_fault_plan`.

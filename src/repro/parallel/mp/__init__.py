@@ -1,6 +1,8 @@
 """Real multiprocessing execution of rewritten programs.
 
-One OS process per processor, one queue per channel, a Mattern-style
+One OS process per processor, one socket pair per channel — one
+channel per ordered pair of processes, written and read by each
+process's own loop with no thread (:mod:`.channels`) — a Mattern-style
 counting double-probe for quiescence, and a fault tolerance layer
 backed by Theorem 1 plus Datalog's monotonicity: restart-and-replay
 from the base fragment (``recovery="restart"``) or from periodic

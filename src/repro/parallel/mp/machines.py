@@ -3,7 +3,7 @@
 :class:`WorkerMachine` makes every protocol decision of one worker and
 :class:`CoordinatorMachine` every decision of the coordinator; the
 invariants they keep are stated once, in :mod:`.protocol`.  Neither
-touches a queue, a process, a signal or a clock: each call takes the
+touches a channel, a process, a signal or a clock: each call takes the
 message, the death or the time it reacts to and returns the
 ``(destination, message)`` pairs to put.  A destination is a processor
 id, or :data:`COORDINATOR` for a worker's acks, trace batches,
@@ -89,8 +89,9 @@ class WorkerMachine:
 
     The worker's loop calls :meth:`start` once, :meth:`on_message` for
     each message it drains and :meth:`step` once per pass, and puts what
-    each returns.  After a call that sets :attr:`dying` it flushes its
-    queues and kills itself; after :attr:`stopped` it exits.
+    each returns.  After a call that sets :attr:`dying` it writes out
+    its channels' backlogs and kills itself; after :attr:`stopped` it
+    exits.
 
     Args:
         runtime: this processor's runtime, never stepped.
@@ -467,7 +468,7 @@ class CoordinatorMachine:
     The coordinator's loop calls :meth:`start` once, then repeatedly
     :meth:`tick` with the deaths it saw among :meth:`watched` (and the
     messages it drained before acting on them), and :meth:`on_message`
-    for each message it takes off its queue, blocking at most
+    for each message it takes off its inbox, blocking at most
     :meth:`wait` seconds; it carries out what each returns until
     :attr:`phase` is ``DONE``.  Every error of the run is raised here as
     an :class:`~repro.errors.ExecutionError`.
@@ -539,7 +540,7 @@ class CoordinatorMachine:
         return []
 
     def wait(self, now: float) -> float:
-        """Seconds the loop may block on its queue before the next
+        """Seconds the loop may block on its inbox before the next
         :meth:`tick`."""
         if self.phase == BETWEEN:
             limit = self._wait_until
@@ -557,7 +558,7 @@ class CoordinatorMachine:
         Args:
             now: the clock.
             dead: exit codes of the :meth:`watched` workers found dead.
-            backlog: what the loop drained from its queue after seeing
+            backlog: what the loop drained from its inbox after seeing
                 them die (a crash report or a checkpoint can be there).
         """
         if now > self.deadline:

@@ -7,16 +7,19 @@ describes is made by one of the two machines of :mod:`.machines` —
 is named in brackets; the I/O loops of :mod:`.worker` and :mod:`.runner`
 only carry the messages.
 
-Messages are plain picklable tuples; the first element is a tag.
+Messages are plain picklable tuples; the first element is a tag.  Each
+ordered pair of processes has a channel of its own (:mod:`.channels`):
+FIFO, written by the sender's loop and read by the receiver's, with
+no order across the channels into one process.
 
 Data plane (worker → worker):
 
 * ``("data", sender, pairs, epoch, stamp)`` — tuples on a channel (the
   paper's ``t_ij`` predicates): ``pairs`` is a list of
-  ``(predicate, facts)`` groups, so one message (one queue put, one
-  pickle) carries one step's whole output for the peer across
-  several predicates.  ``facts`` is a packed column payload
-  (``repro.facts.packing``; detected with ``is_packed`` and decoded
+  ``(predicate, facts)`` groups, so one message (one put on the
+  channel to the peer: one pickle, one write) carries one step's
+  whole output for the peer across several predicates.  ``facts`` is
+  a packed column payload (``repro.facts.packing``; detected with ``is_packed`` and decoded
   with ``unpack_facts``) when the group holds at least
   ``PACK_MIN_FACTS`` facts, and a plain list of fact tuples below
   that — self-contained either way, and all protocol accounting below
@@ -99,11 +102,12 @@ Watermark/truncation invariant
 
 A sender may truncate a log entry for ``target`` exactly when the fact
 is guaranteed to be inside ``target``'s last checkpoint.  The stamp
-machinery makes that checkable locally: queues are FIFO per channel and
-stamps are lexicographically monotone per channel (``incarnation``
-breaks ties across a sender's restarts — a dying worker flushes and
-closes its queues before exiting, so a successor's messages really do
-follow its predecessor's), hence every message with stamp ≤ the
+machinery makes that checkable locally: channels are FIFO and stamps
+are lexicographically monotone per channel (``incarnation`` breaks
+ties across a sender's restarts — a dying worker writes out every
+channel's backlog before it kills itself, and its successor is forked
+after its death on the same channels, so a successor's messages really
+do follow its predecessor's), hence every message with stamp ≤ the
 receiver's watermark was *dequeued* — and therefore staged or ingested
 — before the checkpoint snapshot was cut.  A fact enters the sender's
 log when the message carrying it is returned for the put
@@ -188,18 +192,18 @@ are still in flight are ingested but not counted (their send-side
 count was zeroed too), and every replayed or newly derived tuple is
 counted symmetrically in the new epoch.  An ack or notice from an
 older epoch is ignored.  The RESETs go out before the next wave's
-probes and before the REPLAYs, on queues the coordinator alone feeds
-per worker, so each survivor zeroes its counters before it answers a
+probes and before the REPLAYs, on the coordinator's own channel to
+each worker, so each survivor zeroes its counters before it answers a
 probe or replays.
 
 Epoch adoption.  "Counted symmetrically" needs the receiver to be in
 the sender's epoch when it dequeues, and the ``reset`` alone cannot
-guarantee that.  An inbox is a ``multiprocessing.Queue`` with several
-producers — the coordinator and every peer — and it is FIFO *per
-producer*, not across them: ``Queue.put`` only hands the message to
-the producer's feeder thread, so the coordinator's ``reset(e+1)``,
-put before it forks the replacement, can still reach a survivor's pipe
-*after* the replacement's first ``data(e+1)``.  A survivor that merely
+guarantee that.  An inbox is several channels — one from the
+coordinator and one from every peer — each FIFO, with no order across
+them, so the coordinator's ``reset(e+1)``, put before it forks the
+replacement, can still be read by a survivor *after* the
+replacement's first ``data(e+1)``, which travels on another
+channel.  A survivor that merely
 skipped the count for a foreign epoch would then ingest those facts,
 zero its counters on the late ``reset``, and leave the newcomer's
 ``sent`` permanently ahead of the cluster's ``received`` — quiescence
@@ -216,16 +220,16 @@ reaches by the same rule.
 Epoch markers.  "Ingested but not counted" leaves one gap: an
 old-epoch message still in flight when the new epoch's double probe
 completes is on no counter, so nothing stops the coordinator from
-declaring quiescence — and sending STOP, which another producer's
-queue can deliver first — before the message is read; what it would
+declaring quiescence — and sending STOP, which another channel can
+deliver first — before the message is read; what it would
 have derived is lost.  A survivor's data put just before it read the
 ``reset`` can be that message.  So a worker that enters an epoch —
 by adoption, or by being spawned in one — first puts an *epoch
 marker* on every peer channel [``WorkerMachine._markers``]: a
 ``data`` message with no facts, stamped like any other, counted as
 one unit in ``sent`` at the put and in ``received`` at the dequeue.
-Each channel is FIFO per producer, and a respawned worker's messages
-follow its predecessor's (the flush before ``SIGKILL``), so the
+Each channel is FIFO, and a respawned worker's messages follow its
+predecessor's (the backlogs written out before ``SIGKILL``), so the
 marker reaches the peer after everything put on that channel before
 it; no wave of the new epoch balances until every marker, and so
 every old-epoch message, has been dequeued.  Markers cost ``n − 1``
@@ -276,18 +280,18 @@ class WorkerStats:
         probes: index probes performed by the engine.
         iterations: local semi-naive iterations.
         sent_by_target: per-peer count of tuples actually put on the
-            peer's queue (replays included).
+            channel to the peer (replays included).
         messages_by_target: per-peer count of coalesced ``data``
-            messages carrying those tuples (each = one queue put and
-            one pickle).
+            messages carrying those tuples (each = one put: one pickle
+            and one or more records written).
         bytes_by_target: per-peer approximate payload bytes (the
             deterministic size model of
             :func:`repro.parallel.metrics.approx_batch_bytes`).
-        received: data tuples taken off the inbox.
-        duplicates_dropped: tuples taken off the inbox that ``t_in``
+        received: data tuples read off the inbox.
+        duplicates_dropped: tuples read off the inbox that ``t_in``
             already held (duplicates in the worker's own share are not
             counted: they never crossed a channel).
-        self_delivered: tuples routed to the worker itself (no queue),
+        self_delivered: tuples routed to the worker itself (no channel),
             as produced: the own share is deduplicated only when
             ``t_in`` ingests it, so copies are counted.
         replayed: tuples re-sent while serving ``replay`` requests.
@@ -300,21 +304,29 @@ class WorkerStats:
             watermark covered them.
         inbox_wait_s: seconds spent in ``inbox.get`` calls that may
             block (the worker had nothing to step), including the
-            unpickling of what they returned.
+            reading and unpickling of what they returned.
+        drain_s: seconds spent draining the inbox apart from those
+            waits: the non-blocking ``inbox.get`` calls (polling,
+            reading, unpickling, flushing backlogs) and the ingest of
+            every message read, blocking or not.
         step_s: seconds spent in semi-naive steps, including the
             runtime's routing of each step's output (splitting by
             target and deduplicating the remote shares).
         send_s: seconds spent sending steps' output (staging
             self-deliveries, packing) and putting data messages,
-            replays and epoch markers included, on peer queues.
+            replays and epoch markers included, on peer channels: a
+            put pickles the message and writes what the socket takes.
         longest_step_s: the longest single step, in seconds.
+        cpu_s: the worker process's CPU seconds (user and system,
+            ``time.process_time``) when it sends its result; 0 until
+            then.
     """
 
     __slots__ = ("firings", "probes", "iterations", "sent_by_target",
                  "messages_by_target", "bytes_by_target", "received",
                  "duplicates_dropped", "self_delivered", "replayed",
                  "sent_log_facts", "log_truncated", "inbox_wait_s",
-                 "step_s", "send_s", "longest_step_s")
+                 "drain_s", "step_s", "send_s", "longest_step_s", "cpu_s")
 
     def __init__(self) -> None:
         self.firings: int = 0
@@ -330,9 +342,11 @@ class WorkerStats:
         self.sent_log_facts: int = 0
         self.log_truncated: int = 0
         self.inbox_wait_s: float = 0.0
+        self.drain_s: float = 0.0
         self.step_s: float = 0.0
         self.send_s: float = 0.0
         self.longest_step_s: float = 0.0
+        self.cpu_s: float = 0.0
 
     def total_sent(self) -> int:
         """Tuples this worker put on remote channels."""

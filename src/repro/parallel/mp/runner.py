@@ -18,13 +18,20 @@ base fragment (paper, Section 3), its compiled plans and, on a traced
 run, a buffering tracer — and never steps it.  A worker's first process
 and every restart are ``fork``s of that same object, so the child
 inherits the runtime and nothing is packed, pickled or rebuilt.  The
-executor therefore needs the ``fork`` start method (Linux, macOS).
+executor therefore needs the ``fork`` start method.
+The channels (:mod:`.channels`, one ``AF_UNIX``/``SOCK_SEQPACKET``
+socket pair per ordered pair of processes, as Linux provides them) are
+created before that first fork too, so every worker
+and every restart inherits all of them; :func:`run_multiprocessing`
+closes each on return and on raise, after reaping every worker.
 Every fork happens inside :func:`run_multiprocessing`'s pause of the cyclic
 collector (:mod:`repro.engine.collector`), so each worker inherits it.
 
 Python's GIL makes *thread*-level parallelism useless for this
 workload; separate processes sidestep it, at the cost of pickling
-tuples across queues.
+tuples across channels.  No process runs a thread of its own: every
+message is pickled and written, and read and unpickled, by the loop
+that sends or takes it.
 """
 
 from __future__ import annotations
@@ -47,7 +54,8 @@ from ..metrics import ParallelMetrics
 from ..naming import processor_tag
 from ..plans import ParallelProgram
 from ..processor import ProcessorRuntime
-from .machines import DONE, SPAWN, CoordinatorMachine
+from .channels import Channels
+from .machines import COORDINATOR, DONE, SPAWN, CoordinatorMachine
 from .protocol import RESULT, WorkerStats
 from .worker import worker_main
 
@@ -62,7 +70,7 @@ def default_ack_deadline(processors: int) -> float:
     A worker that stays alive but does not ack a probe wave for this
     many seconds is declared wedged.  The floor covers interpreter
     start-up and scheduler noise; every extra processor adds probe
-    fan-out and queue contention.
+    fan-out and channels to poll.
     """
     return 15.0 + 0.5 * processors
 
@@ -148,8 +156,12 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
 
     Raises:
         ConfigurationError: on an invalid parameter value, a fault
-            plan with channel faults or a kill naming no processor, or
-            a platform without the ``fork`` start method.
+            plan with channel faults or a kill naming no processor, a
+            platform without the ``fork`` start method or without
+            ``AF_UNIX``/``SOCK_SEQPACKET`` sockets, or a soft
+            ``RLIMIT_NOFILE`` below the ``2·n·(n+1)`` descriptors the
+            channels of ``n`` processors need.  Each is raised before
+            any process is forked.
         ExecutionError: on worker crash, unrecovered death, wedged
             worker or timeout.
     """
@@ -176,8 +188,8 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
     if faults is not None and faults.channel_state() is not None:
         raise ConfigurationError(
             "channel faults (drop/delay/dup) are a simulator model; the "
-            "mp executor's queues are reliable and it injects only kill "
-            "faults")
+            "mp executor's channels are reliable and it injects only "
+            "kill faults")
     if "fork" not in multiprocessing.get_all_start_methods():
         raise ConfigurationError(
             "the mp executor forks its workers from runtimes the "
@@ -192,94 +204,106 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
     tags = {proc: processor_tag(proc) for proc in order}
     if ack_timeout is None:
         ack_timeout = default_ack_deadline(len(order))
-    machine = CoordinatorMachine(
-        order, recovery=recovery, max_restarts=max_restarts,
-        probe_interval=probe_interval, timeout=timeout,
-        ack_timeout=ack_timeout,
-        kill_after=faults.kill_thresholds(tags) if faults is not None else {},
-        tracer=tracer, started=started)
-    # Never stepped here: a worker and all its restarts fork this one.
-    runtimes = {
-        proc: ProcessorRuntime(
-            program.program_for(proc), program.local_database(proc, database),
-            tracer=(Tracer(InMemorySink(), clock=time.monotonic)
-                    if tracing else None))
-        for proc in order}
-    inboxes = {proc: context.Queue() for proc in order}
-    coordinator_queue = context.Queue()
-    interval = checkpoint_interval if recovery == "checkpoint" else None
-    output = Database()
-    pooled: Dict[str, Relation] = {}
-    for predicate in program.derived:
-        arity = program.program_for(order[0]).arities[predicate]
-        pooled[predicate] = Relation(predicate, arity)
-        output.attach(pooled[predicate])
-    pooled_tuples = 0
-
-    if tracing:
-        tracer.run_start(scheme=program.scheme + "+mp",
-                         processors=[tags[p] for p in order], executor="mp",
-                         recovery=recovery,
-                         ack_deadline=round(ack_timeout, 3))
-
+    channels = Channels(order, COORDINATOR)
     processes: Dict[ProcessorId, multiprocessing.Process] = {}
-
-    def carry_out(actions: List[tuple]) -> None:
-        """Put the machine's messages; fork the workers it spawns.
-
-        A restart reuses its predecessor's inbox: what was queued for
-        the dead worker is still valid input (monotonicity).
-        """
-        for proc, message in actions:
-            if message[0] != SPAWN:
-                inboxes[proc].put(message)
-                continue
-            _, kill_after, epoch, restore, delay = message
-            if proc in processes:
-                processes[proc].join(timeout=1.0)
-            if delay:
-                time.sleep(delay)
-            process = context.Process(
-                target=worker_main,
-                args=(runtimes[proc], inboxes[proc], inboxes,
-                      coordinator_queue, kill_after, epoch, interval, restore,
-                      recovery != "fail"),
-                daemon=True)
-            process.start()
-            processes[proc] = process
-            if not tracing:
-                continue
-            if epoch:
-                tracer.worker_restart(tags[proc], epoch=epoch,
-                                      restored=restore is not None)
-            else:
-                tracer.worker_spawn(tags[proc])
-
-    def pool(message: tuple) -> tuple:
-        """Union a RESULT's rows into the output as it is dequeued, so
-        one worker's rows go in while another still packs its own."""
-        nonlocal pooled_tuples
-        if message[0] == RESULT:
-            for predicate, relation in pooled.items():
-                facts = ensure_facts(message[2].pop(predicate, ()))
-                relation.update(facts)
-                pooled_tuples += len(facts)
-                # Drop the payload's duplicates before the collection.
-                del facts
-            # What the RESULT added leaves the collector while in cache
-            # (repro.engine.collector).
-            collect_young()
-        return message
-
-    def drain() -> List[tuple]:
-        backlog = []
-        while True:
-            try:
-                backlog.append(pool(coordinator_queue.get_nowait()))
-            except queue_module.Empty:
-                return backlog
-
     try:
+        machine = CoordinatorMachine(
+            order, recovery=recovery, max_restarts=max_restarts,
+            probe_interval=probe_interval, timeout=timeout,
+            ack_timeout=ack_timeout,
+            kill_after=(faults.kill_thresholds(tags)
+                        if faults is not None else {}),
+            tracer=tracer, started=started)
+        # Never stepped here: a worker and all its restarts fork this one.
+        runtimes = {
+            proc: ProcessorRuntime(
+                program.program_for(proc),
+                program.local_database(proc, database),
+                tracer=(Tracer(InMemorySink(), clock=time.monotonic)
+                        if tracing else None))
+            for proc in order}
+        # The coordinator's ends, and each worker's, built once: every
+        # incarnation of a worker forks the same never-used objects.
+        to_workers = channels.senders(COORDINATOR)
+        inbox = channels.inbox(COORDINATOR, to_workers.values())
+        worker_ends = {}
+        for proc in order:
+            senders = channels.senders(proc)
+            to_coordinator = senders.pop(COORDINATOR)
+            worker_ends[proc] = (
+                channels.inbox(proc, [*senders.values(), to_coordinator]),
+                senders, to_coordinator)
+        interval = checkpoint_interval if recovery == "checkpoint" else None
+        output = Database()
+        pooled: Dict[str, Relation] = {}
+        for predicate in program.derived:
+            arity = program.program_for(order[0]).arities[predicate]
+            pooled[predicate] = Relation(predicate, arity)
+            output.attach(pooled[predicate])
+        pooled_tuples = 0
+
+        if tracing:
+            tracer.run_start(scheme=program.scheme + "+mp",
+                             processors=[tags[p] for p in order],
+                             executor="mp", recovery=recovery,
+                             ack_deadline=round(ack_timeout, 3))
+
+        def carry_out(actions: List[tuple]) -> None:
+            """Put the machine's messages; fork the workers it spawns.
+
+            A restart reads its predecessor's channels: what was sent to
+            the dead worker is still valid input (monotonicity).
+            """
+            for proc, message in actions:
+                if message[0] != SPAWN:
+                    to_workers[proc].put(message)
+                    continue
+                _, kill_after, epoch, restore, delay = message
+                predecessor = processes.pop(proc, None)
+                if predecessor is not None:
+                    predecessor.join(timeout=1.0)
+                    predecessor.close()
+                if delay:
+                    time.sleep(delay)
+                process = context.Process(
+                    target=_run_worker,
+                    args=(runtimes[proc], *worker_ends[proc], kill_after,
+                          epoch, interval, restore, recovery != "fail"),
+                    daemon=True)
+                process.start()
+                processes[proc] = process
+                if not tracing:
+                    continue
+                if epoch:
+                    tracer.worker_restart(tags[proc], epoch=epoch,
+                                          restored=restore is not None)
+                else:
+                    tracer.worker_spawn(tags[proc])
+
+        def pool(message: tuple) -> tuple:
+            """Union a RESULT's rows into the output as it is read, so one
+            worker's rows go in while another still packs its own."""
+            nonlocal pooled_tuples
+            if message[0] == RESULT:
+                for predicate, relation in pooled.items():
+                    facts = ensure_facts(message[2].pop(predicate, ()))
+                    relation.update(facts)
+                    pooled_tuples += len(facts)
+                    # Drop the payload's duplicates before the collection.
+                    del facts
+                # What the RESULT added leaves the collector while in cache
+                # (repro.engine.collector).
+                collect_young()
+            return message
+
+        def drain() -> List[tuple]:
+            backlog = []
+            while True:
+                try:
+                    backlog.append(pool(inbox.get(timeout=0)))
+                except queue_module.Empty:
+                    return backlog
+
         carry_out(machine.start())
         while machine.phase != DONE:
             now = time.perf_counter()
@@ -289,8 +313,7 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
             actions = machine.tick(now, dead, drain() if dead else ())
             if not actions and machine.phase != DONE:
                 try:
-                    message = coordinator_queue.get(
-                        timeout=machine.wait(now))
+                    message = inbox.get(timeout=machine.wait(now))
                 except queue_module.Empty:
                     continue
                 actions = machine.on_message(pool(message), now)
@@ -301,6 +324,13 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
         for process in processes.values():
             if process.is_alive():
                 process.terminate()
+        for process in processes.values():
+            process.join(timeout=5.0)
+            if process.exitcode is None:
+                process.kill()
+                process.join()
+            process.close()
+        channels.close()
 
     metrics = ParallelMetrics(scheme=program.scheme + "+mp",
                               processors=tuple(order))
@@ -337,3 +367,14 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
                        wall_seconds=wall_seconds)
     return MPResult(output=output, metrics=metrics, stats=stats,
                     wall_seconds=wall_seconds)
+
+
+def _run_worker(runtime, inbox, senders, to_coordinator, *options) -> None:
+    """A forked worker's body: :func:`~.worker.worker_main`, then its
+    last messages written out before the process exits (peers need
+    nothing more once STOP is out: quiescence means no DATA is
+    unread)."""
+    try:
+        worker_main(runtime, inbox, senders, to_coordinator, *options)
+    finally:
+        to_coordinator.join_thread()

@@ -2,16 +2,19 @@
 
 An I/O loop around one :class:`~.machines.WorkerMachine`, which makes
 every protocol decision; the invariants are stated in :mod:`.protocol`.
-Each pass of the loop drains the inbox — without blocking while the
-machine is busy, so whatever peers sent meanwhile joins the next step's
-batch — then asks the machine for one step, and puts each returned
-message on its queue before the next drain, timing the puts.  An idle
-pass blocks on the inbox for an adaptive poll.  When the machine says
-its kill fault is due, the loop flushes every queue and ``SIGKILL``\\ s
-its own process: the failure is silent at the protocol level but clean
-at the OS level, with no queue lock torn down mid-write and every
-message already put on the wire.  A Python-level crash is reported as
-an ``error`` message.
+Each pass of the loop drains the inbox — every channel into this
+worker (:mod:`.channels`) — without blocking while the machine is busy,
+so whatever peers sent meanwhile joins the next step's batch; then it
+asks the machine for one step and writes each returned message on its
+channel before the next drain, timing the puts.  The loop's own thread
+does all of it: a put pickles and writes, a get reads and unpickles,
+and every read of the inbox also flushes what this worker's channels
+could not take yet.  An idle pass blocks on the inbox for an adaptive
+poll.  When the machine says its kill fault is due, the loop writes out
+every backlog and ``SIGKILL``\\ s its own process: the failure is silent
+at the protocol level but clean at the OS level, with every message
+already put on the wire.  A Python-level crash is reported as an
+``error`` message.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import os
 import queue as queue_module
 import signal
 import traceback
-from time import perf_counter
+from time import perf_counter, process_time
 from typing import Dict, Hashable, Mapping, Optional
 
 from ..processor import ProcessorRuntime
@@ -31,7 +34,7 @@ __all__ = ["worker_main"]
 
 ProcessorId = Hashable
 
-# Adaptive idle poll bounds.  ``Queue.get(timeout)`` wakes as soon as a
+# Adaptive idle poll bounds.  ``inbox.get(timeout)`` wakes as soon as a
 # message arrives, so a long timeout costs no latency — it only sets
 # how often an idle worker spins through an empty loop.  The poll
 # starts snappy, doubles on every fully idle pass (nothing drained,
@@ -55,9 +58,13 @@ def worker_main(runtime: ProcessorRuntime, inbox,
             never stepped.  On a traced run its tracer buffers events in
             an :class:`~repro.obs.sinks.InMemorySink`; the worker streams
             them to the coordinator as ``("trace", ...)`` batches.
-        inbox: this worker's receive queue.
-        peer_queues: send queues of every processor (self included).
-        coordinator_queue: queue for acks/results to the coordinator.
+        inbox: every channel into this worker, read with
+            ``get(timeout=)`` (a :class:`~.channels.Inbox`).
+        peer_queues: this worker's channel to each peer, written with
+            ``put`` (a :class:`~.channels.Sender` each); an entry for
+            the worker itself is ignored.
+        coordinator_queue: this worker's channel to the coordinator,
+            for acks, checkpoints, trace batches and the result.
         kill_after: firing count at which this worker kills itself
             (an injected kill fault), or ``None``.
         epoch: recovery epoch to start in (non-zero for workers spawned
@@ -84,6 +91,9 @@ def worker_main(runtime: ProcessorRuntime, inbox,
         stats = machine.stats
 
         def put(outputs) -> None:
+            if machine.stopped:
+                # The RESULT among ``outputs`` carries these stats.
+                stats.cpu_s = process_time()
             for target, message in outputs:
                 if target is COORDINATOR:
                     coordinator_queue.put(message)
@@ -107,15 +117,23 @@ def worker_main(runtime: ProcessorRuntime, inbox,
         while not machine.stopped:
             while not machine.stopped:
                 timeout = 0.0 if machine.busy else idle_poll
-                waited = perf_counter()
+                started = perf_counter()
                 try:
                     message = inbox.get(timeout=timeout)
                 except queue_module.Empty:
+                    message = None
+                if timeout:
+                    # A get that may block is a wait; what follows it
+                    # is a drain, as a whole non-blocking get is.
+                    waited = perf_counter()
+                    stats.inbox_wait_s += waited - started
+                    started = waited
+                if message is None:
+                    stats.drain_s += perf_counter() - started
                     break
-                finally:
-                    if timeout:
-                        stats.inbox_wait_s += perf_counter() - waited
-                put(machine.on_message(message))
+                outputs = machine.on_message(message)
+                stats.drain_s += perf_counter() - started
+                put(outputs)
             if machine.stopped:
                 break
             worked = machine.busy

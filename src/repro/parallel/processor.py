@@ -130,6 +130,11 @@ class ProcessorRuntime:
         self._router = program.router_table()
         self._route_first = {pred for pred in program.out_names
                              if self._router.single_target(pred)}
+        # Where that one target is this processor whatever the fact,
+        # the whole batch is the own share, with nothing to split.
+        self._all_own = {pred for pred in self._route_first
+                         if self._router.sole_target(pred)
+                         == program.processor}
 
         self._init_plans = [compile_plan(rule) for rule in program.init_rules]
         self._loop = DeltaLoop(self.working, program.in_names.values(),
@@ -166,7 +171,8 @@ class ProcessorRuntime:
         """Route each head's produced batch and store each fact once.
 
         A single-target predicate is routed first: the own share is
-        emitted as produced (``t_in`` deduplicates it at ingest) and
+        emitted as produced (``t_in`` deduplicates it at ingest; the
+        whole batch, unsplit, where every fact is bound here) and
         each remote share keeps the facts that are new to ``t_out``.  A
         multi-target predicate is deduplicated into ``t_out`` first and
         its fresh facts (first-occurrence order) are split.  The facts
@@ -177,7 +183,9 @@ class ProcessorRuntime:
         for head, facts in produced.items():
             pred = self._out_to_pred[head]
             out = self._out[pred]
-            if pred in self._route_first:
+            if pred in self._all_own:
+                routed, unrouted = Routed({me: facts}), None
+            elif pred in self._route_first:
                 buckets, _, unrouted = self._router.split(pred, facts)
                 for target, bucket in list(buckets.items()):
                     if target != me:

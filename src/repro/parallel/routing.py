@@ -233,6 +233,20 @@ class RouterTable:
         return len(compiled) == 0 or (len(compiled) == 1
                                       and not compiled[0].broadcast)
 
+    def sole_target(self, predicate: str) -> Optional[ProcessorId]:
+        """The processor every fact of ``predicate`` goes to, when that
+        is known without looking at a fact: one point-to-point route
+        with no pattern checks, whose total discriminator ranges over
+        one processor (any scheme at ``n = 1``).  None otherwise."""
+        compiled = self._compiled.get(predicate, ())
+        if len(compiled) == 1:
+            kernel = compiled[0]
+            if (not kernel.broadcast and kernel.unchecked
+                    and kernel.discriminator.total
+                    and len(kernel.processors) == 1):
+                return kernel.processors[0]
+        return None
+
     def partition(self, predicate: str,
                   facts: Sequence[Fact]) -> Tuple[Buckets, int]:
         """Split ``facts`` of ``predicate`` into per-target buffers.

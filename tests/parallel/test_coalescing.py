@@ -1,7 +1,7 @@
 """Send coalescing and channel accounting in the communication path.
 
 The mp worker puts each step's output for a peer on the wire as one
-multi-predicate batch — one queue put, one pickle per peer per step —
+multi-predicate batch — one put, one pickle per peer per step —
 while the simulator partitions emission lists per channel.  Both
 report the new channel counters (``channel_messages`` /
 ``channel_bytes``); these tests assert the batching actually happens,

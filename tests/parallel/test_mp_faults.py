@@ -149,7 +149,7 @@ class TestRecovery:
 
 @pytest.mark.faultinjection
 class TestChannelFaultsRejected:
-    """Channel faults are a simulator model: the mp executor's queues
+    """Channel faults are a simulator model: the mp executor's channels
     are reliable, so it refuses the plan before spawning anything."""
 
     @pytest.mark.parametrize("spec", ["drop:0.2", "delay:0.2", "dup:0.2"])

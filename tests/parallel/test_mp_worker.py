@@ -196,7 +196,8 @@ class TestWorkerTimings:
         worker.wait_idle()
         stats = worker.stop()[3]
         assert stats.iterations > 0
-        for value in (stats.inbox_wait_s, stats.step_s, stats.send_s,
-                      stats.longest_step_s):
+        for value in (stats.inbox_wait_s, stats.drain_s, stats.step_s,
+                      stats.send_s, stats.longest_step_s, stats.cpu_s):
             assert value >= 0.0
         assert 0.0 < stats.longest_step_s <= stats.step_s
+        assert stats.cpu_s > 0.0

@@ -334,3 +334,58 @@ def test_parts_pool_to_the_answer(name, processors, nodes, seed, shape):
     assert result.metrics.pooled_tuples == sum(map(len, parts))
     if name in _DISJOINT:
         assert result.metrics.pooled_tuples == len(answer)
+
+
+class TestWholeBatchOwnShare:
+    """At ``n = 1`` under a total discriminator (hash or modulo) every
+    fact a processor derives is its own: the batch is emitted as its
+    own share without splitting, with exactly the buckets, answer and
+    counters of the split."""
+
+    @pytest.mark.parametrize("name", ["example1", "example3", "hash"])
+    def test_no_split_and_nothing_else_moves(self, name, monkeypatch):
+        from repro.engine import evaluate
+        from repro.parallel.routing import RouterTable
+        from repro.parallel.simulator import SimulatedCluster
+        from repro.workloads import random_dag_edges
+
+        program = ancestor_program()
+        database = Database.from_facts(
+            {"par": random_dag_edges(40, parents=2, seed=3)})
+
+        def run():
+            emitted = []
+            step_batches = ProcessorRuntime.step_batches
+
+            def recording(runtime):
+                batches = step_batches(runtime)
+                emitted.append([(pred, {target: list(bucket) for target, bucket
+                                        in routed.buckets.items()})
+                                for pred, routed in batches])
+                return batches
+
+            with monkeypatch.context() as patch:
+                patch.setattr(ProcessorRuntime, "step_batches", recording)
+                cluster = SimulatedCluster(
+                    _scheme(name, program, (0,), database), database)
+                result = cluster.run()
+            runtime, counters = cluster.runtimes[0], result.counters[0]
+            return (emitted, result.relation("anc").as_set(),
+                    result.metrics.summary(),
+                    (dict(counters.firings), counters.probes,
+                     counters.iterations),
+                    (runtime.emitted, runtime.received_total,
+                     runtime.duplicates_dropped, runtime.broadcast_tuples))
+
+        split = RouterTable.split
+
+        def refused(*_args):
+            raise AssertionError("split called at n = 1")
+
+        monkeypatch.setattr(RouterTable, "split", refused)
+        whole = run()
+        monkeypatch.setattr(RouterTable, "split", split)
+        monkeypatch.setattr(RouterTable, "sole_target", lambda *_args: None)
+        assert whole == run()
+        assert whole[1] == evaluate(program, database).relation("anc").as_set()
+        assert any(batches for batches in whole[0])

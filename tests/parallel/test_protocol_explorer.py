@@ -2,15 +2,18 @@
 
 The worker and coordinator machines of :mod:`repro.parallel.mp.machines`
 are wired together in one process, with one FIFO per (producer,
-consumer) pair: a real inbox is a ``multiprocessing.Queue`` with
-several producers, FIFO per producer and in no fixed order across
-them, so which FIFO delivers next is the schedule's choice.  Workers
-run real :class:`~repro.parallel.processor.ProcessorRuntime`\\ s on
-small ancestor inputs: random trees and DAGs under Examples 2 and 3,
+consumer) pair.  That is the executor's transport itself
+(:mod:`repro.parallel.mp.channels`): one socket pair per ordered pair
+of processes, each FIFO, and an inbox that reads whichever of its
+channels is ready, so which FIFO delivers next is the schedule's
+choice.  Workers run real
+:class:`~repro.parallel.processor.ProcessorRuntime`\\ s on small
+ancestor inputs: random trees and DAGs under Examples 2 and 3,
 ``hash`` and Wolfson's scheme.  A kill happens between two machine
 calls — a step boundary — and leaves what the worker already put in
-flight, as the flush before ``SIGKILL`` guarantees; a respawn reads the
-dead worker's inbox, as a restart reuses its queue.
+flight, as writing out every backlog before ``SIGKILL`` guarantees; a
+respawn reads the dead worker's channels, as a restart inherits
+them.
 
 Two properties are checked on every schedule: the coordinator never
 sends STOP while a DATA message is in flight or a live worker holds

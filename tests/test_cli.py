@@ -131,10 +131,11 @@ class TestParallelCommand:
         for line in lines:
             timings = {key: float(value) for key, value in
                        (field.split("=") for field in line.split())}
-            assert set(timings) == {"inbox_wait_s", "step_s", "send_s",
-                                    "longest_step_s"}
+            assert set(timings) == {"inbox_wait_s", "drain_s", "step_s",
+                                    "send_s", "longest_step_s", "cpu_s"}
             assert min(timings.values()) >= 0.0
             assert timings["longest_step_s"] <= timings["step_s"]
+            assert timings["cpu_s"] > 0.0
 
 
 class TestTraceCommand:
