@@ -12,17 +12,9 @@ from .fragments import (
     SHARED,
     ArbitraryFragmentation,
     FragmentationPlan,
-    FragmentationPolicy,
-    HashFragmentation,
-    SharedFragmentation,
 )
 from .index import HashIndex
-from .packing import (
-    is_packed,
-    pack_facts,
-    packed_fact_count,
-    unpack_facts,
-)
+from .packing import pack_facts, packed_fact_count, unpack_facts
 from .relation import Fact, Relation
 
 # An alias the benchmark's layer timings (benchmarks/e2e/layers.py)
@@ -36,12 +28,8 @@ __all__ = [
     "Fact",
     "FactBatch",
     "FragmentationPlan",
-    "FragmentationPolicy",
-    "HashFragmentation",
     "HashIndex",
     "Relation",
-    "SharedFragmentation",
-    "is_packed",
     "make_relation",
     "pack_facts",
     "packed_fact_count",

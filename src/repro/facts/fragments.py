@@ -1,4 +1,4 @@
-"""Fragmentation policies for base relations.
+"""Fragmentation of base relations: partitions and storage plans.
 
 The paper's schemes differ in what they require of the base data:
 
@@ -9,97 +9,37 @@ The paper's schemes differ in what they require of the base data:
 * Example 3 and the general scheme use *hash partitions*: processor
   ``i`` holds the fragment ``{t : h(v(r) positions of t) = i}``.
 
-A policy maps a relation to per-processor fragments and reports its
-kind, so rewriters can emit a :class:`FragmentationPlan` stating the
-storage requirement each scheme imposes (a first-class result of the
-paper's trade-off analysis).
+Rewriters state the requirement each scheme imposes as a
+:class:`FragmentationPlan` (a first-class result of the paper's
+trade-off analysis); an :class:`ArbitraryFragmentation` is the explicit
+partition of Example 2.  The split itself is
+:meth:`repro.parallel.plans.FragmentSpec.local_fragment`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, Mapping, Sequence, Tuple
+from typing import Dict, Hashable, Mapping, Sequence, Tuple
 
 from .relation import Fact, Relation
 
 __all__ = [
+    "ARBITRARY_PARTITION",
+    "HASH_PARTITIONED",
     "SHARED",
-    "FragmentationPolicy",
-    "SharedFragmentation",
-    "HashFragmentation",
     "ArbitraryFragmentation",
     "FragmentationPlan",
 ]
 
 ProcessorId = Hashable
 
+# The storage requirements a FragmentationPlan states.
 SHARED = "shared"
 HASH_PARTITIONED = "hash-partitioned"
-ARBITRARY = "arbitrary-partition"
+ARBITRARY_PARTITION = "arbitrary-partition"
 
 
-class FragmentationPolicy:
-    """Base class for fragmentation policies."""
-
-    kind: str = "abstract"
-
-    def fragment(self, relation: Relation,
-                 processors: Sequence[ProcessorId]) -> Dict[ProcessorId, Relation]:
-        """Return ``{processor: fragment relation}``."""
-        raise NotImplementedError
-
-    def describe(self) -> str:
-        """Human-readable summary for reports."""
-        return self.kind
-
-
-class SharedFragmentation(FragmentationPolicy):
-    """Every processor accesses the whole relation (shared/replicated)."""
-
-    kind = SHARED
-
-    def fragment(self, relation: Relation,
-                 processors: Sequence[ProcessorId]) -> Dict[ProcessorId, Relation]:
-        return {proc: relation.copy() for proc in processors}
-
-
-class HashFragmentation(FragmentationPolicy):
-    """Disjoint fragments assigned by a function of selected positions.
-
-    Args:
-        positions: argument positions whose values feed ``assign``.
-        assign: maps the projected value tuple to a processor id.
-    """
-
-    kind = HASH_PARTITIONED
-
-    def __init__(self, positions: Sequence[int],
-                 assign: Callable[[Tuple[object, ...]], ProcessorId]) -> None:
-        self.positions = tuple(positions)
-        self.assign = assign
-
-    def owner(self, fact: Fact) -> ProcessorId:
-        """Return the processor owning ``fact``."""
-        return self.assign(tuple(fact[p] for p in self.positions))
-
-    def fragment(self, relation: Relation,
-                 processors: Sequence[ProcessorId]) -> Dict[ProcessorId, Relation]:
-        fragments = {proc: Relation(relation.name, relation.arity)
-                     for proc in processors}
-        known = set(processors)
-        for fact in relation:
-            owner = self.owner(fact)
-            if owner not in known:
-                raise ValueError(
-                    f"assign() produced unknown processor {owner!r} for {fact!r}")
-            fragments[owner].add(fact)
-        return fragments
-
-    def describe(self) -> str:
-        return f"{self.kind} on positions {self.positions}"
-
-
-class ArbitraryFragmentation(FragmentationPolicy):
+class ArbitraryFragmentation:
     """An explicit, caller-provided horizontal partition.
 
     This is Example 2's setting: the partition is arbitrary, and the
@@ -107,11 +47,8 @@ class ArbitraryFragmentation(FragmentationPolicy):
     ``(a, b) ∈ par^i``).
 
     Args:
-        assignment: maps each fact to its owning processor.  Facts not
-            in the mapping raise at fragmentation time.
+        assignment: maps each fact to its owning processor.
     """
-
-    kind = ARBITRARY
 
     def __init__(self, assignment: Mapping[Fact, ProcessorId]) -> None:
         self.assignment = dict(assignment)
@@ -134,22 +71,15 @@ class ArbitraryFragmentation(FragmentationPolicy):
         """
         return self.assignment[fact]
 
-    def fragment(self, relation: Relation,
-                 processors: Sequence[ProcessorId]) -> Dict[ProcessorId, Relation]:
-        fragments = {proc: Relation(relation.name, relation.arity)
-                     for proc in processors}
-        for fact in relation:
-            fragments[self.owner(fact)].add(fact)
-        return fragments
-
 
 @dataclass(frozen=True)
 class FragmentationPlan:
     """Per-base-relation storage requirements of a rewritten program.
 
     Attributes:
-        requirements: ``{predicate: kind}`` where kind is ``shared``,
-            ``hash-partitioned`` or ``arbitrary-partition``.
+        requirements: ``{predicate: kind}`` where kind is
+            :data:`SHARED`, :data:`HASH_PARTITIONED` or
+            :data:`ARBITRARY_PARTITION`.
         notes: optional human-readable remarks per predicate.
     """
 

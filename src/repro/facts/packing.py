@@ -1,10 +1,6 @@
-"""Packed-column encoding for fact batches crossing process boundaries.
+"""Packed-column encoding of a fact batch.
 
-The mp executor's DATA messages ship ``(predicate, facts)`` pairs.
-Under the tuple wire format each pair's payload is a pickled list of
-Python tuples — every value is re-pickled as a full object, and a
-64-node batch of int pairs costs kilobytes.  The packed format instead
-transposes the batch into per-attribute columns:
+:func:`pack_facts` transposes a batch into per-attribute columns:
 
 * an all-``int64`` column becomes the raw bytes of an ``array('q')``
   (8 bytes per value, one bytes object to pickle);
@@ -12,17 +8,16 @@ transposes the batch into per-attribute columns:
   in first-occurrence order, index array bytes);
 * anything else falls back to the plain value list.
 
-Crucially the encoding is **self-contained**: the dictionary of a
-dictionary-encoded column travels inside the message, and int columns
-carry raw values, so nothing process-local crosses the process
-boundary.  The receiver reconstructs the exact value tuples; ``unpack_facts(
-pack_facts(facts))`` is the identity on fact lists (property-tested in
-``tests/facts/test_packing.py``), which keeps routing, discriminating
-functions and quiescence counting oblivious to the wire format.
+The encoding is self-contained (dictionaries and raw values travel
+inside the payload), and ``unpack_facts(pack_facts(facts))`` is the
+identity on fact lists (property-tested in
+``tests/facts/test_packing.py``).
 
-The deterministic channel-byte model in :mod:`repro.parallel.metrics`
-understands this layout, so ``channel_bytes`` comparisons between the
-two wire formats stay meaningful.
+No executor uses it: the mp channels carry plain fact lists, which one
+``pickle.dumps`` encodes in fewer bytes and less time at every batch
+size the benchmark produces (docs/DATA_PLANE.md).  What is left serves
+the benchmark's layer timings (``benchmarks/e2e/layers.py``) and
+:meth:`repro.parallel.processor.ProcessorRuntime.receive_packed`.
 """
 
 from __future__ import annotations
@@ -34,19 +29,13 @@ from .relation import Fact
 
 __all__ = [
     "PACKED_TAG",
-    "PACK_MIN_FACTS",
-    "ensure_facts",
-    "is_packed",
-    "maybe_pack",
     "pack_facts",
     "packed_fact_count",
     "packed_rows",
     "unpack_facts",
 ]
 
-# First element of every packed payload.  A packed payload is a tuple
-# and a plain payload a list of fact tuples, so ``is_packed`` is one
-# type check and a tag comparison.
+# First element of every packed payload.
 PACKED_TAG = "__cols__"
 
 _INT = {int}
@@ -105,39 +94,9 @@ def pack_facts(facts: Sequence[Fact]) -> Tuple:
     return (PACKED_TAG, count, arity, columns)
 
 
-def is_packed(payload: object) -> bool:
-    """True iff ``payload`` is a packed column payload (vs a fact list)."""
-    return (type(payload) is tuple and len(payload) == 4
-            and payload[0] == PACKED_TAG)
-
-
 def packed_fact_count(payload: Tuple) -> int:
     """Number of facts in a packed payload, without decoding it."""
     return payload[1]
-
-
-# Below this many facts the packed framing costs more than it saves,
-# so senders (mp data messages, checkpoint payloads) ship the plain
-# list.  Shared here so every producer breaks even at the same point.
-PACK_MIN_FACTS = 8
-
-
-def maybe_pack(facts: Sequence[Fact], min_facts: int = PACK_MIN_FACTS):
-    """Pack ``facts`` when the batch is big enough to profit.
-
-    Returns either a packed payload or the fact list unchanged; decode
-    either with :func:`ensure_facts`.
-    """
-    if len(facts) >= min_facts:
-        return pack_facts(facts)
-    return list(facts)
-
-
-def ensure_facts(payload) -> List[Fact]:
-    """Decode a wire payload (packed or plain) back to a fact list."""
-    if is_packed(payload):
-        return unpack_facts(payload)
-    return list(payload)
 
 
 def packed_rows(payload: Tuple) -> Iterable[Fact]:

@@ -83,7 +83,7 @@ class TraceReport:
         replayed: per-processor count of tuples re-sent during replay
             (attributed to the replaying sender).
         checkpoints: per-processor count of checkpoints shipped.
-        checkpoint_bytes: per-processor approx checkpoint payload bytes.
+        checkpoint_bytes: per-processor pickled checkpoint bytes.
         restores: per-processor count of restarts that resumed from a
             checkpoint instead of the base fragment.
         log_truncated: per-processor count of sent-log facts dropped
@@ -342,7 +342,7 @@ class TraceReport:
                 facts = event.data.get("facts", "?")
                 nbytes = event.data.get("nbytes", "?")
                 lines.append(f"  CHECKPT  {proc}  ({facts} facts, "
-                             f"~{nbytes} bytes)")
+                             f"{nbytes} bytes)")
             elif event.kind == RESTORE:
                 facts = event.data.get("facts", "?")
                 lines.append(f"  RESTORE  {proc}  ({facts} facts "

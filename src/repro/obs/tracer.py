@@ -175,9 +175,8 @@ class Tracer:
 
     def checkpoint(self, proc: str, facts: int, nbytes: int,
                    epoch: int) -> None:
-        """``proc`` shipped a checkpoint (``facts`` tuples, approx
-        ``nbytes`` under the deterministic size model) to the
-        coordinator's slot for it."""
+        """``proc`` shipped a checkpoint (``facts`` tuples, ``nbytes``
+        pickled bytes) to the coordinator's slot for it."""
         self.emit(CHECKPOINT, proc=proc, facts=facts, nbytes=nbytes,
                   epoch=epoch)
 

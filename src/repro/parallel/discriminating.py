@@ -191,8 +191,7 @@ class Discriminator:
         per value; subclasses with cheap dispatch override it with a
         tight comprehension over the whole column.  Must agree with
         ``__call__`` value-for-value — routing always works on raw
-        constants, so packed and plain batches partition identically
-        (docs/DATA_PLANE.md).
+        constants (docs/DATA_PLANE.md).
         """
         targets = []
         append = targets.append

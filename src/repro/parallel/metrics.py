@@ -16,14 +16,11 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Dict, Hashable, List, Optional, Set, Tuple
 
-from ..facts.packing import is_packed
-
 __all__ = [
     "CostModel",
     "ParallelMetrics",
     "approx_batch_bytes",
     "approx_fact_bytes",
-    "approx_packed_bytes",
 ]
 
 ProcessorId = Hashable
@@ -38,10 +35,6 @@ MESSAGE_OVERHEAD_BYTES = 96   # envelope: tag, sender id, epoch, list
 BATCH_OVERHEAD_BYTES = 48     # per (predicate, facts) group in a message
 _TUPLE_OVERHEAD_BYTES = 56
 _VALUE_BYTES = {int: 28, float: 24, bool: 28, type(None): 16}
-# Packed-column payloads (repro.facts.packing): one encoding tuple per
-# column plus one bytes buffer; raw int64 columns cost 8 bytes/value.
-_COLUMN_OVERHEAD_BYTES = 56   # per-column encoding tuple + kind tag
-_BUFFER_OVERHEAD_BYTES = 33   # bytes object header
 
 
 def _approx_value_bytes(value: object) -> int:
@@ -60,59 +53,23 @@ def approx_fact_bytes(fact: Tuple[object, ...]) -> int:
     return total
 
 
-def approx_packed_bytes(payload) -> int:
-    """Deterministic approximate wire size of a packed column payload.
-
-    Mirrors :func:`approx_fact_bytes` for the packed encoding of
-    :mod:`repro.facts.packing`: int64 columns cost their raw buffer (8
-    bytes per value), dictionary-encoded columns cost the unique values
-    plus the index buffer, raw fallback columns cost per value what the
-    tuple model charges.  Keeping both formats in one model is what
-    keeps ``channel_bytes`` comparable across wire formats (the pinned
-    counters of ``tests/parallel/test_counter_identity.py``).
-    """
-    _tag, _count, _arity, columns = payload
-    total = _TUPLE_OVERHEAD_BYTES
-    for column in columns:
-        kind = column[0]
-        total += _COLUMN_OVERHEAD_BYTES
-        if kind == "i":
-            total += _BUFFER_OVERHEAD_BYTES + len(column[1])
-        elif kind == "d":
-            _kind, uniques, _typecode, raw = column
-            total += _BUFFER_OVERHEAD_BYTES + len(raw)
-            total += _TUPLE_OVERHEAD_BYTES + 8 * len(uniques)
-            for value in uniques:
-                total += _approx_value_bytes(value)
-        else:
-            values = column[1]
-            total += _TUPLE_OVERHEAD_BYTES + 8 * len(values)
-            for value in values:
-                total += _approx_value_bytes(value)
-    return total
-
-
 def approx_batch_bytes(pairs) -> int:
     """Approximate wire size of one DATA message.
 
-    ``pairs`` is the multi-predicate payload ``[(predicate, payload), ...]``
-    where each payload is either a list of fact tuples or a packed
-    column payload (:func:`repro.facts.packing.pack_facts`); the model
-    charges one message envelope, one group overhead per predicate and
-    the per-format payload cost.  A fact list whose values are all
-    plain ``int`` (one C-level type scan) is priced from its counts;
-    any other list goes through the per-fact model, to the same total.
+    ``pairs`` is the multi-predicate payload ``[(predicate, facts), ...]``;
+    the model charges one message envelope, one group overhead per
+    predicate and each fact.  A fact list whose values are all plain
+    ``int`` (one C-level type scan) is priced from its counts; any other
+    list goes through the per-fact model, to the same total.
     """
     total = MESSAGE_OVERHEAD_BYTES
-    for predicate, payload in pairs:
+    for predicate, facts in pairs:
         total += BATCH_OVERHEAD_BYTES + len(predicate)
-        if is_packed(payload):
-            total += approx_packed_bytes(payload)
-        elif set(map(type, chain.from_iterable(payload))) <= {int}:
-            total += (_TUPLE_OVERHEAD_BYTES * len(payload)
-                      + (8 + _VALUE_BYTES[int]) * sum(map(len, payload)))
+        if set(map(type, chain.from_iterable(facts))) <= {int}:
+            total += (_TUPLE_OVERHEAD_BYTES * len(facts)
+                      + (8 + _VALUE_BYTES[int]) * sum(map(len, facts)))
         else:
-            for fact in payload:
+            for fact in facts:
                 total += approx_fact_bytes(fact)
     return total
 
@@ -176,8 +133,8 @@ class ParallelMetrics:
     # Recovery accounting (mp executor, recovery="restart"/"checkpoint").
     # ``recovery_seconds`` is wall time from each death detection to the
     # first fully-acked probe wave of the new epoch, summed over
-    # recoveries; ``checkpoint_bytes`` the approximate
-    # size (deterministic model above) of every checkpoint shipped;
+    # recoveries; ``checkpoint_bytes`` the pickled size of every
+    # checkpoint shipped;
     # ``log_truncated`` the sent-log facts reclaimed by watermark
     # truncation.
     recovery_seconds: float = 0.0

@@ -2,8 +2,8 @@
 
 Under ``recovery="checkpoint"`` each worker periodically snapshots its
 derived state and ships it to the coordinator (one ``("checkpoint",
-processor, payload)`` message; the coordinator keeps only the latest
-payload per processor).  The snapshot is cut at the end of a *burst*
+processor, watermarks, blob)`` message; the coordinator keeps only the
+latest blob per processor).  The snapshot is cut at the end of a *burst*
 (see :mod:`.protocol`) — every step's output already on the wire, no
 step in progress — which makes it a consistent local cut:
 
@@ -24,49 +24,33 @@ step in progress — which makes it a consistent local cut:
   peer how far its sent-log is acknowledged (see the
   watermark/truncation invariant in :mod:`.protocol`).
 
-Fact batches are encoded with the packed column wire format of
-:mod:`repro.facts.packing`, which is self-contained: a payload carries
-raw values and its own dictionaries, so a checkpoint restores in any
-process.
-
-The payload is a plain picklable dict (versioned, see
-:data:`CHECKPOINT_VERSION`); :func:`encode_checkpoint` /
-:func:`decode_checkpoint` are exact inverses on the dataclass form
-(property-tested in ``tests/parallel/test_checkpoint.py``), and
-:func:`approx_checkpoint_bytes` prices a payload with the same
-deterministic size model the channel accounting uses.
+The snapshot crosses the channel as one opaque ``pickle.dumps`` blob
+(:func:`encode_checkpoint`); only the restored worker decodes it
+(:func:`decode_checkpoint`), never the coordinator, which stores and
+re-sends the bytes and reads just the watermarks that travel beside
+them.  Producer and consumer are forks of one interpreter within one
+run, so the blob needs no version of its own.
 """
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Tuple
 
-from ...facts.packing import ensure_facts, is_packed, maybe_pack
 from ...facts.relation import Fact
-from ..metrics import (
-    BATCH_OVERHEAD_BYTES,
-    MESSAGE_OVERHEAD_BYTES,
-    approx_fact_bytes,
-    approx_packed_bytes,
-)
 
 __all__ = [
-    "CHECKPOINT_VERSION",
     "Stamp",
     "WorkerCheckpoint",
-    "approx_checkpoint_bytes",
     "decode_checkpoint",
     "encode_checkpoint",
 ]
-
-CHECKPOINT_VERSION = 2
 
 ProcessorId = Hashable
 # (incarnation, per-channel message seq); lexicographically monotone
 # per channel — see the watermark/truncation invariant in `.protocol`.
 Stamp = Tuple[int, int]
-_STAMP_BYTES = 16
 
 
 @dataclass
@@ -110,94 +94,11 @@ class WorkerCheckpoint:
                 + sum(len(facts) for facts in self.staged.values()))
 
 
-def _encode_relations(relations: Dict[str, List[Fact]]) -> Dict[str, object]:
-    return {pred: maybe_pack(facts) for pred, facts in relations.items()}
+def encode_checkpoint(checkpoint: WorkerCheckpoint) -> bytes:
+    """The snapshot as the blob a ``checkpoint`` message carries."""
+    return pickle.dumps(checkpoint, pickle.HIGHEST_PROTOCOL)
 
 
-def _decode_relations(encoded: Dict[str, object]) -> Dict[str, List[Fact]]:
-    return {pred: ensure_facts(payload) for pred, payload in encoded.items()}
-
-
-def encode_checkpoint(checkpoint: WorkerCheckpoint) -> Dict[str, object]:
-    """Encode a snapshot into its picklable wire dict.
-
-    Fact batches big enough to profit travel packed; the sent-log keeps
-    its stamps in a list aligned with the (insertion-ordered) facts, so
-    packing never loses the fact → stamp association.
-    """
-    sent_log: Dict[ProcessorId, Dict[str, Tuple[object, List]] ] = {}
-    for target, by_pred in checkpoint.sent_log.items():
-        encoded_preds = {}
-        for pred, entries in by_pred.items():
-            facts = list(entries.keys())
-            stamps = list(entries.values())
-            encoded_preds[pred] = (maybe_pack(facts), stamps)
-        sent_log[target] = encoded_preds
-    return {
-        "version": CHECKPOINT_VERSION,
-        "epoch": checkpoint.epoch,
-        "in": _encode_relations(checkpoint.in_facts),
-        "out": _encode_relations(checkpoint.out_facts),
-        "kept": _encode_relations(checkpoint.kept),
-        "staged": _encode_relations(checkpoint.staged),
-        "counters": checkpoint.counters,
-        "duplicates_dropped": checkpoint.duplicates_dropped,
-        "received": checkpoint.received,
-        "self_delivered": checkpoint.self_delivered,
-        "sent_log": sent_log,
-        "watermarks": dict(checkpoint.watermarks),
-    }
-
-
-def decode_checkpoint(payload: Dict[str, object]) -> WorkerCheckpoint:
-    """Decode a wire dict back into the exact snapshot it encoded."""
-    version = payload.get("version")
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unknown checkpoint version {version!r}")
-    sent_log: Dict[ProcessorId, Dict[str, Dict[Fact, Stamp]]] = {}
-    for target, by_pred in payload["sent_log"].items():  # type: ignore[union-attr]
-        decoded_preds: Dict[str, Dict[Fact, Stamp]] = {}
-        for pred, (facts_payload, stamps) in by_pred.items():
-            facts = ensure_facts(facts_payload)
-            decoded_preds[pred] = dict(zip(facts, stamps))
-        sent_log[target] = decoded_preds
-    return WorkerCheckpoint(
-        epoch=int(payload["epoch"]),  # type: ignore[arg-type]
-        in_facts=_decode_relations(payload["in"]),  # type: ignore[arg-type]
-        out_facts=_decode_relations(payload["out"]),  # type: ignore[arg-type]
-        kept=_decode_relations(payload["kept"]),  # type: ignore[arg-type]
-        staged=_decode_relations(payload["staged"]),  # type: ignore[arg-type]
-        counters=dict(payload["counters"]),  # type: ignore[call-overload]
-        duplicates_dropped=int(payload["duplicates_dropped"]),  # type: ignore[arg-type]
-        received=int(payload["received"]),  # type: ignore[arg-type]
-        self_delivered=int(payload["self_delivered"]),  # type: ignore[arg-type]
-        sent_log=sent_log,
-        watermarks=dict(payload["watermarks"]),  # type: ignore[call-overload]
-    )
-
-
-def _approx_payload_bytes(payload: object) -> int:
-    if is_packed(payload):
-        return approx_packed_bytes(payload)
-    return sum(approx_fact_bytes(fact) for fact in payload)  # type: ignore[union-attr]
-
-
-def approx_checkpoint_bytes(payload: Dict[str, object]) -> int:
-    """Deterministic approximate size of an encoded checkpoint.
-
-    Same currency as ``channel_bytes`` (the size model of
-    :mod:`repro.parallel.metrics`), so ``checkpoint_bytes`` in the
-    metrics is comparable across runs and platforms.
-    """
-    total = MESSAGE_OVERHEAD_BYTES
-    for key in ("in", "out", "kept", "staged"):
-        for pred, encoded in payload[key].items():  # type: ignore[union-attr]
-            total += BATCH_OVERHEAD_BYTES + len(pred)
-            total += _approx_payload_bytes(encoded)
-    for target, by_pred in payload["sent_log"].items():  # type: ignore[union-attr]
-        for pred, (facts_payload, stamps) in by_pred.items():
-            total += BATCH_OVERHEAD_BYTES + len(pred)
-            total += _approx_payload_bytes(facts_payload)
-            total += _STAMP_BYTES * len(stamps)
-    total += _STAMP_BYTES * len(payload["watermarks"])  # type: ignore[arg-type]
-    return total
+def decode_checkpoint(blob: bytes) -> WorkerCheckpoint:
+    """The exact snapshot :func:`encode_checkpoint` encoded."""
+    return pickle.loads(blob)

@@ -27,7 +27,6 @@ from typing import (
 )
 
 from ...errors import ExecutionError
-from ...facts.packing import is_packed, maybe_pack, packed_fact_count
 from ...obs.tracer import Tracer
 from ..metrics import approx_batch_bytes
 from ..naming import processor_tag
@@ -35,7 +34,6 @@ from ..processor import EmissionBatch, ProcessorRuntime
 from .checkpoint import (
     Stamp,
     WorkerCheckpoint,
-    approx_checkpoint_bytes,
     decode_checkpoint,
     encode_checkpoint,
 )
@@ -73,7 +71,7 @@ COORDINATOR = _Coordinator()
 # ``(proc, (SPAWN, kill_after, epoch, restore, delay))``: not a message
 # but an order to the coordinator's loop — after ``delay`` seconds, fork
 # ``proc``'s worker in ``epoch``, armed with ``kill_after`` and resuming
-# from the checkpoint payload ``restore`` (or its base fragment).
+# from the checkpoint blob ``restore`` (or its base fragment).
 SPAWN = "spawn"
 
 # Restart backoff: before the n-th respawn of the same worker (n >= 2)
@@ -101,7 +99,7 @@ class WorkerMachine:
             injected kill fault), or ``None``.
         epoch: recovery epoch to start in.
         checkpoint_interval: bursts between checkpoints, or ``None``.
-        restore: encoded checkpoint payload to resume from, or ``None``.
+        restore: checkpoint blob to resume from, or ``None``.
         replayable: whether a replay can ever be asked for; when False
             no sent-log is kept.
     """
@@ -110,7 +108,7 @@ class WorkerMachine:
                  peers: Sequence[ProcessorId],
                  kill_after: Optional[int] = None, epoch: int = 0,
                  checkpoint_interval: Optional[int] = None,
-                 restore: Optional[Dict[str, object]] = None,
+                 restore: Optional[bytes] = None,
                  replayable: bool = True) -> None:
         self.runtime = runtime
         self.me = runtime.program.processor
@@ -287,9 +285,8 @@ class WorkerMachine:
             for facts in log.values())
         # The worker's part of the answer: its ``t_in`` plus the facts
         # no route took.  A relation is a set and the coordinator pools
-        # into one: no order to establish, and the packed columns pickle
-        # far smaller.
-        outputs = {pred: maybe_pack(list(self.runtime.output_relation(pred)))
+        # into one: no order to establish.
+        outputs = {pred: list(self.runtime.output_relation(pred))
                    for pred in self.runtime.program.out_names}
         return self._flush_trace() + [
             (COORDINATOR, (RESULT, self.me, outputs, self.stats))]
@@ -303,18 +300,13 @@ class WorkerMachine:
         # are counted on both ends; the RESET is then a no-op.
         out = self._adopt(epoch)
         count = 0
-        for predicate, payload in pairs:
-            if is_packed(payload):
-                self.runtime.receive_packed(predicate, payload, remote=True)
-                received = packed_fact_count(payload)
-            else:
-                self.runtime.receive(predicate, payload, remote=True)
-                received = len(payload)
-            count += received
+        for predicate, facts in pairs:
+            self.runtime.receive(predicate, facts, remote=True)
+            count += len(facts)
             if self._trace:
                 self._tracer.tuple_received(
                     self.runtime.tag, processor_tag(sender), predicate,
-                    count=received)
+                    count=len(facts))
         current = self._watermarks.get(sender)
         if current is None or stamp > current:
             self._watermarks[sender] = stamp
@@ -349,8 +341,6 @@ class WorkerMachine:
               replay: bool = False) -> Output:
         """One DATA message to ``target``, counted as enqueued: the
         loop puts it before it reads another message."""
-        wire_pairs = [(predicate, maybe_pack(facts))
-                      for predicate, facts in pairs]
         stamp = self._stamp(target)
         if self._replayable:
             log_by_pred = self._sent_log.setdefault(target, {})
@@ -365,7 +355,7 @@ class WorkerMachine:
         stats.messages_by_target[target] = (
             stats.messages_by_target.get(target, 0) + 1)
         stats.bytes_by_target[target] = (stats.bytes_by_target.get(target, 0)
-                                         + approx_batch_bytes(wire_pairs))
+                                         + approx_batch_bytes(pairs))
         self.sent += count
         self.activity += count
         if replay:
@@ -375,7 +365,7 @@ class WorkerMachine:
             for predicate, facts in pairs:
                 self._tracer.tuple_sent(self.runtime.tag, target_tag,
                                         predicate, count=len(facts))
-        return (target, (DATA, self.me, wire_pairs, self.epoch, stamp))
+        return (target, (DATA, self.me, pairs, self.epoch, stamp))
 
     # -- the recovery and checkpoint planes ------------------------------
     def _replay(self, target: ProcessorId) -> List[Output]:
@@ -417,12 +407,12 @@ class WorkerMachine:
             received=self.stats.received,
             self_delivered=self.stats.self_delivered,
             sent_log=self._sent_log, watermarks=self._watermarks)
-        payload = encode_checkpoint(snapshot)
+        blob = encode_checkpoint(snapshot)
         if self._trace:
             self._tracer.checkpoint(self.runtime.tag, snapshot.fact_count(),
-                                    approx_checkpoint_bytes(payload),
-                                    self.epoch)
-        return (COORDINATOR, (CHECKPOINT, self.me, payload))
+                                    len(blob), self.epoch)
+        return (COORDINATOR, (CHECKPOINT, self.me, dict(self._watermarks),
+                              blob))
 
     def _load(self, snapshot: WorkerCheckpoint) -> None:
         """Resume from a predecessor's checkpoint instead of firing the
@@ -508,7 +498,7 @@ class CoordinatorMachine:
         self.recovery_seconds = 0.0
         self.checkpoint_bytes = 0
         self.results: Dict[ProcessorId, WorkerStats] = {}
-        self.checkpoints: Dict[ProcessorId, Dict[str, object]] = {}
+        self.checkpoints: Dict[ProcessorId, bytes] = {}
         # The view between waves: the latest current-epoch ack or notice
         # of each worker.  It decides when a wave goes out, never
         # whether termination holds.
@@ -593,7 +583,7 @@ class CoordinatorMachine:
                 self._tracer.ingest(payload)
             return []
         if kind == CHECKPOINT:
-            return self._store_checkpoint(proc, message[2])
+            return self._store_checkpoint(proc, message[2], message[3])
         if kind == RESULT:
             stats = message[3]
             self.results[proc] = stats
@@ -673,16 +663,17 @@ class CoordinatorMachine:
 
     # -- recovery --------------------------------------------------------
     def _store_checkpoint(self, proc: ProcessorId,
-                          payload: Dict[str, object]) -> List[Output]:
-        """Keep a worker's latest checkpoint and tell each sender how
-        far the snapshot covers its sent-log.  Once STOP is out nobody
-        reads a truncation, so none is sent."""
-        self.checkpoints[proc] = payload
-        self.checkpoint_bytes += approx_checkpoint_bytes(payload)
+                          watermarks: Mapping[ProcessorId, Stamp],
+                          blob: bytes) -> List[Output]:
+        """Keep a worker's latest checkpoint blob, undecoded, and tell
+        each sender how far the snapshot covers its sent-log.  Once STOP
+        is out nobody reads a truncation, so none is sent."""
+        self.checkpoints[proc] = blob
+        self.checkpoint_bytes += len(blob)
         if self.phase in (COLLECT, DONE):
             return []
         return [(sender, (TRUNCATE, proc, stamp))
-                for sender, stamp in payload["watermarks"].items()
+                for sender, stamp in watermarks.items()
                 if sender in self.tags]
 
     def _fail(self, dead: Mapping[ProcessorId, Optional[int]],

@@ -19,12 +19,8 @@ Data plane (worker → worker):
   ``(predicate, facts)`` groups, so one message (one put on the
   channel to the peer: one pickle, one write) carries one step's
   whole output for the peer across several predicates.  ``facts`` is
-  a packed column payload (``repro.facts.packing``; detected with ``is_packed`` and decoded
-  with ``unpack_facts``) when the group holds at least
-  ``PACK_MIN_FACTS`` facts, and a plain list of fact tuples below
-  that — self-contained either way, and all protocol accounting below
-  counts *unpacked facts*, so the wire format never affects quiescence
-  or replay.  ``epoch`` is the *recovery epoch* the sender was in when
+  the plain list of fact tuples the runtime routed to the peer, and
+  all protocol accounting below counts facts.  ``epoch`` is the *recovery epoch* the sender was in when
   it *enqueued* the message (see below); receivers always ingest the
   facts (monotonicity makes stale deliveries harmless) but count them
   toward quiescence only when the epochs match.  ``stamp`` is the
@@ -58,9 +54,9 @@ Control plane (coordinator ↔ worker):
 * ``("stop",)`` — coordinator → worker, terminate and report.
 * ``("result", processor, outputs, stats)`` — worker → coordinator,
   final output relations and cumulative counters.  ``outputs`` maps
-  each derived predicate to the worker's ``t_out`` facts in the same
-  two payload forms as ``data``, in no particular order: the
-  coordinator pools them into a set.
+  each derived predicate to a plain list of the worker's ``t_out``
+  facts, in no particular order: the coordinator pools them into a
+  set.
 * ``("error", processor, text)`` — worker → coordinator, crash report
   (only reachable when the worker's Python level survives to format a
   traceback — a ``SIGKILL`` produces no message at all, which is why
@@ -82,16 +78,18 @@ Recovery plane (coordinator → worker):
 
 Checkpoint plane (``recovery="checkpoint"``, see :mod:`.checkpoint`):
 
-* ``("checkpoint", processor, payload)`` — worker → coordinator, a
-  self-contained snapshot of the worker's derived state (packed with
-  the column wire format), its cumulative counters, its own sent-log,
-  and its per-sender watermarks, cut at the end of every
-  ``checkpoint_interval``-th burst — a run of steps that ends when the
-  worker has no staged input left — with every step's output on the
-  wire [``WorkerMachine.step``].  The coordinator keeps only the latest
-  payload per processor (checkpoints are cumulative, not incremental)
-  and fans the watermarks out as ``truncate`` messages
-  [``CoordinatorMachine._store_checkpoint``].
+* ``("checkpoint", processor, watermarks, blob)`` — worker →
+  coordinator, a snapshot of the worker's derived state, its
+  cumulative counters, its own sent-log and its per-sender watermarks,
+  cut at the end of every ``checkpoint_interval``-th burst — a run of
+  steps that ends when the worker has no staged input left — with
+  every step's output on the wire [``WorkerMachine.step``].  ``blob``
+  is the whole snapshot as one ``pickle.dumps``; ``watermarks`` is the
+  per-sender maximum stamp, the one part the coordinator reads.  The
+  coordinator keeps only the latest blob per processor (checkpoints
+  are cumulative, not incremental), undecoded, hands it to the
+  processor's next incarnation, and fans the watermarks out as
+  ``truncate`` messages [``CoordinatorMachine._store_checkpoint``].
 * ``("truncate", target, stamp)`` — coordinator → worker: ``target``'s
   checkpoint acknowledged everything you sent it up to ``stamp``; drop
   those facts from your sent-log for ``target``
@@ -313,7 +311,7 @@ class WorkerStats:
             runtime's routing of each step's output (splitting by
             target and deduplicating the remote shares).
         send_s: seconds spent sending steps' output (staging
-            self-deliveries, packing) and putting data messages,
+            self-deliveries) and putting data messages,
             replays and epoch markers included, on peer channels: a
             put pickles the message and writes what the socket takes.
         longest_step_s: the longest single step, in seconds.

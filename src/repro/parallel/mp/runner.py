@@ -45,7 +45,6 @@ from typing import Dict, Hashable, List, Optional
 from ...engine.collector import collect_young, collector_paused
 from ...errors import ConfigurationError
 from ...facts.database import Database
-from ...facts.packing import ensure_facts
 from ...facts.relation import Relation
 from ...obs.sinks import InMemorySink
 from ...obs.tracer import Tracer, ensure_tracer
@@ -282,11 +281,11 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
 
         def pool(message: tuple) -> tuple:
             """Union a RESULT's rows into the output as it is read, so one
-            worker's rows go in while another still packs its own."""
+            worker's rows go in while another still sends its own."""
             nonlocal pooled_tuples
             if message[0] == RESULT:
                 for predicate, relation in pooled.items():
-                    facts = ensure_facts(message[2].pop(predicate, ()))
+                    facts = message[2].pop(predicate, ())
                     relation.update(facts)
                     pooled_tuples += len(facts)
                     # Drop the payload's duplicates before the collection.

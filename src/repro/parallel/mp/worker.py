@@ -9,11 +9,13 @@ asks the machine for one step and writes each returned message on its
 channel before the next drain, timing the puts.  The loop's own thread
 does all of it: a put pickles and writes, a get reads and unpickles,
 and every read of the inbox also flushes what this worker's channels
-could not take yet.  An idle pass blocks on the inbox for an adaptive
-poll.  When the machine says its kill fault is due, the loop writes out
-every backlog and ``SIGKILL``\\ s its own process: the failure is silent
-at the protocol level but clean at the OS level, with every message
-already put on the wire.  A Python-level crash is reported as an
+could not take yet.  A pass with nothing to step blocks on the inbox
+until a message arrives: a blocked read still writes out the backlogs,
+and a step with nothing staged does nothing.  When the machine says
+its kill fault is due, the loop writes out every backlog and
+``SIGKILL``\\ s its own process: the failure is silent at the protocol
+level but clean at the OS level, with every message already put on the
+wire.  A Python-level crash is reported as an
 ``error`` message.
 """
 
@@ -24,7 +26,7 @@ import queue as queue_module
 import signal
 import traceback
 from time import perf_counter, process_time
-from typing import Dict, Hashable, Mapping, Optional
+from typing import Hashable, Mapping, Optional
 
 from ..processor import ProcessorRuntime
 from .machines import COORDINATOR, WorkerMachine
@@ -34,14 +36,6 @@ __all__ = ["worker_main"]
 
 ProcessorId = Hashable
 
-# Adaptive idle poll bounds.  ``inbox.get(timeout)`` wakes as soon as a
-# message arrives, so a long timeout costs no latency — it only sets
-# how often an idle worker spins through an empty loop.  The poll
-# starts snappy, doubles on every fully idle pass (nothing drained,
-# nothing stepped) and snaps back to the minimum on any activity.
-_POLL_MIN_SECONDS = 0.0005
-_POLL_MAX_SECONDS = 0.04
-
 
 def worker_main(runtime: ProcessorRuntime, inbox,
                 peer_queues: Mapping[ProcessorId, object],
@@ -49,7 +43,7 @@ def worker_main(runtime: ProcessorRuntime, inbox,
                 kill_after: Optional[int] = None,
                 epoch: int = 0,
                 checkpoint_interval: Optional[int] = None,
-                restore: Optional[Dict[str, object]] = None,
+                restore: Optional[bytes] = None,
                 replayable: bool = True) -> None:
     """Entry point of a worker process, forked from the coordinator.
 
@@ -71,7 +65,7 @@ def worker_main(runtime: ProcessorRuntime, inbox,
             as replacements after a failure).
         checkpoint_interval: when set (``recovery="checkpoint"``), ship
             a checkpoint to the coordinator every this many bursts.
-        restore: optional encoded checkpoint payload
+        restore: optional checkpoint blob
             (:func:`~.checkpoint.encode_checkpoint`); when given, the
             worker resumes from the snapshot instead of firing its
             initialization rules.
@@ -113,16 +107,15 @@ def worker_main(runtime: ProcessorRuntime, inbox,
         put(machine.start())
         if machine.dying:
             die()
-        idle_poll = _POLL_MIN_SECONDS
         while not machine.stopped:
             while not machine.stopped:
-                timeout = 0.0 if machine.busy else idle_poll
+                idle = not machine.busy
                 started = perf_counter()
                 try:
-                    message = inbox.get(timeout=timeout)
+                    message = inbox.get(timeout=None if idle else 0.0)
                 except queue_module.Empty:
                     message = None
-                if timeout:
+                if idle:
                     # A get that may block is a wait; what follows it
                     # is a drain, as a whole non-blocking get is.
                     waited = perf_counter()
@@ -136,12 +129,9 @@ def worker_main(runtime: ProcessorRuntime, inbox,
                 put(outputs)
             if machine.stopped:
                 break
-            worked = machine.busy
             put(machine.step())
             if machine.dying:
                 die()
-            idle_poll = (_POLL_MIN_SECONDS if worked
-                         else min(idle_poll * 2, _POLL_MAX_SECONDS))
     except Exception:  # pragma: no cover - crash path
         coordinator_queue.put(
             (ERROR, runtime.program.processor, traceback.format_exc()))

@@ -25,7 +25,7 @@ from ..datalog.program import Program
 from ..datalog.rule import Rule
 from ..errors import RewriteError
 from ..facts.database import Database
-from ..facts.fragments import FragmentationPlan
+from ..facts.fragments import SHARED, FragmentationPlan
 from ..facts.relation import Relation
 from .discriminating import Discriminator
 from .routing import Route, RouterTable
@@ -34,7 +34,7 @@ __all__ = ["FragmentSpec", "ProcessorProgram", "ParallelProgram"]
 
 ProcessorId = Hashable
 
-SHARED = "shared"
+# FragmentSpec kinds besides SHARED (a full copy everywhere).
 HASH = "hash"
 ARBITRARY = "arbitrary"
 

@@ -228,7 +228,7 @@ class ProcessorRuntime:
 
     def receive_packed(self, predicate: str, payload: Tuple,
                        remote: bool = True) -> None:
-        """:meth:`receive` for a packed-column DATA payload (see
+        """:meth:`receive` for a packed-column payload (see
         :mod:`repro.facts.packing`): its columns are decoded and
         transposed into one staged chunk.
         """

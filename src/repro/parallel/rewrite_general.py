@@ -33,7 +33,11 @@ from ..datalog.program import Program
 from ..datalog.rule import Rule
 from ..datalog.term import Variable
 from ..errors import RewriteError
-from ..facts.fragments import FragmentationPlan
+from ..facts.fragments import (
+    ARBITRARY_PARTITION,
+    HASH_PARTITIONED,
+    FragmentationPlan,
+)
 from .constraints import HashConstraint
 from .discriminating import (
     Discriminator,
@@ -264,12 +268,12 @@ def _plan_fragments(rules: Tuple[Rule, ...], specs: Mapping[int, RuleSpec],
     notes: Dict[str, str] = {}
     for pred, seen in kinds.items():
         if pred in shared:
-            requirements[pred] = "shared"
+            requirements[pred] = SHARED
             if any(kind != SHARED for kind in seen):
                 notes[pred] = "some occurrences are fragmentable, others not"
         else:
-            requirements[pred] = ("arbitrary-partition" if ARBITRARY in seen
-                                  else "hash-partitioned")
+            requirements[pred] = (ARBITRARY_PARTITION if ARBITRARY in seen
+                                  else HASH_PARTITIONED)
     kept = tuple(fragment for fragment in fragments
                  if fragment.kind == SHARED or fragment.predicate not in shared)
     return (kept, FragmentationPlan(requirements=requirements, notes=notes),

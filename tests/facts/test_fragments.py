@@ -1,13 +1,17 @@
-"""Tests for fragmentation policies."""
+"""Tests for Example 2's explicit partition and the fragmentation plan.
+
+The split of a base relation itself is ``FragmentSpec.local_fragment``
+(``tests/parallel/test_naming_and_plans.py``).
+"""
+
+from collections import Counter
 
 import pytest
 
 from repro.facts import (
     ArbitraryFragmentation,
     FragmentationPlan,
-    HashFragmentation,
     Relation,
-    SharedFragmentation,
 )
 
 
@@ -15,45 +19,11 @@ def _relation():
     return Relation("par", 2, [(i, i + 1) for i in range(6)])
 
 
-class TestSharedFragmentation:
-    def test_every_processor_gets_everything(self):
-        fragments = SharedFragmentation().fragment(_relation(), [0, 1, 2])
-        assert all(len(f) == 6 for f in fragments.values())
-
-    def test_fragments_are_copies(self):
-        relation = _relation()
-        fragments = SharedFragmentation().fragment(relation, [0])
-        fragments[0].add((99, 100))
-        assert (99, 100) not in relation
-
-
-class TestHashFragmentation:
-    def test_partition_is_disjoint_and_complete(self):
-        policy = HashFragmentation((0,), lambda values: values[0] % 3)
-        fragments = policy.fragment(_relation(), [0, 1, 2])
-        total = sum(len(f) for f in fragments.values())
-        assert total == 6
-        union = set()
-        for fragment in fragments.values():
-            assert union.isdisjoint(fragment.as_set())
-            union |= fragment.as_set()
-
-    def test_owner(self):
-        policy = HashFragmentation((1,), lambda values: values[0] % 2)
-        assert policy.owner((3, 4)) == 0
-        assert policy.owner((3, 5)) == 1
-
-    def test_unknown_processor_rejected(self):
-        policy = HashFragmentation((0,), lambda values: 99)
-        with pytest.raises(ValueError):
-            policy.fragment(_relation(), [0, 1])
-
-
 class TestArbitraryFragmentation:
     def test_round_robin_is_balanced(self):
         policy = ArbitraryFragmentation.round_robin(_relation(), [0, 1])
-        fragments = policy.fragment(_relation(), [0, 1])
-        assert {len(fragments[0]), len(fragments[1])} == {3}
+        owners = Counter(policy.owner(fact) for fact in _relation())
+        assert owners == {0: 3, 1: 3}
 
     def test_round_robin_deterministic(self):
         first = ArbitraryFragmentation.round_robin(_relation(), [0, 1])
@@ -62,10 +32,8 @@ class TestArbitraryFragmentation:
 
     def test_explicit_assignment(self):
         policy = ArbitraryFragmentation({(0, 1): "a", (1, 2): "b"})
-        relation = Relation("par", 2, [(0, 1), (1, 2)])
-        fragments = policy.fragment(relation, ["a", "b"])
-        assert fragments["a"].as_set() == {(0, 1)}
-        assert fragments["b"].as_set() == {(1, 2)}
+        assert policy.owner((0, 1)) == "a"
+        assert policy.owner((1, 2)) == "b"
 
     def test_owner_raises_on_unassigned(self):
         policy = ArbitraryFragmentation({})

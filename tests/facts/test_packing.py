@@ -1,33 +1,19 @@
-"""Tests for the packed-column wire encoding.
+"""Tests for the packed-column encoding.
 
-``unpack_facts(pack_facts(facts))`` must be the identity on fact lists
-— the mp executor's routing, dedup and quiescence counting all assume
-the wire format is invisible.  The size model in
-:mod:`repro.parallel.metrics` must also understand the layout, and the
-packed encoding must actually be smaller than the tuple model on the
-workloads it targets (int-heavy batches).
+``unpack_facts(pack_facts(facts))`` must be the identity on fact lists:
+the benchmark's layer timings and ``ProcessorRuntime.receive_packed``
+assume the encoding is invisible.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.facts import (
-    is_packed,
-    pack_facts,
-    packed_fact_count,
-    unpack_facts,
-)
+from repro.facts import pack_facts, packed_fact_count, unpack_facts
 from repro.facts.packing import _encode_column
-from repro.parallel.metrics import (
-    approx_batch_bytes,
-    approx_fact_bytes,
-    approx_packed_bytes,
-)
 
 
 def _round_trip(facts):
     payload = pack_facts(facts)
-    assert is_packed(payload)
     assert packed_fact_count(payload) == len(facts)
     assert unpack_facts(payload) == facts
 
@@ -44,7 +30,6 @@ class TestPackRoundTrip:
 
     def test_empty_batch(self):
         payload = pack_facts([])
-        assert is_packed(payload)
         assert packed_fact_count(payload) == 0
         assert unpack_facts(payload) == []
 
@@ -93,10 +78,6 @@ class TestPackRoundTrip:
         assert unpack_facts(payload) == facts
         assert all(type(fact[0]) is bool for fact in unpack_facts(payload))
 
-    def test_legacy_list_payload_not_packed(self):
-        assert not is_packed([(1, 2), (3, 4)])
-        assert not is_packed([])
-
 
 class TestColumnEncodings:
     def test_int_column_is_raw_bytes(self):
@@ -133,23 +114,3 @@ class TestPackingProperty:
     def test_round_trip_identity(self, facts):
         _round_trip(facts)
 
-
-class TestSizeModel:
-    def test_packed_int_batch_smaller_than_tuple_model(self):
-        facts = [(i, i + 1) for i in range(32)]
-        packed = approx_packed_bytes(pack_facts(facts))
-        as_tuples = sum(approx_fact_bytes(fact) for fact in facts)
-        assert packed < as_tuples
-
-    def test_batch_bytes_dispatches_on_payload_shape(self):
-        facts = [(i, 1) for i in range(16)]
-        tuple_batch = approx_batch_bytes([("p", facts)])
-        packed_batch = approx_batch_bytes([("p", pack_facts(facts))])
-        assert packed_batch < tuple_batch
-
-    def test_packed_bytes_track_dictionary_and_raw_columns(self):
-        repetitive = [("a",) for _ in range(32)]
-        distinct = [(f"value-{i}",) for i in range(32)]
-        cheap = approx_packed_bytes(pack_facts(repetitive))
-        costly = approx_packed_bytes(pack_facts(distinct))
-        assert cheap < costly

@@ -1,31 +1,36 @@
-"""Round-trip properties of the worker checkpoint wire format.
+"""The worker checkpoint as it crosses the channels.
 
 ``encode_checkpoint`` / ``decode_checkpoint`` must be exact inverses on
 :class:`~repro.parallel.mp.checkpoint.WorkerCheckpoint` — the restored
 worker's dedup sets, counters and (crucially) the fact → stamp
 association inside the sent-log all come straight out of the decoder,
-so any loss here silently corrupts recovery.  The encoding leans on the
-packed column format, which kicks in only for batches of
-``PACK_MIN_FACTS`` or more; the strategies below deliberately straddle
-that threshold so both the packed and the plain path are property
-tested.
+so any loss here silently corrupts recovery.  The coordinator never
+decodes a checkpoint: it stores the blob as it arrived and prices it
+by its length.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.facts.packing import PACK_MIN_FACTS, is_packed
+from repro.facts import Database
+from repro.obs.tracer import ensure_tracer
+from repro.parallel import hash_scheme
 from repro.parallel.mp.checkpoint import (
-    CHECKPOINT_VERSION,
     WorkerCheckpoint,
-    approx_checkpoint_bytes,
     decode_checkpoint,
     encode_checkpoint,
 )
+from repro.parallel.mp.machines import (
+    COORDINATOR,
+    CoordinatorMachine,
+    WorkerMachine,
+)
+from repro.parallel.mp.protocol import CHECKPOINT, TRUNCATE
+from repro.parallel.processor import ProcessorRuntime
+from repro.workloads import ancestor_program
 
-# Values that survive a fact tuple: ints (including beyond int64, which
-# forces the non-int column fallback), strings, and None.
+# Values that survive a fact tuple: ints (including beyond int64),
+# strings, and None.
 _values = st.one_of(
     st.integers(-2 ** 70, 2 ** 70),
     st.text(max_size=6),
@@ -33,8 +38,8 @@ _values = st.one_of(
 )
 
 
-def _fact_lists(min_size=0, max_size=PACK_MIN_FACTS + 4):
-    """Fixed-arity fact batches straddling the packing threshold."""
+def _fact_lists(min_size=0, max_size=12):
+    """Fixed-arity fact batches."""
     return st.integers(1, 3).flatmap(
         lambda arity: st.lists(
             st.tuples(*[_values] * arity),
@@ -57,7 +62,7 @@ def _sent_logs(draw):
         by_pred = {}
         for pred in draw(st.sets(st.sampled_from(("anc", "sg")),
                                  max_size=2)):
-            facts = draw(_fact_lists(max_size=PACK_MIN_FACTS + 2))
+            facts = draw(_fact_lists(max_size=10))
             by_pred[pred] = {fact: draw(_stamps) for fact in facts}
         log[target] = by_pred
     return log
@@ -91,48 +96,35 @@ class TestRoundTrip:
 
     def test_empty_checkpoint(self):
         checkpoint = WorkerCheckpoint()
-        payload = encode_checkpoint(checkpoint)
-        assert payload["version"] == CHECKPOINT_VERSION
-        assert decode_checkpoint(payload) == checkpoint
-        assert approx_checkpoint_bytes(payload) > 0
+        blob = encode_checkpoint(checkpoint)
+        assert decode_checkpoint(blob) == checkpoint
+        assert len(blob) > 0
 
-    def test_large_batches_travel_packed(self):
-        facts = [(i, i + 1) for i in range(4 * PACK_MIN_FACTS)]
+    def test_sent_log_stamps_survive(self):
+        facts = [(i, i + 1) for i in range(32)]
         checkpoint = WorkerCheckpoint(
             in_facts={"anc": facts},
             sent_log={1: {"anc": {fact: (0, i)
                                   for i, fact in enumerate(facts)}}})
-        payload = encode_checkpoint(checkpoint)
-        assert is_packed(payload["in"]["anc"])
-        assert is_packed(payload["sent_log"][1]["anc"][0])
-        decoded = decode_checkpoint(payload)
+        decoded = decode_checkpoint(encode_checkpoint(checkpoint))
         assert decoded == checkpoint
-        # The stamp association survives the packed detour exactly.
         assert decoded.sent_log[1]["anc"][facts[7]] == (0, 7)
-
-    def test_unknown_version_rejected(self):
-        payload = encode_checkpoint(WorkerCheckpoint())
-        payload["version"] = CHECKPOINT_VERSION + 1
-        with pytest.raises(ValueError, match="checkpoint version"):
-            decode_checkpoint(payload)
 
 
 class TestSizeModel:
     @given(_checkpoints())
     @settings(max_examples=25, deadline=None)
     def test_size_is_deterministic_and_positive(self, checkpoint):
-        payload = encode_checkpoint(checkpoint)
-        size = approx_checkpoint_bytes(payload)
+        size = len(encode_checkpoint(checkpoint))
         assert size > 0
-        assert size == approx_checkpoint_bytes(payload)
+        assert size == len(encode_checkpoint(checkpoint))
 
     def test_size_grows_with_content(self):
         small = encode_checkpoint(WorkerCheckpoint(
             in_facts={"anc": [(1, 2)]}))
         large = encode_checkpoint(WorkerCheckpoint(
             in_facts={"anc": [(i, i + 1) for i in range(200)]}))
-        assert (approx_checkpoint_bytes(large)
-                > approx_checkpoint_bytes(small))
+        assert len(large) > len(small)
 
     def test_fact_count_sums_all_sections(self):
         checkpoint = WorkerCheckpoint(
@@ -140,3 +132,39 @@ class TestSizeModel:
             out_facts={"anc": [(1, 3)]},
             staged={"anc": [(0, 1)]})
         assert checkpoint.fact_count() == 4
+
+
+class TestCoordinatorStoresTheBlob:
+    def test_blob_is_stored_undecoded_and_priced_by_its_length(self):
+        """A worker's CHECKPOINT carries its watermarks beside one
+        pickled blob; the coordinator keeps that very ``bytes`` object,
+        counts its length as ``checkpoint_bytes`` and fans the
+        watermarks out as truncations."""
+        parallel = hash_scheme(ancestor_program(), (0, 1))
+        database = Database.from_facts(
+            {"par": [(k, k + 1) for k in range(6)]})
+        runtime = ProcessorRuntime(parallel.program_for(0),
+                                   parallel.local_database(0, database))
+        worker = WorkerMachine(runtime, lambda: 0.0, [1],
+                               checkpoint_interval=1)
+        worker.start()
+        worker.on_message(("data", 1, [("anc", [(9, 10)])], 0, (0, 4)))
+        outputs = []
+        while runtime.has_pending_input():
+            outputs += worker.step()
+        checkpoints = [message for target, message in outputs
+                       if target is COORDINATOR and message[0] == CHECKPOINT]
+        assert checkpoints
+        _, proc, watermarks, blob = checkpoints[-1]
+        assert (proc, watermarks) == (0, {1: (0, 4)})
+        assert type(blob) is bytes
+        assert decode_checkpoint(blob).watermarks == {1: (0, 4)}
+
+        coordinator = CoordinatorMachine(
+            [0, 1], recovery="checkpoint", max_restarts=1,
+            probe_interval=1.0, timeout=60.0, ack_timeout=10.0,
+            kill_after={}, tracer=ensure_tracer(None), started=0.0)
+        truncations = coordinator.on_message(checkpoints[-1], 0.0)
+        assert coordinator.checkpoints[0] is blob
+        assert coordinator.checkpoint_bytes == len(blob)
+        assert truncations == [(1, (TRUNCATE, 0, (0, 4)))]

@@ -24,11 +24,6 @@ from repro.parallel import (
     example3_scheme,
     run_parallel,
 )
-from repro.parallel.metrics import (
-    BATCH_OVERHEAD_BYTES,
-    MESSAGE_OVERHEAD_BYTES,
-    approx_fact_bytes,
-)
 from repro.parallel.mp import run_multiprocessing
 from repro.workloads import ancestor_program
 
@@ -129,26 +124,6 @@ class TestMpCoalescing:
                 sent = stats.sent_by_target[target]
                 assert 0 < messages <= sent
                 assert messages <= stats.iterations + 1
-
-    def test_packed_wire_shrinks_channel_bytes(self, ancestor):
-        """Batches worth packing cross as column buffers, so the
-        modelled bytes undercut what the same tuples in the same
-        messages would cost as tuple lists."""
-        # Three fully connected layers of eight nodes: fat batches.
-        database = Database.from_facts(
-            {"par": [(layer * 8 + i, (layer + 1) * 8 + j)
-                     for layer in range(2) for i in range(8)
-                     for j in range(8)]})
-        result = run_multiprocessing(example3_scheme(ancestor, (0, 1, 2)),
-                                     database, timeout=60)
-        assert (result.relation("anc").as_set()
-                == evaluate(ancestor, database).relation("anc").as_set())
-        metrics = result.metrics
-        as_tuple_lists = (
-            metrics.total_sent() * approx_fact_bytes((1, 2))
-            + metrics.total_channel_messages()
-            * (MESSAGE_OVERHEAD_BYTES + BATCH_OVERHEAD_BYTES + len("anc")))
-        assert 0 < metrics.total_channel_bytes() < as_tuple_lists
 
     def test_mixed_type_constants_pool_correctly(self, ancestor):
         """End-to-end guard for the typed RESULT sort: pooling worker

@@ -139,8 +139,7 @@ class TestCheckpointRecovery:
 
 
 def _layered_db(width=8, layers=3):
-    """Fully connected layers: every routing batch is fat enough to
-    cross the wire packed (``PACK_MIN_FACTS``)."""
+    """Fully connected layers: every routing batch is a fat batch."""
     return Database.from_facts(
         {"par": [(layer * width + i, (layer + 1) * width + j)
                  for layer in range(layers - 1)
@@ -150,8 +149,8 @@ def _layered_db(width=8, layers=3):
 @pytest.mark.mp
 @pytest.mark.faultinjection
 class TestPackedWireRecovery:
-    """Batches cross the wire packed; recovery counts facts, not
-    payloads, so replay, stamps and checkpoints must not notice."""
+    """Fat batches cross the wire; recovery counts facts, not
+    messages, so replay, stamps and checkpoints must not notice."""
 
     @pytest.mark.parametrize("recovery", ["restart", "checkpoint"])
     @pytest.mark.parametrize("kill_at", [1, 40, 120])
@@ -163,7 +162,7 @@ class TestPackedWireRecovery:
         program = example3_scheme(ancestor, (0, 1, 2))
         expected = evaluate(ancestor, database)
         undisturbed = run_multiprocessing(program, database, timeout=60)
-        # Packing moves bytes, never tuples: the fault-free count is the
+        # The wire moves bytes, never tuples: the fault-free count is the
         # simulator's, which has no wire at all.
         assert (undisturbed.metrics.total_sent()
                 == run_parallel(program, database).metrics.total_sent())

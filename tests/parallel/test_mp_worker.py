@@ -13,7 +13,6 @@ import threading
 import pytest
 
 from repro.facts import Database
-from repro.facts.packing import ensure_facts
 from repro.parallel import example3_scheme, hash_scheme
 from repro.parallel.discriminating import ModuloDiscriminator
 from repro.parallel.mp.protocol import ACK, DATA, PROBE, RESET, RESULT, STOP
@@ -125,7 +124,7 @@ class TestPendingFlag:
         assert first[5] == second[5]
         assert first[7] is True and second[7] is True
         # The staged facts were stepped on after the pass: nothing lost.
-        assert {(0, 5), (0, 6), (0, 7)} <= set(ensure_facts(message[2]["anc"]))
+        assert {(0, 5), (0, 6), (0, 7)} <= set(message[2]["anc"])
 
 
 class TestSendAsYouStep:
@@ -156,9 +155,36 @@ class TestSendAsYouStep:
         assert [m[0] for m in messages] == [DATA] * 5
         assert [m[4] for m in messages] == [(0, seq) for seq in range(1, 6)]
         # Step k derives the paths of k + 1 edges from the odd parents.
-        sizes = [sum(len(ensure_facts(facts)) for _, facts in m[2])
+        sizes = [sum(len(facts) for _, facts in m[2])
                  for m in messages]
         assert sizes == [5, 4, 3, 2, 1]
+
+    def test_fat_batches_cross_as_plain_fact_lists(self):
+        """Processor 0 of the same scheme on twelve odd parents of every
+        node of an even chain: each step's share for peer 1 and the
+        worker's part of the answer hold at least eight facts, and
+        each crosses as the plain list of fact tuples it was."""
+        chain = [(2 * k + 2, 2 * k) for k in range(4)]
+        odd_parents = [(2 * j + 1, 2 * k) for j in range(12) for k in range(5)]
+        database = Database.from_facts({"par": chain + odd_parents})
+        parallel = example3_scheme(ancestor_program(), (0, 1),
+                                   h=ModuloDiscriminator((0, 1)))
+        worker = _InProcessWorker(parallel, database)
+        worker.start()
+        worker.wait_idle()
+        outputs = worker.stop()[2]
+        peer = worker.peers[1]
+        payloads = []
+        while not peer.empty():
+            message = peer.get()
+            assert message[0] == DATA
+            payloads += [facts for _, facts in message[2]]
+        assert payloads
+        payloads.append(outputs["anc"])
+        for facts in payloads:
+            assert type(facts) is list
+            assert all(type(fact) is tuple for fact in facts)
+        assert min(map(len, payloads)) >= 8
 
     def test_probe_is_acked_between_steps_of_a_burst(self):
         """A probe that arrives during a multi-step burst is answered at

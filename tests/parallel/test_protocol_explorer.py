@@ -39,7 +39,6 @@ from hypothesis.stateful import (
 from repro.engine import evaluate
 from repro.errors import ExecutionError
 from repro.facts import Database
-from repro.facts.packing import ensure_facts
 from repro.obs import RESTORE, WORKER_DOWN, InMemorySink, Tracer
 from repro.obs.report import TraceReport
 from repro.obs.tracer import ensure_tracer
@@ -268,8 +267,8 @@ class Cluster:
 
     def _pool(self, message):
         if message[0] == RESULT:
-            for predicate, payload in message[2].items():
-                self.answer[predicate].update(ensure_facts(payload))
+            for predicate, facts in message[2].items():
+                self.answer[predicate].update(facts)
         return message
 
 
@@ -409,7 +408,7 @@ def test_data_overtaking_reset_is_adopted_and_counted():
     survivor = cluster.workers[0]
     assert survivor.epoch == 1
     assert survivor.received == 1 + sum(
-        len(ensure_facts(facts)) for _, facts in data[2])
+        len(facts) for _, facts in data[2])
     cluster.finish()
     cluster.check_outcome(program)
     assert cluster.error is None
