@@ -195,6 +195,15 @@ def _cmd_parallel(args: argparse.Namespace) -> int:
                       f"send_s={stats.send_s:.4f} "
                       f"longest_step_s={stats.longest_step_s:.4f} "
                       f"cpu_s={stats.cpu_s:.4f}")
+            resident = processor_tag(min(result.stats, key=processor_tag))
+            print(f"  (the coordinator steps worker {resident} itself: "
+                  f"unless it was restarted, its cpu_s is the coordinator "
+                  f"process's CPU)")
+            # When each coordinator phase ended, in wall and coordinator
+            # CPU seconds since the run began.
+            for phase, wall_s, cpu_s in result.phases:
+                print(f"  coordinator {phase}: wall_s={wall_s:.4f} "
+                      f"cpu_s={cpu_s:.4f}")
     if args.check:
         sequential = evaluate(program, database)
         matches = all(

@@ -1,6 +1,7 @@
 """Real multiprocessing execution of rewritten programs.
 
-One OS process per processor, one socket pair per channel — one
+One OS process per processor — the coordinator's own process steps
+the first (:mod:`.runner`) — one socket pair per channel — one
 channel per ordered pair of processes, written and read by each
 process's own loop with no thread (:mod:`.channels`) — a Mattern-style
 counting double-probe for quiescence, and a fault tolerance layer

@@ -11,7 +11,10 @@ predecessor.  No thread carries a message: the sender pickles it and
 writes it from its own loop (:class:`Sender`), and the receiver reads
 every channel into it with one reused ``select.poll`` (:class:`Inbox`).
 Each channel is FIFO; across the channels into one process there is
-no order.
+no order.  The coordinator's process also steps one processor, so its
+inbox reads the channels into both (:meth:`Channels.read_ends`), and
+stops reading that processor's when a kill fault retires it
+(:meth:`Inbox.stop_reading`).
 
 Records.  A message is pickled once and written as one or more
 records of at most :data:`RECORD_BYTES`.  The kernel queues and
@@ -144,8 +147,9 @@ class Inbox:
     ``get``.
 
     Args:
-        sockets: the second sockets of the channels into this process,
-            non-blocking.
+        sockets: the second sockets of the channels into this process
+            (into the coordinator and its resident processor, in the
+            coordinator's), non-blocking.
         senders: this process's own write ends: each call flushes their
             backlogs, and a blocking call also wakes when one of them
             can take more.
@@ -161,6 +165,22 @@ class Inbox:
         # Per read end, the records of a message still missing its LAST.
         self._frames: Dict[int, Optional[List[memoryview]]] = {}
         self._ready: Deque[object] = collections.deque()
+
+    def stop_reading(self, sockets: Iterable[socket.socket]) -> None:
+        """Read no more from these read ends, as a killed reader would
+        not: what they hold is left to the next process that reads
+        them, and a frame begun here is its torn tail.  Messages
+        already read stay ready."""
+        for sock in sockets:
+            fd = sock.fileno()
+            if self._sockets.pop(fd, None) is None:
+                continue
+            self._frames.pop(fd, None)
+            if self._poller is not None:
+                try:
+                    self._poller.unregister(fd)
+                except KeyError:
+                    pass    # unregistered at end of file already
 
     def get(self, timeout: Optional[float] = None) -> object:
         """The next message read from any channel, waiting at most
@@ -300,10 +320,18 @@ class Channels:
                 for (origin, target), pair in self._pairs.items()
                 if origin == source}
 
+    def read_ends(self, target: object,
+                  sources: Optional[Iterable[object]] = None
+                  ) -> List[socket.socket]:
+        """The read ends of the channels into ``target``, or of those
+        from ``sources`` only."""
+        wanted = None if sources is None else set(sources)
+        return [pair[1] for (origin, end), pair in self._pairs.items()
+                if end == target and (wanted is None or origin in wanted)]
+
     def inbox(self, target: object, senders: Iterable[Sender]) -> Inbox:
         """A fresh :class:`Inbox` on every channel into ``target``."""
-        return Inbox((pair[1] for (_, end), pair in self._pairs.items()
-                      if end == target), senders)
+        return Inbox(self.read_ends(target), senders)
 
     def close(self) -> None:
         """Close both ends of every channel (this process's copies)."""

@@ -10,7 +10,10 @@ only carry the messages.
 Messages are plain picklable tuples; the first element is a tag.  Each
 ordered pair of processes has a channel of its own (:mod:`.channels`):
 FIFO, written by the sender's loop and read by the receiver's, with
-no order across the channels into one process.
+no order across the channels into one process.  The resident, the
+processor the coordinator steps in its own process (:mod:`.runner`),
+exchanges the same messages with the coordinator through a FIFO
+mailbox instead of a channel.
 
 Data plane (worker → worker):
 
@@ -317,7 +320,12 @@ class WorkerStats:
         longest_step_s: the longest single step, in seconds.
         cpu_s: the worker process's CPU seconds (user and system,
             ``time.process_time``) when it sends its result; 0 until
-            then.
+            then.  The resident — the processor the coordinator steps
+            itself (:mod:`.runner`) — has no process of its own: its
+            ``cpu_s`` is the coordinator process's CPU since the run
+            began, coordinating included, and its ``inbox_wait_s``
+            the time that process blocked on its inbox while the
+            resident had nothing to step.
     """
 
     __slots__ = ("firings", "probes", "iterations", "sent_by_target",

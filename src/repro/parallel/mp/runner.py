@@ -5,27 +5,47 @@ makes every protocol decision — probe waves and termination, epochs,
 recovery, checkpoint slots and deadlines; the invariants are stated in
 :mod:`.protocol` and the recovery policies in
 ``docs/FAULT_TOLERANCE.md``.  The loop forks the workers, polls the
-liveness of the ones the machine watches, takes messages off the
-coordinator queue, puts what the machine returns on the workers'
-inboxes, and pools each worker's RESULT into the output as soon as it
-is dequeued.  Workers run free, with no barrier and no throttle:
-Theorem 2 bounds total firings under any schedule, so holding one back
-cannot save work.
+liveness of the ones the machine watches, takes messages off its
+inbox, puts what the machine returns on the workers' channels, and
+pools each worker's RESULT into the output as soon as it is read.
+Workers run free, with no barrier and no throttle: Theorem 2 bounds
+total firings under any schedule, so holding one back cannot save
+work.
+
+The resident processor.  ``n`` processors run in ``n`` processes: the
+coordinator steps the first processor in tag order itself (the
+*resident*), with the same :class:`~.machines.WorkerMachine` a worker
+process drives, and forks the other ``n − 1``.  The loop takes one
+resident step between two ticks of the coordinator machine, and after
+each step it reads every message that arrived during it before the tick
+judges any ack deadline.  The resident's read ends share the
+coordinator's inbox (a DATA message is always the resident's, every
+other message the coordinator's), and its traffic with the coordinator
+machine passes through a local mailbox with no channel: its RESULT
+carries its part of the answer as the runtime's own tuples, never
+pickled.
+At ``n = 1`` nothing forks.  A kill fault that names the resident
+retires it at that step boundary, as a worker kills itself: its
+backlogs still go out, its read ends are no longer read, and once the
+backlogs are written it counts as dead with exit code ``-9``.  Recovery
+then forks its replacement like any other worker's.
 
 Worker start.  Before the first fork the coordinator builds each
 processor's :class:`~repro.parallel.processor.ProcessorRuntime` — its
 base fragment (paper, Section 3), its compiled plans and, on a traced
-run, a buffering tracer — and never steps it.  A worker's first process
-and every restart are ``fork``s of that same object, so the child
-inherits the runtime and nothing is packed, pickled or rebuilt.  The
-executor therefore needs the ``fork`` start method.
-The channels (:mod:`.channels`, one ``AF_UNIX``/``SOCK_SEQPACKET``
-socket pair per ordered pair of processes, as Linux provides them) are
-created before that first fork too, so every worker
-and every restart inherits all of them; :func:`run_multiprocessing`
-closes each on return and on raise, after reaping every worker.
-Every fork happens inside :func:`run_multiprocessing`'s pause of the cyclic
-collector (:mod:`repro.engine.collector`), so each worker inherits it.
+run, a buffering tracer.  A forked worker's first process and every
+restart are ``fork``\\ s of that same object, never stepped in the
+coordinator, so the child inherits the runtime and nothing is packed,
+pickled or rebuilt; the resident steps its own, so a replacement for
+it forks a runtime built afresh.  The executor therefore needs the
+``fork`` start method.  The channels (:mod:`.channels`, one
+``AF_UNIX``/``SOCK_SEQPACKET`` socket pair per ordered pair of
+processes, as Linux provides them) are created before that first fork
+too, so every worker and every restart inherits all of them;
+:func:`run_multiprocessing` closes each on return and on raise, after
+reaping every worker.  Every fork happens inside
+:func:`run_multiprocessing`'s pause of the cyclic collector
+(:mod:`repro.engine.collector`), so each worker inherits it.
 
 Python's GIL makes *thread*-level parallelism useless for this
 workload; separate processes sidestep it, at the cost of pickling
@@ -36,11 +56,14 @@ that sends or takes it.
 
 from __future__ import annotations
 
+import collections
 import multiprocessing
 import queue as queue_module
+import socket
 import time
-from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional
+import traceback
+from dataclasses import dataclass, field
+from typing import Deque, Dict, Hashable, List, Optional, Tuple
 
 from ...engine.collector import collect_young, collector_paused
 from ...errors import ConfigurationError
@@ -53,14 +76,18 @@ from ..metrics import ParallelMetrics
 from ..naming import processor_tag
 from ..plans import ParallelProgram
 from ..processor import ProcessorRuntime
-from .channels import Channels
-from .machines import COORDINATOR, DONE, SPAWN, CoordinatorMachine
-from .protocol import RESULT, WorkerStats
+from .channels import Channels, Inbox, Sender
+from .machines import COORDINATOR, DONE, SPAWN, CoordinatorMachine, WorkerMachine
+from .protocol import DATA, ERROR, RESULT, WorkerStats
 from .worker import worker_main
 
 __all__ = ["MPResult", "default_ack_deadline", "run_multiprocessing"]
 
 ProcessorId = Hashable
+
+#: One coordinator phase: its name, then wall and coordinator-process
+#: CPU seconds since the run began.
+Phase = Tuple[str, float, float]
 
 
 def default_ack_deadline(processors: int) -> float:
@@ -85,12 +112,19 @@ class MPResult:
         stats: raw per-worker counter snapshots.
         wall_seconds: end-to-end wall-clock time including process
             start-up and termination detection.
+        phases: the coordinator's phases in the order they ended, each
+            ``(name, wall seconds, CPU seconds)`` since the run began,
+            the CPU being the coordinator process's
+            (``time.process_time``): ``forked`` (the first forks are
+            done), ``result <tag>`` as each RESULT is pooled,
+            ``pooled`` (every part is in the answer) and ``returned``.
     """
 
     output: Database
     metrics: ParallelMetrics
     stats: Dict[ProcessorId, WorkerStats]
     wall_seconds: float
+    phases: List[Phase] = field(default_factory=list)
 
     @property
     def restarts(self) -> int:
@@ -100,6 +134,94 @@ class MPResult:
     def relation(self, predicate: str) -> Relation:
         """Convenience accessor for a pooled output relation."""
         return self.output.relation(predicate)
+
+
+class _Resident:
+    """The processor the coordinator steps itself.
+
+    The loop of :func:`~.worker.worker_main` without a process of its
+    own: it drives a :class:`~.machines.WorkerMachine`, puts what the
+    machine addresses to a peer on the peer's channel, and appends what
+    it addresses to the coordinator to ``mailbox`` as
+    ``(COORDINATOR, message)``.  Its read ends are among ``inbox``'s.
+    A crash becomes an ERROR message in the mailbox, as a worker
+    process reports one.  After a kill fault it is *retiring* while its
+    backlogs go out, then dead.
+    """
+
+    __slots__ = ("proc", "senders", "reads", "inbox", "mailbox", "machine",
+                 "exitcode", "retiring", "_cpu_started")
+
+    def __init__(self, proc: ProcessorId, senders: Dict[object, Sender],
+                 reads: List[socket.socket], inbox: Inbox,
+                 mailbox: Deque[Tuple[object, tuple]],
+                 cpu_started: float) -> None:
+        self.proc = proc
+        self.senders = senders
+        self.reads = reads
+        self.inbox = inbox
+        self.mailbox = mailbox
+        # Set while the machine runs in this process; None before its
+        # start and once it stopped, crashed or was retired.
+        self.machine: Optional[WorkerMachine] = None
+        self.exitcode: Optional[int] = None
+        self.retiring = False
+        self._cpu_started = cpu_started
+
+    @property
+    def busy(self) -> bool:
+        return self.machine is not None and self.machine.busy
+
+    def start(self, machine: WorkerMachine) -> None:
+        self.machine = machine
+        self._run(machine.start)
+
+    def receive(self, message: tuple) -> None:
+        stats = self.machine.stats
+        started = time.perf_counter()
+        self._run(self.machine.on_message, message)
+        stats.drain_s += time.perf_counter() - started
+
+    def step(self) -> None:
+        self._run(self.machine.step)
+
+    def poll(self) -> Optional[int]:
+        """The exit code once the resident is gone, else None; a
+        retiring resident dies when its last backlog is written."""
+        if self.retiring and not any(sender.backlogged
+                                     for sender in self.senders.values()):
+            self.retiring = False
+            self.exitcode = -9
+        return self.exitcode
+
+    def _run(self, call, *arguments) -> None:
+        machine = self.machine
+        try:
+            outputs = call(*arguments)
+        except Exception:
+            self.machine = None
+            self.mailbox.append(
+                (COORDINATOR, (ERROR, self.proc, traceback.format_exc())))
+            return
+        stats = machine.stats
+        if machine.stopped:
+            # The RESULT among ``outputs`` carries these stats.
+            stats.cpu_s = time.process_time() - self._cpu_started
+            self.machine = None
+            self.exitcode = 0
+        for target, message in outputs:
+            if target is COORDINATOR:
+                self.mailbox.append((COORDINATOR, message))
+            else:
+                started = time.perf_counter()
+                self.senders[target].put(message)
+                stats.send_s += time.perf_counter() - started
+        if machine.dying:
+            # As a worker kills itself: everything put is on its way,
+            # and what its channels hold is left to its replacement.
+            self.machine = None
+            self.retiring = True
+            self.inbox.stop_reading(self.reads)
 
 
 @collector_paused()
@@ -112,7 +234,8 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
                         max_restarts: int = 3,
                         ack_timeout: Optional[float] = None,
                         checkpoint_interval: int = 4) -> MPResult:
-    """Execute a rewritten program on real OS processes, each a ``fork``
+    """Execute a rewritten program on ``n`` OS processes: this one,
+    which steps the first processor, and a ``fork`` per other processor
     of a runtime built here once (see the module docstring).
 
     Args:
@@ -195,6 +318,8 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
             "coordinator builds, and this platform has no 'fork' start "
             "method")
     started = time.perf_counter()
+    cpu_started = time.process_time()
+    phases: List[Phase] = []
     tracer = ensure_tracer(tracer)
     tracing = tracer.enabled
     context = multiprocessing.get_context("fork")
@@ -213,18 +338,20 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
             kill_after=(faults.kill_thresholds(tags)
                         if faults is not None else {}),
             tracer=tracer, started=started)
-        # Never stepped here: a worker and all its restarts fork this one.
-        runtimes = {
-            proc: ProcessorRuntime(
+
+        def runtime_of(proc: ProcessorId) -> ProcessorRuntime:
+            return ProcessorRuntime(
                 program.program_for(proc),
                 program.local_database(proc, database),
                 tracer=(Tracer(InMemorySink(), clock=time.monotonic)
                         if tracing else None))
-            for proc in order}
-        # The coordinator's ends, and each worker's, built once: every
-        # incarnation of a worker forks the same never-used objects.
+
+        # Never stepped here: a forked worker and all its restarts fork
+        # its entry.  The resident takes its own out and steps it.
+        runtimes = {proc: runtime_of(proc) for proc in order}
+        # Each worker's ends, built once: every incarnation of a worker
+        # forks the same never-used objects.
         to_workers = channels.senders(COORDINATOR)
-        inbox = channels.inbox(COORDINATOR, to_workers.values())
         worker_ends = {}
         for proc in order:
             senders = channels.senders(proc)
@@ -232,14 +359,30 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
             worker_ends[proc] = (
                 channels.inbox(proc, [*senders.values(), to_coordinator]),
                 senders, to_coordinator)
+        # The resident's channels from and to its peers, and one inbox
+        # over them and the coordinator's own.
+        home = order[0]
+        peers = order[1:]
+        home_senders = channels.senders(home)
+        del home_senders[COORDINATOR]
+        home_reads = channels.read_ends(home, peers)
+        inbox = Inbox([*channels.read_ends(COORDINATOR), *home_reads],
+                      [*to_workers.values(), *home_senders.values()])
+        mailbox: Deque[Tuple[object, tuple]] = collections.deque()
+        resident = _Resident(home, home_senders, home_reads, inbox, mailbox,
+                             cpu_started)
         interval = checkpoint_interval if recovery == "checkpoint" else None
         output = Database()
         pooled: Dict[str, Relation] = {}
         for predicate in program.derived:
-            arity = program.program_for(order[0]).arities[predicate]
+            arity = program.program_for(home).arities[predicate]
             pooled[predicate] = Relation(predicate, arity)
             output.attach(pooled[predicate])
         pooled_tuples = 0
+
+        def mark(phase: str) -> None:
+            phases.append((phase, time.perf_counter() - started,
+                           time.process_time() - cpu_started))
 
         if tracing:
             tracer.run_start(scheme=program.scheme + "+mp",
@@ -248,14 +391,18 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
                              ack_deadline=round(ack_timeout, 3))
 
         def carry_out(actions: List[tuple]) -> None:
-            """Put the machine's messages; fork the workers it spawns.
+            """Hand the machine's messages to the resident or put them
+            on a worker's channel; fork the workers it spawns.
 
             A restart reads its predecessor's channels: what was sent to
             the dead worker is still valid input (monotonicity).
             """
             for proc, message in actions:
                 if message[0] != SPAWN:
-                    to_workers[proc].put(message)
+                    if proc == home and resident.machine is not None:
+                        mailbox.append((home, message))
+                    else:
+                        to_workers[proc].put(message)
                     continue
                 _, kill_after, epoch, restore, delay = message
                 predecessor = processes.pop(proc, None)
@@ -264,6 +411,9 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
                     predecessor.close()
                 if delay:
                     time.sleep(delay)
+                if proc not in runtimes:
+                    # The resident's own runtime has been stepped.
+                    runtimes[proc] = runtime_of(proc)
                 process = context.Process(
                     target=_run_worker,
                     args=(runtimes[proc], *worker_ends[proc], kill_after,
@@ -293,30 +443,96 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
                 # What the RESULT added leaves the collector while in cache
                 # (repro.engine.collector).
                 collect_young()
+                mark(f"result {tags[message[1]]}")
             return message
 
-        def drain() -> List[tuple]:
-            backlog = []
+        def settle() -> None:
+            """Pass the resident's traffic with the coordinator machine
+            both ways until neither has anything more for the other."""
+            while mailbox:
+                target, message = mailbox.popleft()
+                if target is not COORDINATOR:
+                    if resident.machine is not None:
+                        resident.receive(message)
+                    continue
+                # The resident's RESULT carries its part as plain lists,
+                # and its runtime is released by now, so the union
+                # reuses the runtime's memory rather than growing the heap.
+                carry_out(machine.on_message(pool(message),
+                                             time.perf_counter()))
+
+        def dispatch(message: tuple) -> None:
+            """A message off the inbox: DATA is the resident's (and is
+            lost with it once it is gone), anything else the machine's."""
+            if message[0] == DATA:
+                if resident.machine is not None:
+                    resident.receive(message)
+                return
+            carry_out(machine.on_message(pool(message), time.perf_counter()))
+
+        def drain(backlog: Optional[List[tuple]] = None) -> None:
+            """Take every message that is ready; with ``backlog``, keep
+            the coordinator's for the tick that reports a death."""
             while True:
                 try:
-                    backlog.append(pool(inbox.get(timeout=0)))
+                    message = inbox.get(timeout=0)
                 except queue_module.Empty:
-                    return backlog
+                    return
+                if backlog is None or message[0] == DATA:
+                    dispatch(message)
+                else:
+                    backlog.append(pool(message))
 
-        carry_out(machine.start())
+        spawns = dict(machine.start())
+        _, kill_after, epoch, restore, _ = spawns.pop(home)
+        carry_out(list(spawns.items()))
+        mark("forked")
+        if tracing:
+            tracer.worker_spawn(tags[home])
+        resident.start(WorkerMachine(
+            runtimes.pop(home), time.perf_counter, peers,
+            kill_after=kill_after, epoch=epoch,
+            checkpoint_interval=interval, restore=restore,
+            replayable=recovery != "fail"))
         while machine.phase != DONE:
+            if resident.busy:
+                # One resident step between two ticks; what arrived
+                # during it is read before any deadline is judged.
+                resident.step()
+                drain()
+            settle()
             now = time.perf_counter()
-            dead = {proc: processes[proc].exitcode
-                    for proc in machine.watched()
-                    if not processes[proc].is_alive()}
-            actions = machine.tick(now, dead, drain() if dead else ())
-            if not actions and machine.phase != DONE:
-                try:
-                    message = inbox.get(timeout=machine.wait(now))
-                except queue_module.Empty:
-                    continue
-                actions = machine.on_message(pool(message), now)
+            dead = {}
+            for proc in machine.watched():
+                process = processes.get(proc)
+                if process is None:
+                    code = resident.poll()
+                elif process.is_alive():
+                    code = None
+                else:
+                    code = process.exitcode
+                if code is not None:
+                    dead[proc] = code
+            backlog: List[tuple] = []
+            if dead:
+                drain(backlog)
+            actions = machine.tick(now, dead, backlog)
             carry_out(actions)
+            settle()
+            if actions or machine.phase == DONE or resident.busy:
+                continue
+            waited = time.perf_counter()
+            try:
+                message = inbox.get(timeout=machine.wait(now))
+            except queue_module.Empty:
+                continue
+            finally:
+                if resident.machine is not None:
+                    resident.machine.stats.inbox_wait_s += (
+                        time.perf_counter() - waited)
+            dispatch(message)
+            settle()
+        mark("pooled")
         for process in processes.values():
             process.join(timeout=5.0)
     finally:
@@ -364,8 +580,9 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
                        control_messages=machine.probes_sent,
                        restarts=machine.restarts,
                        wall_seconds=wall_seconds)
+    mark("returned")
     return MPResult(output=output, metrics=metrics, stats=stats,
-                    wall_seconds=wall_seconds)
+                    wall_seconds=wall_seconds, phases=phases)
 
 
 def _run_worker(runtime, inbox, senders, to_coordinator, *options) -> None:

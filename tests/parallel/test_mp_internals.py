@@ -93,12 +93,51 @@ def _stub_worker(runtime, inbox, _peers, coordinator_queue, *_options,
                                sent, received, activity, 0, pending))
 
 
+class _StubMachine:
+    """``_stub_worker`` for the resident: processor 0 is stepped by the
+    coordinator itself, so it follows ``script`` as a machine.  Once it
+    wedges it answers nothing more; STOP is ignored on purpose."""
+
+    def __init__(self, runtime, _clock, _peers, *, script, **_options):
+        from repro.parallel.mp.protocol import WorkerStats
+
+        self.runtime = runtime
+        self.stats = WorkerStats()
+        self.busy = self.stopped = self.dying = False
+        self._script = script
+        self._wave = 0
+        self._wedged = False
+
+    def start(self):
+        return []
+
+    def step(self):
+        return []
+
+    def on_message(self, message):
+        from repro.parallel.mp.machines import COORDINATOR
+        from repro.parallel.mp.protocol import ACK, PROBE
+
+        if self._wedged or message[0] != PROBE:
+            return []
+        self._wave += 1
+        reply = self._script(self._wave)
+        if reply is None:
+            self._wedged = True
+            return []
+        sent, received, activity, pending = reply
+        return [(COORDINATOR, (ACK, self.runtime.program.processor,
+                               message[1], sent, received, activity, 0,
+                               pending))]
+
+
 @pytest.mark.mp
 class TestDeadlineStateDump:
     """Every deadline error says where the protocol stood (ROADMAP 6c).
 
-    The workers are stubs forked from this process (the patched
-    ``worker_main`` travels with the fork), so each scenario is exact.
+    The workers are stubs: forked from this process (the patched
+    ``worker_main`` travels with the fork), and for the resident the
+    coordinator steps a scripted machine, so each scenario is exact.
     """
 
     @pytest.fixture
@@ -114,6 +153,8 @@ class TestDeadlineStateDump:
         def run(script, **options):
             monkeypatch.setattr(runner, "worker_main", functools.partial(
                 _stub_worker, script=script))
+            monkeypatch.setattr(runner, "WorkerMachine", functools.partial(
+                _StubMachine, script=script))
             parallel = example3_scheme(ancestor_program(), (0, 1))
             with pytest.raises(ExecutionError) as info:
                 run_multiprocessing(parallel, chain_db, probe_interval=0.01,
@@ -203,6 +244,53 @@ def _mortal_stub(runtime, inbox, _peers, coordinator_queue, _kill_after,
             return
 
 
+class _MortalMachine:
+    """``_mortal_stub`` for the resident, as a machine the coordinator
+    steps: its death is the kill-fault flag a real machine sets."""
+
+    def __init__(self, runtime, _clock, _peers, *, epoch=0, dies_on,
+                 **_options):
+        from repro.parallel.mp.protocol import WorkerStats
+
+        self.runtime = runtime
+        self.stats = WorkerStats()
+        self.busy = self.stopped = self.dying = False
+        self._epoch = epoch
+        self._mortal = epoch == 0
+        self._dies_on = dies_on
+
+    def start(self):
+        return []
+
+    def step(self):
+        return []
+
+    def on_message(self, message):
+        from repro.parallel.mp.machines import COORDINATOR
+        from repro.parallel.mp.protocol import (
+            ACK,
+            PROBE,
+            RESET,
+            RESULT,
+            STOP,
+        )
+
+        me = self.runtime.program.processor
+        kind = message[0]
+        if self._mortal and kind == self._dies_on.get(me):
+            self.dying = True
+            return []
+        if kind == RESET:
+            self._epoch = max(self._epoch, message[1])
+        elif kind == PROBE:
+            return [(COORDINATOR, (ACK, me, message[1], 0, 0, 0,
+                                   self._epoch, False))]
+        elif kind == STOP:
+            self.stopped = True
+            return [(COORDINATOR, (RESULT, me, {}, self.stats))]
+        return []
+
+
 @pytest.mark.mp
 @pytest.mark.faultinjection
 class TestCascadingFailureByConstruction:
@@ -224,6 +312,8 @@ class TestCascadingFailureByConstruction:
             pytest.skip("stub workers need the fork start method")
         monkeypatch.setattr(runner, "worker_main", functools.partial(
             _mortal_stub, dies_on={0: PROBE, 1: RESET}))
+        monkeypatch.setattr(runner, "WorkerMachine", functools.partial(
+            _MortalMachine, dies_on={0: PROBE, 1: RESET}))
         sink = InMemorySink()
         result = run_multiprocessing(
             example3_scheme(ancestor_program(), (0, 1)), chain_db,

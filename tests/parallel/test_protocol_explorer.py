@@ -15,6 +15,12 @@ flight, as writing out every backlog before ``SIGKILL`` guarantees; a
 respawn reads the dead worker's channels, as a restart inherits
 them.
 
+Two compositions are explored.  In the first every worker is a
+process of its own.  The second is the executor's: processor 0 is the
+*resident* the coordinator steps itself, so its traffic with the
+coordinator has no FIFO and is delivered within the action that puts
+it; its replacement after a kill is a process like any other.
+
 Two properties are checked on every schedule: the coordinator never
 sends STOP while a DATA message is in flight or a live worker holds
 staged input, and every run ends with exactly the sequential answer or
@@ -27,6 +33,7 @@ by luck.
 
 import collections
 
+import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -92,7 +99,8 @@ class Cluster:
     """
 
     def __init__(self, parallel, database, recovery="restart",
-                 kill_after=None, max_restarts=3, tracer=None):
+                 kill_after=None, max_restarts=3, tracer=None,
+                 resident=False):
         self.parallel = parallel
         self.database = database
         self.recovery = recovery
@@ -110,6 +118,12 @@ class Cluster:
         # message).
         self.spawns = []
         self.delivered = []
+        # With the resident wiring, processor 0 until it is killed: its
+        # traffic with the coordinator waits in ``mailbox`` only until
+        # the action that put it ends.
+        self.resident = self.order[0] if resident else None
+        self.mailbox = collections.deque()
+        self._settling = False
         # A traced run gives each worker a buffering tracer, as the
         # executor does; its events reach ``tracer`` in TRACE batches.
         self._traced = tracer is not None
@@ -143,6 +157,8 @@ class Cluster:
     def kill(self, proc):
         del self.workers[proc]
         self.exits[proc] = -9
+        if proc == self.resident:
+            self.resident = None
 
     def tick(self, seconds=0.0):
         """Advance the clock, then one pass of the coordinator's loop
@@ -217,8 +233,31 @@ class Cluster:
         for destination, message in outputs:
             if message[0] == SPAWN:
                 self._spawn(destination, *message[1:])
+            elif self.resident in (producer, destination) and (
+                    COORDINATOR in (producer, destination)):
+                self.mailbox.append((destination, message))
             else:
                 self.fifos[(producer, destination)].append(message)
+        if self._settling:
+            return
+        # The resident's traffic with the coordinator, both ways, until
+        # neither has more for the other; what was bound for a resident
+        # killed meanwhile is lost with it.
+        self._settling = True
+        try:
+            while self.mailbox and self.error is None:
+                destination, message = self.mailbox.popleft()
+                if destination is COORDINATOR:
+                    self._pool(message)
+                    self._coordinate(lambda: self.coordinator.on_message(
+                        message, self.clock))
+                elif destination == self.resident:
+                    self.delivered.append((destination, message))
+                    worker = self.workers[destination]
+                    self._work(destination,
+                               lambda: worker.on_message(message))
+        finally:
+            self._settling = False
 
     def _spawn(self, proc, kill_after, epoch, restore, delay):
         self.clock += delay
@@ -297,6 +336,9 @@ class ProtocolExplorer(RuleBasedStateMachine):
     steps or dies, when deaths are noticed and how far the clock
     moves."""
 
+    # Whether processor 0 is the coordinator's resident.
+    RESIDENT = False
+
     @initialize(scheme=st.sampled_from(
                     ["example3", "hash", "example2", "wolfson"]),
                 processors=st.sampled_from([2, 3]),
@@ -305,7 +347,8 @@ class ProtocolExplorer(RuleBasedStateMachine):
                 recovery=st.sampled_from(["restart", "checkpoint", "fail"]))
     def build(self, scheme, processors, shape, nodes, seed, recovery):
         self.cluster, self.program = _cluster(
-            scheme, processors, nodes, seed, shape, recovery=recovery)
+            scheme, processors, nodes, seed, shape, recovery=recovery,
+            resident=self.RESIDENT)
         self.kills = 0
         self.advanced = 0.0
 
@@ -368,6 +411,17 @@ ProtocolExplorer.TestCase.settings = settings(
     derandomize=True, max_examples=150, stateful_step_count=60,
     deadline=None, suppress_health_check=list(HealthCheck))
 TestProtocolExplorer = ProtocolExplorer.TestCase
+
+
+class ResidentExplorer(ProtocolExplorer):
+    """The same search over the executor's wiring: processor 0 is the
+    resident, and a kill may name it."""
+
+    RESIDENT = True
+
+
+ResidentExplorer.TestCase.settings = ProtocolExplorer.TestCase.settings
+TestResidentExplorer = ResidentExplorer.TestCase
 
 
 # -- pinned interleavings -----------------------------------------------
@@ -626,3 +680,45 @@ def test_machines_import_no_process_queue_signal_or_clock_module():
             imported.add(node.module.split(".")[0])
     assert imported, "no absolute import found: the check reads nothing"
     assert not imported & {"multiprocessing", "queue", "os", "signal", "time"}
+
+
+def test_resident_traffic_with_the_coordinator_has_no_fifo():
+    """Under the resident wiring the first wave's probe reaches
+    processor 0 and its ack the coordinator within the tick that sent
+    it, and no FIFO between them is ever used."""
+    cluster, program = _cluster(resident=True)
+    _first_wave(cluster)
+    assert 0 in cluster.coordinator.view
+    assert cluster.fifos[(COORDINATOR, 1)]
+    cluster.finish()
+    cluster.check_outcome(program)
+    assert cluster.error is None
+    assert not cluster.fifos[(COORDINATOR, 0)]
+    assert not cluster.fifos[(0, COORDINATOR)]
+    assert cluster.answer["anc"]
+
+
+@pytest.mark.parametrize("recovery", ["restart", "checkpoint"])
+def test_killed_resident_is_replaced_by_a_worker(recovery):
+    """Processor 0 dies as the resident, after a checkpoint of its own
+    under ``checkpoint``: its replacement is a worker like any other,
+    whose traffic with the coordinator crosses FIFOs, and the run ends
+    exact with one restart."""
+    cluster, program = _cluster(nodes=30, recovery=recovery, resident=True)
+    _first_wave(cluster)
+    if recovery == "checkpoint":
+        cluster.run_until(lambda: 0 in cluster.coordinator.checkpoints)
+    else:
+        cluster.run_until(
+            lambda: cluster.workers[0].stats.sent_by_target.get(1))
+    cluster.kill(0)
+    assert cluster.resident is None
+    cluster.run_until(lambda: cluster.coordinator.restarts == 1)
+    proc, epoch, restore = cluster.spawns[-1]
+    assert (proc, epoch) == (0, 1)
+    assert (restore is not None) == (recovery == "checkpoint")
+    assert cluster.fifos[(COORDINATOR, 0)]
+    cluster.finish()
+    cluster.check_outcome(program)
+    assert cluster.error is None
+    assert cluster.coordinator.restarts == 1

@@ -136,6 +136,23 @@ class TestParallelCommand:
             assert min(timings.values()) >= 0.0
             assert timings["longest_step_s"] <= timings["step_s"]
             assert timings["cpu_s"] > 0.0
+        assert ("the coordinator steps worker 0 itself: unless it was "
+                "restarted, its cpu_s is the coordinator process's CPU"
+                in output)
+        phases = []
+        for line in output.splitlines():
+            if line.startswith("  coordinator "):
+                name, fields = line[len("  coordinator "):].split(": ")
+                wall, cpu = (float(field.split("=")[1])
+                             for field in fields.split())
+                phases.append((name, wall, cpu))
+        # Forked first, one RESULT in per worker, pooled, returned.
+        names = [name for name, _, _ in phases]
+        assert names[0] == "forked" and names[-2:] == ["pooled", "returned"]
+        assert sorted(names[1:-2]) == ["result 0", "result 1"]
+        for earlier, later in zip(phases, phases[1:]):
+            assert 0.0 <= earlier[1] <= later[1]
+            assert 0.0 <= earlier[2] <= later[2]
 
 
 class TestTraceCommand:

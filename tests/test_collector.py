@@ -9,8 +9,8 @@ builds no reference cycles: :class:`TestNoCycles` and
 executor collects the young generation at its round boundary
 (:func:`repro.engine.collector.collect_young`), so
 :class:`TestRoundBoundary` pins that every answer tuple is untracked by
-the time the call returns, and :class:`TestMultiprocessing` that mp
-workers never collect.  The rest pin that the pause is scoped: the
+the time the call returns, and :class:`TestMultiprocessing` that forked
+mp workers never collect.  The rest pin that the pause is scoped: the
 caller's collector state survives every return and every raise.
 """
 
@@ -206,12 +206,25 @@ def _reporting_worker(*arguments, report, worker):
     worker(*arguments)
 
 
+def _reporting_resident(runtime, *arguments, report, machine, **options):
+    """Report ``("start", tag, epoch, collector on?)`` for the resident,
+    the processor the coordinator steps itself, then build its real
+    machine.  Its process is the coordinator's, which collects after
+    pooling each RESULT, so no collection is reported."""
+    import gc
+
+    report.put(("start", runtime.tag, options.get("epoch", 0),
+                gc.isenabled()))
+    return machine(runtime, *arguments, **options)
+
+
 @pytest.mark.mp
 @pytest.mark.faultinjection
 class TestMultiprocessing:
     """The coordinator's run leaves no cycles, and its workers — first
-    processes and restarts alike — run with the collector off and
-    never collect."""
+    processes and restarts alike — run with the collector off; the
+    forked ones never collect, and the resident is stepped under the
+    coordinator's own pause."""
 
     @pytest.mark.parametrize("traced", [False, True],
                              ids=["untraced", "traced"])
@@ -246,6 +259,9 @@ class TestMultiprocessing:
         report = multiprocessing.get_context("fork").SimpleQueue()
         monkeypatch.setattr(runner, "worker_main", functools.partial(
             _reporting_worker, report=report, worker=runner.worker_main))
+        monkeypatch.setattr(runner, "WorkerMachine", functools.partial(
+            _reporting_resident, report=report,
+            machine=runner.WorkerMachine))
         result = run_multiprocessing(
             example3_scheme(ancestor_program(), (0, 1, 2)), _tree(),
             faults=build_fault_plan([KILL]), recovery="restart", timeout=60)
