@@ -34,11 +34,10 @@ wait, in order, in the sender's backlog.  An :class:`Inbox` flushes
 its process's backlogs whenever it reads and, while it blocks, also polls
 the write ends that still hold some, so two processes sending each
 other megabytes both keep reading, and a process whose peer is dead
-keeps answering everybody else.  :meth:`Sender.join_thread` (the
-queue method's name, so the I/O loops read as they would over queues)
-blocks until the backlog is written: a worker calls it on every
-sender before it kills itself, and on its channel to the coordinator
-after its last message.
+keeps answering everybody else.  :meth:`Sender.write_out` blocks
+until the backlog is written: a worker calls it on every sender before
+it kills itself, and on its channel to the coordinator after its last
+message.
 """
 
 from __future__ import annotations
@@ -127,12 +126,7 @@ class Sender:
     def fileno(self) -> int:
         return self._sock.fileno()
 
-    def close(self) -> None:
-        """Nothing to release: the socket belongs to the run's
-        :class:`Channels`, and the backlog goes out at
-        :meth:`join_thread`."""
-
-    def join_thread(self) -> None:
+    def write_out(self) -> None:
         """Block until every backlogged record is written."""
         if self.flush():
             return

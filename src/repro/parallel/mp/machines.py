@@ -7,7 +7,7 @@ touches a channel, a process, a signal or a clock: each call takes the
 message, the death or the time it reacts to and returns the
 ``(destination, message)`` pairs to put.  A destination is a processor
 id, or :data:`COORDINATOR` for a worker's acks, trace batches,
-checkpoints and result.  The I/O loops (:func:`.worker.worker_main`,
+checkpoints and result.  The I/O loops (:class:`.worker.WorkerLoop`,
 :func:`.runner.run_multiprocessing`) only carry these pairs, and the
 schedule explorer (``tests/parallel/test_protocol_explorer.py``) wires
 the same machines together over FIFOs whose interleaving it chooses.
@@ -85,11 +85,12 @@ _BACKOFF_CAP = 1.0
 class WorkerMachine:
     """Every protocol decision of one worker.
 
-    The worker's loop calls :meth:`start` once, :meth:`on_message` for
-    each message it drains and :meth:`step` once per pass, and puts what
-    each returns.  After a call that sets :attr:`dying` it writes out
-    its channels' backlogs and kills itself; after :attr:`stopped` it
-    exits.
+    A :class:`~.worker.WorkerLoop` calls :meth:`start` once,
+    :meth:`on_message` for each message drained and :meth:`step` once
+    per pass, and puts what each returns.  After any call that sets
+    :attr:`dying` or :attr:`stopped` it lets go of the machine: a
+    worker process then kills itself once its channels' backlogs are
+    written, or exits.
 
     Args:
         runtime: this processor's runtime, never stepped.

@@ -308,8 +308,9 @@ class WorkerStats:
             reading and unpickling of what they returned.
         drain_s: seconds spent draining the inbox apart from those
             waits: the non-blocking ``inbox.get`` calls (polling,
-            reading, unpickling, flushing backlogs) and the ingest of
-            every message read, blocking or not.
+            reading, unpickling, flushing backlogs) and the machine's
+            reaction to every message read, blocking or not; the puts
+            that reaction returns are ``send_s``.
         step_s: seconds spent in semi-naive steps, including the
             runtime's routing of each step's output (splitting by
             target and deduplicating the remote shares).
@@ -319,13 +320,14 @@ class WorkerStats:
             put pickles the message and writes what the socket takes.
         longest_step_s: the longest single step, in seconds.
         cpu_s: the worker process's CPU seconds (user and system,
-            ``time.process_time``) when it sends its result; 0 until
-            then.  The resident — the processor the coordinator steps
-            itself (:mod:`.runner`) — has no process of its own: its
-            ``cpu_s`` is the coordinator process's CPU since the run
-            began, coordinating included, and its ``inbox_wait_s``
-            the time that process blocked on its inbox while the
-            resident had nothing to step.
+            ``time.process_time``) when its machine stops, set by the
+            :class:`~.worker.WorkerLoop` just before the result goes
+            out; 0 until then.  The resident — the processor the
+            coordinator steps itself (:mod:`.runner`) — has no process
+            of its own: its ``cpu_s`` is the coordinator process's CPU
+            since the run began, coordinating included, and its
+            ``inbox_wait_s`` the time that process blocked on its
+            inbox while the resident had nothing to step.
     """
 
     __slots__ = ("firings", "probes", "iterations", "sent_by_target",

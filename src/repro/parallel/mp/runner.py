@@ -14,8 +14,8 @@ work.
 
 The resident processor.  ``n`` processors run in ``n`` processes: the
 coordinator steps the first processor in tag order itself (the
-*resident*), with the same :class:`~.machines.WorkerMachine` a worker
-process drives, and forks the other ``n − 1``.  The loop takes one
+*resident*), with the same :class:`~.worker.WorkerLoop` a worker
+process runs, and forks the other ``n − 1``.  The loop takes one
 resident step between two ticks of the coordinator machine, and after
 each step it reads every message that arrived during it before the tick
 judges any ack deadline.  The resident's read ends share the
@@ -37,7 +37,10 @@ run, a buffering tracer.  A forked worker's first process and every
 restart are ``fork``\\ s of that same object, never stepped in the
 coordinator, so the child inherits the runtime and nothing is packed,
 pickled or rebuilt; the resident steps its own, so a replacement for
-it forks a runtime built afresh.  The executor therefore needs the
+it forks a runtime built afresh.  Every incarnation's
+:class:`~.machines.WorkerMachine`, the resident's and each forked
+worker's, first process or restart, is built here by one function,
+before the fork that carries it.  The executor therefore needs the
 ``fork`` start method.  The channels (:mod:`.channels`, one
 ``AF_UNIX``/``SOCK_SEQPACKET`` socket pair per ordered pair of
 processes, as Linux provides them) are created before that first fork
@@ -61,7 +64,6 @@ import multiprocessing
 import queue as queue_module
 import socket
 import time
-import traceback
 from dataclasses import dataclass, field
 from typing import Deque, Dict, Hashable, List, Optional, Tuple
 
@@ -78,8 +80,8 @@ from ..plans import ParallelProgram
 from ..processor import ProcessorRuntime
 from .channels import Channels, Inbox, Sender
 from .machines import COORDINATOR, DONE, SPAWN, CoordinatorMachine, WorkerMachine
-from .protocol import DATA, ERROR, RESULT, WorkerStats
-from .worker import worker_main
+from .protocol import DATA, RESULT, WorkerStats
+from .worker import WorkerLoop, worker_main
 
 __all__ = ["MPResult", "default_ack_deadline", "run_multiprocessing"]
 
@@ -136,54 +138,32 @@ class MPResult:
         return self.output.relation(predicate)
 
 
-class _Resident:
-    """The processor the coordinator steps itself.
+class _Resident(WorkerLoop):
+    """The processor the coordinator steps itself: the
+    :class:`~.worker.WorkerLoop` every worker runs, in the coordinator's
+    process.
 
-    The loop of :func:`~.worker.worker_main` without a process of its
-    own: it drives a :class:`~.machines.WorkerMachine`, puts what the
-    machine addresses to a peer on the peer's channel, and appends what
-    it addresses to the coordinator to ``mailbox`` as
-    ``(COORDINATOR, message)``.  Its read ends are among ``inbox``'s.
-    A crash becomes an ERROR message in the mailbox, as a worker
-    process reports one.  After a kill fault it is *retiring* while its
-    backlogs go out, then dead.
+    It reports to the coordinator machine by appending
+    ``(COORDINATOR, message)`` to ``mailbox``, and its read ends are
+    among ``inbox``'s.  After a kill fault it is *retiring*: its read
+    ends are no longer read, and once its backlogs are written it is
+    dead with exit code ``-9``, as a worker that kills itself.
     """
 
-    __slots__ = ("proc", "senders", "reads", "inbox", "mailbox", "machine",
-                 "exitcode", "retiring", "_cpu_started")
+    __slots__ = ("reads", "inbox", "exitcode", "retiring")
 
-    def __init__(self, proc: ProcessorId, senders: Dict[object, Sender],
+    def __init__(self, machine: WorkerMachine, senders: Dict[object, Sender],
                  reads: List[socket.socket], inbox: Inbox,
                  mailbox: Deque[Tuple[object, tuple]],
                  cpu_started: float) -> None:
-        self.proc = proc
-        self.senders = senders
+        super().__init__(machine, senders,
+                         lambda message: mailbox.append((COORDINATOR,
+                                                         message)),
+                         cpu_started)
         self.reads = reads
         self.inbox = inbox
-        self.mailbox = mailbox
-        # Set while the machine runs in this process; None before its
-        # start and once it stopped, crashed or was retired.
-        self.machine: Optional[WorkerMachine] = None
         self.exitcode: Optional[int] = None
         self.retiring = False
-        self._cpu_started = cpu_started
-
-    @property
-    def busy(self) -> bool:
-        return self.machine is not None and self.machine.busy
-
-    def start(self, machine: WorkerMachine) -> None:
-        self.machine = machine
-        self._run(machine.start)
-
-    def receive(self, message: tuple) -> None:
-        stats = self.machine.stats
-        started = time.perf_counter()
-        self._run(self.machine.on_message, message)
-        stats.drain_s += time.perf_counter() - started
-
-    def step(self) -> None:
-        self._run(self.machine.step)
 
     def poll(self) -> Optional[int]:
         """The exit code once the resident is gone, else None; a
@@ -194,34 +174,15 @@ class _Resident:
             self.exitcode = -9
         return self.exitcode
 
-    def _run(self, call, *arguments) -> None:
-        machine = self.machine
-        try:
-            outputs = call(*arguments)
-        except Exception:
-            self.machine = None
-            self.mailbox.append(
-                (COORDINATOR, (ERROR, self.proc, traceback.format_exc())))
-            return
-        stats = machine.stats
-        if machine.stopped:
-            # The RESULT among ``outputs`` carries these stats.
-            stats.cpu_s = time.process_time() - self._cpu_started
-            self.machine = None
-            self.exitcode = 0
-        for target, message in outputs:
-            if target is COORDINATOR:
-                self.mailbox.append((COORDINATOR, message))
-            else:
-                started = time.perf_counter()
-                self.senders[target].put(message)
-                stats.send_s += time.perf_counter() - started
+    def _let_go(self, machine: WorkerMachine) -> None:
+        super()._let_go(machine)
         if machine.dying:
             # As a worker kills itself: everything put is on its way,
             # and what its channels hold is left to its replacement.
-            self.machine = None
             self.retiring = True
             self.inbox.stop_reading(self.reads)
+        elif machine.stopped:
+            self.exitcode = 0
 
 
 @collector_paused()
@@ -349,6 +310,20 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
         # Never stepped here: a forked worker and all its restarts fork
         # its entry.  The resident takes its own out and steps it.
         runtimes = {proc: runtime_of(proc) for proc in order}
+        interval = checkpoint_interval if recovery == "checkpoint" else None
+
+        def machine_of(runtime: ProcessorRuntime, spawn: tuple
+                       ) -> WorkerMachine:
+            """The machine of one incarnation, built here before it
+            forks or is stepped, from the SPAWN that orders it."""
+            _, kill_after, epoch, restore, _ = spawn
+            return WorkerMachine(
+                runtime, time.perf_counter,
+                [peer for peer in order if peer != runtime.program.processor],
+                kill_after=kill_after, epoch=epoch,
+                checkpoint_interval=interval, restore=restore,
+                replayable=recovery != "fail")
+
         # Each worker's ends, built once: every incarnation of a worker
         # forks the same never-used objects.
         to_workers = channels.senders(COORDINATOR)
@@ -362,16 +337,12 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
         # The resident's channels from and to its peers, and one inbox
         # over them and the coordinator's own.
         home = order[0]
-        peers = order[1:]
         home_senders = channels.senders(home)
         del home_senders[COORDINATOR]
-        home_reads = channels.read_ends(home, peers)
+        home_reads = channels.read_ends(home, order[1:])
         inbox = Inbox([*channels.read_ends(COORDINATOR), *home_reads],
                       [*to_workers.values(), *home_senders.values()])
         mailbox: Deque[Tuple[object, tuple]] = collections.deque()
-        resident = _Resident(home, home_senders, home_reads, inbox, mailbox,
-                             cpu_started)
-        interval = checkpoint_interval if recovery == "checkpoint" else None
         output = Database()
         pooled: Dict[str, Relation] = {}
         for predicate in program.derived:
@@ -404,7 +375,7 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
                     else:
                         to_workers[proc].put(message)
                     continue
-                _, kill_after, epoch, restore, delay = message
+                _, _, epoch, restore, delay = message
                 predecessor = processes.pop(proc, None)
                 if predecessor is not None:
                     predecessor.join(timeout=1.0)
@@ -416,8 +387,8 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
                     runtimes[proc] = runtime_of(proc)
                 process = context.Process(
                     target=_run_worker,
-                    args=(runtimes[proc], *worker_ends[proc], kill_after,
-                          epoch, interval, restore, recovery != "fail"),
+                    args=(machine_of(runtimes[proc], message),
+                          *worker_ends[proc]),
                     daemon=True)
                 process.start()
                 processes[proc] = process
@@ -484,16 +455,15 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
                     backlog.append(pool(message))
 
         spawns = dict(machine.start())
-        _, kill_after, epoch, restore, _ = spawns.pop(home)
+        home_spawn = spawns.pop(home)
         carry_out(list(spawns.items()))
         mark("forked")
         if tracing:
             tracer.worker_spawn(tags[home])
-        resident.start(WorkerMachine(
-            runtimes.pop(home), time.perf_counter, peers,
-            kill_after=kill_after, epoch=epoch,
-            checkpoint_interval=interval, restore=restore,
-            replayable=recovery != "fail"))
+        resident = _Resident(machine_of(runtimes.pop(home), home_spawn),
+                             home_senders, home_reads, inbox, mailbox,
+                             cpu_started)
+        resident.start()
         while machine.phase != DONE:
             if resident.busy:
                 # One resident step between two ticks; what arrived
@@ -585,12 +555,12 @@ def run_multiprocessing(program: ParallelProgram, database: Database,
                     wall_seconds=wall_seconds, phases=phases)
 
 
-def _run_worker(runtime, inbox, senders, to_coordinator, *options) -> None:
+def _run_worker(machine, inbox, senders, to_coordinator) -> None:
     """A forked worker's body: :func:`~.worker.worker_main`, then its
     last messages written out before the process exits (peers need
     nothing more once STOP is out: quiescence means no DATA is
     unread)."""
     try:
-        worker_main(runtime, inbox, senders, to_coordinator, *options)
+        worker_main(machine, inbox, senders, to_coordinator)
     finally:
-        to_coordinator.join_thread()
+        to_coordinator.write_out()

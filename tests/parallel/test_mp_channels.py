@@ -17,6 +17,7 @@ import queue
 import resource
 import signal
 import threading
+import time
 import warnings
 import zlib
 
@@ -28,7 +29,7 @@ from repro.parallel import build_fault_plan, example3_scheme
 from repro.parallel.discriminating import ModuloDiscriminator
 from repro.parallel.mp import run_multiprocessing, runner
 from repro.parallel.mp.channels import RECORD_BYTES, Channels
-from repro.parallel.mp.machines import COORDINATOR
+from repro.parallel.mp.machines import COORDINATOR, WorkerMachine
 from repro.parallel.mp.protocol import ACK, DATA, PROBE, RESULT, STOP
 from repro.parallel.processor import ProcessorRuntime
 from repro.workloads import ancestor_program
@@ -65,9 +66,9 @@ def _exchange(channels, me, peer, messages, size):
         assert (sender, index) == (peer, expected)
         assert blob == _payload(peer, index, size)
         crc = zlib.crc32(blob, crc)
-    senders[peer].join_thread()
+    senders[peer].write_out()
     senders[COORDINATOR].put(("done", me, crc))
-    senders[COORDINATOR].join_thread()
+    senders[COORDINATOR].write_out()
 
 
 class TestWritesNeverBlock:
@@ -116,7 +117,8 @@ class TestWritesNeverBlock:
             dead.join(timeout=10)
             senders = channels.senders(0)
             to_coordinator = senders.pop(COORDINATOR)
-            worker = _fork(runner._run_worker, runtime,
+            worker = _fork(runner._run_worker,
+                           WorkerMachine(runtime, time.perf_counter, [1]),
                            channels.inbox(0, [*senders.values(),
                                               to_coordinator]),
                            senders, to_coordinator)
@@ -175,7 +177,7 @@ def _successor(channels, messages):
     sender = channels.senders(0)[1]
     for message in messages:
         sender.put(message)
-    sender.join_thread()
+    sender.write_out()
 
 
 class TestTornFrames:
@@ -275,7 +277,7 @@ class TestDescriptorLimit:
 def _report_into(channels, body):
     sender = channels.senders(0)[COORDINATOR]
     body(sender)
-    sender.join_thread()
+    sender.write_out()
 
 
 def _descriptors():

@@ -25,22 +25,24 @@ class TestWorkerStats:
 
 @pytest.mark.mp
 class TestCrashHandling:
-    def test_worker_crash_surfaces_as_execution_error(self, chain_db):
+    @pytest.mark.parametrize("victim", [0, 1], ids=["resident", "forked"])
+    def test_crash_names_the_worker(self, chain_db, victim):
+        """An exception inside a processor's machine, the resident's or
+        a forked worker's, reaches the caller as a crash naming it."""
         from repro.datalog import Atom, Rule, Variable
         from repro.parallel.naming import out_name
 
         parallel = example3_scheme(ancestor_program(), (0, 1))
-        # Sabotage processor 1: its init rule reads a relation that no
-        # fragment spec provides, so the worker crashes at start-up.
+        # The victim's init rule reads a relation that no fragment spec
+        # provides, so its machine crashes at start-up.
         X, Y = Variable("X"), Variable("Y")
         broken_rule = Rule(Atom(out_name("anc"), (X, Y)),
                            (Atom("nowhere", (X, Y)),))
-        victim = parallel.programs[1]
-        parallel.programs[1] = dataclasses.replace(
-            victim, init_rules=(broken_rule,))
+        parallel.programs[victim] = dataclasses.replace(
+            parallel.programs[victim], init_rules=(broken_rule,))
         with pytest.raises(ExecutionError) as info:
             run_multiprocessing(parallel, chain_db, timeout=30)
-        assert "crashed" in str(info.value)
+        assert f"worker '{victim}' crashed" in str(info.value)
 
     def test_timeout_raises(self, chain_db):
         parallel = example3_scheme(ancestor_program(), (0, 1))
@@ -67,41 +69,19 @@ class TestForkOnly:
         assert set(multiprocessing.active_children()) <= before
 
 
-def _stub_worker(runtime, inbox, _peers, coordinator_queue, *_options,
-                 script):
-    """A worker that follows ``script`` instead of evaluating anything.
+class _StubMachine:
+    """A machine that follows ``script`` instead of evaluating anything.
 
     ``script(wave)`` returns the ``(sent, received, activity, pending)``
-    to ack probe ``wave`` with, or None to stop answering (a wedge:
-    alive, draining nothing).  STOP is ignored on purpose.
+    to ack probe ``wave`` with, or None to stop answering: a wedge,
+    which in a forked worker stays alive and blocked on its inbox.
+    STOP is ignored on purpose.
     """
-    import time
-
-    from repro.parallel.mp.protocol import ACK, PROBE
-
-    wave = 0
-    while True:
-        message = inbox.get()
-        if message[0] != PROBE:
-            continue
-        wave += 1
-        reply = script(wave)
-        if reply is None:
-            time.sleep(3600)
-        sent, received, activity, pending = reply
-        coordinator_queue.put((ACK, runtime.program.processor, message[1],
-                               sent, received, activity, 0, pending))
-
-
-class _StubMachine:
-    """``_stub_worker`` for the resident: processor 0 is stepped by the
-    coordinator itself, so it follows ``script`` as a machine.  Once it
-    wedges it answers nothing more; STOP is ignored on purpose."""
 
     def __init__(self, runtime, _clock, _peers, *, script, **_options):
         from repro.parallel.mp.protocol import WorkerStats
 
-        self.runtime = runtime
+        self.me = runtime.program.processor
         self.stats = WorkerStats()
         self.busy = self.stopped = self.dying = False
         self._script = script
@@ -126,18 +106,17 @@ class _StubMachine:
             self._wedged = True
             return []
         sent, received, activity, pending = reply
-        return [(COORDINATOR, (ACK, self.runtime.program.processor,
-                               message[1], sent, received, activity, 0,
-                               pending))]
+        return [(COORDINATOR, (ACK, self.me, message[1], sent, received,
+                               activity, 0, pending))]
 
 
 @pytest.mark.mp
 class TestDeadlineStateDump:
     """Every deadline error says where the protocol stood (ROADMAP 6c).
 
-    The workers are stubs: forked from this process (the patched
-    ``worker_main`` travels with the fork), and for the resident the
-    coordinator steps a scripted machine, so each scenario is exact.
+    Every processor runs a scripted machine, the resident in the
+    coordinator's process and the others in forked workers, so each
+    scenario is exact.
     """
 
     @pytest.fixture
@@ -148,11 +127,9 @@ class TestDeadlineStateDump:
         from repro.parallel.mp import runner
 
         if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("stub workers need the fork start method")
+            pytest.skip("stub machines need the fork start method")
 
         def run(script, **options):
-            monkeypatch.setattr(runner, "worker_main", functools.partial(
-                _stub_worker, script=script))
             monkeypatch.setattr(runner, "WorkerMachine", functools.partial(
                 _StubMachine, script=script))
             parallel = example3_scheme(ancestor_program(), (0, 1))
@@ -201,58 +178,22 @@ class TestDeadlineStateDump:
         assert "acked wave 2 (epoch 0): sent=0 received=0" in message
 
 
-def _mortal_stub(runtime, inbox, _peers, coordinator_queue, _kill_after,
-                 epoch, *_options, dies_on):
-    """A worker that evaluates nothing but answers like an idle one,
+class _MortalMachine:
+    """A machine that evaluates nothing but answers like an idle one,
     and whose first incarnation dies on reading the message kind
     ``dies_on[processor]``.
 
     It acks every probe in its current epoch, follows ``reset``s and
-    reports an empty result on ``stop``.  Workers of the first
-    incarnation spawn in epoch 0; restarts spawn later and never die.
-    A death is a self-``SIGKILL`` after flushing the coordinator queue,
-    as an injected kill is in the real worker.
+    reports an empty result on ``stop``.  Machines of the first
+    incarnation start in epoch 0; restarts start later and never die.
+    A death is the kill-fault flag a real machine sets.
     """
-    import os
-    import signal
-
-    from repro.parallel.mp.protocol import (
-        ACK,
-        PROBE,
-        RESET,
-        RESULT,
-        STOP,
-        WorkerStats,
-    )
-
-    me = runtime.program.processor
-    mortal = epoch == 0
-    while True:
-        message = inbox.get()
-        kind = message[0]
-        if mortal and kind == dies_on.get(me):
-            coordinator_queue.close()
-            coordinator_queue.join_thread()
-            os.kill(os.getpid(), signal.SIGKILL)
-        if kind == RESET:
-            epoch = max(epoch, message[1])
-        elif kind == PROBE:
-            coordinator_queue.put((ACK, me, message[1], 0, 0, 0, epoch,
-                                   False))
-        elif kind == STOP:
-            coordinator_queue.put((RESULT, me, {}, WorkerStats()))
-            return
-
-
-class _MortalMachine:
-    """``_mortal_stub`` for the resident, as a machine the coordinator
-    steps: its death is the kill-fault flag a real machine sets."""
 
     def __init__(self, runtime, _clock, _peers, *, epoch=0, dies_on,
                  **_options):
         from repro.parallel.mp.protocol import WorkerStats
 
-        self.runtime = runtime
+        self.me = runtime.program.processor
         self.stats = WorkerStats()
         self.busy = self.stopped = self.dying = False
         self._epoch = epoch
@@ -275,19 +216,18 @@ class _MortalMachine:
             STOP,
         )
 
-        me = self.runtime.program.processor
         kind = message[0]
-        if self._mortal and kind == self._dies_on.get(me):
+        if self._mortal and kind == self._dies_on.get(self.me):
             self.dying = True
             return []
         if kind == RESET:
             self._epoch = max(self._epoch, message[1])
         elif kind == PROBE:
-            return [(COORDINATOR, (ACK, me, message[1], 0, 0, 0,
+            return [(COORDINATOR, (ACK, self.me, message[1], 0, 0, 0,
                                    self._epoch, False))]
         elif kind == STOP:
             self.stopped = True
-            return [(COORDINATOR, (RESULT, me, {}, self.stats))]
+            return [(COORDINATOR, (RESULT, self.me, {}, self.stats))]
         return []
 
 
@@ -309,9 +249,7 @@ class TestCascadingFailureByConstruction:
         from repro.parallel.mp.protocol import PROBE, RESET
 
         if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("stub workers need the fork start method")
-        monkeypatch.setattr(runner, "worker_main", functools.partial(
-            _mortal_stub, dies_on={0: PROBE, 1: RESET}))
+            pytest.skip("stub machines need the fork start method")
         monkeypatch.setattr(runner, "WorkerMachine", functools.partial(
             _MortalMachine, dies_on={0: PROBE, 1: RESET}))
         sink = InMemorySink()

@@ -3,12 +3,12 @@
 ``run_multiprocessing`` forks ``n − 1`` workers and steps processor 0
 in its own loop, one step between two ticks.  These cases pin what that
 changes: no fork at all at ``n = 1``, a long resident step that does
-not make a peer's ack late, a kill fault that names the resident,
-which retires it for a forked replacement or fails the run, and a
-crash inside it, reported as a worker's.
+not make a peer's ack late, and a kill fault that names the resident,
+which retires it for a forked replacement or fails the run.  A crash
+inside it is reported as a worker's
+(``test_mp_internals.py::TestCrashHandling``).
 """
 
-import dataclasses
 import multiprocessing
 
 import pytest
@@ -91,22 +91,3 @@ class TestResidentKill:
         assert "'0' (exit code -9)" in message
         assert "recovery policy is 'fail'" in message
 
-
-@pytest.mark.mp
-class TestResidentCrash:
-    def test_crash_is_reported_like_a_workers(self, ancestor, chain_db):
-        """An exception inside the resident's machine reaches the caller
-        as a worker crash naming processor 0, not as the raw error."""
-        from repro.datalog import Atom, Rule, Variable
-        from repro.parallel.naming import out_name
-
-        parallel = example3_scheme(ancestor, (0, 1))
-        # Processor 0's init rule reads a relation no fragment provides.
-        X, Y = Variable("X"), Variable("Y")
-        parallel.programs[0] = dataclasses.replace(
-            parallel.programs[0],
-            init_rules=(Rule(Atom(out_name("anc"), (X, Y)),
-                             (Atom("nowhere", (X, Y)),)),))
-        with pytest.raises(ExecutionError) as info:
-            run_multiprocessing(parallel, chain_db, timeout=30)
-        assert "worker '0' crashed" in str(info.value)

@@ -4,19 +4,32 @@ Real mp runs are too fast and too racy to pin what a worker does with
 one particular interleaving of messages, so these tests run
 :func:`~repro.parallel.mp.worker.worker_main` in a thread over plain
 ``queue.Queue`` objects and queue the messages before it starts: the
-order is then exact, with no sleeps or kills.
+order is then exact, with no sleeps or kills.  The loop it shares with
+the resident, :class:`~repro.parallel.mp.worker.WorkerLoop`, is also
+driven directly with a fake machine.
 """
 
 import queue
 import threading
+import time
+import types
 
 import pytest
 
 from repro.facts import Database
 from repro.parallel import example3_scheme, hash_scheme
 from repro.parallel.discriminating import ModuloDiscriminator
-from repro.parallel.mp.protocol import ACK, DATA, PROBE, RESET, RESULT, STOP
-from repro.parallel.mp.worker import worker_main
+from repro.parallel.mp.machines import WorkerMachine
+from repro.parallel.mp.protocol import (
+    ACK,
+    DATA,
+    PROBE,
+    RESET,
+    RESULT,
+    STOP,
+    WorkerStats,
+)
+from repro.parallel.mp.worker import WorkerLoop, worker_main
 from repro.parallel.processor import ProcessorRuntime
 from repro.workloads import ancestor_program
 
@@ -27,8 +40,8 @@ class _InProcessWorker:
     The worker runs the first processor of ``parallel``; every other
     processor is a bare queue in ``peers``, so what the worker sends
     can be read back message by message.  Single-processor programs
-    route every derivation to themselves.  The runtime is built the
-    way the coordinator builds it before forking.
+    route every derivation to themselves.  The runtime and its machine
+    are built the way the coordinator builds them before forking.
     """
 
     def __init__(self, parallel, database):
@@ -40,10 +53,11 @@ class _InProcessWorker:
         self.peers = {other: queue.Queue()
                       for other in parallel.processors if other != proc}
         self.coordinator = queue.Queue()
+        machine = WorkerMachine(self.runtime, time.perf_counter,
+                                list(self.peers))
         self.thread = threading.Thread(
             target=worker_main,
-            args=(self.runtime, self.inbox, {proc: self.inbox, **self.peers},
-                  self.coordinator),
+            args=(machine, self.inbox, self.peers, self.coordinator),
             daemon=True)
 
     def start(self):
@@ -227,3 +241,18 @@ class TestWorkerTimings:
             assert value >= 0.0
         assert 0.0 < stats.longest_step_s <= stats.step_s
         assert stats.cpu_s > 0.0
+
+
+
+class TestWorkerLoop:
+    def test_reply_puts_count_as_sending_not_draining(self):
+        """The loop every processor runs times a message's reaction as
+        ``drain_s`` and the puts it returns as ``send_s``, not both."""
+        stats = WorkerStats()
+        machine = types.SimpleNamespace(
+            me=0, stats=stats, stopped=False, dying=False,
+            on_message=lambda message: [(1, (DATA, 0, [], 0, (0, 1)))])
+        sender = types.SimpleNamespace(put=lambda message: time.sleep(0.05))
+        WorkerLoop(machine, {1: sender}, [].append).receive((PROBE, 1))
+        assert stats.send_s >= 0.05
+        assert stats.drain_s < 0.05

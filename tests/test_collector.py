@@ -17,6 +17,7 @@ caller's collector state survives every return and every raise.
 import functools
 import gc
 import multiprocessing
+import os
 
 import pytest
 
@@ -185,37 +186,29 @@ class TestPauseIsScoped:
         assert not gc.isenabled()
 
 
-def _reporting_worker(*arguments, report, worker):
-    """Report ``("start", tag, epoch, collector on?)``, then run the
-    real worker, reporting ``("collect", tag, epoch, generation)`` for
-    each collection it starts.
-
-    ``arguments`` are ``worker_main``'s: the runtime first, the epoch
-    sixth.
-    """
-    import gc
-
-    tag, epoch = arguments[0].tag, arguments[5]
+def _reporting_machine(runtime, *arguments, report, machine, coordinator,
+                       **options):
+    """A real machine whose start reports ``("start", tag, epoch,
+    collector on?)`` from the process that runs it.  In a forked worker
+    it then reports ``("collect", tag, epoch, generation)`` for each
+    collection the process starts; the resident runs in
+    ``coordinator``, the coordinator's process, which collects after
+    pooling each RESULT, so no collection is reported there."""
+    built = machine(runtime, *arguments, **options)
+    start, tag, epoch = built.start, runtime.tag, options.get("epoch", 0)
 
     def note(phase, info):
         if phase == "start":
             report.put(("collect", tag, epoch, info["generation"]))
 
-    gc.callbacks.append(note)
-    report.put(("start", tag, epoch, gc.isenabled()))
-    worker(*arguments)
+    def reporting_start():
+        if os.getpid() != coordinator:
+            gc.callbacks.append(note)
+        report.put(("start", tag, epoch, gc.isenabled()))
+        return start()
 
-
-def _reporting_resident(runtime, *arguments, report, machine, **options):
-    """Report ``("start", tag, epoch, collector on?)`` for the resident,
-    the processor the coordinator steps itself, then build its real
-    machine.  Its process is the coordinator's, which collects after
-    pooling each RESULT, so no collection is reported."""
-    import gc
-
-    report.put(("start", runtime.tag, options.get("epoch", 0),
-                gc.isenabled()))
-    return machine(runtime, *arguments, **options)
+    built.start = reporting_start
+    return built
 
 
 @pytest.mark.mp
@@ -257,11 +250,9 @@ class TestMultiprocessing:
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("reporting workers need the fork start method")
         report = multiprocessing.get_context("fork").SimpleQueue()
-        monkeypatch.setattr(runner, "worker_main", functools.partial(
-            _reporting_worker, report=report, worker=runner.worker_main))
         monkeypatch.setattr(runner, "WorkerMachine", functools.partial(
-            _reporting_resident, report=report,
-            machine=runner.WorkerMachine))
+            _reporting_machine, report=report, machine=runner.WorkerMachine,
+            coordinator=os.getpid()))
         result = run_multiprocessing(
             example3_scheme(ancestor_program(), (0, 1, 2)), _tree(),
             faults=build_fault_plan([KILL]), recovery="restart", timeout=60)
